@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import automatic, equivalence, gsos, solvers, speclang
+from . import automatic, equivalence, gsos, series, solvers, speclang
 from .algebra import format_ratexpr, get_algebra
 from .errors import (
     BudgetExhausted,
@@ -119,16 +119,17 @@ def _solve_spec(spec):
     if kind is Kind.LINEAR:
         return solvers.solve_linear_coinductive(
             solvers.linear_system_of(sys_)), kind
-    if kind is Kind.CONTEXT_FREE:
-        # same unique solution as the polynomial-state automaton, but the
-        # hash-consed term states stay polynomial on systems whose
-        # polynomial states explode (e.g. the Thue-Morse F2 system)
-        return gsos.solve_system_with_defs(sys_, spec.defs), kind
     if kind is Kind.NONSTD:
         return solvers.solve_nonstd(sys_), kind
     if kind is Kind.EVEN_ODD:
         aut = automatic.compile_evenodd(sys_)
         return {v: automatic.stream_of(aut, v) for v in sys_.variables}, kind
+    if not spec.defs:
+        # context-free and general systems: without definitions every
+        # operation is a builtin with an index formula, so no term
+        # states are built
+        return series.solve_by_coefficients(sys_), kind
+    # the GSOS engine runs user definitions and validates every one
     return gsos.solve_system_with_defs(sys_, spec.defs), kind
 
 

@@ -1,0 +1,546 @@
+"""Solving equation systems over builtin operations coefficient by coefficient.
+
+A causal stream differential equation fixes element n+1 of every
+unknown from elements 0..n, so its solution can be computed one
+coefficient at a time by the index formulas of the operations, as for
+lazy power series (McIlroy, *Power Series, Power Serious*, 1999) and
+relaxed multiplication (van der Hoeven, *Relax, but Don't Be Too Lazy*,
+2002).  Every unknown and every distinct subterm of the right-hand sides
+becomes a node holding the coefficients computed so far.  A coefficient
+is computed once, when it is first demanded, and charges the
+observation budget once.
+
+The nodes observe the GSOS engine (gsos.py) wherever it answers:
+
+* prefixes are identical;
+* a demand on a coefficient that its own node is still computing raises
+  NonProductive, the trap of Stream and Engine;
+* a convolution demands every factor a(i) and b(n-i), zero or not, so a
+  definition the engine finds non-productive stays non-productive;
+* an algebra-capability error is raised when the coefficient needing it
+  is demanded, with the engine's class and message, never while the
+  nodes are built.
+
+The engine computes an element's output before the derivative that
+yields the next state.  Two capabilities are needed by derivatives
+only, both of them a negation: inv's clause [-b(0)] * (a' * inv(a)),
+and delta, which the engine refuses over a semiring when it builds the
+right-hand side holding it.  Over an algebra without negation the nodes
+therefore replay the engine's derivatives (`derive`) after each
+observed element, and where the engine's native even/odd/delta/ddx
+force their argument, so that these errors surface when the engine's
+do.  Over every other algebra a derivative cannot fail and is skipped.
+
+Only the cost differs: no term states are built, so a request that
+exhausted the budget on the engine may finish here.
+"""
+
+import sys
+from functools import reduce
+
+from .errors import (
+    HeadNotInvertible,
+    NonProductive,
+    NoExactSqrt,
+    UnorderedAlgebra,
+    UnsupportedOp,
+)
+from .speclang import Const, HLit, OpApp, Var
+from .stream import Stream, _charge
+
+
+def _mentions(t, symbol):
+    return isinstance(t, OpApp) and (
+        t.symbol == symbol or any(_mentions(a, symbol) for a in t.args))
+
+
+def _no_negation(alg):
+    return UnsupportedOp(f"{alg.name} has no negation")
+
+
+def _no_ring(alg):
+    return UnsupportedOp(f"delta needs a ring, not {alg.name}")
+
+
+def _replays_derivatives(alg):
+    # only inv's derivative clause and delta's construction can fail,
+    # both for want of a negation
+    return alg.neg is None
+
+
+class _Node:
+    """A stream as the growing list of its computed coefficients.
+
+    `derived` counts the engine derivatives replayed so far; levels are
+    replayed in order, each once.
+    """
+
+    __slots__ = ("alg", "coeffs", "derived", "_busy")
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.coeffs = []
+        self.derived = 0
+        self._busy = False
+
+    def get(self, n):
+        coeffs = self.coeffs
+        while len(coeffs) <= n:
+            if self._busy:
+                raise NonProductive()
+            _charge()
+            self._busy = True
+            try:
+                value = self.compute(len(coeffs))
+            finally:
+                self._busy = False
+            coeffs.append(value)
+        return coeffs[n]
+
+    def compute(self, n):
+        raise NotImplementedError
+
+    def derive(self, k):
+        """Replay the engine's derivatives of this node up to level k."""
+        while self.derived <= k:
+            self.derive_level(self.derived)
+            self.derived += 1
+
+    def derive_level(self, k):
+        pass
+
+
+class _Unknown(_Node):
+    """x(0) = head, x(n+1) = rhs(n)."""
+
+    __slots__ = ("head", "rhs", "needs_ring")
+
+    def __init__(self, alg, head):
+        super().__init__(alg)
+        self.head = alg.coerce(head)
+        self.rhs = None
+        self.needs_ring = False
+
+    def compute(self, n):
+        return self.rhs.get(n - 1) if n else self.head
+
+    def derive_level(self, k):
+        if k:
+            self.rhs.derive(k - 1)
+        elif self.needs_ring and self.alg.neg is None:
+            raise _no_ring(self.alg)
+
+
+class _Const(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, alg, value):
+        super().__init__(alg)
+        self.value = value
+
+    def compute(self, n):
+        return self.alg.zero if n else self.value
+
+
+class _X(_Node):
+    __slots__ = ()
+
+    def compute(self, n):
+        return self.alg.one if n == 1 else self.alg.zero
+
+
+class _Sum(_Node):
+    """A left-nested chain of + and -, as (node, negated) terms."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, alg, terms):
+        super().__init__(alg)
+        self.terms = terms
+
+    def compute(self, n):
+        alg = self.alg
+        acc = None
+        for node, negated in self.terms:
+            value = node.get(n)
+            if negated:
+                if alg.neg is None:
+                    raise _no_negation(alg)
+                value = alg.neg(value)
+            acc = value if acc is None else alg.add(acc, value)
+        return acc
+
+    def derive_level(self, k):
+        for node, _ in self.terms:
+            node.derive(k)
+
+
+class _Unary(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, alg, arg):
+        super().__init__(alg)
+        self.arg = arg
+
+    def derive_level(self, k):
+        self.arg.derive(k)
+
+
+class _Neg(_Unary):
+    __slots__ = ()
+
+    def compute(self, n):
+        value = self.arg.get(n)
+        if self.alg.neg is None:
+            raise _no_negation(self.alg)
+        return self.alg.neg(value)
+
+
+class _Scale(_Unary):
+    """[c] * b or b * [c]: the scalar fast path of the convolution."""
+
+    __slots__ = ("c", "left")
+
+    def __init__(self, alg, c, arg, left):
+        super().__init__(alg, arg)
+        self.c, self.left = c, left
+
+    def compute(self, n):
+        value = self.arg.get(n)
+        return self.alg.mul(self.c, value) if self.left else self.alg.mul(value, self.c)
+
+
+class _Shift(_Unary):
+    """The derivative a': a'(n) = a(n+1)."""
+
+    __slots__ = ()
+
+    def compute(self, n):
+        return self.arg.get(n + 1)
+
+    def derive_level(self, k):
+        self.arg.derive(k + 1)
+
+
+class _Binary(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, alg, a, b):
+        super().__init__(alg)
+        self.a, self.b = a, b
+
+    def derive_level(self, k):
+        self.a.derive(k)
+        self.b.derive(k)
+
+
+class _Mul(_Binary):
+    """Convolution: sum of a(i) * b(n-i) over i = 0..n."""
+
+    __slots__ = ()
+
+    def compute(self, n):
+        # a(0..n-1) and b(0..n-1) were demanded for earlier coefficients;
+        # a(n) comes first and b(n) last, as in the engine's expansion
+        self.a.get(n)
+        self.b.get(n)
+        alg = self.alg
+        return reduce(alg.add, map(alg.mul, self.a.coeffs[:n + 1],
+                                   reversed(self.b.coeffs[:n + 1])))
+
+
+class _Shuffle(_Binary):
+    """Shuffle product: sum of C(n, i) * a(i) * b(n-i) over i = 0..n.
+
+    C(n, i) is the algebra's image of the integer, the n-fold sum of
+    ones that alg.nat_mul would add up; it is kept as the current row
+    of Pascal's triangle, one addition per entry.
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, alg, a, b):
+        super().__init__(alg, a, b)
+        self.row = ()
+
+    def compute(self, n):
+        self.a.get(n)
+        self.b.get(n)
+        alg = self.alg
+        last = self.row
+        row = [alg.one] + [alg.add(last[i - 1], last[i]) for i in range(1, n)]
+        if n:
+            row.append(alg.one)
+        self.row = row
+        terms = map(alg.mul, self.a.coeffs[:n + 1], reversed(self.b.coeffs[:n + 1]))
+        return reduce(alg.add, map(alg.mul, row, terms))
+
+
+class _Hadamard(_Binary):
+    __slots__ = ()
+
+    def compute(self, n):
+        return self.alg.mul(self.a.get(n), self.b.get(n))
+
+
+class _Zip(_Binary):
+    __slots__ = ()
+
+    def compute(self, n):
+        return (self.b if n & 1 else self.a).get(n >> 1)
+
+    def derive_level(self, k):
+        # zip(a, b)' = zip(b, a'): only the argument just read is derived
+        (self.b if k & 1 else self.a).derive(k >> 1)
+
+
+class _Merge(_Binary):
+    """Sorted merge dropping duplicates, by two cursors."""
+
+    __slots__ = ("i", "j", "steps")
+
+    def __init__(self, alg, a, b):
+        super().__init__(alg, a, b)
+        self.i = self.j = 0
+        self.steps = []  # per element: the cursor each argument advanced from
+
+    def compute(self, n):
+        alg = self.alg
+        i, j = self.i, self.j
+        x, y = self.a.get(i), self.b.get(j)
+        if alg.lt is None:
+            raise UnorderedAlgebra(f"{alg.name} has no order for guards")
+        if alg.lt(x, y):
+            self.i += 1
+            self.steps.append((i, None))
+            return x
+        if alg.eq(x, y):
+            self.i += 1
+            self.j += 1
+            self.steps.append((i, j))
+            return x
+        self.j += 1
+        self.steps.append((None, j))
+        return y
+
+    def derive_level(self, k):
+        # the engine derives only the argument(s) its clause advanced
+        i, j = self.steps[k]
+        if i is not None:
+            self.a.derive(i)
+        if j is not None:
+            self.b.derive(j)
+
+
+class _Inv(_Unary):
+    """b(0) = a(0)^-1, b(n) = -b(0) * sum of a(i) * b(n-i) over i = 1..n."""
+
+    __slots__ = ("neg_b0",)
+
+    def __init__(self, alg, arg):
+        super().__init__(alg, arg)
+        self.neg_b0 = None
+
+    def compute(self, n):
+        alg = self.alg
+        if n == 0:
+            a0 = self.arg.get(0)
+            if alg.inv is None:
+                raise UnsupportedOp(f"{alg.name} has no inverses")
+            b0 = alg.inv(a0)
+            if b0 is None:
+                raise HeadNotInvertible(f"{alg.fmt(a0)} has no inverse")
+            if alg.neg is not None:
+                self.neg_b0 = alg.neg(b0)
+            return b0
+        if alg.neg is None:
+            raise _no_negation(alg)
+        self.arg.get(n)
+        total = reduce(alg.add, map(alg.mul, self.arg.coeffs[1:n + 1],
+                                    reversed(self.coeffs[:n])))
+        return alg.mul(self.neg_b0, total)
+
+    def derive_level(self, k):
+        if k == 0 and self.alg.neg is None:
+            raise _no_negation(self.alg)
+        self.arg.derive(k)
+
+
+class _Sqrt(_Unary):
+    """r(0) = sqrt(a(0)), r' = a' * inv([r(0)] + r), from the same nodes."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, alg, arg):
+        super().__init__(alg, arg)
+        self.tail = None
+
+    def compute(self, n):
+        if n:
+            return self.tail.get(n - 1)
+        alg = self.alg
+        a0 = self.arg.get(0)
+        if alg.sqrt is None:
+            raise NoExactSqrt(f"{alg.name} has no square roots")
+        r0 = alg.sqrt(a0)
+        if r0 is None:
+            raise NoExactSqrt(f"{alg.fmt(a0)} has no exact square root")
+        denominator = _Sum(alg, ((_Const(alg, r0), False), (self, False)))
+        self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
+        return r0
+
+    def derive_level(self, k):
+        if k:
+            self.tail.derive(k - 1)
+        else:
+            self.arg.derive(0)
+
+
+class _Native(_Unary):
+    """even, odd, delta and ddx, which the engine runs as native streams:
+    reading an argument element also takes that element's derivative."""
+
+    __slots__ = ()
+
+    def read(self, m):
+        value = self.arg.get(m)
+        if _replays_derivatives(self.alg):
+            self.arg.derive(m)
+        return value
+
+    def derive_level(self, k):
+        pass
+
+
+class _Even(_Native):
+    __slots__ = ()
+
+    def compute(self, n):
+        return self.read(2 * n)
+
+
+class _Odd(_Native):
+    __slots__ = ()
+
+    def compute(self, n):
+        return self.read(2 * n + 1)
+
+
+class _Delta(_Native):
+    """Forward difference a(n+1) - a(n)."""
+
+    __slots__ = ()
+
+    def compute(self, n):
+        if self.alg.neg is None:
+            raise _no_ring(self.alg)
+        low = self.read(n)
+        return self.alg.sub(self.read(n + 1), low)
+
+
+class _Ddx(_Native):
+    """Power-series derivative (n+1) * a(n+1)."""
+
+    __slots__ = ()
+
+    def compute(self, n):
+        return self.alg.nat_mul(n + 1, self.read(n + 1))
+
+
+_UNARY = {"inv": _Inv, "sqrt": _Sqrt, "even": _Even, "odd": _Odd,
+          "delta": _Delta, "ddx": _Ddx, "neg": _Neg}
+_BINARY = {"shuffle": _Shuffle, "hadamard": _Hadamard, "zip": _Zip,
+           "merge": _Merge, "*": _Mul}
+
+
+class _Builder:
+    """Nodes of right-hand-side terms; equal subterms share one node."""
+
+    def __init__(self, alg, unknowns):
+        self.alg = alg
+        self.unknowns = unknowns
+        self.nodes = {}
+
+    def node(self, term):
+        found = self.nodes.get(term)
+        if found is None:
+            found = self.nodes[term] = self._make(term)
+        return found
+
+    def _make(self, term):
+        alg = self.alg
+        if isinstance(term, Var):
+            return self.unknowns[term.name]
+        if isinstance(term, Const) and isinstance(term.value, HLit):
+            return _Const(alg, alg.coerce(term.value.value))
+        if not isinstance(term, OpApp):
+            raise UnsupportedOp(f"cannot evaluate term {term!r}")
+        symbol, args = term.symbol, term.args
+        if symbol == "X" and not args:
+            return _X(alg)
+        if symbol in ("+", "-") and len(args) == 2:
+            return _Sum(alg, self._chain(term))
+        if symbol == "-":
+            symbol = "neg"
+        if symbol in _UNARY and len(args) == 1:
+            return _UNARY[symbol](alg, self.node(args[0]))
+        if symbol in _BINARY and len(args) == 2:
+            if symbol == "*":
+                for side, other, left in ((args[0], args[1], True),
+                                          (args[1], args[0], False)):
+                    if isinstance(side, Const) and isinstance(side.value, HLit):
+                        return _Scale(alg, alg.coerce(side.value.value),
+                                      self.node(other), left)
+            return _BINARY[symbol](alg, self.node(args[0]), self.node(args[1]))
+        raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
+
+    def _chain(self, term):
+        # flatten the left spine of a + - chain; right operands stay nodes
+        terms = []
+        while (isinstance(term, OpApp) and term.symbol in ("+", "-")
+               and len(term.args) == 2):
+            terms.append((self.node(term.args[1]), term.symbol == "-"))
+            term = term.args[0]
+        terms.append((self.node(term), False))
+        terms.reverse()
+        return tuple(terms)
+
+
+def _ensure_recursion_room(nodes):
+    # a coefficient demand recurses through at most every node once
+    needed = 4 * nodes + 1000
+    if sys.getrecursionlimit() < needed:
+        sys.setrecursionlimit(needed)
+
+
+def _stream(node, n=0):
+    if not _replays_derivatives(node.alg):
+        return Stream(node.alg, lambda: (node.get(n), _stream(node, n + 1)))
+
+    def cell():
+        # the engine's observation takes each element's derivative
+        value = node.get(n)
+        node.derive(n)
+        return value, _stream(node, n + 1)
+
+    return Stream(node.alg, cell)
+
+
+def solve_by_coefficients(sys_):
+    """Solution streams of a builtin-only ordinary system, one per unknown.
+
+    Builds nodes only, refusing an operation that is not a builtin with
+    UnsupportedOp; every error of the evaluation surfaces when the
+    returned streams are observed.
+    """
+    if sys_.tail_op != "tail" or sys_.evens:
+        raise UnsupportedOp("only ordinary tail systems are solved by coefficients")
+    alg = sys_.algebra
+    unknowns = {v: _Unknown(alg, sys_.heads[v]) for v in sys_.variables}
+    builder = _Builder(alg, unknowns)
+    for v in sys_.variables:
+        unknowns[v].rhs = builder.node(sys_.rhs[v])
+        unknowns[v].needs_ring = _mentions(sys_.rhs[v], "delta")
+    # a sqrt adds four nodes when its head is computed
+    _ensure_recursion_room(len(unknowns) + 5 * len(builder.nodes))
+    return {v: _stream(unknowns[v]) for v in sys_.variables}

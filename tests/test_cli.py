@@ -2,6 +2,7 @@
 
 import io
 import pathlib
+import re
 
 import pytest
 
@@ -211,3 +212,150 @@ def test_gsos_violation_at_solve_is_1():
         assert "GsosViolation" in err
     finally:
         os.unlink(path)
+
+
+# ---------------------------------------------------------------------------
+# Context-free and builtin-only general systems solve by coefficient arrays.
+# Each row was recorded through the GSOS engine before that route existed:
+# (name, spec, solve (code, out, err), check (code, out, err)).
+
+FAILING_SPECS = [
+    ("merge_f2", "algebra F2;\ns(0) = 1;\ns' = merge(s, s);\n",
+     (1, '', 'error: UnorderedAlgebra: F2 has no order for guards\n'),
+     (1, 'parse: ok (algebra F2, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: UnorderedAlgebra: F2 has no order for guards\n')),
+    ("minus_nat", "algebra Nat;\ns(0) = 1;\ns' = s - s;\n",
+     (1, '', 'error: UnsupportedOp: Nat has no negation\n'),
+     (1, 'parse: ok (algebra Nat, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: UnsupportedOp: Nat has no negation\n')),
+    ("inv_zero_q", "algebra Q;\ns(0) = 0;\ns' = inv(s);\n",
+     (1, '', 'error: HeadNotInvertible: 0 has no inverse\n'),
+     (1, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: HeadNotInvertible: 0 has no inverse\n')),
+    ("inv_nat", "algebra Nat;\ns(0) = 1;\ns' = inv(s);\n",
+     (1, '', 'error: UnsupportedOp: Nat has no negation\n'),
+     (1, 'parse: ok (algebra Nat, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: UnsupportedOp: Nat has no negation\n')),
+    ("sqrt2_q", "algebra Q;\ns(0) = 2;\ns' = sqrt(s);\n",
+     (1, '', 'error: NoExactSqrt: 2 has no exact square root\n'),
+     (1, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: NoExactSqrt: 2 has no exact square root\n')),
+    ("sqrt_f2", "algebra F2;\ns(0) = 1;\ns' = sqrt(s);\n",
+     (1, '', 'error: HeadNotInvertible: 0 has no inverse\n'),
+     (1, 'parse: ok (algebra F2, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: HeadNotInvertible: 0 has no inverse\n')),
+    ("x_even_q", "algebra Q;\ns(0) = 1;\ns' = X*even(s) + s*s;\n",
+     (2, '', 'error: NonProductive: non-productive definition (at index 2)\n'),
+     (2, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n'
+      'probe s: NonProductive at index 2\n', '')),
+    ("delta_q", "algebra Q;\nx(0) = 1;\nx' = delta(x);\n",
+     (2, '', 'error: NonProductive: non-productive definition (at index 1)\n'),
+     (2, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n'
+      'probe x: NonProductive at index 1\n', '')),
+    ("delta_nat", "algebra Nat;\nx(0) = 1;\nx' = delta(x);\n",
+     (1, '', 'error: UnsupportedOp: delta needs a ring, not Nat\n'),
+     (1, 'parse: ok (algebra Nat, 1 unknown(s), 0 definition(s))\nkind: general\n',
+      'error: UnsupportedOp: delta needs a ring, not Nat\n')),
+]
+
+# prefix lengths at which the same specs still answer, or first fail
+SHORT_PREFIXES = [
+    ("inv_nat", "1", (0, '1\n', '')),
+    ("inv_nat", "2", (1, '', 'error: UnsupportedOp: Nat has no negation\n')),
+    ("sqrt_f2", "2", (0, '1, 1\n', '')),
+    ("x_even_q", "2", (0, '1, 1\n', '')),
+    ("delta_nat", "1", (1, '', 'error: UnsupportedOp: delta needs a ring, not Nat\n')),
+]
+
+
+def _write_spec(tmp_path, name):
+    text = next(row[1] for row in FAILING_SPECS if row[0] == name)
+    path = tmp_path / f"{name}.sde"
+    path.write_text(text)
+    return path, "x" if "x(0)" in text else "s"
+
+
+@pytest.mark.parametrize("name,text,solved,checked", FAILING_SPECS,
+                         ids=[row[0] for row in FAILING_SPECS])
+def test_failing_specs_keep_engine_output(tmp_path, name, text, solved, checked):
+    path, var = _write_spec(tmp_path, name)
+    assert invoke("solve", f"{path}#{var}") == solved
+    assert invoke("check", path) == checked
+
+
+@pytest.mark.parametrize("name,count,expected", SHORT_PREFIXES)
+def test_failing_specs_short_prefixes(tmp_path, name, count, expected):
+    path, var = _write_spec(tmp_path, name)
+    assert invoke("solve", f"{path}#{var}", "-n", count) == expected
+
+
+def test_bad_eq53_keeps_engine_output():
+    assert invoke("solve", corpus("bad_eq53.sde") + "#s") == (
+        2, '', 'error: NonProductive: non-productive definition (at index 2)\n')
+    assert invoke("check", corpus("bad_eq53.sde")) == (
+        2, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n'
+        'probe s: NonProductive at index 2\n', '')
+
+
+class TestSolveRoutes:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from streamcalc import gsos, series
+
+        seen = []
+        for module, name in ((gsos, "solve_system_with_defs"),
+                             (series, "solve_by_coefficients")):
+            original = getattr(module, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return seen
+
+    def test_user_definition_keeps_engine(self, tmp_path, calls):
+        path = tmp_path / "twice.sde"
+        path.write_text("def twice(a) { out = a(0) + a(0); deriv = twice(a'); }\n"
+                        "s(0) = 1; s' = twice(s);\n")
+        assert invoke("solve", f"{path}#s", "-n", "5") == (0, "1, 2, 4, 8, 16\n", "")
+        assert calls == ["solve_system_with_defs"]
+
+    def test_file_with_definitions_keeps_engine(self, tmp_path, calls):
+        # the engine refuses an invalid definition even when no equation uses it
+        path = tmp_path / "unused.sde"
+        path.write_text("def evn(a) { out = a(0); deriv = evn(a''); }\n"
+                        "s(0) = 1; s' = s*s;\n")
+        code, _, err = invoke("solve", f"{path}#s", "-n", "3")
+        assert code == 1
+        assert err.startswith("error: GsosViolation")
+        assert calls == ["solve_system_with_defs"]
+
+    @pytest.mark.parametrize("name,var", [("catalan.sde", "s"), ("hamming.sde", "g")])
+    def test_builtin_systems_solve_by_coefficients(self, calls, name, var):
+        code, _, _ = invoke("solve", corpus(name) + "#" + var, "-n", "5")
+        assert code == 0
+        assert calls == ["solve_by_coefficients"]
+
+    def test_catalan_44_within_default_budget(self):
+        import math
+
+        code, out, err = invoke("solve", corpus("catalan.sde") + "#s", "-n", "44")
+        assert (code, err) == (0, "")
+        assert out == ", ".join(str(math.comb(2 * n, n) // (n + 1))
+                                for n in range(44)) + "\n"
+
+    def test_thue_morse_kernel_closes(self):
+        # the engine's streams ran out of the kernel's prefix budget here
+        code, out, _ = invoke("kernel", corpus("thue_morse_cf.sde") + "#t")
+        assert code == 0
+        assert out == ("2-kernel (heuristic, 2 states):\n"
+                       "k0: out=0 0->k0 1->k1\n"
+                       "k1: out=1 0->k1 1->k0\n")
+
+    def test_small_budget_still_exhausts(self):
+        code, out, err = invoke("solve", corpus("catalan.sde") + "#s",
+                                "-n", "200", "--budget", "50")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: BudgetExhausted: forcing budget exhausted "
+                            r"\(at index \d+\)\n", err)
