@@ -343,7 +343,10 @@ def get_algebra(name):
             p = int(name[3:-1])
         except ValueError:
             raise UnsupportedOp(f"bad modulus in {name!r}") from None
-        return gf(p)
+        try:
+            return gf(p)
+        except ValueError as err:
+            raise UnsupportedOp(str(err)) from None
     raise UnsupportedOp(f"unknown algebra {name!r}")
 
 

@@ -37,15 +37,29 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser():
     parser = _ArgumentParser(prog="streamcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, budget=True, count=True, algebra=True):
         if count:
-            p.add_argument("-n", type=int, default=20, dest="count")
+            p.add_argument("-n", type=_int_at_least(0), default=20, dest="count")
         if budget:
-            p.add_argument("--budget", type=int, default=10_000)
+            p.add_argument("--budget", type=_int_at_least(1), default=10_000)
         if algebra:
             p.add_argument("--algebra", default=None)
 
@@ -67,7 +81,7 @@ def _build_parser():
     p.add_argument("right", metavar="SPECB#VAR")
     p.add_argument("--up-to", dest="up_to", default=None,
                    help="comma-separated operations for the congruence closure")
-    p.add_argument("--prefix", type=int, default=64,
+    p.add_argument("--prefix", type=_int_at_least(0), default=64,
                    help="refutation pre-scan depth")
     common(p, count=False)
 

@@ -1,9 +1,11 @@
 """Solution methods for the equation-system formats.
 
 Simple systems unfold their finite automaton.  Linear systems get two
-independent routes: exact closed forms through the matrix method
-(I - X*M)^-1 * N over rational expressions, and a coinductive unfolding
-whose states are coefficient vectors.  Context-free systems unfold the
+independent routes: exact closed forms (I - X*M)^-1 * o, recovered by
+Berlekamp-Massey from the first 2n coefficients of each unknown (a
+dimension-n closed form num/den has deg den <= n and deg num < n, so
+2n terms fix it), and a coinductive unfolding whose states are
+coefficient vectors.  Context-free systems unfold the
 automaton whose states are polynomials over words of unknowns.
 Non-standard systems (delta, d/dX, delta_o) are solved by the rewrite
 delta(x) = t  =>  x' = t + x, by the reconstruction
@@ -17,9 +19,9 @@ from . import calculus, speclang
 from .algebra import (
     Poly,
     RatExpr,
-    gauss_solve,
     ratexpr_derivative,
     ratexpr_head,
+    ratexpr_normalize,
 )
 from .errors import UnsupportedOp
 from .speclang import Const, HLit, Kind, OpApp, Var
@@ -141,25 +143,64 @@ def linear_system_of(sys):
 
 
 def solve_linear_matrix(ls):
-    """Closed forms by the matrix method: solve (I - X*M) x = N.
+    """Closed forms of a linear system: one canonical RatExpr per unknown.
 
-    det(I - X*M) always has head 1, so elimination never fails.  The
-    algebra must be a field; semiring systems only have the coinductive
-    route.
+    The closed forms are the entries of (I - X*M)^-1 * o.  Each is a
+    cofactor polynomial of degree <= n-1 over det(I - X*M), of degree
+    <= n, so after cancelling their gcd every form p/q has linear
+    complexity max(deg p + 1, deg q) <= n.  Berlekamp-Massey on the
+    first 2n coefficients (x^(k)(0) = (M^k o)_i, from iterating
+    v <- M*v) therefore finds each unknown's unique shortest recurrence:
+    its connection polynomial is q, and p is the prefix times q mod
+    X^L.  The algebra must be a field; semiring systems only have the
+    coinductive route.
     """
     alg = ls.algebra
     if alg.kind != "field":
         raise UnsupportedOp("the matrix method needs a field algebra")
     n = ls.n
-    matrix = []
+    vectors = [ls.o]
+    for _ in range(2 * n - 1):
+        v = vectors[-1]
+        vectors.append(tuple(_dot(alg, row, v) for row in ls.M))
+    forms = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            const = alg.one if i == j else alg.zero
-            row.append(RatExpr.from_poly(Poly(alg, (const, alg.neg(ls.M[i][j])))))
-        matrix.append(row)
-    rhs = [RatExpr.const(alg, ls.o[i]) for i in range(n)]
-    return gauss_solve(matrix, rhs)
+        seq = [v[i] for v in vectors]
+        connection, length = _berlekamp_massey(alg, seq)
+        den = Poly(alg, connection)
+        num = Poly(alg, (Poly(alg, seq[:length]) * den).coeffs[:length])
+        forms.append(ratexpr_normalize(num, den))
+    return forms
+
+
+def _berlekamp_massey(alg, seq):
+    """Shortest recurrence of seq over a field (Massey 1969).
+
+    Returns the connection polynomial c (coefficients, c[0] = 1) and the
+    length L with sum_j c[j] * seq[k - j] = 0 for every L <= k < len(seq).
+    """
+    c = [alg.one]
+    b = [alg.one]
+    length = 0
+    shift = 1
+    last = alg.one  # discrepancy when b was last replaced
+    for k, s in enumerate(seq):
+        d = s
+        for j in range(1, min(length, len(c) - 1) + 1):
+            d = alg.add(d, alg.mul(c[j], seq[k - j]))
+        if alg.is_zero(d):
+            shift += 1
+            continue
+        factor = alg.mul(d, alg.inv(last))
+        prev = c
+        c = c + [alg.zero] * (len(b) + shift - len(c))
+        for j, bj in enumerate(b):
+            c[j + shift] = alg.sub(c[j + shift], alg.mul(factor, bj))
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    return c, length
 
 
 def solve_linear_coinductive(ls):
@@ -202,68 +243,28 @@ def ratexpr_stream(r):
 def rational_to_linear(r):
     """Companion linear system of a canonical rational expression.
 
-    Successive derivatives of num/den keep the same denominator, so the
-    first linear dependence among them shows up as a dependence of the
-    shifted numerators; it is found by exact elimination and bounds the
-    dimension by 1 + max(deg num, deg den).
+    num/den with den(0) = 1 and gcd 1 has linear complexity
+    L = max(deg num + 1, deg den): its first L derivatives are
+    independent and x^(L) = -den[L]*x - ... - den[1]*x^(L-1).  The
+    unknowns are those derivatives, their heads the first L
+    coefficients.  The zero stream gets one unknown with x' = 0*x.
     """
     alg = r.algebra
     if r.is_zero():
         return LinearSystem(alg, ("x0",), (alg.zero,), ((alg.zero,),))
-    q = r.den
-    dim = max(r.num.degree, q.degree - 1) + 1
-    numerators = [r.num]
+    num, den = r.num, r.den
+    dim = max(num.degree + 1, den.degree)
     heads = []
-    while True:
-        p = numerators[-1]
-        head = p.at_zero()  # q(0) = 1 in canonical form
-        heads.append(head)
-        coeffs = _solve_dependence(alg, numerators[:-1], p, dim)
-        if coeffs is not None:
-            d = len(numerators) - 1
-            if d == 0:
-                # only for the zero stream, handled above
-                raise AssertionError("unreachable")
-            names = tuple(f"x{i}" for i in range(d))
-            rows = []
-            for i in range(d - 1):
-                rows.append(tuple(alg.one if j == i + 1 else alg.zero
-                                  for j in range(d)))
-            rows.append(tuple(coeffs))
-            return LinearSystem(alg, names, tuple(heads[:d]), tuple(rows))
-        numerators.append((p - q.scale(head)).shift_down())
-
-
-def _solve_dependence(alg, basis, target, dim):
-    """Coefficients a with sum a_i basis_i = target, or None."""
-    cols = len(basis)
-    rows = [[v.coeff(i) for v in basis] + [target.coeff(i)] for i in range(dim)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = next((i for i in range(row, dim)
-                      if not alg.is_zero(rows[i][col])), None)
-        if pivot is None:
-            pivots.append(None)
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = alg.inv(rows[row][col])
-        rows[row] = [alg.mul(inv, x) for x in rows[row]]
-        for i in range(dim):
-            if i != row and not alg.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [alg.sub(a, alg.mul(f, b))
-                           for a, b in zip(rows[i], rows[row])]
-        pivots.append(row)
-        row += 1
-    for i in range(row, dim):
-        if not alg.is_zero(rows[i][cols]):
-            return None  # inconsistent: target independent of the basis
-    solution = [alg.zero] * cols
-    for col, prow in enumerate(pivots):
-        if prow is not None:
-            solution[col] = rows[prow][cols]
-    return solution
+    for k in range(dim):
+        acc = num.coeff(k)
+        for j in range(1, min(k, den.degree) + 1):
+            acc = alg.sub(acc, alg.mul(den.coeff(j), heads[k - j]))
+        heads.append(acc)
+    rows = [tuple(alg.one if j == i + 1 else alg.zero for j in range(dim))
+            for i in range(dim - 1)]
+    rows.append(tuple(alg.neg(den.coeff(dim - j)) for j in range(dim)))
+    return LinearSystem(alg, tuple(f"x{i}" for i in range(dim)),
+                        tuple(heads), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

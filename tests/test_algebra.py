@@ -69,6 +69,13 @@ class TestAlgebraLaws:
         F5 = gf(5)
         assert F5.mul(F5.inv(3), 3) == 1
 
+    def test_non_prime_modulus_is_unsupported(self):
+        from streamcalc import get_algebra
+
+        with pytest.raises(UnsupportedOp, match="4 is not prime"):
+            get_algebra("Fp(4)")
+        assert get_algebra("Fp(7)") is gf(7)
+
     def test_fp_parse_reduces(self):
         assert gf(2).parse("5") == 1
         assert gf(7).coerce(Fraction(1, 2)) == 4  # 2*4 = 8 = 1 mod 7

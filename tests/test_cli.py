@@ -359,3 +359,36 @@ class TestSolveRoutes:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: BudgetExhausted: forcing budget exhausted "
                             r"\(at index \d+\)\n", err)
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (("solve", corpus("fib.sde") + "#s", "-n", "-1"), "-n"),
+        (("solve", corpus("fib.sde") + "#s", "--budget", "0"), "--budget"),
+        (("bbin", "1/3", "-n", "-5"), "-n"),
+        (("equiv", corpus("fib.sde") + "#s", corpus("fib.sde") + "#s",
+          "--prefix", "-7"), "--prefix"),
+    ])
+    def test_out_of_range_is_usage_error(self, argv, flag):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: usage: argument {flag}: must be at least")
+        assert err.count("\n") == 1
+
+    def test_bounds_are_inclusive(self):
+        assert invoke("solve", corpus("fib.sde") + "#s", "-n", "0",
+                      "--budget", "1") == (0, "\n", "")
+
+
+class TestNonPrimeModulus:
+    def test_algebra_flag_is_usage_error(self):
+        code, out, err = invoke("closed-form", corpus("fib.sde") + "#s",
+                                "--algebra", "Fp(4)")
+        assert (code, out, err) == (3, "", "error: usage: 4 is not prime\n")
+
+    def test_file_directive_is_syntax_error(self, tmp_path):
+        spec = tmp_path / "fp4.sde"
+        spec.write_text("algebra Fp(4); s(0)=1; s'=s;\n")
+        code, out, err = invoke("closed-form", str(spec) + "#s")
+        assert (code, out) == (3, "")
+        assert err == "error: SpecSyntaxError: 1:9: 4 is not prime\n"

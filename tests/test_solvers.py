@@ -1,5 +1,6 @@
 """Solution methods per format, closed forms, and the rational round trip."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -13,14 +14,17 @@ from conftest import (
 )
 from streamcalc import (
     Poly,
+    RatExpr,
+    SpecSyntaxError,
     UnsupportedOp,
     bounded_eq,
     parse,
     ratexpr_normalize,
 )
-from streamcalc.algebra import naturals
+from streamcalc.algebra import gauss_solve, gf, naturals
 from streamcalc.solvers import (
     ContextFreeSystem,
+    LinearSystem,
     Periodic,
     PeriodicityUnknown,
     SimpleAutomaton,
@@ -36,9 +40,12 @@ from streamcalc.solvers import (
     solve_simple,
     unfold_automaton,
 )
-from streamcalc.speclang import EquationSystem
+from streamcalc.speclang import EquationSystem, Kind, classify
 from streamcalc.stream import Equal
 from streamcalc.stream import bounded_eq
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def P(*ints):
@@ -178,6 +185,108 @@ class TestLinearMatrix:
             solve_linear_matrix(ls)
         # the coinductive route still works
         assert prefix(solve_linear_coinductive(ls)["x"], 4) == [1, 1, 1, 1]
+
+
+def gauss_oracle(ls):
+    """The former body of solve_linear_matrix: (I - X*M) x = o solved by
+    Gauss-Jordan elimination over rational expressions."""
+    alg = ls.algebra
+    matrix = [[RatExpr.from_poly(Poly(alg, (alg.one if i == j else alg.zero,
+                                            alg.neg(ls.M[i][j]))))
+               for j in range(ls.n)] for i in range(ls.n)]
+    return gauss_solve(matrix, [RatExpr.const(alg, o) for o in ls.o])
+
+
+def assert_matches_oracle(ls):
+    forms = solve_linear_matrix(ls)
+    assert forms == gauss_oracle(ls)
+    for r in forms:
+        assert r == ratexpr_normalize(r.num, r.den)
+    return forms
+
+
+def rand_field_system(rng, alg, n, density=0.5):
+    def entry():
+        if rng.random() >= density:
+            return alg.zero
+        return alg.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          if alg.characteristic == 0 else rng.randrange(8))
+
+    return LinearSystem(alg, tuple(f"v{i}" for i in range(n)),
+                        tuple(entry() for _ in range(n)),
+                        tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+
+F5 = gf(5)
+F2 = gf(2)
+
+
+class TestLinearMatrixAgainstElimination:
+    """Berlekamp-Massey closed forms are the elimination's, entry for entry."""
+
+    @pytest.mark.parametrize("alg,per_dim", [(Q, 1), (F5, 4), (F2, 4)],
+                             ids=["Q", "Fp5", "F2"])
+    def test_seeded_systems(self, alg, per_dim):
+        rng = seeded(46)
+        for n in range(1, 11):
+            for _ in range(per_dim):
+                density = rng.choice((0.3, 0.6, 1.0))
+                assert_matches_oracle(rand_field_system(rng, alg, n, density))
+
+    @pytest.mark.parametrize("alg", [Q, F5, F2], ids=["Q", "Fp5", "F2"])
+    def test_zero_heads_zero_matrix_and_nilpotent(self, alg):
+        rng = seeded(47)
+        for n in range(1, 7):
+            ls = rand_field_system(rng, alg, n, density=0.8)
+            zero_heads = LinearSystem(alg, ls.names, (alg.zero,) * n, ls.M)
+            assert all(r.is_zero() for r in assert_matches_oracle(zero_heads))
+            zero_m = LinearSystem(
+                alg, ls.names, ls.o, ((alg.zero,) * n,) * n)
+            assert [r.num for r in assert_matches_oracle(zero_m)] \
+                == [Poly(alg, (o,)) for o in ls.o]
+            upper = LinearSystem(alg, ls.names, ls.o, tuple(
+                tuple(ls.M[i][j] if j > i else alg.zero for j in range(n))
+                for i in range(n)))
+            for r in assert_matches_oracle(upper):
+                assert r.den.degree <= 0
+                assert r.num.degree < n
+
+    @pytest.mark.parametrize("alg", [Q, F5, F2], ids=["Q", "Fp5", "F2"])
+    def test_reducible_forms(self, alg):
+        rng = seeded(48)
+        for n in range(1, 5):
+            ls = rand_field_system(rng, alg, n, density=0.8)
+            base = solve_linear_matrix(ls)
+            # every unknown duplicated: same head, same equation over the
+            # originals, so det(I - X*M) stays and the cofactors share it
+            zeros = (alg.zero,) * n
+            dup = LinearSystem(
+                alg, ls.names + tuple(f"w{i}" for i in range(n)), ls.o + ls.o,
+                tuple(row + zeros for row in ls.M) * 2)
+            assert assert_matches_oracle(dup) == base + base
+            other = rand_field_system(rng, alg, rng.randint(1, 4), density=0.8)
+            m = other.n
+            block = LinearSystem(
+                alg, ls.names + tuple(f"u{i}" for i in range(m)),
+                ls.o + other.o,
+                tuple(row + (alg.zero,) * m for row in ls.M)
+                + tuple(zeros + row for row in other.M))
+            assert assert_matches_oracle(block) \
+                == base + solve_linear_matrix(other)
+
+    def test_corpus_linear_and_simple_specs(self):
+        checked = 0
+        for path in sorted(CORPUS.glob("*.sde")):
+            try:
+                spec = parse(path.read_text())
+            except SpecSyntaxError:
+                continue
+            if (spec.system is None or spec.algebra.kind != "field"
+                    or classify(spec.system) not in (Kind.SIMPLE, Kind.LINEAR)):
+                continue
+            assert_matches_oracle(linear_system_of(spec.system))
+            checked += 1
+        assert checked == 11
 
 
 class TestLinearCoinductive:

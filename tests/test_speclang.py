@@ -49,6 +49,11 @@ class TestParse:
         assert parse("algebra Nat; s(0)=3; s'=s;").algebra.name == "Nat"
         assert parse("algebra Bool; s(0)=true; s'=s;").system.heads["s"] is True
 
+    def test_non_prime_modulus_directive(self):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse("algebra Fp(4); s(0)=1; s'=s;")
+        assert str(info.value) == "1:9: 4 is not prime"
+
     def test_algebra_directive_must_come_first(self):
         with pytest.raises(SpecSyntaxError):
             parse("s(0)=1; s'=s; algebra F2;")
