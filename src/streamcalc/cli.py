@@ -111,8 +111,13 @@ def _load(path, algebra_name):
             override = get_algebra(algebra_name)
         except UnsupportedOp as err:
             raise _UsageError(str(err)) from None
-    with open(path, encoding="utf-8") as handle:
-        return speclang.parse(handle.read(), algebra=override)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as unreadable:
+        # a missing file, a directory, or a file that is not UTF-8 text
+        raise _UsageError(str(unreadable)) from None
+    return speclang.parse(text, algebra=override)
 
 
 def _selector(text):
@@ -130,18 +135,14 @@ def _solve_spec(spec):
     kind = speclang.classify(sys_)
     if kind is Kind.SIMPLE:
         return solvers.solve_simple(sys_), kind
-    if kind is Kind.LINEAR:
-        return solvers.solve_linear_coinductive(
-            solvers.linear_system_of(sys_)), kind
-    if kind is Kind.NONSTD:
-        return solvers.solve_nonstd(sys_), kind
     if kind is Kind.EVEN_ODD:
         aut = automatic.compile_evenodd(sys_)
         return {v: automatic.stream_of(aut, v) for v in sys_.variables}, kind
-    if not spec.defs:
-        # context-free and general systems: without definitions every
-        # operation is a builtin with an index formula, so no term
-        # states are built
+    if kind in (Kind.LINEAR, Kind.NONSTD) or not spec.defs:
+        # coefficient arrays: every builtin has an index formula, so no
+        # term states are built.  Linear systems use builtins only, the
+        # engine has no non-standard tails, and other systems qualify
+        # when the file has no definitions
         return series.solve_by_coefficients(sys_), kind
     # the GSOS engine runs user definitions and validates every one
     return gsos.solve_system_with_defs(sys_, spec.defs), kind
@@ -395,18 +396,17 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def run(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except _UsageError as use:
         print(f"error: usage: {use}", file=err)
-        return EXIT_USAGE
-    except FileNotFoundError as missing:
-        print(f"error: usage: {missing}", file=err)
         return EXIT_USAGE
     except GsosViolation as violation:
         print(f"error: GsosViolation: {violation}", file=err)

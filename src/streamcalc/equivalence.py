@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .algebra import RatExpr, ratexpr_derivative, ratexpr_head, same_algebra
 from .errors import UnsupportedOp
 from .gsos import Engine, State, SymbolicStuck, SymHead, sym_equal, term_of_state
+from .stream import ensure_recursion_room
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,7 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
         # variable: no syntactic state exists for it
         return Unknown(budget, str(stuck))
     depth_cap = max(64, min(budget, 400))
-    _ensure_recursion_room(depth_cap)
+    ensure_recursion_room(16 * depth_cap + 2000)
     relation = []
     used = set()
     current = (s1, s2)
@@ -343,14 +344,6 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
         except SymbolicStuck as stuck:
             return Unknown(budget, str(stuck))
         index += 1
-
-
-def _ensure_recursion_room(depth_cap):
-    import sys
-
-    needed = 16 * depth_cap + 2000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
 
 def verify_up_to_certificate(cert):

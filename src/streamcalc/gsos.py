@@ -46,19 +46,9 @@ from .speclang import (
     Violation,
     validate_gsos,
 )
-from .stream import Stream, _charge
+from .stream import Stream, _charge, ensure_recursion_room
 
 _NATIVE_ONLY = ("even", "odd", "delta", "ddx")
-
-
-def _ensure_recursion_room(depth):
-    # output/derivative recurse along the term spine; deep states (long
-    # derivative chains) need more interpreter frames than the default
-    import sys
-
-    needed = 10 * depth + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
 
 class SymbolicStuck(Exception):
@@ -419,7 +409,9 @@ class Engine:
                 raise NonProductive()
             _charge()
             if state.depth > 64:
-                _ensure_recursion_room(state.depth)
+                # output/derivative recurse along the term spine; deep
+                # states (long derivative chains) need more frames
+                ensure_recursion_room(10 * state.depth + 1000)
             state._forcing = True
             try:
                 out = self._compute_output(state)

@@ -35,7 +35,6 @@ Only the cost differs: no term states are built, so a request that
 exhausted the budget on the engine may finish here.
 """
 
-import sys
 from functools import reduce
 
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
     UnsupportedOp,
 )
 from .speclang import Const, HLit, OpApp, Var
-from .stream import Stream, _charge
+from .stream import Stream, _charge, ensure_recursion_room
 
 
 def _mentions(t, symbol):
@@ -111,18 +110,21 @@ class _Node:
 
 
 class _Unknown(_Node):
-    """x(0) = head, x(n+1) = rhs(n)."""
+    """x(0) = head, x(n+1) = successor(n, x(n), rhs(n))."""
 
-    __slots__ = ("head", "rhs", "needs_ring")
+    __slots__ = ("head", "successor", "rhs", "needs_ring")
 
-    def __init__(self, alg, head):
+    def __init__(self, alg, head, successor):
         super().__init__(alg)
         self.head = alg.coerce(head)
+        self.successor = successor
         self.rhs = None
         self.needs_ring = False
 
     def compute(self, n):
-        return self.rhs.get(n - 1) if n else self.head
+        if not n:
+            return self.head
+        return self.successor(n - 1, self.coeffs[n - 1], self.rhs.get(n - 1))
 
     def derive_level(self, k):
         if k:
@@ -506,11 +508,25 @@ class _Builder:
         return tuple(terms)
 
 
-def _ensure_recursion_room(nodes):
-    # a coefficient demand recurses through at most every node once
-    needed = 4 * nodes + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+def _successor(sys_, delta_o_inverse):
+    """The rule x(n+1) = f(n, x(n), r(n)) of the system's tail operation,
+    r being the right-hand side."""
+    alg = sys_.algebra
+    op = sys_.tail_op
+    if op == "tail":
+        return lambda n, x, r: r
+    if op == "delta":
+        if alg.neg is None:
+            raise UnsupportedOp("delta systems need a ring")
+        return lambda n, x, r: alg.add(x, r)
+    if op == "ddx":
+        if alg.kind != "field" or alg.characteristic != 0:
+            raise UnsupportedOp("ddx systems need a field of characteristic 0 "
+                                "(division by the naturals)")
+        return lambda n, x, r: alg.mul(r, alg.inv(alg.nat_mul(n + 1, alg.one)))
+    if op == "delta_o" and delta_o_inverse is not None:
+        return lambda n, x, r: delta_o_inverse(x, r)
+    raise UnsupportedOp(f"no successor rule for {op!r} systems")
 
 
 def _stream(node, n=0):
@@ -526,21 +542,26 @@ def _stream(node, n=0):
     return Stream(node.alg, cell)
 
 
-def solve_by_coefficients(sys_):
-    """Solution streams of a builtin-only ordinary system, one per unknown.
+def solve_by_coefficients(sys_, delta_o_inverse=None):
+    """Solution streams of a builtin-only system, one per unknown.
 
-    Builds nodes only, refusing an operation that is not a builtin with
-    UnsupportedOp; every error of the evaluation surfaces when the
-    returned streams are observed.
+    The system's tail operation gives the successor rule of every
+    unknown: x' = r, delta(x) = r, ddx(x) = r, or delta_o(x) = r with
+    delta_o_inverse(x(n), r(n)) = x(n+1).  Builds nodes only, refusing
+    an operation that is not a builtin, or an algebra the tail operation
+    cannot run in, with UnsupportedOp; every error of the evaluation
+    surfaces when the returned streams are observed.
     """
-    if sys_.tail_op != "tail" or sys_.evens:
-        raise UnsupportedOp("only ordinary tail systems are solved by coefficients")
+    if sys_.evens:
+        raise UnsupportedOp("even-odd systems are not solved by coefficients")
     alg = sys_.algebra
-    unknowns = {v: _Unknown(alg, sys_.heads[v]) for v in sys_.variables}
+    successor = _successor(sys_, delta_o_inverse)
+    unknowns = {v: _Unknown(alg, sys_.heads[v], successor) for v in sys_.variables}
     builder = _Builder(alg, unknowns)
     for v in sys_.variables:
         unknowns[v].rhs = builder.node(sys_.rhs[v])
         unknowns[v].needs_ring = _mentions(sys_.rhs[v], "delta")
-    # a sqrt adds four nodes when its head is computed
-    _ensure_recursion_room(len(unknowns) + 5 * len(builder.nodes))
+    # a coefficient demand recurses through at most every node once; a
+    # sqrt adds four nodes when its head is computed
+    ensure_recursion_room(4 * (len(unknowns) + 5 * len(builder.nodes)) + 1000)
     return {v: _stream(unknowns[v]) for v in sys_.variables}

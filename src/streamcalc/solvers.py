@@ -1,21 +1,22 @@
 """Solution methods for the equation-system formats.
 
-Simple systems unfold their finite automaton.  Linear systems get two
-independent routes: exact closed forms (I - X*M)^-1 * o, recovered by
-Berlekamp-Massey from the first 2n coefficients of each unknown (a
-dimension-n closed form num/den has deg den <= n and deg num < n, so
-2n terms fix it), and a coinductive unfolding whose states are
-coefficient vectors.  Context-free systems unfold the
-automaton whose states are polynomials over words of unknowns.
-Non-standard systems (delta, d/dX, delta_o) are solved by the rewrite
-delta(x) = t  =>  x' = t + x, by the reconstruction
-x' = ddx(x) (.) nats^-1, and by direct unfolding with a user-supplied
-inverse, respectively.
+Simple systems unfold their finite automaton.  Linear systems get exact
+closed forms (I - X*M)^-1 * o, recovered by Berlekamp-Massey from the
+first 2n coefficients of each unknown (a dimension-n closed form
+num/den has deg den <= n and deg num < n, so 2n terms fix it).  Their
+prefixes, like those of every other builtin-only system, come from
+series.solve_by_coefficients; so do those of non-standard systems
+(delta, d/dX, delta_o), whose unknowns follow the successor rule of
+their tail operation.
+
+Two unfoldings stay here as independent reference implementations for
+tests, reached from no command: linear systems over coefficient-vector
+states, and context-free systems over polynomials in words of unknowns.
 """
 
 from dataclasses import dataclass
 
-from . import calculus, speclang
+from . import series, speclang
 from .algebra import (
     Poly,
     RatExpr,
@@ -24,7 +25,7 @@ from .algebra import (
     ratexpr_normalize,
 )
 from .errors import UnsupportedOp
-from .speclang import Const, HLit, Kind, OpApp, Var
+from .speclang import Kind
 from .stream import Stream, UnfoldOrigin, unfold
 
 
@@ -152,8 +153,7 @@ def solve_linear_matrix(ls):
     first 2n coefficients (x^(k)(0) = (M^k o)_i, from iterating
     v <- M*v) therefore finds each unknown's unique shortest recurrence:
     its connection polynomial is q, and p is the prefix times q mod
-    X^L.  The algebra must be a field; semiring systems only have the
-    coinductive route.
+    X^L.  The algebra must be a field.
     """
     alg = ls.algebra
     if alg.kind != "field":
@@ -207,6 +207,8 @@ def solve_linear_coinductive(ls):
     """Streams whose states are coefficient vectors over the unknowns.
 
     Works over any semiring: evolving a state only adds and multiplies.
+    A reference implementation for tests; the commands take prefixes
+    from series.solve_by_coefficients.
     """
     alg = ls.algebra
     n = ls.n
@@ -302,7 +304,9 @@ def solve_context_free(cfs):
     Output of a word is the product of its letters' outputs; the
     derivative of a word is the Leibniz expansion where each letter is
     replaced by its defining polynomial, weighted by the heads of the
-    letters before it.  Both are memoised per word.
+    letters before it.  Both are memoised per word.  A reference
+    implementation for tests; the commands take prefixes from
+    series.solve_by_coefficients.
     """
     alg = cfs.algebra
     letter_o = dict(cfs.o)
@@ -375,77 +379,18 @@ def solve_context_free(cfs):
 # Non-standard systems
 
 
-def _interpret_basic(t, env, alg):
-    """Evaluate a simple/linear/context-free right-hand side to a stream."""
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Const) and isinstance(t.value, HLit):
-        return calculus.constant(alg, t.value.value)
-    if isinstance(t, OpApp):
-        if t.symbol == "X":
-            return calculus.x_stream(alg)
-        if t.symbol == "+":
-            return calculus.add(*(_interpret_basic(a, env, alg) for a in t.args))
-        if t.symbol == "*":
-            return calculus.conv_mul(*(_interpret_basic(a, env, alg) for a in t.args))
-        if t.symbol == "-":
-            args = [_interpret_basic(a, env, alg) for a in t.args]
-            return calculus.neg(args[0]) if len(args) == 1 else calculus.sub(*args)
-    raise UnsupportedOp(f"not a simple/linear/context-free term: {t!r}")
-
-
 def solve_nonstd(sys, delta_op=None, delta_op_inv=None):
-    """Solve a delta-, ddx-, or delta_o-system.
+    """Solve a delta-, ddx-, or delta_o-system coefficient by coefficient.
 
-    delta systems are rewritten into standard ones by x' = delta(x) + x;
-    ddx systems are unfolded directly through x' = ddx(x) (.) nats^-1,
-    which needs a field of characteristic zero; delta_o systems are
-    unfolded with the user-supplied inverse of b -> o(a, b).
+    Each unknown follows the successor rule of the tail operation
+    (series.solve_by_coefficients): delta(x) = r gives
+    x(n+1) = x(n) + r(n) and needs a ring; ddx(x) = r gives
+    x(n+1) = r(n)/(n+1) and needs a field of characteristic zero;
+    delta_o(x) = r gives x(n+1) = delta_op_inv(x(n), r(n)), the
+    user-supplied inverse of b -> delta_op(a, b).
     """
-    alg = sys.algebra
-    if sys.tail_op == "delta":
-        if alg.neg is None:
-            raise UnsupportedOp("delta systems need a ring")
-        rewritten = speclang.EquationSystem(
-            alg, sys.variables, dict(sys.heads), tail_op="tail",
-            rhs={v: OpApp("+", (sys.rhs[v], Var(v))) for v in sys.variables})
-        kind = speclang.classify(rewritten)
-        if kind in (Kind.SIMPLE, Kind.LINEAR):
-            return solve_linear_coinductive(linear_system_of(rewritten))
-        if kind is Kind.CONTEXT_FREE:
-            return solve_context_free(context_free_system_of(rewritten))
-        raise UnsupportedOp("delta system right-hand sides must be "
-                            "simple, linear, or context-free")
-
-    if sys.tail_op == "ddx":
-        if alg.kind != "field" or alg.characteristic != 0:
-            raise UnsupportedOp("ddx systems need a field of characteristic 0 "
-                                "(division by the naturals)")
-        env = {v: Stream.defer(alg) for v in sys.variables}
-        inv_nats = calculus.nats_inv(alg)
-        for v in sys.variables:
-            head = sys.heads[v]
-            rhs_stream = _interpret_basic(sys.rhs[v], env, alg)
-            env[v].resolve(lambda h=head, t=rhs_stream:
-                           (h, calculus.hadamard(t, inv_nats)))
-        return env
-
-    if sys.tail_op == "delta_o":
-        if delta_op is None or delta_op_inv is None:
-            raise UnsupportedOp("delta_o systems need the operation and its inverse")
-        env = {v: Stream.defer(alg) for v in sys.variables}
-
-        def rest(prev, ts):
-            def cell():
-                b = delta_op_inv(prev, ts.head)
-                return b, rest(b, ts.tail)
-
-            return Stream(alg, cell)
-
-        for v in sys.variables:
-            head = sys.heads[v]
-            rhs_stream = _interpret_basic(sys.rhs[v], env, alg)
-            env[v].resolve(lambda h=head, t=rhs_stream: (h, rest(h, t)))
-        return env
-
-    raise UnsupportedOp(f"not a non-standard system: {sys.tail_op!r}")
+    if sys.tail_op == "delta_o" and (delta_op is None or delta_op_inv is None):
+        raise UnsupportedOp("delta_o systems need the operation and its inverse")
+    if sys.tail_op not in ("delta", "ddx", "delta_o"):
+        raise UnsupportedOp(f"not a non-standard system: {sys.tail_op!r}")
+    return series.solve_by_coefficients(sys, delta_op_inv)

@@ -12,6 +12,7 @@ stream must not be observed concurrently.  Materialised prefixes
 returned by take() are plain lists and freely shareable.
 """
 
+import sys
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, BudgetExhausted, NonProductive
@@ -56,6 +57,12 @@ def _charge():
         frame[0] -= 1
         if frame[0] < 0:
             raise BudgetExhausted()
+
+
+def ensure_recursion_room(frames):
+    """Raise the interpreter's recursion limit to at least `frames`."""
+    if sys.getrecursionlimit() < frames:
+        sys.setrecursionlimit(frames)
 
 
 class _BudgetScope:

@@ -2,11 +2,13 @@
 
 import io
 import pathlib
+import random
 import re
 
 import pytest
 
 from streamcalc.cli import run
+from streamcalc.errors import StreamCalcError
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -140,10 +142,19 @@ class TestExitCodes:
         assert code == 1
         assert out == "Refuted at index 1: 1 != 0\n"
 
-    def test_usage_error_is_3(self):
+    def test_usage_error_is_3(self, tmp_path):
         code, _, err = invoke("solve", "no-separator")
         assert code == 3
         assert err.startswith("error: usage:")
+        # a directory, and a file that is not UTF-8 text
+        binary = tmp_path / "binary.sde"
+        binary.write_bytes(b"s(0) = 1;\xff\xfe s' = s;\n")
+        for path in (tmp_path, binary):
+            for argv in (("check", path), ("solve", f"{path}#s")):
+                code, out, err = invoke(*argv)
+                assert (code, out) == (3, "")
+                assert err.startswith("error: usage:")
+                assert err.count("\n") == 1
 
     def test_missing_file_is_3(self):
         code, _, err = invoke("solve", "nowhere.sde#s")
@@ -331,11 +342,49 @@ class TestSolveRoutes:
         assert err.startswith("error: GsosViolation")
         assert calls == ["solve_system_with_defs"]
 
-    @pytest.mark.parametrize("name,var", [("catalan.sde", "s"), ("hamming.sde", "g")])
+    @pytest.mark.parametrize("name,var", [
+        ("catalan.sde", "s"), ("hamming.sde", "g"), ("nth_powers.sde", "p3"),
+        ("fib.sde", "s"), ("delta_powers.sde", "x"), ("ddx_exp.sde", "x")])
     def test_builtin_systems_solve_by_coefficients(self, calls, name, var):
         code, _, _ = invoke("solve", corpus(name) + "#" + var, "-n", "5")
         assert code == 0
         assert calls == ["solve_by_coefficients"]
+
+    def test_nonstd_ignores_definitions(self, tmp_path, calls):
+        path = tmp_path / "unused.sde"
+        path.write_text("algebra Z;\n"
+                        "def evn(a) { out = a(0); deriv = evn(a''); }\n"
+                        "x(0) = 1; delta(x) = x;\n")
+        assert invoke("solve", f"{path}#x", "-n", "4") == (0, "1, 2, 4, 8\n", "")
+        assert calls == ["solve_by_coefficients"]
+
+    def test_linear_and_nonstd_corpus_reach_900(self):
+        # one budget step per node coefficient: every corpus linear and
+        # non-standard unknown still gives 900 elements by default
+        from streamcalc import parse
+        from streamcalc.speclang import Kind, classify
+
+        checked = 0
+        for path in sorted(CORPUS.glob("*.sde")):
+            try:
+                sys_ = parse(path.read_text()).system
+            except StreamCalcError:
+                continue
+            if sys_ is None or classify(sys_) not in (Kind.LINEAR, Kind.NONSTD):
+                continue
+            for var in sys_.variables:
+                if "#" in var:
+                    continue
+                code, out, err = invoke("solve", f"{path}#{var}", "-n", "900")
+                assert (code, err) == (0, ""), (path.name, var)
+                assert out.count(",") == 899
+                checked += 1
+        assert checked >= 12
+
+    def test_budget_counts_node_coefficients(self):
+        assert invoke("solve", corpus("nth_powers.sde") + "#p3", "-n", "200",
+                      "--budget", "60") == (
+            2, "", "error: BudgetExhausted: forcing budget exhausted (at index 6)\n")
 
     def test_catalan_44_within_default_budget(self):
         import math
@@ -361,6 +410,39 @@ class TestSolveRoutes:
                             r"\(at index \d+\)\n", err)
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("algebra Z;\nx(0) = 1;\ndelta(x) = zip(x, X);\n",
+     "1, 2, 2, 4, 5, 7, 7, 11, 11\n"),
+    ("algebra Q;\nx(0) = 1;\nddx(x) = shuffle(x, X);\n",
+     "1, 0, 1/2, 0, 3/8, 0, 5/16, 0, 35/128\n"),
+])
+def test_nonstd_beyond_context_free(tmp_path, text, expected):
+    # refused with UnsupportedOp while delta/ddx right-hand sides were
+    # limited to + - * X
+    path = tmp_path / "nonstd.sde"
+    path.write_text(text)
+    assert invoke("solve", f"{path}#x", "-n", "9") == (0, expected, "")
+
+
+def test_check_probes_large_dense_linear_spec(tmp_path):
+    # every unknown of a 60-unknown dense Z system within the probe budget
+    rng = random.Random(60)
+    names = [f"v{i}" for i in range(60)]
+    lines = ["algebra Z;"]
+    for v in names:
+        terms = [f"{rng.choice([1, 2, 3, -1, -2])}*{w}" for w in names
+                 if rng.random() < 0.8]
+        lines += [f"{v}(0) = {rng.randint(-2, 2)};",
+                  f"{v}' = {' + '.join(terms)};".replace("+ -", "- ")]
+    path = tmp_path / "dense.sde"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke("check", path)
+    assert (code, err) == (0, "")
+    probes = out.splitlines()[2:]
+    assert len(probes) == 60
+    assert all(re.fullmatch(r"probe v\d+: ok \(.*\)", line) for line in probes)
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize("argv,flag", [
         (("solve", corpus("fib.sde") + "#s", "-n", "-1"), "-n"),
@@ -374,6 +456,13 @@ class TestNumericFlags:
         assert (code, out) == (3, "")
         assert err.startswith(f"error: usage: argument {flag}: must be at least")
         assert err.count("\n") == 1
+
+    def test_defaults_do_not_leak_between_calls(self):
+        # the argument parser is built once and shared by every call
+        assert invoke("solve", corpus("ones.sde") + "#s", "-n", "5") == (
+            0, "1, 1, 1, 1, 1\n", "")
+        assert invoke("solve", corpus("ones.sde") + "#s") == (
+            0, ", ".join(["1"] * 20) + "\n", "")
 
     def test_bounds_are_inclusive(self):
         assert invoke("solve", corpus("fib.sde") + "#s", "-n", "0",

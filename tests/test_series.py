@@ -1,18 +1,24 @@
-"""Coefficient-array solving against the GSOS engine.
+"""Coefficient-array solving against independent references.
 
-The engine (gsos.solve_system_with_defs) is the reference: on seeded
-random builtin-only systems and on the corpus's context-free and
-general systems, series.solve_by_coefficients must give the same
-prefix, the same NonProductive index and the same error.
+The GSOS engine (gsos.solve_system_with_defs) is the reference for
+ordinary systems: on seeded random builtin-only systems and on the
+corpus's context-free and general systems, series.solve_by_coefficients
+must give the same prefix, the same NonProductive index and the same
+error.  Linear systems are also checked against the coefficient-vector
+unfolding (solvers.solve_linear_coinductive), and delta and ddx systems
+against their index formulas, computed here from the definitions.
 """
 
 import math
 import pathlib
+import re
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from conftest import seeded
-from streamcalc import gsos, parse, series
+from streamcalc import gsos, parse, series, solvers
 from streamcalc.algebra import get_algebra
 from streamcalc.errors import (
     BudgetExhausted,
@@ -201,3 +207,123 @@ def test_user_definitions_are_refused():
                  "s(0) = 1; s' = twice(s);")
     with pytest.raises(UnsupportedOp):
         series.solve_by_coefficients(spec.system)
+
+
+# ---------------------------------------------------------------------------
+# Linear systems against the coefficient-vector unfolding
+
+
+def _linear_pair(rng, alg, n):
+    """A random dense linear system, as a LinearSystem and as equations."""
+    names = tuple(f"v{i}" for i in range(n))
+    heads = tuple(alg.sample(rng) for _ in names)
+    rows = tuple(tuple(alg.sample(rng) for _ in names) for _ in names)
+    rhs = {}
+    for v, row in zip(names, rows):
+        terms = [OpApp("*", (Const(HLit(c)), Var(w))) for c, w in zip(row, names)]
+        rhs[v] = reduce(lambda a, b: OpApp("+", (a, b)), terms)
+    ls = solvers.LinearSystem(alg, names, heads, rows)
+    return ls, EquationSystem(alg, names, dict(zip(names, heads)), rhs=rhs)
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_linear_systems_match_coinductive_unfolding(alg_name):
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-linear:{alg_name}")
+    for _ in range(SYSTEMS_PER_ALGEBRA):
+        ls, sys_ = _linear_pair(rng, alg, rng.randint(1, 5))
+        want = solvers.solve_linear_coinductive(ls)
+        got = series.solve_by_coefficients(sys_)
+        for v in ls.names:
+            assert take(got[v], DEPTH, 300_000) == take(want[v], DEPTH, 300_000)
+
+
+# ---------------------------------------------------------------------------
+# delta and ddx systems against their index formulas
+
+def _coefficient(term, xs, n):
+    """Coefficient n of a +, -, *, X term over the prefixes xs (ints or
+    Fractions), straight from the definitions of the operations."""
+    if isinstance(term, Var):
+        return xs[term.name][n]
+    if isinstance(term, Const):
+        return term.value.value if n == 0 else 0
+    args = term.args
+    if term.symbol == "X":
+        return 1 if n == 1 else 0
+    if term.symbol == "+":
+        return _coefficient(args[0], xs, n) + _coefficient(args[1], xs, n)
+    if term.symbol == "-" and len(args) == 1:
+        return -_coefficient(args[0], xs, n)
+    if term.symbol == "-":
+        return _coefficient(args[0], xs, n) - _coefficient(args[1], xs, n)
+    assert term.symbol == "*"
+    return sum(_coefficient(args[0], xs, i) * _coefficient(args[1], xs, n - i)
+               for i in range(n + 1))
+
+
+def _nonstd_oracle(sys_, n):
+    """delta: x(k+1) = x(k) + r(k); ddx: x(k+1) = r(k) / (k+1)."""
+    xs = {v: [sys_.heads[v]] for v in sys_.variables}
+    for k in range(n - 1):
+        r = {v: _coefficient(sys_.rhs[v], xs, k) for v in sys_.variables}
+        for v in sys_.variables:
+            if sys_.tail_op == "delta":
+                xs[v].append(xs[v][k] + r[v])
+            else:
+                xs[v].append(Fraction(r[v], k + 1))
+    return xs
+
+
+def _random_rhs(rng, names, depth, linear):
+    if linear:
+        terms = [OpApp("*", (Const(HLit(rng.randint(-3, 3))), Var(v))) for v in names]
+        return reduce(lambda a, b: OpApp(rng.choice("+-"), (a, b)), terms)
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.random()
+        if pick < 0.6:
+            return Var(rng.choice(names))
+        return OpApp("X", ()) if pick < 0.8 else Const(HLit(rng.randint(-3, 3)))
+    op = rng.choice(["+", "-", "*", "*", "neg"])
+    if op == "neg":
+        return OpApp("-", (_random_rhs(rng, names, depth - 1, False),))
+    return OpApp(op, tuple(_random_rhs(rng, names, depth - 1, False) for _ in range(2)))
+
+
+NONSTD_DEPTH = 12
+
+
+@pytest.mark.parametrize("name", ["delta_powers.sde", "ddx_exp.sde"])
+def test_corpus_nonstd_matches_index_formula(name):
+    sys_ = parse((CORPUS / name).read_text()).system
+    got = series.solve_by_coefficients(sys_)
+    want = _nonstd_oracle(sys_, 30)
+    assert take(got["x"], 30) == want["x"]
+
+
+@pytest.mark.parametrize("tail_op,alg_name", [("delta", "Z"), ("ddx", "Q")])
+@pytest.mark.parametrize("linear", [True, False], ids=["linear", "context-free"])
+def test_random_nonstd_match_index_formula(tail_op, alg_name, linear):
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-nonstd:{tail_op}:{linear}")
+    for _ in range(20):
+        names = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+        heads = {v: alg.coerce(rng.randint(-2, 2)) for v in names}
+        rhs = {v: _random_rhs(rng, names, 3, linear) for v in names}
+        sys_ = EquationSystem(alg, names, heads, tail_op=tail_op, rhs=rhs)
+        want = _nonstd_oracle(sys_, NONSTD_DEPTH)
+        got = series.solve_by_coefficients(sys_)
+        for v in names:
+            assert take(got[v], NONSTD_DEPTH, 300_000) == want[v], sys_
+
+
+@pytest.mark.parametrize("text,message", [
+    ("algebra Nat; x(0) = 1; delta(x) = x;", "delta systems need a ring"),
+    ("algebra Z; x(0) = 1; ddx(x) = x;",
+     "ddx systems need a field of characteristic 0 (division by the naturals)"),
+])
+def test_nonstd_capability_checks(text, message):
+    sys_ = parse(text).system
+    for solve in (series.solve_by_coefficients, solvers.solve_nonstd):
+        with pytest.raises(UnsupportedOp, match=re.escape(message)):
+            solve(sys_)
