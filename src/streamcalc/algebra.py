@@ -9,6 +9,8 @@ polynomial), which are exact values.
 """
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import (
@@ -162,18 +164,51 @@ def _int_inv(a):
     return a if a in (1, -1) else None
 
 
+# CPython refuses int/str conversions of more than
+# sys.get_int_max_str_digits() digits (4300 by default), and the limit is
+# process-wide; decimal.Decimal converts exact integers of any size.
+
+_LONG_LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def format_int(n):
+    """str(n) for an int of any size."""
+    try:
+        return str(n)
+    except ValueError:  # beyond the digit limit
+        return str(Decimal(n))
+
+
+def format_fraction(q):
+    """str(q) for a Fraction of any size."""
+    if q.denominator == 1:
+        return format_int(q.numerator)
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+
+
 def _parse_int(text):
     try:
         return int(text)
     except ValueError:
-        raise AlgebraMismatch(f"bad integer literal {text!r}") from None
+        match = _LONG_LITERAL.fullmatch(text)
+        if match is not None and match[2] is None:  # beyond the digit limit
+            return int(Decimal(text))
+    raise AlgebraMismatch(f"bad integer literal {text!r}")
 
 
 def _parse_q(text):
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise AlgebraMismatch(f"bad rational literal {text!r}") from None
+    except ZeroDivisionError:
+        pass
+    except ValueError:
+        match = _LONG_LITERAL.fullmatch(text)
+        if match is not None:  # beyond the digit limit
+            num, den = match.groups()
+            den = 1 if den is None else int(Decimal(den))
+            if den:
+                return Fraction(int(Decimal(num)), den)
+    raise AlgebraMismatch(f"bad rational literal {text!r}")
 
 
 _Q = Algebra(
@@ -187,7 +222,7 @@ _Q = Algebra(
     lt=lambda a, b: a < b,
     coerce=_q_coerce,
     parse=lambda t: _q_coerce(_parse_q(t)),
-    fmt=str,
+    fmt=format_fraction,
     characteristic=0,
     sample=_q_sample,
 )
@@ -203,7 +238,7 @@ _Z = Algebra(
     lt=lambda a, b: a < b,
     coerce=_int_coerce,
     parse=_parse_int,
-    fmt=str,
+    fmt=format_int,
     characteristic=0,
     sample=lambda rng: rng.randint(-9, 9),
 )
@@ -226,7 +261,7 @@ _NAT = Algebra(
     lt=lambda a, b: a < b,
     coerce=_nat_coerce,
     parse=lambda t: _nat_coerce(_parse_int(t)),
-    fmt=str,
+    fmt=format_int,
     sample=lambda rng: rng.randint(0, 9),
 )
 
@@ -282,7 +317,7 @@ _TROPICAL = Algebra(
     sqrt=lambda a: INF if a == INF else a / 2,
     coerce=_trop_coerce,
     parse=_trop_parse,
-    fmt=lambda a: "inf" if a == INF else str(a),
+    fmt=lambda a: "inf" if a == INF else format_fraction(a),
     sample=lambda rng: INF if rng.random() < 0.15 else Fraction(rng.randint(-9, 9)),
 )
 

@@ -49,7 +49,7 @@ class EvenOddOrigin:
 
 def compile_evenodd(sys):
     """One automaton state per variable; requires zero consistency."""
-    if speclang.classify(sys) is not speclang.Kind.EVEN_ODD:
+    if not sys.evens:  # what classify() calls EVEN_ODD
         raise UnsupportedOp("not an even-odd specification")
     verdict = speclang.check_zero_consistency(sys)
     if isinstance(verdict, speclang.ZeroInconsistent):
@@ -115,13 +115,15 @@ class KernelUnknown:
     budget: int
 
 
-def kernel2(stream, budget=64, prefix=64):
+def kernel2(stream, budget=64, prefix=64, steps=None):
     """Close {sigma} under even/odd, identifying states.
 
     Exact when the stream came from a finite even-odd specification
     (identity is then decided on automaton states); otherwise states are
     identified by prefix comparison and a Finite answer is heuristic.
-    Unknown is returned once more than `budget` states appear.
+    Unknown is returned once more than `budget` states appear, or when a
+    comparison runs out of its `steps` forcing steps (default
+    DEFAULT_BUDGET).
     """
     if isinstance(stream.origin, EvenOddOrigin):
         aut = stream.origin.automaton
@@ -153,7 +155,7 @@ def kernel2(stream, budget=64, prefix=64):
             found = None
             for j, rep in enumerate(reps):
                 try:
-                    verdict = bounded_eq(rep, candidate, prefix)
+                    verdict = bounded_eq(rep, candidate, prefix, steps)
                 except BudgetExhausted:
                     return KernelUnknown(budget)
                 if isinstance(verdict, Equal):

@@ -8,11 +8,11 @@ Output is plain deterministic text; diagnostics go to stderr as single
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import automatic, equivalence, gsos, series, solvers, speclang
-from .algebra import format_ratexpr, get_algebra
+from .algebra import format_ratexpr, get_algebra, rationals
 from .errors import (
+    AlgebraMismatch,
     BudgetExhausted,
     GsosViolation,
     SpecError,
@@ -127,25 +127,29 @@ def _selector(text):
     return path, var
 
 
-def _solve_spec(spec):
-    """Solution streams of a spec file's system, routed by its format."""
-    sys_ = spec.system
-    if sys_ is None:
+def _classify(spec):
+    if spec.system is None:
         raise SpecError("the file defines no equation system")
-    kind = speclang.classify(sys_)
+    return speclang.classify(spec.system)
+
+
+def _solve_spec(spec, kind):
+    """Solution streams of a spec file's system, routed by its format
+    `kind` (the classification of spec.system)."""
+    sys_ = spec.system
     if kind is Kind.SIMPLE:
-        return solvers.solve_simple(sys_), kind
+        return solvers.solve_simple(sys_)
     if kind is Kind.EVEN_ODD:
         aut = automatic.compile_evenodd(sys_)
-        return {v: automatic.stream_of(aut, v) for v in sys_.variables}, kind
+        return {v: automatic.stream_of(aut, v) for v in sys_.variables}
     if kind in (Kind.LINEAR, Kind.NONSTD) or not spec.defs:
         # coefficient arrays: every builtin has an index formula, so no
         # term states are built.  Linear systems use builtins only, the
         # engine has no non-standard tails, and other systems qualify
         # when the file has no definitions
-        return series.solve_by_coefficients(sys_), kind
+        return series.solve_by_coefficients(sys_)
     # the GSOS engine runs user definitions and validates every one
-    return gsos.solve_system_with_defs(sys_, spec.defs), kind
+    return gsos.solve_system_with_defs(sys_, spec.defs)
 
 
 def _format_prefix(alg, values):
@@ -155,7 +159,7 @@ def _format_prefix(alg, values):
 def _cmd_solve(args, out):
     path, var = _selector(args.selector)
     spec = _load(path, args.algebra)
-    streams, _ = _solve_spec(spec)
+    streams = _solve_spec(spec, _classify(spec))
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     values = take(streams[var], args.count, args.budget)
@@ -175,14 +179,10 @@ def _cmd_eval(args, out):
     return EXIT_OK
 
 
-def _closed_forms(spec):
-    sys_ = spec.system
-    if sys_ is None:
-        raise SpecError("the file defines no equation system")
-    kind = speclang.classify(sys_)
+def _closed_forms(spec, kind):
     if kind not in (Kind.SIMPLE, Kind.LINEAR):
         raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
-    ls = solvers.linear_system_of(sys_)
+    ls = solvers.linear_system_of(spec.system)
     forms = solvers.solve_linear_matrix(ls)
     return dict(zip(ls.names, forms))
 
@@ -190,7 +190,7 @@ def _closed_forms(spec):
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
     spec = _load(path, args.algebra)
-    forms = _closed_forms(spec)
+    forms = _closed_forms(spec, _classify(spec))
     if var not in forms:
         raise SpecError(f"no variable {var!r} in {path}")
     print(format_ratexpr(forms[var]), file=out)
@@ -234,8 +234,8 @@ def _cmd_equiv(args, out):
     linear = (Kind.SIMPLE, Kind.LINEAR)
     if (kind_a in linear and kind_b in linear
             and spec_a.algebra.kind == "field" and args.up_to is None):
-        forms_a = _closed_forms(spec_a)
-        forms_b = _closed_forms(spec_b)
+        forms_a = _closed_forms(spec_a, kind_a)
+        forms_b = _closed_forms(spec_b, kind_b)
         result = equivalence.equiv_rational(forms_a[var_a], forms_b[var_b])
         if isinstance(result, equivalence.Proved):
             print("Proved", file=out)
@@ -296,10 +296,11 @@ def _cmd_equiv(args, out):
 def _cmd_kernel(args, out):
     path, var = _selector(args.selector)
     spec = _load(path, args.algebra)
-    streams, _ = _solve_spec(spec)
+    streams = _solve_spec(spec, _classify(spec))
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
-    result = automatic.kernel2(streams[var], budget=min(args.budget, 512))
+    result = automatic.kernel2(streams[var], budget=min(args.budget, 512),
+                               steps=args.budget)
     if isinstance(result, automatic.KernelUnknown):
         print("Unknown (kernel did not close within the budget)", file=out)
         return EXIT_UNKNOWN
@@ -314,13 +315,13 @@ def _cmd_at(args, out):
     spec = _load(path, args.algebra)
     if args.index < 0:
         raise _UsageError("the index must be nonnegative")
+    kind = _classify(spec)
     sys_ = spec.system
-    if (sys_ is not None and speclang.classify(sys_) is Kind.EVEN_ODD
-            and var in sys_.variables):
+    if kind is Kind.EVEN_ODD and var in sys_.variables:
         aut = automatic.compile_evenodd(sys_)
         print(spec.algebra.fmt(automatic.value_at(aut, var, args.index)), file=out)
         return EXIT_OK
-    streams, _ = _solve_spec(spec)
+    streams = _solve_spec(spec, kind)
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     values = take(streams[var], args.index + 1, args.budget)
@@ -330,8 +331,8 @@ def _cmd_at(args, out):
 
 def _cmd_bbin(args, out):
     try:
-        q = Fraction(args.rational)
-    except (ValueError, ZeroDivisionError):
+        q = rationals().parse(args.rational)
+    except AlgebraMismatch:
         raise _UsageError(f"{args.rational!r} is not a rational number") from None
     bits = automatic.binary_encode_rational(q, args.count)
     print(" ".join(str(b) for b in bits), file=out)
@@ -366,7 +367,7 @@ def _cmd_check(args, out):
             print(f"zero-consistency: violation at {verdict.state}", file=out)
             return max(status, EXIT_REFUTED)
     try:
-        streams, _ = _solve_spec(spec)
+        streams = _solve_spec(spec, kind)
     except StreamCalcError as err:
         print(f"solve: failed ({err})", file=out)
         return max(status, EXIT_REFUTED)

@@ -25,7 +25,6 @@ from .algebra import (
     ratexpr_normalize,
 )
 from .errors import UnsupportedOp
-from .speclang import Kind
 from .stream import Stream, UnfoldOrigin, unfold
 
 
@@ -47,7 +46,7 @@ class SimpleAutomaton:
 
 
 def automaton_of_simple(sys):
-    if speclang.classify(sys) is not Kind.SIMPLE:
+    if not speclang.is_simple(sys):
         raise UnsupportedOp("not a simple system")
     return SimpleAutomaton(sys.algebra, dict(sys.heads),
                            {v: sys.rhs[v].name for v in sys.variables})

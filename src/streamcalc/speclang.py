@@ -26,6 +26,7 @@ strictly higher order (so `c' = c';` is rejected outright).
 """
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from . import calculus
@@ -198,68 +199,82 @@ class SpecFile:
 
 # ---------------------------------------------------------------------------
 # Lexer
+#
+# A token is a (kind, text, span) tuple: kind is IDENT, NUMBER, SYM or
+# EOF, span the (line, column) of its first character.  Symbol texts
+# occur in no other kind of token, so the parser tests them by text alone.
+
+# One alternative per token shape, each led by the blanks before it.  An
+# identifier that starts with an ASCII letter or `_`, and a number of
+# ASCII digits that no word character follows, are decided by the
+# pattern alone.  Any other run of word characters and `#` (one with
+# non-ASCII characters, or digits running into letters) is split by
+# _word_tokens with the str predicates that define the grammar: an
+# identifier starts with a letter or `_` and runs on over letters,
+# digits, `_` and `#`; a number is a run of digits.  `\w` is exactly
+# str.isalnum() or `_`.
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?: (\n)
+      | (=>|<=|>=|!=|[()\[\]{};,='+\-*<>/])
+      | ([A-Za-z_][\w#]*)
+      | ([0-9]+)(?![\w#])
+      | ([\w#]+)
+      | (.)
+      | \Z)
+""", re.VERBOSE | re.DOTALL)
+_KINDS = (None, None, "SYM", "IDENT", "NUMBER")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT NUMBER SYM EOF
-    text: str
-    span: tuple
-
-
-_TWO_CHAR = ("=>", "<=", ">=", "!=")
-_ONE_CHAR = "()[]{};,='+-*<>/"
+def _word_tokens(word, line, col):
+    tokens = []
+    i = 0
+    while i < len(word):
+        c = word[i]
+        if c.isalpha() or c == "_":
+            tokens.append(("IDENT", word[i:], (line, col + i)))
+            break
+        if not c.isdigit():
+            raise SpecSyntaxError(f"unexpected character {c!r}", (line, col + i))
+        j = i + 1
+        while j < len(word) and word[j].isdigit():
+            j += 1
+        tokens.append(("NUMBER", word[i:j], (line, col + i)))
+        i = j
+    return tokens
 
 
 def _lex(source):
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        if group is None:  # trailing blanks
+            continue
+        start = match.start(group)
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        span = (line, col)
-        if source[i:i + 2] in _TWO_CHAR:
-            tokens.append(Token("SYM", source[i:i + 2], span))
-            i += 2
-            col += 2
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_#"):
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("NUMBER", source[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token("SYM", c, span))
-            i += 1
-            col += 1
-            continue
-        raise SpecSyntaxError(f"unexpected character {c!r}", span)
-    tokens.append(Token("EOF", "", (line, col)))
+            line_start = start + 1
+        elif group < 5:
+            append((_KINDS[group], match[group], (line, start - line_start + 1)))
+        elif group == 5:
+            tokens += _word_tokens(match[5], line, start - line_start + 1)
+        else:
+            raise SpecSyntaxError(f"unexpected character {match[6]!r}",
+                                  (line, start - line_start + 1))
+    append(("EOF", "", (line, len(source) - line_start + 1)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+# Each `(`, `[`, argument list and unary minus opens one nesting level,
+# in terms, head expressions and guards alike; a deeper spec is refused
+# at the opening token, so parsing and the recursive passes over the
+# parsed terms stay within the interpreter's default recursion limit.
+MAX_NESTING = 150
 
 
 @dataclass
@@ -273,8 +288,11 @@ class _RawEquation:
 
 class _Parser:
     def __init__(self, source, algebra_override=None):
+        # a second EOF lets the parser look one token past the end
         self.tokens = _lex(source)
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra_override or rationals()
         self.algebra_name = self.algebra.name
         self.algebra_override = algebra_override
@@ -288,53 +306,68 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self, k=0):
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind, text=None):
+    def expect_kind(self, kind):
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise SpecSyntaxError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                                  tok.span)
+        if tok[0] != kind:
+            raise SpecSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                                  tok[2])
         return tok
 
-    def at_sym(self, text):
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
+    def expect(self, text):
+        """Consume the symbol or keyword `text`."""
+        tok = self.next()
+        if tok[1] != text:
+            raise SpecSyntaxError(f"expected {text!r}, found {tok[1] or 'end of input'!r}",
+                                  tok[2])
+        return tok
 
-    def eat_sym(self, text):
-        if self.at_sym(text):
-            self.next()
+    def eat(self, text):
+        if self.tokens[self.pos][1] == text:
+            self.pos += 1
             return True
         return False
+
+    def enter(self, text):
+        """Consume `text` and open a nesting level at it; the caller
+        closes the level with leave() or by decrementing self.depth."""
+        tok = self.expect(text)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SpecSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+
+    def leave(self, text):
+        self.expect(text)
+        self.depth -= 1
 
     # -- entry point
 
     def parse(self):
-        while self.peek().kind != "EOF":
+        while self.tokens[self.pos][0] != "EOF":
             self.statement()
         return self.finish()
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise SpecSyntaxError(f"expected a statement, found {tok.text!r}", tok.span)
-        if tok.text == "algebra":
+        kind, text, span = self.peek()
+        if kind != "IDENT":
+            raise SpecSyntaxError(f"expected a statement, found {text!r}", span)
+        if text == "algebra":
             self.algebra_statement()
             return
         self.saw_statement = True
-        if tok.text == "def":
+        if text == "def":
             self.def_statement()
-        elif tok.text in ("even", "odd"):
+        elif text in ("even", "odd"):
             self.even_odd_statement()
-        elif tok.text in ("delta", "ddx"):
+        elif text in ("delta", "ddx"):
             self.nonstd_statement()
         else:
             self.equation_statement()
@@ -342,72 +375,71 @@ class _Parser:
     def algebra_statement(self):
         tok = self.next()
         if self.saw_statement:
-            raise SpecSyntaxError("algebra directive must precede the equations", tok.span)
-        name_tok = self.expect("IDENT")
-        name = name_tok.text
-        if self.eat_sym("("):
-            arg = self.expect("NUMBER")
-            self.expect("SYM", ")")
-            name = f"{name}({arg.text})"
-        self.expect("SYM", ";")
+            raise SpecSyntaxError("algebra directive must precede the equations", tok[2])
+        _, name, name_span = self.expect_kind("IDENT")
+        if self.eat("("):
+            arg = self.expect_kind("NUMBER")
+            self.expect(")")
+            name = f"{name}({arg[1]})"
+        self.expect(";")
         try:
             alg = get_algebra(name)
         except Exception as err:
-            raise SpecSyntaxError(str(err), name_tok.span) from None
+            raise SpecSyntaxError(str(err), name_span) from None
         self.algebra_name = name
         if self.algebra_override is None:
             self.algebra = alg
 
     def even_odd_statement(self):
-        which = self.next().text
-        self.expect("SYM", "(")
-        var = self.ident("stream variable")
-        self.expect("SYM", ")")
-        self.expect("SYM", "=")
-        target_tok = self.expect("IDENT")
-        self.expect("SYM", ";")
+        which = self.next()[1]
+        self.expect("(")
+        _, var, var_span = self.ident("stream variable")
+        self.expect(")")
+        self.expect("=")
+        _, target, target_span = self.expect_kind("IDENT")
+        self.expect(";")
         table = self.evens if which == "even" else self.odds
-        if var.text in table:
-            raise SpecSyntaxError(f"duplicate {which} equation for {var.text!r}", var.span)
-        table[var.text] = (target_tok.text, target_tok.span)
-        self.note_var(var.text)
+        if var in table:
+            raise SpecSyntaxError(f"duplicate {which} equation for {var!r}", var_span)
+        table[var] = (target, target_span)
+        self.note_var(var)
 
     def nonstd_statement(self):
-        which = self.next().text
-        self.expect("SYM", "(")
-        var = self.ident("stream variable")
-        self.expect("SYM", ")")
-        self.expect("SYM", "=")
-        rhs = self.term(def_params=None)
-        self.expect("SYM", ";")
-        self.add_tail(_RawEquation(var.text, 1, which, rhs, var.span))
+        which = self.next()[1]
+        self.expect("(")
+        _, var, var_span = self.ident("stream variable")
+        self.expect(")")
+        self.expect("=")
+        rhs = self.term(None)
+        self.expect(";")
+        self.add_tail(_RawEquation(var, 1, which, rhs, var_span))
 
     def equation_statement(self):
-        var = self.ident("stream variable")
+        _, var, var_span = self.ident("stream variable")
         order = 0
-        while self.eat_sym("'"):
+        while self.eat("'"):
             order += 1
-        if self.eat_sym("("):
-            zero = self.expect("NUMBER")
-            if zero.text != "0":
-                raise SpecSyntaxError("initial values are given at index 0", zero.span)
-            self.expect("SYM", ")")
-            self.expect("SYM", "=")
+        if self.eat("("):
+            _, zero, zero_span = self.expect_kind("NUMBER")
+            if zero != "0":
+                raise SpecSyntaxError("initial values are given at index 0", zero_span)
+            self.expect(")")
+            self.expect("=")
             value = self.element()
-            self.expect("SYM", ";")
-            slot = self.inits.setdefault(var.text, {})
+            self.expect(";")
+            slot = self.inits.setdefault(var, {})
             if order in slot:
                 raise SpecSyntaxError(
-                    f"duplicate initial value for {var.text + chr(39) * order}", var.span)
-            slot[order] = (value, var.span)
-            self.note_var(var.text)
+                    f"duplicate initial value for {var + chr(39) * order}", var_span)
+            slot[order] = (value, var_span)
+            self.note_var(var)
             return
         if order == 0:
-            raise SpecSyntaxError(f"expected \"'\" or \"(0)\" after {var.text!r}", var.span)
-        self.expect("SYM", "=")
-        rhs = self.term(def_params=None)
-        self.expect("SYM", ";")
-        self.add_tail(_RawEquation(var.text, order, "tail", rhs, var.span))
+            raise SpecSyntaxError(f"expected \"'\" or \"(0)\" after {var!r}", var_span)
+        self.expect("=")
+        rhs = self.term(None)
+        self.expect(";")
+        self.add_tail(_RawEquation(var, order, "tail", rhs, var_span))
 
     def add_tail(self, eq):
         if eq.var in self.tails:
@@ -421,152 +453,145 @@ class _Parser:
 
     def ident(self, what):
         tok = self.next()
-        if tok.kind != "IDENT" or tok.text in KEYWORDS:
-            raise SpecSyntaxError(f"expected {what}, found {tok.text!r}", tok.span)
+        if tok[0] != "IDENT" or tok[1] in KEYWORDS:
+            raise SpecSyntaxError(f"expected {what}, found {tok[1]!r}", tok[2])
         return tok
 
     # -- operation definitions
 
     def def_statement(self):
         self.next()  # def
-        name = self.ident("operation name")
-        if name.text in self.defs or name.text in calculus.BUILTIN_ARITY:
-            raise SpecSyntaxError(f"redefinition of {name.text!r}", name.span)
-        self.expect("SYM", "(")
+        _, name, name_span = self.ident("operation name")
+        if name in self.defs or name in calculus.BUILTIN_ARITY:
+            raise SpecSyntaxError(f"redefinition of {name!r}", name_span)
+        self.expect("(")
         params = []
-        if not self.at_sym(")"):
-            while True:
-                params.append(self.ident("parameter name").text)
-                if not self.eat_sym(","):
-                    break
-        self.expect("SYM", ")")
+        if not self.eat(")"):
+            params.append(self.ident("parameter name")[1])
+            while self.eat(","):
+                params.append(self.ident("parameter name")[1])
+            self.expect(")")
         if len(set(params)) != len(params):
-            raise SpecSyntaxError("duplicate parameter names", name.span)
-        self.expect("SYM", "{")
+            raise SpecSyntaxError("duplicate parameter names", name_span)
+        self.expect("{")
         clauses = []
-        if self.peek().text in ("when", "otherwise"):
-            while not self.at_sym("}"):
+        if self.peek()[1] in ("when", "otherwise"):
+            while not self.eat("}"):
                 clauses.append(self.guarded_clause(params))
         else:
-            clauses.append(self.clause_body(params, None, self.peek().span))
-        self.expect("SYM", "}")
-        self.defs[name.text] = GsosDef(name.text, tuple(params), tuple(clauses),
-                                       span=name.span)
+            clauses.append(self.clause_body(params, None, self.peek()[2]))
+            self.expect("}")
+        self.defs[name] = GsosDef(name, tuple(params), tuple(clauses), span=name_span)
 
     def guarded_clause(self, params):
-        tok = self.next()
-        if tok.text == "when":
+        _, text, span = self.next()
+        if text == "when":
             guard = self.guard(params)
-        elif tok.text == "otherwise":
+        elif text == "otherwise":
             guard = None
         else:
-            raise SpecSyntaxError("expected 'when' or 'otherwise'", tok.span)
-        self.expect("SYM", "=>")
-        self.expect("SYM", "{")
-        clause = self.clause_body(params, guard, tok.span)
-        self.expect("SYM", "}")
+            raise SpecSyntaxError("expected 'when' or 'otherwise'", span)
+        self.expect("=>")
+        self.expect("{")
+        clause = self.clause_body(params, guard, span)
+        self.expect("}")
         return clause
 
     def clause_body(self, params, guard, span):
-        self.expect("IDENT", "out")
-        self.expect("SYM", "=")
+        self.expect("out")
+        self.expect("=")
         out = self.headexpr(params)
-        self.expect("SYM", ";")
-        self.expect("IDENT", "deriv")
-        self.expect("SYM", "=")
-        deriv = self.term(def_params=params)
-        self.expect("SYM", ";")
+        self.expect(";")
+        self.expect("deriv")
+        self.expect("=")
+        deriv = self.term(params)
+        self.expect(";")
         return GsosClause(guard, out, deriv, span=span)
 
     def guard(self, params):
-        return self.guard_or(params)
-
-    def guard_or(self, params):
-        left = self.guard_and(params)
-        parts = [left]
-        while self.peek().text == "or":
-            self.next()
-            parts.append(self.guard_and(params))
+        """or-separated conjunctions of comparisons and `not (guard)`."""
+        parts = [self.conjunction(params)]
+        while self.eat("or"):
+            parts.append(self.conjunction(params))
         return parts[0] if len(parts) == 1 else BoolOp("or", tuple(parts))
 
-    def guard_and(self, params):
-        left = self.guard_atom(params)
-        parts = [left]
-        while self.peek().text == "and":
-            self.next()
+    def conjunction(self, params):
+        parts = [self.guard_atom(params)]
+        while self.eat("and"):
             parts.append(self.guard_atom(params))
         return parts[0] if len(parts) == 1 else BoolOp("and", tuple(parts))
 
     def guard_atom(self, params):
-        if self.peek().text == "not":
-            self.next()
-            self.expect("SYM", "(")
+        if self.eat("not"):
+            self.enter("(")
             inner = self.guard(params)
-            self.expect("SYM", ")")
+            self.leave(")")
             return Not(inner)
         left = self.headexpr(params)
-        tok = self.next()
-        if tok.kind != "SYM" or tok.text not in ("=", "!=", "<", "<=", ">", ">="):
-            raise SpecSyntaxError("expected a comparison operator", tok.span)
-        right = self.headexpr(params)
-        return Cmp(tok.text, left, right)
+        _, op, span = self.next()
+        if op not in ("=", "!=", "<", "<=", ">", ">="):
+            raise SpecSyntaxError("expected a comparison operator", span)
+        return Cmp(op, left, self.headexpr(params))
 
     # -- head expressions
 
     def headexpr(self, params):
         left = self.headterm(params)
-        while self.peek().text in ("+", "-") and self.peek().kind == "SYM":
-            op = self.next().text
-            right = self.headterm(params)
-            left = HOp("+" if op == "+" else "-", (left, right))
-        return left
+        while True:
+            op = self.tokens[self.pos][1]
+            if op != "+" and op != "-":
+                return left
+            self.pos += 1
+            left = HOp(op, (left, self.headterm(params)))
 
     def headterm(self, params):
         left = self.headfactor(params)
-        while self.at_sym("*"):
-            self.next()
+        while self.eat("*"):
             left = HOp("*", (left, self.headfactor(params)))
         return left
 
     def headfactor(self, params):
-        tok = self.peek()
-        if self.eat_sym("-"):
-            return HOp("neg", (self.headfactor(params),))
-        if self.eat_sym("("):
+        kind, text, span = self.tokens[self.pos]
+        if text == "-":
+            self.enter("-")
+            inner = self.headfactor(params)
+            self.depth -= 1
+            return HOp("neg", (inner,))
+        if text == "(":
+            self.enter("(")
             inner = self.headexpr(params)
-            self.expect("SYM", ")")
+            self.leave(")")
             return inner
-        if tok.kind == "NUMBER":
+        if kind == "NUMBER":
             return HLit(self.number_literal())
-        if tok.kind == "IDENT" and tok.text == "inv":
-            self.next()
-            self.expect("SYM", "(")
+        if kind != "IDENT":
+            raise SpecSyntaxError(f"unexpected {text!r} in head expression", span)
+        if text == "inv":
+            self.pos += 1
+            self.enter("(")
             inner = self.headexpr(params)
-            self.expect("SYM", ")")
+            self.leave(")")
             return HOp("inv", (inner,))
-        if tok.kind == "IDENT" and tok.text in ("inf", "true", "false"):
-            self.next()
-            return HLit(self.parse_element(tok.text, tok.span))
-        if tok.kind == "IDENT":
-            if params is not None and tok.text in params:
-                self.next()
-                self.expect("SYM", "(")
-                zero = self.expect("NUMBER")
-                if zero.text != "0":
-                    raise SpecSyntaxError("argument heads are written x(0)", zero.span)
-                self.expect("SYM", ")")
-                return HArg(params.index(tok.text))
-            raise UnknownSymbol(f"{tok.text!r} is not usable in a head expression",
-                                tok.span)
-        raise SpecSyntaxError(f"unexpected {tok.text!r} in head expression", tok.span)
+        if text in ("inf", "true", "false"):
+            self.pos += 1
+            return HLit(self.parse_element(text, span))
+        if params is not None and text in params:
+            self.pos += 1
+            self.expect("(")
+            _, zero, zero_span = self.expect_kind("NUMBER")
+            if zero != "0":
+                raise SpecSyntaxError("argument heads are written x(0)", zero_span)
+            self.expect(")")
+            return HArg(params.index(text))
+        raise UnknownSymbol(f"{text!r} is not usable in a head expression", span)
 
     def number_literal(self):
-        tok = self.expect("NUMBER")
-        text = tok.text
-        if self.at_sym("/") and self.peek(1).kind == "NUMBER":
-            self.next()
-            text += "/" + self.expect("NUMBER").text
-        return self.parse_element(text, tok.span)
+        _, text, span = self.next()  # a NUMBER
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos][1] == "/" and tokens[pos + 1][0] == "NUMBER":
+            text += "/" + tokens[pos + 1][1]
+            self.pos += 2
+        return self.parse_element(text, span)
 
     def parse_element(self, text, span):
         try:
@@ -580,36 +605,49 @@ class _Parser:
         try:
             return eval_headexpr(expr, (), self.algebra)
         except AlgebraMismatch as err:
-            raise SpecSyntaxError(str(err), self.peek().span) from None
+            raise SpecSyntaxError(str(err), self.peek()[2]) from None
 
     # -- stream terms
+    #
+    # `params` is the parameter list inside a definition and None in an
+    # equation.  One frame per factor: variables and numbers take the
+    # direct path in factor(), the other primaries go through primary().
 
-    def term(self, def_params):
-        left = self.addend(def_params)
-        while self.peek().kind == "SYM" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.addend(def_params)
-            left = OpApp(op, (left, right))
+    def term(self, params):
+        left = self.product(params)
+        while True:
+            op = self.tokens[self.pos][1]
+            if op != "+" and op != "-":
+                return left
+            self.pos += 1
+            left = OpApp(op, (left, self.product(params)))
+
+    def product(self, params):
+        left = self.factor(params)
+        while self.eat("*"):
+            left = OpApp("*", (left, self.factor(params)))
         return left
 
-    def addend(self, def_params):
-        left = self.term_unary(def_params)
-        while self.at_sym("*"):
-            self.next()
-            left = OpApp("*", (left, self.term_unary(def_params)))
-        return left
-
-    def term_unary(self, def_params):
-        if self.at_sym("-"):
-            self.next()
-            return OpApp("-", (self.term_unary(def_params),))
-        return self.term_postfix(def_params)
-
-    def term_postfix(self, def_params):
-        base = self.term_primary(def_params)
+    def factor(self, params):
+        """A primary with its derivative marks, or a negated factor."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind, text, _ = tok
+        if kind == "IDENT" and text not in KEYWORDS and tokens[self.pos + 1][1] != "(":
+            self.pos += 1
+            base = Var(text)
+        elif kind == "NUMBER":
+            base = Const(HLit(self.number_literal()))
+        elif text == "-":
+            self.enter("-")
+            inner = self.factor(params)
+            self.depth -= 1
+            return OpApp("-", (inner,))
+        else:
+            base = self.primary(tok, params)
         order = 0
-        while self.at_sym("'"):
-            self.next()
+        while tokens[self.pos][1] == "'":
+            self.pos += 1
             order += 1
         if order == 0:
             return base
@@ -617,51 +655,47 @@ class _Parser:
             return DVar(base.name, order)
         return TermDeriv(base, order)
 
-    def term_primary(self, def_params):
-        tok = self.peek()
-        if self.eat_sym("("):
-            inner = self.term(def_params)
-            self.expect("SYM", ")")
+    def primary(self, tok, params):
+        kind, name, span = tok
+        if name == "(":
+            self.enter("(")
+            inner = self.term(params)
+            self.leave(")")
             return inner
-        if self.eat_sym("["):
-            expr = self.headexpr(def_params)
-            self.expect("SYM", "]")
-            if def_params is None:
+        if name == "[":
+            self.enter("[")
+            expr = self.headexpr(params)
+            self.leave("]")
+            if params is None:
                 expr = HLit(eval_headexpr(expr, (), self.algebra))
             return Const(expr)
-        if tok.kind == "NUMBER":
-            return Const(HLit(self.number_literal()))
-        if tok.kind != "IDENT":
-            raise SpecSyntaxError(f"unexpected {tok.text!r} in term", tok.span)
-        name = tok.text
+        if kind != "IDENT":
+            raise SpecSyntaxError(f"unexpected {name!r} in term", span)
         if name == "X":
-            self.next()
+            self.pos += 1
             return OpApp("X", ())
         if name in _CALL_OPS:
-            self.next()
-            args = self.call_args(def_params, tok)
+            self.pos += 1
+            args = self.call_args(params)
             arity = _CALL_OPS[name]
             if len(args) != arity:
-                raise ArityMismatch(f"{name} takes {arity} argument(s)", tok.span)
-            return OpApp(name, tuple(args))
+                raise ArityMismatch(f"{name} takes {arity} argument(s)", span)
+            return OpApp(name, args)
         if name in KEYWORDS:
-            raise SpecSyntaxError(f"{name!r} cannot appear here", tok.span)
-        self.next()
-        if self.at_sym("("):
-            args = self.call_args(def_params, tok)
-            return OpApp(name, tuple(args))
-        return Var(name)
+            raise SpecSyntaxError(f"{name!r} cannot appear here", span)
+        self.pos += 1  # a user operation: factor() saw the `(`
+        return OpApp(name, self.call_args(params))
 
-    def call_args(self, def_params, tok):
-        self.expect("SYM", "(")
+    def call_args(self, params):
+        self.enter("(")
         args = []
-        if not self.at_sym(")"):
-            while True:
-                args.append(self.term(def_params))
-                if not self.eat_sym(","):
-                    break
-        self.expect("SYM", ")")
-        return args
+        if not self.eat(")"):
+            args.append(self.term(params))
+            while self.eat(","):
+                args.append(self.term(params))
+            self.expect(")")
+        self.depth -= 1
+        return tuple(args)
 
     # -- resolution and flattening
 
@@ -785,8 +819,10 @@ class _Parser:
             raise SpecSyntaxError("derivative of a compound term on a right-hand side")
         if isinstance(t, OpApp):
             self.check_arity(t, None)
-            return OpApp(t.symbol,
-                         tuple(self.resolve_system_term(a, orders) for a in t.args))
+            args = [self.resolve_system_term(a, orders) for a in t.args]
+            for new, old in zip(args, t.args):
+                if new is not old:
+                    return OpApp(t.symbol, tuple(args))
         return t
 
     def build_even_odd(self):
@@ -819,11 +855,10 @@ def parse_term(text, spec):
     """Parse a standalone term against a spec file's symbols."""
     parser = _Parser(text, algebra_override=spec.algebra)
     parser.defs = dict(spec.defs)
-    term = parser.term(def_params=None)
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise SpecSyntaxError(f"unexpected {trailing.text!r} after the term",
-                              trailing.span)
+    term = parser.term(None)
+    kind, text, span = parser.peek()
+    if kind != "EOF":
+        raise SpecSyntaxError(f"unexpected {text!r} after the term", span)
     variables = set(spec.system.variables) if spec.system else set()
 
     def resolve(t):
@@ -915,42 +950,42 @@ def as_linear_combination(t, alg):
     """
     if isinstance(t, Var):
         return {t.name: alg.one}
-    const = term_constant_value(t, alg)
-    if const is not None:
-        return {} if alg.is_zero(const) else None
-    if isinstance(t, OpApp):
-        if t.symbol == "+" and len(t.args) == 2:
-            left = as_linear_combination(t.args[0], alg)
-            right = as_linear_combination(t.args[1], alg)
-            if left is None or right is None:
-                return None
-            for k, v in right.items():
-                left[k] = alg.add(left[k], v) if k in left else v
-            return left
-        if t.symbol == "-" and alg.neg is not None:
-            if len(t.args) == 1:
-                inner = as_linear_combination(t.args[0], alg)
-                if inner is None:
-                    return None
-                return {k: alg.neg(v) for k, v in inner.items()}
-            left = as_linear_combination(t.args[0], alg)
-            right = as_linear_combination(t.args[1], alg)
-            if left is None or right is None:
-                return None
-            for k, v in right.items():
-                nv = alg.neg(v)
-                left[k] = alg.add(left[k], nv) if k in left else nv
-            return left
-        if t.symbol == "*" and len(t.args) == 2:
-            for c_ix, t_ix in ((0, 1), (1, 0)):
-                c = term_constant_value(t.args[c_ix], alg)
-                if c is not None:
-                    inner = as_linear_combination(t.args[t_ix], alg)
-                    if inner is None:
-                        return None
-                    return {k: alg.mul(c, v) for k, v in inner.items()}
+    if isinstance(t, Const):
+        const = term_constant_value(t, alg)
+        return None if const is None or not alg.is_zero(const) else {}
+    if not isinstance(t, OpApp):
+        return None
+    symbol, args = t.symbol, t.args
+    if symbol == "*" and len(args) == 2:
+        left = term_constant_value(args[0], alg)
+        right = term_constant_value(args[1], alg)
+        if left is not None and right is not None:
+            return {} if alg.is_zero(alg.mul(left, right)) else None
+        if left is not None:
+            inner = as_linear_combination(args[1], alg)
+        elif right is not None:
+            inner, left = as_linear_combination(args[0], alg), right
+        else:
             return None
-    return None
+        return None if inner is None else {k: alg.mul(left, v) for k, v in inner.items()}
+    if symbol == "+" and len(args) == 2:
+        negate = False
+    elif symbol == "-" and alg.neg is not None:
+        negate = True
+        if len(args) == 1:  # -c is zero exactly when c is
+            inner = as_linear_combination(args[0], alg)
+            return None if inner is None else {k: alg.neg(v) for k, v in inner.items()}
+    else:
+        return None
+    left = as_linear_combination(args[0], alg)
+    right = as_linear_combination(args[1], alg)
+    if left is None or right is None:
+        return None
+    for k, v in right.items():
+        if negate:
+            v = alg.neg(v)
+        left[k] = alg.add(left[k], v) if k in left else v
+    return left
 
 
 def as_polynomial(t, alg):

@@ -293,3 +293,34 @@ def test_tropical_sqrt_and_inverse():
     assert T.sqrt(INF) == INF
     assert T.inv(Fraction(5)) == Fraction(-5)
     assert T.inv(INF) is None
+
+
+def _decimal(n):
+    """Decimal text of an int of any size, 1000 digits at a time."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def test_exact_values_beyond_the_str_digit_limit():
+    # CPython's default limit on int/str conversion is 4300 digits
+    from streamcalc.algebra import get_algebra
+
+    rng = seeded(11)
+    Z, NAT = get_algebra("Z"), get_algebra("Nat")
+    for digits in (1, 4299, 4300, 4301, 8000, 13000):
+        for _ in range(5):
+            n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            text = _decimal(n)
+            assert NAT.fmt(n) == text and NAT.parse(text) == n
+            assert Z.fmt(-n) == "-" + text and Z.parse("-" + text) == -n
+            q = Fraction(n, rng.randrange(1, 10 ** 5000) * 2 + 1)
+            assert Q.parse(Q.fmt(q)) == q
+            assert Q.fmt(q) == f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+    with pytest.raises(AlgebraMismatch, match="bad integer literal"):
+        Z.parse("1/" + "3" * 5000)
+    with pytest.raises(AlgebraMismatch, match="bad rational literal"):
+        Q.parse("1/" + "0" * 5000)

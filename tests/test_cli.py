@@ -1,9 +1,11 @@
 """Command-line behaviour: golden outputs and exit codes for the corpus."""
 
 import io
+import math
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -481,3 +483,120 @@ class TestNonPrimeModulus:
         code, out, err = invoke("closed-form", str(spec) + "#s")
         assert (code, out) == (3, "")
         assert err == "error: SpecSyntaxError: 1:9: 4 is not prime\n"
+
+
+class TestNesting:
+    """Nesting past speclang.MAX_NESTING is a syntax error, not a crash."""
+
+    @staticmethod
+    def spec(tmp_path, opener, closer, depth):
+        path = tmp_path / "deep.sde"
+        path.write_text(f"s(0) = 1;\ns' = X*{opener * depth}s{closer * depth};\n")
+        return str(path)
+
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("inv(", ")")])
+    def test_at_the_limit_solves(self, tmp_path, opener, closer):
+        from streamcalc.speclang import MAX_NESTING
+
+        code, out, err = invoke("solve", self.spec(tmp_path, opener, closer, MAX_NESTING)
+                                + "#s", "-n", "4")
+        # s' = X*s: inv taken an even number of times is the identity
+        assert MAX_NESTING % 2 == 0
+        assert (code, out, err) == (0, "1, 0, 1, 0\n", "")
+
+    @pytest.mark.parametrize("opener,closer,depth", [
+        ("(", ")", None), ("inv(", ")", None), ("(", ")", 300), ("inv(", ")", 2000)])
+    def test_deeper_is_a_syntax_error(self, tmp_path, opener, closer, depth):
+        from streamcalc.speclang import MAX_NESTING
+
+        depth = depth or MAX_NESTING + 1
+        code, out, err = invoke("solve", self.spec(tmp_path, opener, closer, depth) + "#s")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: SpecSyntaxError: 2:")
+        assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+
+def _int_of(digits):
+    """int() of a decimal string of any length, 1000 digits at a time."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestLargeIntegers:
+    """Exact values beyond CPython's 4300-digit int/str conversion limit."""
+
+    def test_ddx_exp_1700(self):
+        code, out, err = invoke("solve", corpus("ddx_exp.sde") + "#x", "-n", "1700")
+        assert (code, err) == (0, "")
+        last = out.strip().split(", ")[-1]
+        numerator, denominator = last.split("/")
+        assert numerator == "1"
+        assert _int_of(denominator) == math.factorial(1699)
+
+    def test_at_800_over_z(self, tmp_path):
+        path = tmp_path / "pow.sde"
+        path.write_text("s(0) = 1; s' = 1000000*s;\n")
+        assert invoke("at", "800", str(path) + "#s", "--algebra", "Z") == (
+            0, "1" + "0" * 4800 + "\n", "")
+
+    @pytest.mark.parametrize("algebra", ["Q", "Z", "Nat"])
+    def test_long_head_literal_round_trips(self, tmp_path, algebra):
+        literal = "".join(str(i % 10) for i in range(1, 5001))
+        path = tmp_path / "lit.sde"
+        path.write_text(f"algebra {algebra};\nx(0) = {literal};\nx' = x;\n")
+        assert invoke("solve", str(path) + "#x", "-n", "1") == (0, literal + "\n", "")
+
+    def test_long_rational_literal(self, tmp_path):
+        path = tmp_path / "frac.sde"
+        path.write_text(f"x(0) = 1/{'9' * 4500}; x' = 2*x;\n")
+        code, out, err = invoke("solve", str(path) + "#x", "-n", "2")
+        assert (code, err) == (0, "")
+        assert out == f"1/{'9' * 4500}, 2/{'9' * 4500}\n"
+
+    def test_bbin_of_a_long_rational(self):
+        num = 10 ** 4400 + 1
+        x, bits = Fraction(num, 3), []
+        for _ in range(16):  # B(x): bit x mod 2, then (x - bit) / 2
+            bit = x.numerator % 2
+            bits.append(str(bit))
+            x = (x - bit) / 2
+        text = "1" + "0" * 4399 + "1/3"
+        assert invoke("bbin", text, "-n", "16") == (0, " ".join(bits) + "\n", "")
+
+
+def test_kernel_comparisons_use_the_budget():
+    # 23 states, each told apart from the others by a 64-element prefix
+    # comparison; the default 10000 steps do not cover them
+    argv = ("kernel", corpus("fib.sde") + "#s", "--algebra", "Fp(5)")
+    assert invoke(*argv)[:2] == (2, "Unknown (kernel did not close within the budget)\n")
+    code, out, err = invoke(*argv, "--budget", "1000000")
+    assert (code, err) == (0, "")
+    assert out.startswith("2-kernel (heuristic, 23 states):\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "{big}"),
+    ("solve", "{big}#v3", "-n", "3"),
+    ("at", "5", "{big}#v3"),
+    ("kernel", corpus("thue_morse_evenodd.sde") + "#tm"),
+    ("at", "5", corpus("thue_morse_evenodd.sde") + "#tm"),
+    ("closed-form", corpus("fib.sde") + "#s"),
+    ("equiv", corpus("fib.sde") + "#s", corpus("fib.sde") + "#s"),
+])
+def test_each_system_is_classified_once(tmp_path, monkeypatch, argv):
+    from streamcalc import speclang
+
+    path = tmp_path / "big.sde"
+    path.write_text("".join(f"v{i}(0) = 1;\nv{i}' = v{i} + 2*v{(i + 1) % 8};\n"
+                            for i in range(8)))
+    calls = []
+    original = speclang.classify
+    monkeypatch.setattr(speclang, "classify",
+                        lambda sys_: calls.append(sys_) or original(sys_))
+    code, _, err = invoke(*(a.format(big=path) for a in argv))
+    assert (code, err) == (0, "")
+    assert len(calls) == len({id(s) for s in calls}) >= 1

@@ -1,5 +1,8 @@
 """Parsing, classification, GSOS validation, zero consistency, printing."""
 
+import io
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,11 @@ from streamcalc import (
     validate_gsos,
 )
 from streamcalc.algebra import tropical
+from streamcalc.cli import run
 from streamcalc.speclang import (
+    MAX_NESTING,
     Const,
+    DVar,
     HLit,
     Ok,
     OpApp,
@@ -26,6 +32,9 @@ from streamcalc.speclang import (
     Violation,
     ZeroConsistent,
     ZeroInconsistent,
+    _TOKEN,
+    _lex,
+    _Parser,
     check_zero_consistency,
     print_spec,
 )
@@ -306,3 +315,205 @@ class TestBooleanGuards:
                              defs=spec.defs), 5)
         # 3 -> first clause; 2 -> second; -5 -> second; -1 -> third; 0 -> first
         assert got == [3, 0, 0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the character-by-character scanner it replaced
+
+
+def _lex_oracle(source):
+    """Reference lexer: one character at a time, deciding letters and
+    digits by str.isalpha, str.isalnum and str.isdigit."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        span = (line, col)
+        if source[i:i + 2] in ("=>", "<=", ">=", "!="):
+            tokens.append(("SYM", source[i:i + 2], span))
+            i += 2
+            col += 2
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in "_#"):
+                j += 1
+            tokens.append(("IDENT", source[i:j], span))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(("NUMBER", source[i:j], span))
+            col += j - i
+            i = j
+            continue
+        if c in "()[]{};,='+-*<>/":
+            tokens.append(("SYM", c, span))
+            i += 1
+            col += 1
+            continue
+        raise SpecSyntaxError(f"unexpected character {c!r}", span)
+    tokens.append(("EOF", "", (line, col)))
+    return tokens
+
+
+def _outcome(lex, text):
+    try:
+        return lex(text)
+    except SpecSyntaxError as err:
+        return str(err), err.span
+
+
+# the DSL's characters, blanks that are not newlines, and characters the
+# str predicates sort differently: a letter, a digit that is not a
+# decimal, and a number that is not a digit
+_CHARS = st.sampled_from(list("abstxyzX_019'()[]{};,=+-*<>/! \n") +
+                         ["\t", "\r", "é", "²", "½", "#"])
+_FRAGMENTS = st.sampled_from([
+    "s(0) = 1;", "s' = ", "t", "x1", "12", "1/2", " + ", " - ", "*", "inv(", "zip(",
+    ")", "(", "[", "]", ";", ", ", "'", "=>", "<=", ">=", "!=", "algebra Z;",
+    "def f(a) { out = a(0); deriv = f(a'); }", "even(s) = s;", "odd(s) = t;",
+    "delta(x) = ", "when a(0) < 1 => { out = 1; deriv = a; } otherwise => {",
+    "\n", "\t", "\r", "é", "²", "½", "#", "é2", "2é", "3²", "x#1",
+])
+SPEC_TEXT = st.one_of(
+    st.text(_CHARS, max_size=300),
+    st.lists(_FRAGMENTS, max_size=40).map("".join).map(lambda t: t[:300]),
+)
+
+
+@st.composite
+def _systems(draw):
+    """Equation systems over builtins, then possibly one character cut."""
+    names = ["s", "t", "u"][:draw(st.integers(1, 3))]
+    leaves = st.sampled_from(names + ["X", "[0]", "[2]", "1/2", "-1"])
+
+    def extend(children):
+        unary = st.tuples(st.sampled_from(["-", "inv", "sqrt", "even", "odd", "delta",
+                                           "ddx", "("]), children)
+        binary = st.tuples(st.sampled_from([" + ", " - ", "*", "zip", "merge",
+                                            "shuffle", "hadamard"]), children, children)
+        return st.one_of(
+            unary.map(lambda u: f"{u[0]}{u[1]})" if u[0] == "(" else
+                      f"-{u[1]}" if u[0] == "-" else f"{u[0]}({u[1]})"),
+            binary.map(lambda b: f"({b[1]}{b[0]}{b[2]})" if b[0][-1] in " *" else
+                       f"{b[0]}({b[1]}, {b[2]})"))
+
+    terms = st.recursive(leaves, extend, max_leaves=6)
+    tail = draw(st.sampled_from(["'", "delta", "ddx"]))
+    lines = [draw(st.sampled_from(["", "algebra Z;", "algebra Nat;", "algebra F2;",
+                                   "algebra Tropical;", "algebra Bool;"]))]
+    for v in names:
+        lines.append(f"{v}(0) = {draw(st.sampled_from(['0', '1', '2', '1/3']))};")
+        rhs = draw(terms)
+        lines.append(f"{v}' = {rhs};" if tail == "'" else f"{tail}({v}) = {rhs};")
+    text = "\n".join(lines)[:300]
+    cut = draw(st.one_of(st.none(), st.integers(0, max(len(text) - 1, 0))))
+    return text if cut is None else text[:cut] + text[cut + 1:]
+
+
+class TestLexer:
+    @given(SPEC_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_same_tokens_as_the_scanner(self, text):
+        assert _outcome(_lex, text) == _outcome(_lex_oracle, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "   \t", "x", "é2 x#1 _a", "12abc", "3²x", "١٢", "一 Ⅷ", "a\r\nb",
+        "a ½", "a #", "a @", "a\x0bb", "=> <= >= != ==", "s'' = -s';",
+        "9" * 5000 + "x", "9" * 5000 + "é", "9" * 5000,
+    ])
+    def test_pinned_texts(self, text):
+        assert _outcome(_lex, text) == _outcome(_lex_oracle, text)
+
+    def test_pattern_needs_no_python_3_11(self):
+        # possessive quantifiers and atomic groups are Python 3.11 syntax;
+        # pyproject.toml allows 3.10, where compiling them fails on import
+        assert not re.search(r"[*+?}]\+|\(\?>", _TOKEN.pattern)
+
+    @pytest.mark.parametrize("text,message", [
+        ("x(0) = ²;", "1:8: bad rational literal '²'"),
+        ("x(0) = 1²;", "1:8: bad rational literal '1²'"),
+        ("x(0) = ½;", "1:8: unexpected character '½'"),
+        ("s(0)=1;\n\ts' = s # s;", "2:9: unexpected character '#'"),
+    ])
+    def test_non_ascii_errors(self, text, message):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    def test_non_ascii_names_and_digits(self):
+        spec = parse("é(0) = ١٢; é' = 2*é;")
+        assert spec.system.variables == ("é",)
+        assert spec.system.heads["é"] == 12
+
+
+class TestNesting:
+    @staticmethod
+    def parens(depth):
+        return "s(0)=1; s' = " + "(" * depth + "s" + ")" * depth + ";"
+
+    @staticmethod
+    def invs(depth):
+        return "s(0)=1; s' = X*" + "inv(" * depth + "s" + ")" * depth + ";"
+
+    @pytest.mark.parametrize("shape", ["parens", "invs"])
+    def test_limit_parses(self, shape):
+        assert parse(getattr(self, shape)(MAX_NESTING)).system.variables == ("s",)
+
+    @pytest.mark.parametrize("shape,column", [("parens", 14 + MAX_NESTING),
+                                              ("invs", 16 + 4 * MAX_NESTING + 3)])
+    def test_one_deeper_is_refused_at_the_opening_token(self, shape, column):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse(getattr(self, shape)(MAX_NESTING + 1))
+        assert info.value.span == (1, column)
+        assert "nesting deeper than" in str(info.value)
+
+    @pytest.mark.parametrize("text", [
+        "x(0) = " + "-" * (MAX_NESTING + 1) + "1;",
+        "s(0)=1; s' = [" + "(" * MAX_NESTING + "1" + ")" * MAX_NESTING + "]*s;",
+        "def f(a) { when " + "not (" * (MAX_NESTING + 1) + "a(0) = 0"
+        + ")" * (MAX_NESTING + 1) + " => { out = 1; deriv = f(a'); } }",
+    ], ids=["minus", "bracket", "guard"])
+    def test_every_opener_counts(self, text):
+        with pytest.raises(SpecSyntaxError, match="nesting deeper than"):
+            parse(text)
+
+
+
+def test_resolution_keeps_unchanged_subterms():
+    parser = _Parser("")
+    same = OpApp("+", (OpApp("*", (Var("s"), Var("s"))), OpApp("X", ())))
+    assert parser.resolve_system_term(same, {"s": 1}) is same
+    derived = OpApp("+", (same, DVar("s", 1)))
+    resolved = parser.resolve_system_term(derived, {"s": 2})
+    assert resolved == OpApp("+", (same, Var("s#1")))
+    assert resolved.args[0] is same
+
+
+class TestCheckFuzz:
+    @given(text=st.one_of(SPEC_TEXT, _systems()))
+    @settings(max_examples=200, deadline=None)
+    def test_check_never_escapes(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "spec.sde"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["check", str(path)], out=out, err=err)
+        assert code in (0, 1, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
+        if code == 3:
+            assert len(lines) == 1
