@@ -19,7 +19,7 @@ from .errors import (
     StreamCalcError,
     UnsupportedOp,
 )
-from .speclang import Kind, OpApp, Var
+from .speclang import Kind, OpApp, Sum, Var
 from .stream import take
 
 EXIT_OK = 0
@@ -203,6 +203,8 @@ def _rename_system(sys_, suffix):
     def rn(t):
         if isinstance(t, Var):
             return Var(mapping.get(t.name, t.name))
+        if isinstance(t, Sum):
+            return Sum(tuple((rn(s), negated) for s, negated in t.summands))
         if isinstance(t, OpApp):
             return OpApp(t.symbol, tuple(rn(a) for a in t.args))
         return t
@@ -371,10 +373,9 @@ def _cmd_check(args, out):
     except StreamCalcError as err:
         print(f"solve: failed ({err})", file=out)
         return max(status, EXIT_REFUTED)
-    probe_budget = min(args.budget, 1000)
     for var in sys_.variables:
         try:
-            values = take(streams[var], 3, probe_budget)
+            values = take(streams[var], 3, args.budget)
         except BudgetExhausted as err:
             kind_name = type(err).__name__
             print(f"probe {var}: {kind_name} at index {err.index}", file=out)

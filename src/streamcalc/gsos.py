@@ -41,6 +41,7 @@ from .speclang import (
     HOp,
     Not,
     OpApp,
+    Sum,
     TermDeriv,
     Var,
     Violation,
@@ -398,7 +399,18 @@ class Engine:
         if isinstance(term, OpApp):
             return self.app(term.symbol,
                             [self.from_term(a, env, symbolic) for a in term.args])
+        if isinstance(term, Sum):
+            return self._fold_sum(term, lambda t: self.from_term(t, env, symbolic))
         raise SpecError(f"cannot evaluate term {term!r}")
+
+    def _fold_sum(self, term, state_of):
+        """The state of a Sum as the left-nested binary + and - states the
+        summands would have as a hand-built chain."""
+        parts = iter(term.summands)
+        state = state_of(next(parts)[0])
+        for s, negated in parts:
+            state = self.app("-" if negated else "+", (state, state_of(s)))
+        return state
 
     # -- the automaton structure o_D / d_D
 
@@ -481,6 +493,9 @@ class Engine:
             return self.app(term.symbol,
                             [self._instantiate(a, params, args, heads)
                              for a in term.args])
+        if isinstance(term, Sum):
+            return self._fold_sum(
+                term, lambda t: self._instantiate(t, params, args, heads))
         if isinstance(term, TermDeriv):
             raise SpecError("derivative of a compound term in a derivative clause")
         raise SpecError(f"cannot instantiate {term!r}")

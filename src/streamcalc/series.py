@@ -44,11 +44,13 @@ from .errors import (
     UnorderedAlgebra,
     UnsupportedOp,
 )
-from .speclang import Const, HLit, OpApp, Var
+from .speclang import Const, HLit, OpApp, Sum, Var, summands
 from .stream import Stream, _charge, ensure_recursion_room
 
 
 def _mentions(t, symbol):
+    if isinstance(t, Sum):
+        return any(_mentions(s, symbol) for s, _ in t.summands)
     return isinstance(t, OpApp) and (
         t.symbol == symbol or any(_mentions(a, symbol) for a in t.args))
 
@@ -129,7 +131,7 @@ class _Unknown(_Node):
     def derive_level(self, k):
         if k:
             self.rhs.derive(k - 1)
-        elif self.needs_ring and self.alg.neg is None:
+        elif self.needs_ring:
             raise _no_ring(self.alg)
 
 
@@ -152,7 +154,7 @@ class _X(_Node):
 
 
 class _Sum(_Node):
-    """A left-nested chain of + and -, as (node, negated) terms."""
+    """A sum of (node, negated) terms, one per summand."""
 
     __slots__ = ("terms",)
 
@@ -475,13 +477,14 @@ class _Builder:
             return self.unknowns[term.name]
         if isinstance(term, Const) and isinstance(term.value, HLit):
             return _Const(alg, alg.coerce(term.value.value))
+        parts = summands(term)
+        if parts is not None:
+            return _Sum(alg, tuple((self.node(s), negated) for s, negated in parts))
         if not isinstance(term, OpApp):
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
         symbol, args = term.symbol, term.args
         if symbol == "X" and not args:
             return _X(alg)
-        if symbol in ("+", "-") and len(args) == 2:
-            return _Sum(alg, self._chain(term))
         if symbol == "-":
             symbol = "neg"
         if symbol in _UNARY and len(args) == 1:
@@ -495,17 +498,6 @@ class _Builder:
                                       self.node(other), left)
             return _BINARY[symbol](alg, self.node(args[0]), self.node(args[1]))
         raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
-
-    def _chain(self, term):
-        # flatten the left spine of a + - chain; right operands stay nodes
-        terms = []
-        while (isinstance(term, OpApp) and term.symbol in ("+", "-")
-               and len(term.args) == 2):
-            terms.append((self.node(term.args[1]), term.symbol == "-"))
-            term = term.args[0]
-        terms.append((self.node(term), False))
-        terms.reverse()
-        return tuple(terms)
 
 
 def _successor(sys_, delta_o_inverse):
@@ -560,7 +552,8 @@ def solve_by_coefficients(sys_, delta_o_inverse=None):
     builder = _Builder(alg, unknowns)
     for v in sys_.variables:
         unknowns[v].rhs = builder.node(sys_.rhs[v])
-        unknowns[v].needs_ring = _mentions(sys_.rhs[v], "delta")
+        # only an algebra without negation can refuse delta's construction
+        unknowns[v].needs_ring = alg.neg is None and _mentions(sys_.rhs[v], "delta")
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed
     ensure_recursion_room(4 * (len(unknowns) + 5 * len(builder.nodes)) + 1000)

@@ -55,6 +55,13 @@ _CALL_OPS = {"inv": 1, "shuffle": 2, "hadamard": 2, "sqrt": 1, "even": 1,
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# A stream term is a Var, a DVar, a Const, an OpApp of an operation to
+# its argument terms, a TermDeriv, or a Sum.  The parser reads every
+# chain of `+` and `-` into one n-ary Sum, so a pass over a sum of k
+# summands loops over them instead of recursing k deep.  Binary
+# OpApp("+"/"-") terms built by hand are valid input too; the passes
+# that read sums read both shapes through summands().
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,54 @@ class Const:
 class OpApp:
     symbol: str
     args: tuple
+
+
+class Sum:
+    """A chain t1 +- t2 +- ... +- tk of k >= 2 summands, as one node.
+
+    `summands` is the tuple of (term, negated) pairs in source order; the
+    first summand is never negated.  The parser flattens a parenthesised
+    sum that leads a chain into it, so `(a + b) - c` and `a + b - c` are
+    the same node, but keeps `a + (b - c)` as a nested sum.  The hash is
+    computed once, at construction, so looking a term up in a dict does
+    not walk its summands again.
+    """
+
+    __slots__ = ("summands", "_hash")
+
+    def __init__(self, summands):
+        self.summands = summands
+        self._hash = hash(summands)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Sum and self._hash == other._hash
+                                 and self.summands == other.summands)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Sum({self.summands!r})"
+
+
+def summands(t):
+    """The (term, negated) summands of a sum, or None if `t` is no sum.
+
+    Reads both shapes of a sum: the parser's Sum node, and a chain of
+    binary OpApp("+"/"-") built by hand, walked along its left spine as
+    the parser would have flattened it.
+    """
+    if type(t) is Sum:
+        return t.summands
+    parts = []
+    while type(t) is OpApp and len(t.args) == 2 and t.symbol in ("+", "-"):
+        parts.append((t.args[1], t.symbol == "-"))
+        t = t.args[0]
+    if not parts:
+        return None
+    parts.append((t, False))
+    parts.reverse()
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -614,13 +669,18 @@ class _Parser:
     # direct path in factor(), the other primaries go through primary().
 
     def term(self, params):
-        left = self.product(params)
-        while True:
-            op = self.tokens[self.pos][1]
-            if op != "+" and op != "-":
-                return left
+        first = self.product(params)
+        tokens = self.tokens
+        op = tokens[self.pos][1]
+        if op != "+" and op != "-":
+            return first
+        # a parenthesised sum leading the chain joins it
+        parts = list(first.summands) if type(first) is Sum else [(first, False)]
+        while op == "+" or op == "-":
             self.pos += 1
-            left = OpApp(op, (left, self.product(params)))
+            parts.append((self.product(params), op == "-"))
+            op = tokens[self.pos][1]
+        return Sum(tuple(parts))
 
     def product(self, params):
         left = self.factor(params)
@@ -720,6 +780,9 @@ class _Parser:
                                     d.span)
         elif isinstance(t, TermDeriv):
             self.resolve_def_term(t.term, d)
+        elif isinstance(t, Sum):
+            for s, _ in t.summands:
+                self.resolve_def_term(s, d)
         elif isinstance(t, OpApp):
             self.check_arity(t, d.span)
             for a in t.args:
@@ -800,13 +863,26 @@ class _Parser:
         return sys
 
     def resolve_system_term(self, t, orders):
-        if isinstance(t, Var):
+        cls = type(t)
+        if cls is Var:
             if t.name in orders or "#" in t.name:
                 return t
             if t.name in self.defs and self.defs[t.name].arity == 0:
                 return OpApp(t.name, ())
             raise UnknownSymbol(f"unknown stream variable {t.name!r}")
-        if isinstance(t, DVar):
+        if cls is OpApp:
+            self.check_arity(t, None)
+            args = [self.resolve_system_term(a, orders) for a in t.args]
+            for new, old in zip(args, t.args):
+                if new is not old:
+                    return OpApp(t.symbol, tuple(args))
+        elif cls is Sum:
+            parts = [(self.resolve_system_term(s, orders), negated)
+                     for s, negated in t.summands]
+            for (new, _), (old, _) in zip(parts, t.summands):
+                if new is not old:
+                    return Sum(tuple(parts))
+        elif cls is DVar:
             order = orders.get(t.name)
             if order is None:
                 raise UnknownSymbol(f"unknown stream variable {t.name!r}")
@@ -815,14 +891,8 @@ class _Parser:
                     f"derivative {t.name + chr(39) * t.order} on a right-hand side "
                     "is not allowed (the equation has no unique solution)")
             return Var(f"{t.name}#{t.order}")
-        if isinstance(t, TermDeriv):
+        elif cls is TermDeriv:
             raise SpecSyntaxError("derivative of a compound term on a right-hand side")
-        if isinstance(t, OpApp):
-            self.check_arity(t, None)
-            args = [self.resolve_system_term(a, orders) for a in t.args]
-            for new, old in zip(args, t.args):
-                if new is not old:
-                    return OpApp(t.symbol, tuple(args))
         return t
 
     def build_even_odd(self):
@@ -874,6 +944,8 @@ def parse_term(text, spec):
             return t
         if isinstance(t, TermDeriv):
             raise SpecSyntaxError("derivative of a compound term")
+        if isinstance(t, Sum):
+            return Sum(tuple((resolve(s), negated) for s, negated in t.summands))
         if isinstance(t, OpApp):
             parser.check_arity(t, None)
             return OpApp(t.symbol, tuple(resolve(a) for a in t.args))
@@ -953,6 +1025,20 @@ def as_linear_combination(t, alg):
     if isinstance(t, Const):
         const = term_constant_value(t, alg)
         return None if const is None or not alg.is_zero(const) else {}
+    parts = summands(t)
+    if parts is not None:
+        combination = {}
+        for s, negated in parts:
+            if negated and alg.neg is None:
+                return None
+            inner = as_linear_combination(s, alg)
+            if inner is None:
+                return None
+            for k, v in inner.items():
+                if negated:
+                    v = alg.neg(v)
+                combination[k] = alg.add(combination[k], v) if k in combination else v
+        return combination
     if not isinstance(t, OpApp):
         return None
     symbol, args = t.symbol, t.args
@@ -968,24 +1054,11 @@ def as_linear_combination(t, alg):
         else:
             return None
         return None if inner is None else {k: alg.mul(left, v) for k, v in inner.items()}
-    if symbol == "+" and len(args) == 2:
-        negate = False
-    elif symbol == "-" and alg.neg is not None:
-        negate = True
-        if len(args) == 1:  # -c is zero exactly when c is
-            inner = as_linear_combination(args[0], alg)
-            return None if inner is None else {k: alg.neg(v) for k, v in inner.items()}
-    else:
-        return None
-    left = as_linear_combination(args[0], alg)
-    right = as_linear_combination(args[1], alg)
-    if left is None or right is None:
-        return None
-    for k, v in right.items():
-        if negate:
-            v = alg.neg(v)
-        left[k] = alg.add(left[k], v) if k in left else v
-    return left
+    if symbol == "-" and len(args) == 1 and alg.neg is not None:
+        # -c is zero exactly when c is
+        inner = as_linear_combination(args[0], alg)
+        return None if inner is None else {k: alg.neg(v) for k, v in inner.items()}
+    return None
 
 
 def as_polynomial(t, alg):
@@ -1001,42 +1074,41 @@ def as_polynomial(t, alg):
     if isinstance(t, Const) and isinstance(t.value, HLit):
         c = alg.coerce(t.value.value)
         return {} if alg.is_zero(c) else {(): c}
-    if isinstance(t, OpApp):
-        if t.symbol == "+" and len(t.args) == 2:
-            left = as_polynomial(t.args[0], alg)
-            right = as_polynomial(t.args[1], alg)
-            if left is None or right is None:
+    parts = summands(t)
+    if parts is not None:
+        total = {}
+        for s, negated in parts:
+            if negated and alg.neg is None:
                 return None
-            return poly_add(left, right, alg)
+            inner = as_polynomial(s, alg)
+            if inner is None:
+                return None
+            _poly_add_into(total, {w: alg.neg(c) for w, c in inner.items()}
+                           if negated else inner, alg)
+        return total
+    if isinstance(t, OpApp):
         if t.symbol == "*" and len(t.args) == 2:
             left = as_polynomial(t.args[0], alg)
             right = as_polynomial(t.args[1], alg)
             if left is None or right is None:
                 return None
             return poly_mul(left, right, alg)
-        if t.symbol == "-" and alg.neg is not None:
-            if len(t.args) == 1:
-                inner = as_polynomial(t.args[0], alg)
-                if inner is None:
-                    return None
-                return {w: alg.neg(c) for w, c in inner.items()}
-            left = as_polynomial(t.args[0], alg)
-            right = as_polynomial(t.args[1], alg)
-            if left is None or right is None:
+        if t.symbol == "-" and len(t.args) == 1 and alg.neg is not None:
+            inner = as_polynomial(t.args[0], alg)
+            if inner is None:
                 return None
-            return poly_add(left, {w: alg.neg(c) for w, c in right.items()}, alg)
+            return {w: alg.neg(c) for w, c in inner.items()}
     return None
 
 
-def poly_add(p, q, alg):
-    out = dict(p)
+def _poly_add_into(out, q, alg):
+    """Add the polynomial q into out, in place."""
     for w, c in q.items():
         s = alg.add(out[w], c) if w in out else c
         if alg.is_zero(s):
             out.pop(w, None)
         else:
             out[w] = s
-    return out
 
 
 def poly_mul(p, q, alg):
@@ -1130,9 +1202,9 @@ def _scan_deriv(t):
         return None, False
     if isinstance(t, Var):
         return None, True
-    if isinstance(t, OpApp):
+    if isinstance(t, (OpApp, Sum)):
         uses_x = False
-        for a in t.args:
+        for a in t.args if isinstance(t, OpApp) else (s for s, _ in t.summands):
             issue, sub_x = _scan_deriv(a)
             if issue is not None:
                 return issue, False
@@ -1212,18 +1284,24 @@ def format_term(t, alg, params=(), level=0):
         return format_term(t.term, alg, params, 4) + "'" * t.order
     if isinstance(t, Const):
         return f"[{format_headexpr(t.value, alg, params)}]"
+    parts = summands(t)
+    if parts is not None:
+        first, _ = parts[0]
+        text = format_term(first, alg, params, 1) + "".join(
+            f" {'-' if negated else '+'} {format_term(s, alg, params, 2)}"
+            for s, negated in parts[1:])
+        return f"({text})" if level > 1 else text
     if isinstance(t, OpApp):
         sym = t.symbol
         if sym == "X":
             return "X"
         if sym == "-" and len(t.args) == 1:
             return f"-{format_term(t.args[0], alg, params, 3)}"
-        if sym in ("+", "-", "*"):
-            own = 1 if sym in ("+", "-") else 2
-            left = format_term(t.args[0], alg, params, own)
-            right = format_term(t.args[1], alg, params, own + 1)
-            text = f"{left} {sym} {right}"
-            return f"({text})" if own < level else text
+        if sym == "*":
+            left = format_term(t.args[0], alg, params, 2)
+            right = format_term(t.args[1], alg, params, 3)
+            text = f"{left} * {right}"
+            return f"({text})" if level > 2 else text
         args = ", ".join(format_term(a, alg, params) for a in t.args)
         return f"{sym}({args})"
     raise TypeError(f"not a term: {t!r}")

@@ -1,6 +1,7 @@
 """Command-line behaviour: golden outputs and exit codes for the corpus."""
 
 import io
+import json
 import math
 import pathlib
 import random
@@ -600,3 +601,85 @@ def test_each_system_is_classified_once(tmp_path, monkeypatch, argv):
     code, _, err = invoke(*(a.format(big=path) for a in argv))
     assert (code, err) == (0, "")
     assert len(calls) == len({id(s) for s in calls}) >= 1
+
+
+def _sum_spec(tmp_path, algebra, rhs):
+    path = tmp_path / f"sum-{algebra}.sde"
+    path.write_text(f"algebra {algebra}; s(0) = 1; s' = {rhs};\n")
+    return path
+
+
+def _long_sum_answers(tmp_path, rhs, c):
+    """solve, check, at and closed-form of s' = rhs, where rhs is c * s."""
+    z, q = _sum_spec(tmp_path, "Z", rhs), _sum_spec(tmp_path, "Q", rhs)
+    assert invoke("solve", f"{z}#s", "-n", "4") == (
+        0, f"1, {c}, {c ** 2}, {c ** 3}\n", "")
+    assert invoke("check", z) == (
+        0, "parse: ok (algebra Z, 1 unknown(s), 0 definition(s))\nkind: linear\n"
+           f"probe s: ok (1, {c}, {c ** 2})\n", "")
+    assert invoke("at", "3", f"{z}#s") == (0, f"{c ** 3}\n", "")
+    assert invoke("closed-form", f"{q}#s") == (0, f"(1)/(1 - {c}*X)\n", "")
+
+
+@pytest.mark.parametrize("k", [400, 20000])
+def test_long_sums_solve(tmp_path, k):
+    # a RecursionError escaped cli.run from about 400 summands on
+    _long_sum_answers(tmp_path, " + ".join(["s"] * k), k)
+
+
+def test_long_mixed_sum(tmp_path):
+    rng = random.Random(2000)
+    signs = [rng.choice("+-") for _ in range(1999)]
+    rhs = "s" + "".join(f" {sign} s" for sign in signs)
+    _long_sum_answers(tmp_path, rhs, 1 + signs.count("+") - signs.count("-"))
+    # over Nat the first subtraction fails, as it does in a short chain
+    nat, short = _sum_spec(tmp_path, "Nat", rhs), tmp_path / "short.sde"
+    short.write_text("algebra Nat; s(0) = 1; s' = s - s + s;\n")
+    for argv in (("solve", "{}#s", "-n", "4"), ("check", "{}"), ("at", "3", "{}#s")):
+        got = invoke(*(a.format(nat) for a in argv))
+        assert got == invoke(*(a.format(short) for a in argv))
+        assert got[0] == 1 and got[2] == "error: UnsupportedOp: Nat has no negation\n"
+
+
+def test_check_probes_follow_the_budget(tmp_path):
+    # a dense 200-unknown Z system: its probes need more than the 1000
+    # steps that once capped every probe, whatever --budget said
+    rng = random.Random(200)
+    names = [f"x{i}" for i in range(200)]
+    lines = ["algebra Z;"]
+    for v in names:
+        terms = [f"{rng.choice([1, 2, 3, -1, -2])}*{w}" for w in names
+                 if rng.random() < 0.8]
+        lines += [f"{v}(0) = {rng.randint(-2, 2)};",
+                  f"{v}' = {' + '.join(terms)};".replace("+ -", "- ")]
+    path = tmp_path / "dense.sde"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke("check", path, "--budget", "100000")
+    assert (code, err) == (0, "")
+    probes = out.splitlines()[2:]
+    assert len(probes) == 200
+    assert all(re.fullmatch(r"probe x\d+: ok \(.*\)", line) for line in probes)
+    code, out, err = invoke("check", path, "--budget", "500")
+    assert (code, err) == (2, "")
+    assert "probe x0: BudgetExhausted at index 2\n" in out
+
+
+def test_parity_harness_records_and_compares(tmp_path, capsys):
+    import importlib.util
+
+    tool = CORPUS.parent / "tools" / "cli_parity.py"
+    loader = importlib.util.spec_from_file_location("cli_parity", tool)
+    cli_parity = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(cli_parity)
+    specs = [corpus("ones.sde"), corpus("alt.sde")]
+    out = tmp_path / "parity.json"
+    assert cli_parity.main(["record", str(out), *specs]) == 0
+    runs = json.loads(out.read_text())
+    # per spec: check under 8 algebra settings, 4 commands per unknown
+    # under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
+    assert len(runs) == (8 * (1 + 4) + 1) + (8 * (1 + 4 * 2) + 2)
+    assert cli_parity.main(["compare", str(out)]) == 0
+    runs[1]["out"] += "changed\n"
+    out.write_text(json.dumps(runs))
+    assert cli_parity.main(["compare", str(out)]) == 1
+    assert capsys.readouterr().out.endswith("1 of 115 recorded runs differ\n")

@@ -26,7 +26,7 @@ from streamcalc.errors import (
     StreamCalcError,
     UnsupportedOp,
 )
-from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Var
+from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Sum, Var
 from streamcalc.stream import take
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -327,3 +327,89 @@ def test_nonstd_capability_checks(text, message):
     for solve in (series.solve_by_coefficients, solvers.solve_nonstd):
         with pytest.raises(UnsupportedOp, match=re.escape(message)):
             solve(sys_)
+
+
+# ---------------------------------------------------------------------------
+# The parser's n-ary sums against the engine's binary folding
+
+
+def _random_sum(rng, alg, names, size, minus, nested=True):
+    """A Sum of `size` summands: unknowns, scalar multiples, constants, X,
+    products of unknowns and (once per level) a nested sum; each summand
+    after the first is subtracted with probability 0.4 when `minus`."""
+    parts = []
+    for i in range(size):
+        pick = rng.random()
+        if pick < 0.4:
+            t = Var(rng.choice(names))
+        elif pick < 0.65:
+            c, v = Const(HLit(alg.sample(rng))), Var(rng.choice(names))
+            t = OpApp("*", (c, v) if rng.random() < 0.5 else (v, c))
+        elif pick < 0.75:
+            t = Const(HLit(alg.sample(rng)))
+        elif pick < 0.85:
+            t = OpApp("X", ())
+        elif pick < 0.93 or not nested:
+            t = OpApp("*", (Var(rng.choice(names)), Var(rng.choice(names))))
+        else:
+            t = _random_sum(rng, alg, names, rng.randint(2, 5), minus, nested=False)
+            if rng.random() < 0.5:
+                t = OpApp("*", (Var(rng.choice(names)), t))
+        parts.append((t, i > 0 and minus and rng.random() < 0.4))
+    return Sum(tuple(parts))
+
+
+def observe_each(stream, n):
+    """The elements read one at a time, and the error that stopped the
+    reading as (class, message, index), or None."""
+    values = []
+    try:
+        for _ in range(n):
+            values.append(stream.head)
+            stream = stream.tail
+    except StreamCalcError as err:
+        return values, (type(err).__name__, str(err), len(values))
+    return values, None
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_sums_match_engine_folding(alg_name):
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-sums:{alg_name}")
+    errors, answered = set(), 0
+    for i in range(12):
+        names = tuple(f"x{j}" for j in range(rng.randint(1, 3)))
+        heads = {v: alg.sample(rng) for v in names}
+        rhs = {v: _random_sum(rng, alg, names, rng.randint(2, 60), minus=i % 2 == 1)
+               for v in names}
+        sys_ = EquationSystem(alg, names, heads, rhs=rhs)
+        engine = gsos.solve_system_with_defs(sys_)
+        nodes = series.solve_by_coefficients(sys_)
+        for v in names:
+            want = observe_each(engine[v], DEPTH)
+            assert observe_each(nodes[v], DEPTH) == want, sys_
+            if want[1] is None:
+                answered += 1
+            else:
+                errors.add(want[1][:2])
+    assert answered >= 6
+    if alg.neg is None:
+        assert errors == {("UnsupportedOp", f"{alg.name} has no negation")}
+    else:
+        assert not errors
+
+
+def test_sum_hash_is_computed_once():
+    inner = OpApp("*", (Const(HLit(2)), Var("s")))
+    calls = []
+
+    class Counted(Var):
+        def __hash__(self):
+            calls.append(self)
+            return super().__hash__()
+
+    term = Sum(((inner, False), (Counted("t"), True)))
+    assert len(calls) == 1  # at construction
+    nodes = {term: 1}
+    assert nodes[term] == 1 and hash(term) == hash(term)
+    assert len(calls) == 1

@@ -19,7 +19,7 @@ from streamcalc import (
     parse_term,
     validate_gsos,
 )
-from streamcalc.algebra import tropical
+from streamcalc.algebra import get_algebra, tropical
 from streamcalc.cli import run
 from streamcalc.speclang import (
     MAX_NESTING,
@@ -28,6 +28,7 @@ from streamcalc.speclang import (
     HLit,
     Ok,
     OpApp,
+    Sum,
     Var,
     Violation,
     ZeroConsistent,
@@ -35,8 +36,11 @@ from streamcalc.speclang import (
     _TOKEN,
     _lex,
     _Parser,
+    as_linear_combination,
     check_zero_consistency,
+    format_term,
     print_spec,
+    summands,
 )
 
 
@@ -73,7 +77,7 @@ class TestParse:
         assert sys.variables == ("s", "s#1")
         assert sys.heads == {"s": 0, "s#1": 1}
         assert sys.rhs["s"] == Var("s#1")
-        assert sys.rhs["s#1"] == OpApp("+", (Var("s#1"), Var("s")))
+        assert sys.rhs["s#1"] == Sum(((Var("s#1"), False), (Var("s"), False)))
 
     def test_missing_initial_value(self):
         with pytest.raises(MissingInitialValue):
@@ -272,16 +276,57 @@ class TestRoundTrip:
         assert parse(print_spec(spec)) == spec
 
 
+class TestSums:
+    def test_chain_is_one_node(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        spec = parse("algebra Z; a(0)=1; a' = a - b + c; b(0)=1; b' = (a + b) - c;"
+                     "c(0)=1; c' = a - (b - c);")
+        rhs = spec.system.rhs
+        assert rhs["a"] == Sum(((a, False), (b, True), (c, False)))
+        # a parenthesised sum leading a chain joins it; a later one nests
+        assert rhs["b"] == Sum(((a, False), (b, False), (c, True)))
+        assert rhs["c"] == Sum(((a, False), (Sum(((b, False), (c, True))), True)))
+
+    @pytest.mark.parametrize("text,printed", [
+        ("(a + b) - c", "a + b - c"),
+        ("a - (b - c)", "a - (b - c)"),
+        ("a + -b - -(a + b)", "a + -b - -(a + b)"),
+        ("(a + b) * c + 2 * (b - a)", "(a + b) * c + [2] * (b - a)"),
+    ])
+    def test_printing(self, text, printed):
+        spec = parse(f"algebra Z; a(0)=1; a' = {text}; b(0)=1; b' = b; c(0)=1; c' = c;")
+        assert format_term(spec.system.rhs["a"], spec.algebra) == printed
+
+    def test_hand_built_chains_read_as_sums(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        chain = OpApp("-", (OpApp("+", (a, b)), c))
+        parsed = Sum(((a, False), (b, False), (c, True)))
+        assert summands(chain) == summands(parsed) == parsed.summands
+        assert summands(OpApp("*", (a, b))) is None and summands(a) is None
+        assert format_term(chain, Q) == format_term(parsed, Q) == "a + b - c"
+        z = get_algebra("Z")
+        assert as_linear_combination(chain, z) == as_linear_combination(parsed, z)
+
+    def test_resolution_keeps_unchanged_summands(self):
+        parser = _Parser("")
+        same = Sum(((OpApp("*", (Var("s"), Var("s"))), False), (OpApp("X", ()), True)))
+        assert parser.resolve_system_term(same, {"s": 1}) is same
+        derived = Sum(((same, False), (DVar("s", 1), True)))
+        resolved = parser.resolve_system_term(derived, {"s": 2})
+        assert resolved == Sum(((same, False), (Var("s#1"), True)))
+        assert resolved.summands[0][0] is same
+
+
 class TestParseTerm:
     def test_ground_term(self):
         spec = parse("algebra Q;")
         t = parse_term("[5] * ([1] + X)", spec)
         assert t == OpApp("*", (Const(HLit(5)),
-                                OpApp("+", (Const(HLit(1)), OpApp("X", ())))))
+                                Sum(((Const(HLit(1)), False), (OpApp("X", ()), False)))))
 
     def test_system_variables_visible(self):
         spec = parse("s(0)=1; s'=s;")
-        assert parse_term("s + s", spec) == OpApp("+", (Var("s"), Var("s")))
+        assert parse_term("s + s", spec) == Sum(((Var("s"), False), (Var("s"), False)))
 
     def test_unknown_rejected(self):
         spec = parse("algebra Q;")

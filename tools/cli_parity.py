@@ -1,0 +1,112 @@
+"""Record the command line's answers on a set of specs, and compare them later.
+
+    PYTHONPATH=src python tools/cli_parity.py record OUT.json [SPEC ...]
+    PYTHONPATH=src python tools/cli_parity.py compare OUT.json
+
+The specs default to corpus/*.sde.  For each spec the runs are `check`,
+and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30` and
+`kernel`, each without an algebra override and under each of the seven
+`--algebra` values; then `solve -n 900` on every unknown without an
+override.  The unknowns are those of the spec parsed without override; a
+spec that does not parse gets its `check` runs only.
+
+Every run goes in-process through streamcalc.cli.run, with the package
+that is importable, so recording under one PYTHONPATH and comparing
+under another compares two versions of the code.  Each run starts from
+the interpreter's recursion limit at start-up, as a fresh process would,
+whatever an earlier run raised it to.  A run records its
+exit code, stdout and stderr; an exception that escapes cli.run is
+recorded as its class and message.  `compare` repeats the recorded
+runs, prints each one whose record differs and exits 1 if any does.
+"""
+
+import argparse
+import io
+import json
+import pathlib
+import sys
+
+ALGEBRAS = (None, "Q", "Z", "Nat", "Bool", "Tropical", "F2", "Fp(5)")
+PER_UNKNOWN = (
+    ("solve",),
+    ("solve", "-n", "200", "--budget", "60"),
+    ("at", "30"),
+    ("kernel",),
+)
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+def _unknowns(path):
+    from streamcalc import speclang
+
+    try:
+        spec = speclang.parse(pathlib.Path(path).read_text(encoding="utf-8"))
+    except Exception:  # any failure to parse, an escaping one included
+        return ()
+    return spec.system.variables if spec.system else ()
+
+
+def shape(specs):
+    """The argv of every run, in order."""
+    runs = []
+    for path in specs:
+        unknowns = _unknowns(path)
+        for algebra in ALGEBRAS:
+            override = ("--algebra", algebra) if algebra else ()
+            runs.append(("check", path) + override)
+            for var in unknowns:
+                for command in PER_UNKNOWN:
+                    if command[0] == "at":
+                        runs.append(command + (f"{path}#{var}",) + override)
+                    else:
+                        runs.append(command[:1] + (f"{path}#{var}",) + command[1:]
+                                    + override)
+        runs += [("solve", f"{path}#{var}", "-n", "900") for var in unknowns]
+    return runs
+
+
+def run_one(argv):
+    from streamcalc.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        code = run(list(argv), out=out, err=err)
+    except Exception as escaped:  # an escape is an answer to record too
+        code = f"escaped {type(escaped).__name__}: {escaped}"
+    return {"argv": list(argv), "code": code, "out": out.getvalue(),
+            "err": err.getvalue()}
+
+
+def record(specs):
+    return [run_one(argv) for argv in shape(specs)]
+
+
+def compare(recorded):
+    """The (recorded, new) pair of every recorded run that differs now."""
+    pairs = ((old, run_one(old["argv"])) for old in recorded)
+    return [(old, new) for old, new in pairs if old != new]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=("record", "compare"))
+    parser.add_argument("file")
+    parser.add_argument("specs", nargs="*", help="record only; default corpus/*.sde")
+    args = parser.parse_args(argv)
+    if args.mode == "record":
+        runs = record(args.specs or sorted(str(p) for p in CORPUS.glob("*.sde")))
+        pathlib.Path(args.file).write_text(json.dumps(runs, indent=1) + "\n")
+        print(f"recorded {len(runs)} runs")
+        return 0
+    recorded = json.loads(pathlib.Path(args.file).read_text())
+    diffs = compare(recorded)
+    for old, new in diffs:
+        print(json.dumps({"was": old, "now": new}))
+    print(f"{len(diffs)} of {len(recorded)} recorded runs differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
