@@ -17,7 +17,7 @@ from . import speclang
 from .algebra import gf
 from .errors import EvenDenominator, NotZeroConsistent, UnsupportedOp
 from .stream import BudgetExhausted, Equal, Stream, bounded_eq, take, unfold
-from .calculus import zip_streams
+from .calculus import even, odd, zip_streams
 
 
 @dataclass
@@ -142,8 +142,6 @@ def kernel2(stream, budget=64, prefix=64, steps=None):
                            zero_consistent=aut.zero_consistent)
         reps = {q: stream_of(aut, q) for q in reachable}
         return KernelFinite(sub, exact=True, representatives=reps)
-
-    from .calculus import even, odd
 
     reps = [stream]
     pending = [0]

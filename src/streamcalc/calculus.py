@@ -1,20 +1,17 @@
-"""The built-in stream operations.
+"""The built-in stream operations on Stream values.
 
-Each operation is implemented by its defining stream differential
-equation -- head plus a lazily built tail -- rather than by an index
-formula, so the independent index formulas stay available as test
-oracles.  Non-causal operations (even, odd, delta, ddx, delta_o) reach
-further than one element into their argument and use delayed tails to
-keep whatever productivity the argument offers.
+The source streams (zeros, constants, X, ones, the naturals and their
+inverses), delta_o and the polynomial streams are built here.  Every
+builtin operation of the DSL is the `series` node the equation solver
+uses for it, over leaves that read the argument streams in order, so
+the library, the GSOS engine's native even/odd/delta/ddx and the
+even-odd automata all run on one evaluator.  Each operation checks its
+algebra when it is built and forces nothing until observed.
 """
 
+from . import series
 from .algebra import same_algebra
-from .errors import (
-    HeadNotInvertible,
-    NoExactSqrt,
-    UnorderedAlgebra,
-    UnsupportedOp,
-)
+from .errors import NoExactSqrt, UnorderedAlgebra, UnsupportedOp
 from .stream import Stream, cons
 
 _ZEROS = {}
@@ -66,43 +63,40 @@ def nats_inv(alg):
     return from_(alg.one)
 
 
+def _lift(alg, symbol, *args):
+    """The stream of the series node of builtin `symbol` over `args`,
+    each a node or a Stream, which a Leaf reads in order."""
+    nodes = [series.Leaf(a) if isinstance(a, Stream) else a for a in args]
+    return series.node_stream(series.operation(alg, symbol, nodes))
+
+
+def _need_ring(alg, what):
+    if alg.neg is None:
+        raise UnsupportedOp(f"{what} needs a ring, not {alg.name}")
+
+
 def add(s, t):
-    alg = same_algebra(s.algebra, t.algebra)
-    return Stream(alg, lambda: (alg.add(s.head, t.head), add(s.tail, t.tail)))
+    return _lift(same_algebra(s.algebra, t.algebra), "+", s, t)
 
 
 def neg(s):
-    alg = s.algebra
-    if alg.neg is None:
-        raise UnsupportedOp(f"minus needs a ring, not {alg.name}")
-    return Stream(alg, lambda: (alg.neg(s.head), neg(s.tail)))
+    _need_ring(s.algebra, "minus")
+    return _lift(s.algebra, "-", s)
 
 
 def sub(s, t):
-    return add(s, neg(t))
+    _need_ring(t.algebra, "minus")
+    return _lift(same_algebra(s.algebra, t.algebra), "-", s, t)
 
 
 def scalar(a, s):
     alg = s.algebra
-    a = alg.coerce(a)
-    return Stream(alg, lambda: (alg.mul(a, s.head), scalar(a, s.tail)))
+    return _lift(alg, "*", series.Constant(alg, alg.coerce(a)), s)
 
 
 def conv_mul(s, t):
-    """Convolution product, by (s*t)' = (s'*t) + ([s(0)]*t').
-
-    The [a]*sigma factor is realised as the elementwise scalar action
-    (a -> [a] is a semiring homomorphism), which keeps the derivative
-    expansion linear in size instead of branching at every level.
-    """
-    alg = same_algebra(s.algebra, t.algebra)
-
-    def cell():
-        a = s.head
-        return (alg.mul(a, t.head),
-                add(conv_mul(s.tail, t), scalar(a, t.tail)))
-
-    return Stream(alg, cell)
+    """Convolution product: (s*t)(n) is the sum of s(i) * t(n-i)."""
+    return _lift(same_algebra(s.algebra, t.algebra), "*", s, t)
 
 
 def conv_inv(s):
@@ -110,85 +104,40 @@ def conv_inv(s):
     alg = s.algebra
     if alg.inv is None:
         raise UnsupportedOp(f"{alg.name} has no multiplicative inverses")
-    if alg.neg is None:
-        raise UnsupportedOp(f"convolution inverse needs a ring, not {alg.name}")
-    out = Stream.defer(alg)
-
-    def cell():
-        h = alg.inv(s.head)
-        if h is None:
-            raise HeadNotInvertible(f"head {alg.fmt(s.head)} has no inverse")
-        return (h, scalar(alg.neg(h), conv_mul(s.tail, out)))
-
-    out.resolve(cell)
-    return out
+    _need_ring(alg, "convolution inverse")
+    return _lift(alg, "inv", s)
 
 
 def shuffle_mul(s, t):
-    """Shuffle product, by (s@t)' = (s'@t) + (s@t').
-
-    Derivative nodes are shared per argument pair: the n-th derivative
-    expands over the binomial lattice of argument derivatives, so
-    without sharing the node count would double at every level.
-    """
-    alg = same_algebra(s.algebra, t.algebra)
-    memo = {}
-
-    def go(a, b):
-        key = (id(a), id(b))
-        node = memo.get(key)
-        if node is None:
-            def cell(a=a, b=b):
-                return alg.mul(a.head, b.head), add(go(a.tail, b), go(a, b.tail))
-
-            node = Stream(alg, cell)
-            memo[key] = node
-        return node
-
-    return go(s, t)
+    """Shuffle product: (s@t)(n) is the sum of C(n, i) * s(i) * t(n-i)."""
+    return _lift(same_algebra(s.algebra, t.algebra), "shuffle", s, t)
 
 
 def hadamard(s, t):
-    alg = same_algebra(s.algebra, t.algebra)
-    return Stream(alg, lambda: (alg.mul(s.head, t.head),
-                                hadamard(s.tail, t.tail)))
+    return _lift(same_algebra(s.algebra, t.algebra), "hadamard", s, t)
 
 
 def sqrt_stream(s):
-    """Square root: head sqrt(s(0)), tail s' / ([sqrt(s(0))] + sqrt(s))."""
+    """Square root: head sqrt(s(0)), tail s' / ([sqrt(s(0))] + sqrt(s));
+    the division needs a ring."""
     alg = s.algebra
     if alg.sqrt is None:
         raise NoExactSqrt(f"{alg.name} has no square roots")
-    out = Stream.defer(alg)
-
-    def cell():
-        r = alg.sqrt(s.head)
-        if r is None:
-            raise NoExactSqrt(f"{alg.fmt(s.head)} has no exact square root")
-        return (r, conv_mul(s.tail, conv_inv(add(constant(alg, r), out))))
-
-    out.resolve(cell)
-    return out
+    _need_ring(alg, "convolution inverse")
+    return _lift(alg, "sqrt", s)
 
 
 def even(s):
-    alg = s.algebra
-
-    def cell():
-        # even(s)' = even(s''), and s'' must stay undemanded until needed
-        return (s.head, even(Stream.delay(alg, lambda: s.tail.tail)))
-
-    return Stream(alg, cell)
+    return _lift(s.algebra, "even", s)
 
 
 def odd(s):
-    return even(Stream.delay(s.algebra, lambda: s.tail))
+    return _lift(s.algebra, "odd", s)
 
 
 def zip_streams(s, t):
     """Interleave: zip(s, t) = (s0, t0, s1, t1, ...)."""
-    alg = same_algebra(s.algebra, t.algebra)
-    return Stream(alg, lambda: (s.head, zip_streams(t, s.tail)))
+    return _lift(same_algebra(s.algebra, t.algebra), "zip", s, t)
 
 
 def merge(s, t):
@@ -196,38 +145,18 @@ def merge(s, t):
     alg = same_algebra(s.algebra, t.algebra)
     if not alg.ordered:
         raise UnorderedAlgebra(f"merge needs an order on {alg.name}")
-
-    def cell():
-        a, b = s.head, t.head
-        if alg.lt(a, b):
-            return a, merge(s.tail, t)
-        if alg.eq(a, b):
-            return a, merge(s.tail, t.tail)
-        return b, merge(s, t.tail)
-
-    return Stream(alg, cell)
+    return _lift(alg, "merge", s, t)
 
 
 def delta(s):
     """Forward difference (s(1)-s(0), s(2)-s(1), ...)."""
-    alg = s.algebra
-    if alg.neg is None:
-        raise UnsupportedOp(f"delta needs a ring, not {alg.name}")
-
-    def cell():
-        return alg.sub(s.tail.head, s.head), delta(Stream.delay(alg, lambda: s.tail))
-
-    return Stream(alg, cell)
+    _need_ring(s.algebra, "delta")
+    return _lift(s.algebra, "delta", s)
 
 
 def ddx(s):
     """Formal power series derivative (s(1), 2*s(2), 3*s(3), ...)."""
-    alg = s.algebra
-
-    def from_(t, k):
-        return Stream(alg, lambda: (alg.nat_mul(k, t.head), from_(t.tail, k + 1)))
-
-    return Stream.delay(alg, lambda: from_(s.tail, 1))
+    return _lift(s.algebra, "ddx", s)
 
 
 def delta_o(op, s):
@@ -252,42 +181,18 @@ def stream_of_poly(p):
     return out
 
 
-# DSL keyword -> implementation, used by the evaluators.
-BUILTIN_ARITY = {
-    "+": 2, "-": (1, 2), "*": 2, "inv": 1, "X": 0,
-    "shuffle": 2, "hadamard": 2, "sqrt": 1,
-    "even": 1, "odd": 1, "zip": 2, "merge": 2,
-    "delta": 1, "ddx": 1,
+# builtin symbol -> the operation above, by arity
+_BUILTINS = {
+    ("+", 2): add, ("-", 1): neg, ("-", 2): sub, ("*", 2): conv_mul,
+    ("inv", 1): conv_inv, ("X", 0): x_stream, ("shuffle", 2): shuffle_mul,
+    ("hadamard", 2): hadamard, ("sqrt", 1): sqrt_stream, ("even", 1): even,
+    ("odd", 1): odd, ("zip", 2): zip_streams, ("merge", 2): merge,
+    ("delta", 1): delta, ("ddx", 1): ddx,
 }
 
 
 def apply_builtin(symbol, args, alg):
-    if symbol == "+":
-        return add(*args)
-    if symbol == "-":
-        return neg(args[0]) if len(args) == 1 else sub(*args)
-    if symbol == "*":
-        return conv_mul(*args)
-    if symbol == "inv":
-        return conv_inv(args[0])
-    if symbol == "X":
-        return x_stream(alg)
-    if symbol == "shuffle":
-        return shuffle_mul(*args)
-    if symbol == "hadamard":
-        return hadamard(*args)
-    if symbol == "sqrt":
-        return sqrt_stream(args[0])
-    if symbol == "even":
-        return even(args[0])
-    if symbol == "odd":
-        return odd(args[0])
-    if symbol == "zip":
-        return zip_streams(*args)
-    if symbol == "merge":
-        return merge(*args)
-    if symbol == "delta":
-        return delta(args[0])
-    if symbol == "ddx":
-        return ddx(args[0])
-    raise UnsupportedOp(f"unknown builtin {symbol!r}")
+    op = _BUILTINS.get((symbol, len(args)))
+    if op is None:
+        raise UnsupportedOp(f"unknown builtin {symbol!r}")
+    return op(*args) if args else op(alg)

@@ -404,6 +404,8 @@ _PARSER = _build_parser()
 def run(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
+    # put back what deep inputs raised, so no request depends on earlier ones
+    limit = sys.getrecursionlimit()
     try:
         args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args, out)
@@ -422,6 +424,8 @@ def run(argv=None, out=None, err=None):
     except StreamCalcError as failure:
         print(f"error: {type(failure).__name__}: {failure}", file=err)
         return EXIT_REFUTED
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def main():

@@ -10,8 +10,8 @@ signature-extension device), so solving a system and evaluating a term
 are the same operation.  Builtins in the GSOS shape (+, -, *, inv, X,
 shuffle, hadamard, sqrt, zip, merge) get generated definitions and run
 syntactically; the non-causal builtins (even, odd, delta, ddx) fall
-back to their native implementations and are evaluated under the
-re-entrancy trap and the global budget.
+back to the calculus operations, series nodes over the argument
+behaviour streams, under the re-entrancy trap and the global budget.
 
 For equivalence proofs, leaves may also be *stream variables*.  Their
 heads are opaque indeterminates; head arithmetic then happens in the
@@ -368,7 +368,7 @@ class Engine:
             return self._intern(key, lambda sid: State(
                 self, sid, "app", symbol=symbol, args=args,
                 has_vars=any(a.has_vars for a in args)))
-        if symbol in _NATIVE_ONLY or symbol in calculus.BUILTIN_ARITY:
+        if symbol in _NATIVE_ONLY:
             # non-GSOS builtin: evaluate natively on the behaviour streams
             streams = [self.behaviour(a) for a in args]
             result = calculus.apply_builtin(symbol, streams, self.algebra)

@@ -8,7 +8,9 @@ relaxed multiplication (van der Hoeven, *Relax, but Don't Be Too Lazy*,
 2002).  Every unknown and every distinct subterm of the right-hand sides
 becomes a node holding the coefficients computed so far.  A coefficient
 is computed once, when it is first demanded, and charges the
-observation budget once.
+observation budget once.  `operation` makes the node of one builtin;
+the `calculus` operations are such nodes over Leaf nodes, which read
+streams in order.
 
 The nodes observe the GSOS engine (gsos.py) wherever it answers:
 
@@ -135,7 +137,26 @@ class _Unknown(_Node):
             raise _no_ring(self.alg)
 
 
-class _Const(_Node):
+class Leaf(_Node):
+    """A Stream read in order as coefficients.  The stream charges the
+    budget and traps re-entrant demands, so the leaf does neither."""
+
+    __slots__ = ("rest",)
+
+    def __init__(self, stream):
+        super().__init__(stream.algebra)
+        self.rest = stream
+
+    def get(self, n):
+        coeffs = self.coeffs
+        while len(coeffs) <= n:
+            rest = self.rest
+            coeffs.append(rest.head)
+            self.rest = rest.tail
+        return coeffs[n]
+
+
+class Constant(_Node):
     __slots__ = ("value",)
 
     def __init__(self, alg, value):
@@ -389,7 +410,7 @@ class _Sqrt(_Unary):
         r0 = alg.sqrt(a0)
         if r0 is None:
             raise NoExactSqrt(f"{alg.fmt(a0)} has no exact square root")
-        denominator = _Sum(alg, ((_Const(alg, r0), False), (self, False)))
+        denominator = _Sum(alg, ((Constant(alg, r0), False), (self, False)))
         self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0
 
@@ -451,10 +472,29 @@ class _Ddx(_Native):
         return self.alg.nat_mul(n + 1, self.read(n + 1))
 
 
-_UNARY = {"inv": _Inv, "sqrt": _Sqrt, "even": _Even, "odd": _Odd,
-          "delta": _Delta, "ddx": _Ddx, "neg": _Neg}
-_BINARY = {"shuffle": _Shuffle, "hadamard": _Hadamard, "zip": _Zip,
-           "merge": _Merge, "*": _Mul}
+_OPERATIONS = {
+    ("X", 0): _X, ("-", 1): _Neg, ("inv", 1): _Inv, ("sqrt", 1): _Sqrt,
+    ("even", 1): _Even, ("odd", 1): _Odd, ("delta", 1): _Delta,
+    ("ddx", 1): _Ddx, ("*", 2): _Mul, ("shuffle", 2): _Shuffle,
+    ("hadamard", 2): _Hadamard, ("zip", 2): _Zip, ("merge", 2): _Merge,
+}
+
+
+def operation(alg, symbol, args):
+    """The node of builtin `symbol` over the nodes `args`; a product with
+    a constant factor is the scalar action on the other factor."""
+    if len(args) == 2:
+        if symbol in ("+", "-"):
+            return _Sum(alg, ((args[0], False), (args[1], symbol == "-")))
+        if symbol == "*":
+            for side, other, left in ((args[0], args[1], True),
+                                      (args[1], args[0], False)):
+                if type(side) is Constant:
+                    return _Scale(alg, side.value, other, left)
+    make = _OPERATIONS.get((symbol, len(args)))
+    if make is None:
+        raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
+    return make(alg, *args)
 
 
 class _Builder:
@@ -476,28 +516,13 @@ class _Builder:
         if isinstance(term, Var):
             return self.unknowns[term.name]
         if isinstance(term, Const) and isinstance(term.value, HLit):
-            return _Const(alg, alg.coerce(term.value.value))
+            return Constant(alg, alg.coerce(term.value.value))
         parts = summands(term)
         if parts is not None:
             return _Sum(alg, tuple((self.node(s), negated) for s, negated in parts))
         if not isinstance(term, OpApp):
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
-        symbol, args = term.symbol, term.args
-        if symbol == "X" and not args:
-            return _X(alg)
-        if symbol == "-":
-            symbol = "neg"
-        if symbol in _UNARY and len(args) == 1:
-            return _UNARY[symbol](alg, self.node(args[0]))
-        if symbol in _BINARY and len(args) == 2:
-            if symbol == "*":
-                for side, other, left in ((args[0], args[1], True),
-                                          (args[1], args[0], False)):
-                    if isinstance(side, Const) and isinstance(side.value, HLit):
-                        return _Scale(alg, alg.coerce(side.value.value),
-                                      self.node(other), left)
-            return _BINARY[symbol](alg, self.node(args[0]), self.node(args[1]))
-        raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
+        return operation(alg, term.symbol, [self.node(a) for a in term.args])
 
 
 def _successor(sys_, delta_o_inverse):
@@ -521,15 +546,16 @@ def _successor(sys_, delta_o_inverse):
     raise UnsupportedOp(f"no successor rule for {op!r} systems")
 
 
-def _stream(node, n=0):
+def node_stream(node, n=0):
+    """The stream of a node's coefficients from the n-th on."""
     if not _replays_derivatives(node.alg):
-        return Stream(node.alg, lambda: (node.get(n), _stream(node, n + 1)))
+        return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
 
     def cell():
         # the engine's observation takes each element's derivative
         value = node.get(n)
         node.derive(n)
-        return value, _stream(node, n + 1)
+        return value, node_stream(node, n + 1)
 
     return Stream(node.alg, cell)
 
@@ -557,4 +583,4 @@ def solve_by_coefficients(sys_, delta_o_inverse=None):
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed
     ensure_recursion_room(4 * (len(unknowns) + 5 * len(builder.nodes)) + 1000)
-    return {v: _stream(unknowns[v]) for v in sys_.variables}
+    return {v: node_stream(unknowns[v]) for v in sys_.variables}

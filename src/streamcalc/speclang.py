@@ -29,7 +29,6 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from . import calculus
 from .algebra import get_algebra, rationals
 from .errors import (
     AlgebraMismatch,
@@ -42,15 +41,22 @@ from .errors import (
     UnsupportedOp,
 )
 
+# builtin operation -> its arity, or the tuple of its arities
+BUILTIN_ARITY = {
+    "+": 2, "-": (1, 2), "*": 2, "inv": 1, "X": 0,
+    "shuffle": 2, "hadamard": 2, "sqrt": 1,
+    "even": 1, "odd": 1, "zip": 2, "merge": 2,
+    "delta": 1, "ddx": 1,
+}
+
 KEYWORDS = {
     "algebra", "def", "when", "otherwise", "out", "deriv",
     "and", "or", "not", "inf", "true", "false",
-    "X", "inv", "shuffle", "hadamard", "sqrt",
-    "even", "odd", "zip", "merge", "delta", "ddx",
-}
+} | {name for name in BUILTIN_ARITY if name.isalpha()}
 
-_CALL_OPS = {"inv": 1, "shuffle": 2, "hadamard": 2, "sqrt": 1, "even": 1,
-             "odd": 1, "zip": 2, "merge": 2, "delta": 1, "ddx": 1}
+# the builtins written as calls, f(t1, ..., tk)
+_CALL_OPS = {name: arity for name, arity in BUILTIN_ARITY.items()
+             if name.isalpha() and arity}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +523,7 @@ class _Parser:
     def def_statement(self):
         self.next()  # def
         _, name, name_span = self.ident("operation name")
-        if name in self.defs or name in calculus.BUILTIN_ARITY:
+        if name in self.defs or name in BUILTIN_ARITY:
             raise SpecSyntaxError(f"redefinition of {name!r}", name_span)
         self.expect("(")
         params = []
@@ -789,8 +795,8 @@ class _Parser:
                 self.resolve_def_term(a, d)
 
     def check_arity(self, t, span):
-        if t.symbol in calculus.BUILTIN_ARITY:
-            arity = calculus.BUILTIN_ARITY[t.symbol]
+        if t.symbol in BUILTIN_ARITY:
+            arity = BUILTIN_ARITY[t.symbol]
             ok = len(t.args) in arity if isinstance(arity, tuple) else len(t.args) == arity
             if not ok:
                 raise ArityMismatch(f"{t.symbol!r} applied to {len(t.args)} argument(s)",

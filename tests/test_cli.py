@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -427,10 +428,11 @@ def test_nonstd_beyond_context_free(tmp_path, text, expected):
     assert invoke("solve", f"{path}#x", "-n", "9") == (0, expected, "")
 
 
-def test_check_probes_large_dense_linear_spec(tmp_path):
-    # every unknown of a 60-unknown dense Z system within the probe budget
-    rng = random.Random(60)
-    names = [f"v{i}" for i in range(60)]
+def _dense_z_spec(tmp_path, prefix, n):
+    """A random linear Z system of n unknowns, each using about 80 % of
+    them, seeded by n."""
+    rng = random.Random(n)
+    names = [f"{prefix}{i}" for i in range(n)]
     lines = ["algebra Z;"]
     for v in names:
         terms = [f"{rng.choice([1, 2, 3, -1, -2])}*{w}" for w in names
@@ -439,6 +441,12 @@ def test_check_probes_large_dense_linear_spec(tmp_path):
                   f"{v}' = {' + '.join(terms)};".replace("+ -", "- ")]
     path = tmp_path / "dense.sde"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_check_probes_large_dense_linear_spec(tmp_path):
+    # every unknown of a 60-unknown dense Z system within the probe budget
+    path = _dense_z_spec(tmp_path, "v", 60)
     code, out, err = invoke("check", path)
     assert (code, err) == (0, "")
     probes = out.splitlines()[2:]
@@ -644,16 +652,7 @@ def test_long_mixed_sum(tmp_path):
 def test_check_probes_follow_the_budget(tmp_path):
     # a dense 200-unknown Z system: its probes need more than the 1000
     # steps that once capped every probe, whatever --budget said
-    rng = random.Random(200)
-    names = [f"x{i}" for i in range(200)]
-    lines = ["algebra Z;"]
-    for v in names:
-        terms = [f"{rng.choice([1, 2, 3, -1, -2])}*{w}" for w in names
-                 if rng.random() < 0.8]
-        lines += [f"{v}(0) = {rng.randint(-2, 2)};",
-                  f"{v}' = {' + '.join(terms)};".replace("+ -", "- ")]
-    path = tmp_path / "dense.sde"
-    path.write_text("\n".join(lines) + "\n")
+    path = _dense_z_spec(tmp_path, "x", 200)
     code, out, err = invoke("check", path, "--budget", "100000")
     assert (code, err) == (0, "")
     probes = out.splitlines()[2:]
@@ -683,3 +682,36 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
     assert capsys.readouterr().out.endswith("1 of 115 recorded runs differ\n")
+
+
+def test_recursion_limit_is_restored(tmp_path):
+    # a dense 60-unknown system raises the limit while it is solved;
+    # a later request must not inherit that
+    path = _dense_z_spec(tmp_path, "v", 60)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, _ = invoke("solve", f"{path}#v0", "-n", "3")
+        assert code == 0 and out.count(",") == 2
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_engine_native_fallback(tmp_path):
+    # a definition keeps the GSOS engine, which runs even and delta natively
+    path = tmp_path / "native.sde"
+    path.write_text("def plus(a, b) { out = a(0) + b(0); deriv = plus(a', b'); }\n"
+                    "u(0) = 1;\nu' = plus(u, u);\nw(0) = 2;\nw' = even(u) + delta(u);\n")
+    assert invoke("solve", f"{path}#w", "-n", "12", "--algebra", "Z") == (
+        0, "2, 2, 6, 20, 72, 272, 1056, 4160, 16512, 65792, 262656, 1049600\n", "")
+    assert invoke("solve", f"{path}#w", "-n", "12", "--algebra", "Nat") == (
+        1, "", "error: UnsupportedOp: delta needs a ring, not Nat\n")
+
+
+def test_engine_native_fallback_nonproductive(tmp_path):
+    path = tmp_path / "native_np.sde"
+    path.write_text("def plus(a, b) { out = a(0) + b(0); deriv = plus(a', b'); }\n"
+                    "x(0) = 1;\nx' = plus(even(x), x);\n")
+    assert invoke("solve", f"{path}#x", "-n", "12") == (
+        2, "", "error: NonProductive: non-productive definition (at index 2)\n")
