@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import speclang
 from .algebra import gf
 from .errors import EvenDenominator, NotZeroConsistent, UnsupportedOp
-from .stream import BudgetExhausted, Equal, Stream, bounded_eq, take, unfold
+from .stream import (BudgetExhausted, BudgetScope, Equal, Stream, bounded_eq,
+                     take, unfold)
 from .calculus import even, odd, zip_streams
 
 
@@ -121,9 +122,9 @@ def kernel2(stream, budget=64, prefix=64, steps=None):
     Exact when the stream came from a finite even-odd specification
     (identity is then decided on automaton states); otherwise states are
     identified by prefix comparison and a Finite answer is heuristic.
-    Unknown is returned once more than `budget` states appear, or when a
-    comparison runs out of its `steps` forcing steps (default
-    DEFAULT_BUDGET).
+    Unknown is returned once more than `budget` states appear, or when
+    the comparisons together run out of the `steps` forcing steps
+    (default DEFAULT_BUDGET).
     """
     if isinstance(stream.origin, EvenOddOrigin):
         aut = stream.origin.automaton
@@ -143,6 +144,7 @@ def kernel2(stream, budget=64, prefix=64, steps=None):
         reps = {q: stream_of(aut, q) for q in reachable}
         return KernelFinite(sub, exact=True, representatives=reps)
 
+    shared = BudgetScope(steps)  # one counter for the whole closure
     reps = [stream]
     pending = [0]
     edges = {}
@@ -153,7 +155,7 @@ def kernel2(stream, budget=64, prefix=64, steps=None):
             found = None
             for j, rep in enumerate(reps):
                 try:
-                    verdict = bounded_eq(rep, candidate, prefix, steps)
+                    verdict = bounded_eq(rep, candidate, prefix, shared)
                 except BudgetExhausted:
                     return KernelUnknown(budget)
                 if isinstance(verdict, Equal):

@@ -7,6 +7,7 @@ Output is plain deterministic text; diagnostics go to stderr as single
 """
 
 import argparse
+import functools
 import sys
 
 from . import automatic, equivalence, gsos, series, solvers, speclang
@@ -117,7 +118,29 @@ def _load(path, algebra_name):
     except (OSError, UnicodeDecodeError) as unreadable:
         # a missing file, a directory, or a file that is not UTF-8 text
         raise _UsageError(str(unreadable)) from None
-    return speclang.parse(text, algebra=override)
+    return _parsed(text, override)
+
+
+class _Loaded:
+    """A parsed spec file and, once a command has asked for it, the
+    format of its system."""
+
+    __slots__ = ("spec", "kind")
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.kind = None
+
+
+SPEC_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _parsed(text, override):
+    # parsing and classifying are pure functions of the text and the
+    # override, so a text seen again reuses both; nothing that raises is
+    # kept, and no command changes a parsed spec
+    return _Loaded(speclang.parse(text, algebra=override))
 
 
 def _selector(text):
@@ -127,10 +150,12 @@ def _selector(text):
     return path, var
 
 
-def _classify(spec):
-    if spec.system is None:
-        raise SpecError("the file defines no equation system")
-    return speclang.classify(spec.system)
+def _classify(loaded):
+    if loaded.kind is None:
+        if loaded.spec.system is None:
+            raise SpecError("the file defines no equation system")
+        loaded.kind = speclang.classify(loaded.spec.system)
+    return loaded.kind
 
 
 def _solve_spec(spec, kind):
@@ -158,8 +183,9 @@ def _format_prefix(alg, values):
 
 def _cmd_solve(args, out):
     path, var = _selector(args.selector)
-    spec = _load(path, args.algebra)
-    streams = _solve_spec(spec, _classify(spec))
+    loaded = _load(path, args.algebra)
+    spec = loaded.spec
+    streams = _solve_spec(spec, _classify(loaded))
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     values = take(streams[var], args.count, args.budget)
@@ -168,7 +194,7 @@ def _cmd_solve(args, out):
 
 
 def _cmd_eval(args, out):
-    spec = _load(args.defs, args.algebra)
+    spec = _load(args.defs, args.algebra).spec
     term = speclang.parse_term(args.term, spec)
     engine = gsos.Engine(spec.algebra, spec.defs)
     if spec.system is not None:
@@ -189,8 +215,9 @@ def _closed_forms(spec, kind):
 
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
-    spec = _load(path, args.algebra)
-    forms = _closed_forms(spec, _classify(spec))
+    loaded = _load(path, args.algebra)
+    spec = loaded.spec
+    forms = _closed_forms(spec, _classify(loaded))
     if var not in forms:
         raise SpecError(f"no variable {var!r} in {path}")
     print(format_ratexpr(forms[var]), file=out)
@@ -223,16 +250,17 @@ def _rename_system(sys_, suffix):
 def _cmd_equiv(args, out):
     path_a, var_a = _selector(args.left)
     path_b, var_b = _selector(args.right)
-    spec_a = _load(path_a, args.algebra)
-    spec_b = _load(path_b, args.algebra)
+    loaded_a = _load(path_a, args.algebra)
+    loaded_b = _load(path_b, args.algebra)
+    spec_a, spec_b = loaded_a.spec, loaded_b.spec
     if spec_a.algebra is not spec_b.algebra:
         raise UnsupportedOp("the two specifications use different algebras")
     for sp, var in ((spec_a, var_a), (spec_b, var_b)):
         if sp.system is None or var not in sp.system.variables:
             raise SpecError(f"no variable {var!r}")
 
-    kind_a = speclang.classify(spec_a.system)
-    kind_b = speclang.classify(spec_b.system)
+    kind_a = _classify(loaded_a)
+    kind_b = _classify(loaded_b)
     linear = (Kind.SIMPLE, Kind.LINEAR)
     if (kind_a in linear and kind_b in linear
             and spec_a.algebra.kind == "field" and args.up_to is None):
@@ -297,8 +325,9 @@ def _cmd_equiv(args, out):
 
 def _cmd_kernel(args, out):
     path, var = _selector(args.selector)
-    spec = _load(path, args.algebra)
-    streams = _solve_spec(spec, _classify(spec))
+    loaded = _load(path, args.algebra)
+    spec = loaded.spec
+    streams = _solve_spec(spec, _classify(loaded))
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     result = automatic.kernel2(streams[var], budget=min(args.budget, 512),
@@ -314,10 +343,11 @@ def _cmd_kernel(args, out):
 
 def _cmd_at(args, out):
     path, var = _selector(args.selector)
-    spec = _load(path, args.algebra)
+    loaded = _load(path, args.algebra)
+    spec = loaded.spec
     if args.index < 0:
         raise _UsageError("the index must be nonnegative")
-    kind = _classify(spec)
+    kind = _classify(loaded)
     sys_ = spec.system
     if kind is Kind.EVEN_ODD and var in sys_.variables:
         aut = automatic.compile_evenodd(sys_)
@@ -342,7 +372,8 @@ def _cmd_bbin(args, out):
 
 
 def _cmd_check(args, out):
-    spec = _load(args.spec, args.algebra)
+    loaded = _load(args.spec, args.algebra)
+    spec = loaded.spec
     status = EXIT_OK
     defs = len(spec.defs)
     eqs = len(spec.system.variables) if spec.system else 0
@@ -359,7 +390,7 @@ def _cmd_check(args, out):
     sys_ = spec.system
     if sys_ is None:
         return status
-    kind = speclang.classify(sys_)
+    kind = _classify(loaded)
     print(f"kind: {kind.value}", file=out)
     if kind is Kind.EVEN_ODD:
         verdict = speclang.check_zero_consistency(sys_)

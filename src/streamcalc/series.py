@@ -522,7 +522,9 @@ class _Builder:
             return _Sum(alg, tuple((self.node(s), negated) for s, negated in parts))
         if not isinstance(term, OpApp):
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
-        return operation(alg, term.symbol, [self.node(a) for a in term.args])
+        # map, not a comprehension: a left-nested chain such as a long
+        # product then costs two frames per link, not three
+        return operation(alg, term.symbol, list(map(self.node, term.args)))
 
 
 def _successor(sys_, delta_o_inverse):

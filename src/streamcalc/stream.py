@@ -65,8 +65,17 @@ def ensure_recursion_room(frames):
         sys.setrecursionlimit(frames)
 
 
-class _BudgetScope:
+class BudgetScope:
+    """A forcing counter that the observations made inside it charge.
+
+    A scope made from another scope shares its counter, so several
+    observations can draw on one budget.
+    """
+
     def __init__(self, budget):
+        if isinstance(budget, BudgetScope):
+            self.frame = budget.frame
+            return
         if budget is None:
             budget = StepBudget()
         elif isinstance(budget, int):
@@ -208,7 +217,7 @@ def take(stream, n, budget=None):
         raise ValueError("take needs n >= 0")
     out = []
     s = stream
-    with _BudgetScope(budget):
+    with BudgetScope(budget):
         for i in range(n):
             try:
                 out.append(s.head)
@@ -224,13 +233,15 @@ def bounded_eq(left, right, n, budget=None):
     """Compare two streams on their first n elements.
 
     Returns Equal(n) or Differ(index, a, b) with the first disagreeing
-    index; raises BudgetExhausted if either side stalls.
+    index; raises BudgetExhausted if either side stalls.  `budget` is a
+    number of steps, a StepBudget, or a BudgetScope whose counter the
+    comparison shares.
     """
     alg = left.algebra
     if alg is not right.algebra:
         raise AlgebraMismatch(f"{alg.name} vs {right.algebra.name}")
     ls, rs = left, right
-    with _BudgetScope(budget):
+    with BudgetScope(budget):
         for i in range(n):
             try:
                 a, b = ls.head, rs.head

@@ -1,11 +1,14 @@
 """Command-line behaviour: golden outputs and exit codes for the corpus."""
 
+import functools
 import io
 import json
 import math
+import os
 import pathlib
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -597,18 +600,158 @@ def test_kernel_comparisons_use_the_budget():
     ("equiv", corpus("fib.sde") + "#s", corpus("fib.sde") + "#s"),
 ])
 def test_each_system_is_classified_once(tmp_path, monkeypatch, argv):
-    from streamcalc import speclang
-
     path = tmp_path / "big.sde"
     path.write_text("".join(f"v{i}(0) = 1;\nv{i}' = v{i} + 2*v{(i + 1) % 8};\n"
                             for i in range(8)))
-    calls = []
-    original = speclang.classify
-    monkeypatch.setattr(speclang, "classify",
-                        lambda sys_: calls.append(sys_) or original(sys_))
-    code, _, err = invoke(*(a.format(big=path) for a in argv))
+    argv = [a.format(big=path) for a in argv]
+    # a text seen before is neither parsed nor classified again, so the
+    # first request starts from an empty cache
+    _empty_spec_cache(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    code, _, err = invoke(*argv)
     assert (code, err) == (0, "")
-    assert len(calls) == len({id(s) for s in calls}) >= 1
+    assert len(calls["classify"]) == len({id(s) for s in calls["classify"]}) >= 1
+    calls["parse"].clear()
+    calls["classify"].clear()
+    assert invoke(*argv)[::2] == (0, "")
+    assert calls == {"parse": [], "classify": []}
+
+
+def _empty_spec_cache(monkeypatch):
+    """Give cli an empty spec cache of the same bound until the test ends."""
+    from streamcalc import cli
+
+    cache = functools.lru_cache(maxsize=cli.SPEC_CACHE_SIZE)(cli._parsed.__wrapped__)
+    monkeypatch.setattr(cli, "_parsed", cache)
+    return cache
+
+
+def _count_calls(monkeypatch):
+    """Record the arguments of every speclang.parse and classify call."""
+    from streamcalc import speclang
+
+    calls = {"parse": [], "classify": []}
+    for name, seen in calls.items():
+        original = getattr(speclang, name)
+        monkeypatch.setattr(speclang, name,
+                            lambda *a, original=original, seen=seen, **k:
+                            seen.append(a[0]) or original(*a, **k))
+    return calls
+
+
+class TestSpecCache:
+    def test_a_rewritten_file_gives_the_new_answer(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        path = tmp_path / "s.sde"
+        path.write_text("s(0) = 1; s' = 2*s;\n")
+        assert invoke("solve", f"{path}#s", "-n", "4") == (0, "1, 2, 4, 8\n", "")
+        path.write_text("s(0) = 1; s' = 3*s;\n")
+        assert invoke("solve", f"{path}#s", "-n", "4") == (0, "1, 3, 9, 27\n", "")
+        path.write_text("s(0) = 1; s' = 2*s;\n")
+        assert invoke("solve", f"{path}#s", "-n", "4") == (0, "1, 2, 4, 8\n", "")
+
+    def test_one_text_under_two_paths_is_one_entry(self, tmp_path, monkeypatch):
+        cache = _empty_spec_cache(monkeypatch)
+        calls = _count_calls(monkeypatch)
+        for name in ("a.sde", "b.sde"):
+            (tmp_path / name).write_text("s(0) = 1; s' = 2*s;\n")
+            assert invoke("at", "3", f"{tmp_path / name}#s") == (0, "8\n", "")
+        assert len(calls["parse"]) == len(calls["classify"]) == 1
+        assert cache.cache_info().currsize == 1
+
+    def test_the_algebra_override_is_part_of_the_key(self, tmp_path, monkeypatch):
+        cache = _empty_spec_cache(monkeypatch)
+        calls = _count_calls(monkeypatch)
+        path = tmp_path / "q.sde"
+        path.write_text("algebra Q; s(0) = 1; s' = 2*s;\n")
+        for _ in range(2):
+            for override, name in (((), "Q"), (("--algebra", "Z"), "Z")):
+                code, out, err = invoke("check", path, *override)
+                assert (code, err) == (0, "")
+                assert out.startswith(f"parse: ok (algebra {name}, 1 unknown(s)")
+        assert len(calls["parse"]) == 2
+        assert cache.cache_info().currsize == 2
+
+    def test_a_syntax_error_is_not_kept(self, tmp_path, monkeypatch):
+        cache = _empty_spec_cache(monkeypatch)
+        calls = _count_calls(monkeypatch)
+        path = tmp_path / "bad.sde"
+        path.write_text("s(0) = 1; s' = 2*;\n")
+        first = invoke("solve", f"{path}#s")
+        assert first[0] == 3 and first[2].startswith("error: SpecSyntaxError: ")
+        assert invoke("solve", f"{path}#s") == first
+        assert len(calls["parse"]) == 2
+        assert cache.cache_info().currsize == 0
+
+    def test_a_system_free_file_is_refused_each_time(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        path = tmp_path / "defs.sde"
+        path.write_text("def one(a) { out = 1; deriv = one(a'); }\n")
+        for _ in range(2):
+            assert invoke("solve", f"{path}#s") == (
+                3, "", "error: SpecError: the file defines no equation system\n")
+
+    def test_the_bound_drops_the_least_recently_used(self, tmp_path, monkeypatch):
+        from streamcalc import cli
+
+        cache = _empty_spec_cache(monkeypatch)
+        calls = _count_calls(monkeypatch)
+        paths = []
+        for i in range(cli.SPEC_CACHE_SIZE + 1):
+            paths.append(tmp_path / f"c{i}.sde")
+            paths[-1].write_text(f"s(0) = {i}; s' = s;\n")
+
+        def parses(path):
+            before = len(calls["parse"])
+            assert invoke("at", "0", f"{path}#s")[0] == 0
+            assert cache.cache_info().currsize <= cli.SPEC_CACHE_SIZE
+            return len(calls["parse"]) - before
+
+        assert [parses(p) for p in paths[:-1]] == [1] * cli.SPEC_CACHE_SIZE
+        assert parses(paths[0]) == 0  # now the most recently used
+        assert parses(paths[-1]) == 1  # evicts paths[1], the least recently used
+        assert cache.cache_info().currsize == cli.SPEC_CACHE_SIZE
+        assert parses(paths[0]) == 0
+        assert parses(paths[1]) == 1
+
+    def test_no_command_changes_a_cached_spec(self, monkeypatch):
+        from streamcalc import cli, speclang
+        from streamcalc.algebra import get_algebra
+
+        cache = _empty_spec_cache(monkeypatch)
+        specs = sorted(CORPUS.glob("*.sde"))
+        for path in specs:
+            for override in ((), ("--algebra", "Z")):
+                invoke("check", path, *override)
+                try:
+                    system = speclang.parse(path.read_text()).system
+                except StreamCalcError:
+                    continue
+                unknowns = system.variables if system else ()
+                for var in unknowns:
+                    sel = f"{path}#{var}"
+                    for argv in (("solve", sel, "-n", "30"), ("at", "12", sel),
+                                 ("kernel", sel, "--budget", "3000"),
+                                 ("closed-form", sel),
+                                 ("equiv", sel, sel, "--budget", "200"),
+                                 ("equiv", sel, sel, "--up-to", "+,*",
+                                  "--budget", "200"),
+                                 ("eval", "--defs", path, "--term", var)):
+                        invoke(*argv, *override)
+        parsed = cache.cache_info().misses
+        for path in specs:
+            text = path.read_text()
+            for name in (None, "Z"):
+                override = get_algebra(name) if name else None
+                try:
+                    fresh = speclang.parse(text, algebra=override)
+                except StreamCalcError:
+                    continue
+                loaded = cli._load(str(path), name)
+                assert loaded.spec == fresh, path.name
+                if fresh.system is not None:
+                    assert loaded.kind is speclang.classify(fresh.system)
+        assert cache.cache_info().misses == parsed  # every entry was still kept
 
 
 def _sum_spec(tmp_path, algebra, rhs):
@@ -633,6 +776,20 @@ def _long_sum_answers(tmp_path, rhs, c):
 def test_long_sums_solve(tmp_path, k):
     # a RecursionError escaped cli.run from about 400 summands on
     _long_sum_answers(tmp_path, " + ".join(["s"] * k), k)
+
+
+def test_long_product_in_a_fresh_process(tmp_path):
+    # the series builder recursed three frames per factor and escaped with
+    # a RecursionError at 400 factors; a fresh process has the default limit
+    path = tmp_path / "product.sde"
+    path.write_text("algebra Z; s(0) = 1; s' = " + " * ".join(["s"] * 400) + ";\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH")))))
+    for argv, expected in ((("solve", f"{path}#s", "-n", "4"), "1, 1, 400, 239800\n"),
+                           (("at", "3", f"{path}#s"), "239800\n")):
+        proc = subprocess.run([sys.executable, "-m", "streamcalc", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 def test_long_mixed_sum(tmp_path):
@@ -663,13 +820,18 @@ def test_check_probes_follow_the_budget(tmp_path):
     assert "probe x0: BudgetExhausted at index 2\n" in out
 
 
-def test_parity_harness_records_and_compares(tmp_path, capsys):
+def _parity_tool():
     import importlib.util
 
     tool = CORPUS.parent / "tools" / "cli_parity.py"
     loader = importlib.util.spec_from_file_location("cli_parity", tool)
     cli_parity = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(cli_parity)
+    return cli_parity
+
+
+def test_parity_harness_records_and_compares(tmp_path, capsys):
+    cli_parity = _parity_tool()
     specs = [corpus("ones.sde"), corpus("alt.sde")]
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
@@ -682,6 +844,26 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
     assert capsys.readouterr().out.endswith("1 of 115 recorded runs differ\n")
+
+
+def test_parity_compare_runs_each_argv_twice(monkeypatch):
+    cli_parity = _parity_tool()
+    recorded = cli_parity.record([corpus("ones.sde")])[:3]
+    calls = []
+    run_one = cli_parity.run_one
+
+    def second_differs(argv):
+        calls.append(argv)
+        answer = run_one(argv)
+        if len(calls) == 4:  # the second run of the second argv
+            answer["out"] += "changed\n"
+        return answer
+
+    monkeypatch.setattr(cli_parity, "run_one", second_differs)
+    diffs = cli_parity.compare(recorded)
+    assert calls == [run["argv"] for run in recorded for _ in range(2)]
+    assert [(old["argv"], new["out"]) for old, new in diffs] == [
+        (recorded[1]["argv"], recorded[1]["out"] + "changed\n")]
 
 
 def test_recursion_limit_is_restored(tmp_path):

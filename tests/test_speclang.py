@@ -1,6 +1,7 @@
 """Parsing, classification, GSOS validation, zero consistency, printing."""
 
 import io
+import pathlib
 import re
 
 import pytest
@@ -547,6 +548,103 @@ def test_resolution_keeps_unchanged_subterms():
     resolved = parser.resolve_system_term(derived, {"s": 2})
     assert resolved == OpApp("+", (same, Var("s#1")))
     assert resolved.args[0] is same
+
+
+_FUZZ_FILES = ("a.sde", "b.sde", "c.sde")
+_CORPUS_TEXTS = {p.stem: p.read_text(encoding="utf-8") for p in
+                 (pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.sde")}
+
+
+def _mostly(valid, rare=()):
+    """One of `valid`, or now and then one of `rare`.  Hypothesis favours
+    the ends of a sampled list, so the rare choices go in its middle."""
+    return st.sampled_from([*valid, *rare, *valid])
+
+
+def _flags(valid, invalid=()):
+    """Absent, one of the valid flags, or now and then an invalid one."""
+    return _mostly([(), *(tuple(f.split(" ")) for f in valid)],
+                   [tuple(f.split(" ")) for f in invalid])
+
+
+@st.composite
+def _argv(draw):
+    """An argv for any command, naming the shared spec files by DIR/."""
+    def path():
+        return "DIR/" + draw(_mostly(_FUZZ_FILES, ["missing.sde"]))
+
+    def sel():
+        var = draw(_mostly(["s", "t", "x", "tm", "n"], ["", "s#t"]))
+        return draw(_mostly([f"{path()}#{var}"], [path()]))
+
+    count = _flags(["-n 0", "-n 7"], ["-n -1", "-n x"])
+    # a step can cost much on a random system (a coefficient can be a huge
+    # rational), so the budget is always given and small
+    budget = _mostly([("--budget", "1"), ("--budget", "60"), ("--budget", "400")],
+                     [("--budget", "0")])
+    algebra = _flags(["--algebra Q", "--algebra Z", "--algebra Nat", "--algebra Bool",
+                      "--algebra Tropical", "--algebra F2", "--algebra Fp(5)"],
+                     ["--algebra Fp(4)", "--algebra R"])
+    shapes = {
+        "solve": lambda: ("solve", sel()) + draw(count) + draw(budget),
+        "eval": lambda: ("eval", "--defs", path(), "--term", draw(_mostly(
+            ["s", "X", "s + t", "even(s)", "plus(s, s)", "1/2"], ["(", "s'"])))
+            + draw(count) + draw(budget),
+        "closed-form": lambda: ("closed-form", sel()),
+        "equiv": lambda: ("equiv", sel(), sel())
+            + draw(_flags(["--up-to=+", "--up-to=+,*"], ["--up-to="]))
+            + draw(_flags(["--prefix 0", "--prefix 5"], ["--prefix -1"]))
+            # the up-to search grows quickly with the budget
+            + ("--budget", draw(st.sampled_from(["1", "20", "60"]))),
+        "kernel": lambda: ("kernel", sel()) + draw(budget),
+        "at": lambda: ("at", draw(_mostly(["0", "9"], ["-1"])), sel()) + draw(budget),
+        "bbin": lambda: ("bbin", draw(_mostly(["1/3", "-2/5", "0"], ["1/2", "x"])))
+            + draw(count),
+        "check": lambda: ("check", path()) + draw(budget),
+        "none": lambda: draw(st.sampled_from([(), ("solve",), ("frobnicate",)])),
+    }
+    command = draw(_mostly(["solve", "eval", "closed-form", "equiv", "kernel", "at",
+                            "bbin", "check"], ["none"]))
+    argv = shapes[command]()
+    return argv if command in ("bbin", "none") else argv + draw(algebra)
+
+
+class TestCliFuzz:
+    @pytest.fixture(scope="class")
+    def shared_dir(self, tmp_path_factory):
+        shared = tmp_path_factory.mktemp("cli-fuzz")
+        for name, corpus_name in zip(_FUZZ_FILES, ("fib", "catalan", "thue_morse_evenodd")):
+            (shared / name).write_text(_CORPUS_TEXTS[corpus_name], encoding="utf-8")
+        return shared
+
+    @given(writes=st.lists(st.tuples(st.sampled_from(_FUZZ_FILES), st.one_of(
+               *[st.sampled_from(sorted(_CORPUS_TEXTS.values()))] * 4, SPEC_TEXT,
+               _systems())), max_size=1),
+           argvs=st.lists(_argv(), min_size=1, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_every_command_ends_in_an_exit_code(self, shared_dir, writes, argvs):
+        # the files outlive each example, so later examples read texts
+        # that earlier ones left, some of them from the spec cache; a
+        # write is a corpus text four times as often as a fuzzed one
+        for name, text in writes:
+            (shared_dir / name).write_text(text, encoding="utf-8")
+        for argv in argvs:
+            argv = [a.replace("DIR/", f"{shared_dir}/") for a in argv]
+            answers = []
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                code = run(argv, out=out, err=err)
+                answers.append((code, out.getvalue(), err.getvalue()))
+            assert answers[0] == answers[1]
+            code, out, err = answers[0]
+            assert code in (0, 1, 2, 3)
+            lines = err.splitlines()
+            assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
+            # a failure with nothing else to say says why on one line
+            if code == 3 or (code and not out):
+                assert len(lines) == 1
+            if code == 0:
+                assert not lines
 
 
 class TestCheckFuzz:
