@@ -1,10 +1,11 @@
 """2-stream automata, even-odd specifications, and 2-automatic sequences.
 
 An even-odd specification compiles to a zero-consistent 2-stream
-automaton with one state per unknown.  Its solution streams come from
-the finality of (head, even, odd) on streams; the n-th element can also
-be read off directly by feeding the reverse binary encoding of n to the
-automaton, and the two routes are kept as independent implementations.
+automaton with one state per unknown.  A state's stream is its
+`series` even-odd node (x(2k) = even(x)(k), x(2k+1) = odd(x)(k)); the
+n-th element can also be read off directly by feeding the reverse
+binary encoding of n to the automaton, and the two routes are kept as
+independent implementations.
 
 k is fixed to 2 throughout; the shapes would generalise to any k, but
 only k = 2 is built and tested.
@@ -13,12 +14,11 @@ only k = 2 is built and tested.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import speclang
+from . import series, speclang
 from .algebra import gf
 from .errors import EvenDenominator, NotZeroConsistent, UnsupportedOp
-from .stream import (BudgetExhausted, BudgetScope, Equal, Stream, bounded_eq,
-                     take, unfold)
-from .calculus import even, odd, zip_streams
+from .stream import BudgetExhausted, BudgetScope, Equal, bounded_eq, take, unfold
+from .calculus import even, odd
 
 
 @dataclass
@@ -40,12 +40,6 @@ class TwoAutomaton:
         return "\n".join(
             f"{q}: out={alg.fmt(self.outputs[q])} 0->{self.d0[q]} 1->{self.d1[q]}"
             for q in self.outputs)
-
-
-@dataclass(frozen=True, eq=False)
-class EvenOddOrigin:
-    automaton: TwoAutomaton
-    state: object
 
 
 def compile_evenodd(sys):
@@ -79,36 +73,17 @@ def value_at(aut, q, n):
 
 
 def stream_of(aut, q0):
-    """The behaviour stream of a zero-consistent automaton state.
-
-    sigma_q = zip(sigma_even, sigma_odd) with head o(q); the tail is
-    zip(sigma_odd, sigma_even'), which keeps every head available
-    without re-entering the state being forced.
-    """
+    """The behaviour stream of a zero-consistent automaton state."""
     if not aut.zero_consistent:
         raise NotZeroConsistent(q0, "automaton is not zero-consistent")
-    alg = aut.algebra
-    cache = {}
-
-    def s(q):
-        st = cache.get(q)
-        if st is None:
-            def cell(q=q):
-                tail = zip_streams(s(aut.d1[q]), s(aut.d0[q]).lazy_tail())
-                return aut.outputs[q], tail
-
-            st = Stream(alg, cell, origin=EvenOddOrigin(aut, q))
-            cache[q] = st
-        return st
-
-    return s(q0)
+    nodes = series.even_odd_nodes(aut.algebra, aut.outputs, aut.d0, aut.d1)
+    return series.node_stream(nodes[q0])
 
 
 @dataclass
 class KernelFinite:
     automaton: TwoAutomaton
     exact: bool
-    representatives: dict  # state name -> stream
 
 
 @dataclass(frozen=True)
@@ -116,33 +91,28 @@ class KernelUnknown:
     budget: int
 
 
-def kernel2(stream, budget=64, prefix=64, steps=None):
+def kernel2(stream, budget=64, prefix=64, steps=None, automaton=None, state=None):
     """Close {sigma} under even/odd, identifying states.
 
-    Exact when the stream came from a finite even-odd specification
-    (identity is then decided on automaton states); otherwise states are
-    identified by prefix comparison and a Finite answer is heuristic.
-    Unknown is returned once more than `budget` states appear, or when
-    the comparisons together run out of the `steps` forcing steps
-    (default DEFAULT_BUDGET).
+    Exact when the stream is also given as `state` of an `automaton`
+    (the kernel is then the part reachable from `state`); otherwise
+    states are identified by prefix comparison and a Finite answer is
+    heuristic.  Unknown is returned once more than `budget` states
+    appear, or when the comparisons together run out of the `steps`
+    forcing steps (default DEFAULT_BUDGET).
     """
-    if isinstance(stream.origin, EvenOddOrigin):
-        aut = stream.origin.automaton
-        reachable = []
-        queue = [stream.origin.state]
-        while queue:
-            q = queue.pop(0)
-            if q in reachable:
-                continue
-            reachable.append(q)
-            queue.extend((aut.d0[q], aut.d1[q]))
-        sub = TwoAutomaton(aut.algebra,
-                           {q: aut.outputs[q] for q in reachable},
-                           {q: aut.d0[q] for q in reachable},
-                           {q: aut.d1[q] for q in reachable},
-                           zero_consistent=aut.zero_consistent)
-        reps = {q: stream_of(aut, q) for q in reachable}
-        return KernelFinite(sub, exact=True, representatives=reps)
+    if automaton is not None:
+        reachable = [state]
+        for q in reachable:  # grows while it is read: breadth first
+            for target in (automaton.d0[q], automaton.d1[q]):
+                if target not in reachable:
+                    reachable.append(target)
+        sub = TwoAutomaton(automaton.algebra,
+                           {q: automaton.outputs[q] for q in reachable},
+                           {q: automaton.d0[q] for q in reachable},
+                           {q: automaton.d1[q] for q in reachable},
+                           zero_consistent=automaton.zero_consistent)
+        return KernelFinite(sub, exact=True)
 
     shared = BudgetScope(steps)  # one counter for the whole closure
     reps = [stream]
@@ -176,8 +146,7 @@ def kernel2(stream, budget=64, prefix=64, steps=None):
         {names[i]: names[edges[(i, 0)]] for i in range(len(reps))},
         {names[i]: names[edges[(i, 1)]] for i in range(len(reps))},
         zero_consistent=True)
-    return KernelFinite(aut, exact=False,
-                        representatives=dict(zip(names, reps)))
+    return KernelFinite(aut, exact=False)
 
 
 def binary_rational_stream(q):

@@ -33,9 +33,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """-h or --help, whose text argparse would print to sys.stdout."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _int_at_least(low):
@@ -161,20 +168,12 @@ def _classify(loaded):
 def _solve_spec(spec, kind):
     """Solution streams of a spec file's system, routed by its format
     `kind` (the classification of spec.system)."""
-    sys_ = spec.system
-    if kind is Kind.SIMPLE:
-        return solvers.solve_simple(sys_)
-    if kind is Kind.EVEN_ODD:
-        aut = automatic.compile_evenodd(sys_)
-        return {v: automatic.stream_of(aut, v) for v in sys_.variables}
-    if kind in (Kind.LINEAR, Kind.NONSTD) or not spec.defs:
-        # coefficient arrays: every builtin has an index formula, so no
-        # term states are built.  Linear systems use builtins only, the
-        # engine has no non-standard tails, and other systems qualify
-        # when the file has no definitions
-        return series.solve_by_coefficients(sys_)
-    # the GSOS engine runs user definitions and validates every one
-    return gsos.solve_system_with_defs(sys_, spec.defs)
+    if kind in (Kind.CONTEXT_FREE, Kind.GENERAL) and spec.defs:
+        # the GSOS engine runs user definitions and validates every one
+        return gsos.solve_system_with_defs(spec.system, spec.defs)
+    # coefficient arrays: every builtin has an index formula and the
+    # other formats are causal, so no term states are built
+    return series.solve_by_coefficients(spec.system)
 
 
 def _format_prefix(alg, values):
@@ -327,11 +326,14 @@ def _cmd_kernel(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
     spec = loaded.spec
-    streams = _solve_spec(spec, _classify(loaded))
+    kind = _classify(loaded)
+    streams = _solve_spec(spec, kind)
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
+    # an even-odd stream's kernel is exact: its members are automaton states
+    aut = automatic.compile_evenodd(spec.system) if kind is Kind.EVEN_ODD else None
     result = automatic.kernel2(streams[var], budget=min(args.budget, 512),
-                               steps=args.budget)
+                               steps=args.budget, automaton=aut, state=var)
     if isinstance(result, automatic.KernelUnknown):
         print("Unknown (kernel did not close within the budget)", file=out)
         return EXIT_UNKNOWN
@@ -440,6 +442,9 @@ def run(argv=None, out=None, err=None):
     try:
         args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args, out)
+    except _HelpRequested as shown:
+        print(shown, file=out, end="")
+        return EXIT_OK
     except _UsageError as use:
         print(f"error: usage: {use}", file=err)
         return EXIT_USAGE

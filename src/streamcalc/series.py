@@ -34,7 +34,9 @@ force their argument, so that these errors surface when the engine's
 do.  Over every other algebra a derivative cannot fail and is skipped.
 
 Only the cost differs: no term states are built, so a request that
-exhausted the budget on the engine may finish here.
+exhausted the budget on the engine may finish here.  Even-odd systems,
+which the engine does not run, and 2-automata are causal too; they get
+one node per unknown (`even_odd_nodes`).
 """
 
 from functools import reduce
@@ -43,10 +45,12 @@ from .errors import (
     HeadNotInvertible,
     NonProductive,
     NoExactSqrt,
+    NotZeroConsistent,
     UnorderedAlgebra,
     UnsupportedOp,
 )
-from .speclang import Const, HLit, OpApp, Sum, Var, summands
+from .speclang import (Const, HLit, OpApp, Sum, Var, ZeroInconsistent,
+                       check_zero_consistency, summands)
 from .stream import Stream, _charge, ensure_recursion_room
 
 
@@ -135,6 +139,27 @@ class _Unknown(_Node):
             self.rhs.derive(k - 1)
         elif self.needs_ring:
             raise _no_ring(self.alg)
+
+
+class _EvenOdd(_Node):
+    """x(0) = head, x(2k) = even(x)(k) for k >= 1, x(2k+1) = odd(x)(k)."""
+
+    __slots__ = ("head", "even", "odd")
+
+    def compute(self, n):
+        if not n:
+            return self.head
+        return (self.odd if n & 1 else self.even).get(n >> 1)
+
+
+def even_odd_nodes(alg, heads, evens, odds):
+    """One node per unknown of an even-odd system, or per state of a
+    2-automaton with outputs `heads` and successors `evens` and `odds`.
+    A coefficient demand recurses once per bit of its index."""
+    nodes = {v: _EvenOdd(alg) for v in heads}
+    for v, node in nodes.items():
+        node.head, node.even, node.odd = heads[v], nodes[evens[v]], nodes[odds[v]]
+    return nodes
 
 
 class Leaf(_Node):
@@ -563,18 +588,23 @@ def node_stream(node, n=0):
 
 
 def solve_by_coefficients(sys_, delta_o_inverse=None):
-    """Solution streams of a builtin-only system, one per unknown.
+    """Solution streams of a system without definitions, one per unknown.
 
     The system's tail operation gives the successor rule of every
     unknown: x' = r, delta(x) = r, ddx(x) = r, or delta_o(x) = r with
     delta_o_inverse(x(n), r(n)) = x(n+1).  Builds nodes only, refusing
     an operation that is not a builtin, or an algebra the tail operation
-    cannot run in, with UnsupportedOp; every error of the evaluation
+    cannot run in, with UnsupportedOp, and a zero-inconsistent even-odd
+    system with NotZeroConsistent; every error of the evaluation
     surfaces when the returned streams are observed.
     """
-    if sys_.evens:
-        raise UnsupportedOp("even-odd systems are not solved by coefficients")
     alg = sys_.algebra
+    if sys_.evens:
+        verdict = check_zero_consistency(sys_)
+        if isinstance(verdict, ZeroInconsistent):
+            raise NotZeroConsistent(verdict.state)
+        nodes = even_odd_nodes(alg, sys_.heads, sys_.evens, sys_.odds)
+        return {v: node_stream(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)
     unknowns = {v: _Unknown(alg, sys_.heads[v], successor) for v in sys_.variables}
     builder = _Builder(alg, unknowns)

@@ -1,17 +1,17 @@
 """Solution methods for the equation-system formats.
 
-Simple systems unfold their finite automaton.  Linear systems get exact
-closed forms (I - X*M)^-1 * o, recovered by Berlekamp-Massey from the
-first 2n coefficients of each unknown (a dimension-n closed form
-num/den has deg den <= n and deg num < n, so 2n terms fix it).  Their
-prefixes, like those of every other builtin-only system, come from
-series.solve_by_coefficients; so do those of non-standard systems
-(delta, d/dX, delta_o), whose unknowns follow the successor rule of
-their tail operation.
+Linear systems get exact closed forms (I - X*M)^-1 * o, recovered by
+Berlekamp-Massey from the first 2n coefficients of each unknown (a
+dimension-n closed form num/den has deg den <= n and deg num < n, so 2n
+terms fix it).  Their prefixes, like those of simple systems and of
+every other builtin-only system, come from series.solve_by_coefficients;
+so do those of non-standard systems (delta, d/dX, delta_o), whose
+unknowns follow the successor rule of their tail operation.
 
-Two unfoldings stay here as independent reference implementations for
-tests, reached from no command: linear systems over coefficient-vector
-states, and context-free systems over polynomials in words of unknowns.
+Three unfoldings stay here as independent reference implementations for
+tests, reached from no command: simple systems over their finite
+automaton, linear systems over coefficient-vector states, and
+context-free systems over polynomials in words of unknowns.
 """
 
 from dataclasses import dataclass

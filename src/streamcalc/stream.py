@@ -158,10 +158,6 @@ class Stream:
     def tail(self):
         return self._force()[1]
 
-    def lazy_tail(self):
-        """tail as a delayed stream; demands nothing until observed."""
-        return Stream.delay(self.algebra, lambda: self.tail)
-
     def drop(self, n):
         s = self
         for _ in range(n):

@@ -160,10 +160,22 @@ class TestStreamOf:
 class TestKernel:
     def test_thue_morse_exact(self):
         aut = compile_evenodd(parse(TM_SPEC).system)
-        result = kernel2(stream_of(aut, "tm"))
+        result = kernel2(stream_of(aut, "tm"), automaton=aut, state="tm")
         assert isinstance(result, KernelFinite)
         assert result.exact
-        assert len(result.automaton.states) == 2
+        assert result.automaton == aut
+
+    def test_exact_kernel_is_the_reachable_part(self):
+        # breadth first from a; b's two successors are one new state, d
+        # is unreachable
+        aut = TwoAutomaton(Q, {"a": 1, "b": 2, "c": 3, "d": 4},
+                           {"a": "a", "b": "c", "c": "c", "d": "a"},
+                           {"a": "b", "b": "c", "c": "c", "d": "d"}, zero_consistent=True)
+        result = kernel2(stream_of(aut, "a"), automaton=aut, state="a")
+        assert result.exact
+        assert result.automaton.states == ("a", "b", "c")
+        assert result.automaton.d0 == {"a": "a", "b": "c", "c": "c"}
+        assert result.automaton.d1 == {"a": "b", "b": "c", "c": "c"}
 
     def test_constant_stream_heuristic(self):
         result = kernel2(constant(Q, 3))
@@ -173,14 +185,11 @@ class TestKernel:
         assert len(result.automaton.states) == 2
 
     def test_heuristic_kernel_matches_exact(self):
-        # strip the even-odd provenance: the heuristic route must rebuild
-        # an automaton whose behaviour matches the original stream
-        from streamcalc.stream import cons
-
+        # given the stream but not the automaton, the heuristic route
+        # must rebuild an automaton whose behaviour matches the stream
         aut = compile_evenodd(parse(TM_SPEC).system)
         original = stream_of(aut, "tm")
-        stripped = cons(original.head, original.tail)  # no origin
-        result = kernel2(stripped, budget=8, prefix=64)
+        result = kernel2(original, budget=8, prefix=64)
         assert isinstance(result, KernelFinite)
         assert not result.exact
         assert len(result.automaton.states) <= 2

@@ -315,6 +315,17 @@ def test_bad_eq53_keeps_engine_output():
         'probe s: NonProductive at index 2\n', '')
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["--help"], "usage: streamcalc [-h]"), (["-h"], "usage: streamcalc [-h]"),
+    (["solve", "--help"], "usage: streamcalc solve"),
+    (["kernel", "missing.sde#s", "-h"], "usage: streamcalc kernel")])
+def test_help_is_written_to_out(capsys, argv, usage):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage) and out.endswith("\n")
+    assert capsys.readouterr() == ("", "")
+
+
 class TestSolveRoutes:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -351,7 +362,8 @@ class TestSolveRoutes:
 
     @pytest.mark.parametrize("name,var", [
         ("catalan.sde", "s"), ("hamming.sde", "g"), ("nth_powers.sde", "p3"),
-        ("fib.sde", "s"), ("delta_powers.sde", "x"), ("ddx_exp.sde", "x")])
+        ("fib.sde", "s"), ("delta_powers.sde", "x"), ("ddx_exp.sde", "x"),
+        ("ones.sde", "s"), ("fig1.sde", "x0"), ("thue_morse_evenodd.sde", "tm")])
     def test_builtin_systems_solve_by_coefficients(self, calls, name, var):
         code, _, _ = invoke("solve", corpus(name) + "#" + var, "-n", "5")
         assert code == 0
@@ -366,8 +378,9 @@ class TestSolveRoutes:
         assert calls == ["solve_by_coefficients"]
 
     def test_linear_and_nonstd_corpus_reach_900(self):
-        # one budget step per node coefficient: every corpus linear and
-        # non-standard unknown still gives 900 elements by default
+        # one budget step per node coefficient: every corpus simple,
+        # linear, non-standard and even-odd unknown still gives 900
+        # elements by default
         from streamcalc import parse
         from streamcalc.speclang import Kind, classify
 
@@ -377,7 +390,8 @@ class TestSolveRoutes:
                 sys_ = parse(path.read_text()).system
             except StreamCalcError:
                 continue
-            if sys_ is None or classify(sys_) not in (Kind.LINEAR, Kind.NONSTD):
+            if sys_ is None or classify(sys_) not in (
+                    Kind.SIMPLE, Kind.LINEAR, Kind.NONSTD, Kind.EVEN_ODD):
                 continue
             for var in sys_.variables:
                 if "#" in var:
@@ -386,7 +400,17 @@ class TestSolveRoutes:
                 assert (code, err) == (0, ""), (path.name, var)
                 assert out.count(",") == 899
                 checked += 1
-        assert checked >= 12
+        assert checked >= 21
+
+    @pytest.mark.parametrize("command", ["solve", "kernel"])
+    def test_zero_inconsistent_even_odd(self, tmp_path, command):
+        path = tmp_path / "zi.sde"
+        path.write_text("algebra F2;\n"
+                        "x(0) = 0; even(x) = y; odd(x) = x;\n"
+                        "y(0) = 1; even(y) = y; odd(y) = y;\n")
+        for var in ("x", "y", "z"):
+            assert invoke(command, f"{path}#{var}") == (
+                1, "", "error: NotZeroConsistent: zero-consistency fails at 'x'\n")
 
     def test_budget_counts_node_coefficients(self):
         assert invoke("solve", corpus("nth_powers.sde") + "#p3", "-n", "200",
@@ -844,6 +868,25 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
     assert capsys.readouterr().out.endswith("1 of 115 recorded runs differ\n")
+
+
+def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
+    cli_parity = _parity_tool()
+    assert cli_parity.group(["at", "30", "corpus/ones.sde#s", "--algebra", "Z"]) == (
+        "at", "ones.sde", "30")
+    runs = cli_parity.record([corpus("ones.sde")])
+    for run in runs:
+        if run["argv"][0] == "kernel" or "--budget" in run["argv"]:
+            run["out"] += "changed\n"
+    runs[0]["code"] = 9
+    out = tmp_path / "parity.json"
+    out.write_text(json.dumps(runs))
+    assert cli_parity.main(["compare", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "    8  kernel  ones.sde",
+        "    8  solve  ones.sde  -n 200 --budget 60",
+        "    1  check  ones.sde",
+        "17 of 41 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

@@ -5,7 +5,9 @@ ordinary systems: on seeded random builtin-only systems and on the
 corpus's context-free and general systems, series.solve_by_coefficients
 must give the same prefix, the same NonProductive index and the same
 error.  Linear systems are also checked against the coefficient-vector
-unfolding (solvers.solve_linear_coinductive), and delta and ddx systems
+unfolding (solvers.solve_linear_coinductive), simple systems against
+their automaton unfolding (solvers.solve_simple), even-odd systems
+against bbin indexing (automatic.value_at), and delta and ddx systems
 against their index formulas, computed here from the definitions.
 """
 
@@ -20,13 +22,16 @@ import pytest
 from conftest import seeded
 from streamcalc import gsos, parse, series, solvers
 from streamcalc.algebra import get_algebra
+from streamcalc.automatic import value_at
 from streamcalc.errors import (
     BudgetExhausted,
     NonProductive,
+    NotZeroConsistent,
     StreamCalcError,
     UnsupportedOp,
 )
-from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Sum, Var
+from streamcalc.speclang import Const, EquationSystem, HLit, Kind, OpApp, Sum, Var, classify
+from test_automatic import _random_automaton
 from streamcalc.stream import take
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -207,6 +212,53 @@ def test_user_definitions_are_refused():
                  "s(0) = 1; s' = twice(s);")
     with pytest.raises(UnsupportedOp):
         series.solve_by_coefficients(spec.system)
+
+
+# ---------------------------------------------------------------------------
+# Simple systems against the automaton unfolding, even-odd systems
+# against bbin indexing
+
+
+@pytest.mark.parametrize("name", ["alt.sde", "fig1.sde", "ones.sde"])
+def test_simple_corpus_matches_automaton_unfolding(name):
+    sys_ = parse((CORPUS / name).read_text()).system
+    assert classify(sys_) is Kind.SIMPLE
+    want = solvers.solve_simple(sys_)
+    got = series.solve_by_coefficients(sys_)
+    for v in sys_.variables:
+        assert take(got[v], 200) == take(want[v], 200)
+
+
+def test_even_odd_matches_bbin_indexing():
+    rng = seeded(57)
+    for _ in range(12):
+        aut = _random_automaton(rng, rng.randint(1, 8))
+        text = "algebra F2;\n" + "".join(
+            f"{q}(0) = {aut.outputs[q]}; even({q}) = {aut.d0[q]}; odd({q}) = {aut.d1[q]};\n"
+            for q in aut.states)
+        sys_ = parse(text).system
+        assert classify(sys_) is Kind.EVEN_ODD
+        streams = series.solve_by_coefficients(sys_)
+        for q in aut.states:
+            assert take(streams[q], 256) == [value_at(aut, q, n) for n in range(256)]
+
+
+def test_even_odd_budget_counts_coefficients():
+    # element m of tm reads odd or even target at m >> 1: tm computes
+    # 2k coefficients and n k for the first 2k elements, and the
+    # returned stream pays one step per element read
+    sys_ = parse((CORPUS / "thue_morse_evenodd.sde").read_text()).system
+    k = 16
+    tm = series.solve_by_coefficients(sys_)["tm"]
+    assert len(take(tm, 2 * k, 5 * k)) == 2 * k
+    with pytest.raises(BudgetExhausted):
+        take(series.solve_by_coefficients(sys_)["tm"], 2 * k, 5 * k - 1)
+
+
+def test_zero_inconsistent_even_odd_is_refused():
+    sys_ = parse("x(0)=0; even(x)=y; odd(x)=x; y(0)=1; even(y)=y; odd(y)=y;").system
+    with pytest.raises(NotZeroConsistent, match="zero-consistency fails at 'x'"):
+        series.solve_by_coefficients(sys_)
 
 
 # ---------------------------------------------------------------------------

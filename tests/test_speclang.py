@@ -602,11 +602,15 @@ def _argv(draw):
             + draw(count),
         "check": lambda: ("check", path()) + draw(budget),
         "none": lambda: draw(st.sampled_from([(), ("solve",), ("frobnicate",)])),
+        "help": lambda: draw(st.sampled_from([("--help",), ("-h",), ("solve", "-h")])),
     }
     command = draw(_mostly(["solve", "eval", "closed-form", "equiv", "kernel", "at",
-                            "bbin", "check"], ["none"]))
+                            "bbin", "check"], ["none", "help"]))
     argv = shapes[command]()
-    return argv if command in ("bbin", "none") else argv + draw(algebra)
+    if command in ("none", "help"):
+        return argv
+    # a help flag ends the parse where it stands: help, or an earlier error
+    return argv + draw(algebra) + draw(_flags([], ["--help", "-h"]))
 
 
 class TestCliFuzz:

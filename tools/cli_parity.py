@@ -18,15 +18,18 @@ whatever an earlier run raised it to.  A run records its
 exit code, stdout and stderr; an exception that escapes cli.run is
 recorded as its class and message.  `compare` repeats the recorded
 runs, each twice in a row, prints each one whose first answer differs
-from the record or whose second differs from its first, and exits 1 if
-any does.  cli.run keeps the parsed form of recent spec texts, so the
-second answer comes from that cache, and so do first answers whose spec
-an earlier run has loaded.  (A second pass over the whole shape would
-not find them there: the corpus shape loads more distinct texts and
---algebra values than the cache holds.)
+from the record or whose second differs from its first, then the
+number of such runs per command, spec file and flags (the --algebra
+override aside), and exits 1 if any differs.  cli.run keeps the parsed
+form of recent spec texts, so the second answer comes from that cache,
+and so do first answers whose spec an earlier run has loaded.  (A
+second pass over the whole shape would not find them there: the corpus
+shape loads more distinct texts and --algebra values than the cache
+holds.)
 """
 
 import argparse
+import collections
 import io
 import json
 import pathlib
@@ -102,6 +105,17 @@ def compare(recorded):
     return diffs
 
 
+def group(argv):
+    """The command, spec file name and flags of a run's argv, without
+    its --algebra override."""
+    command, *rest = argv
+    spec = rest.pop(1 if command == "at" else 0)
+    if "--algebra" in rest:
+        at = rest.index("--algebra")
+        del rest[at:at + 2]
+    return command, pathlib.Path(spec.split("#")[0]).name, " ".join(rest)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("mode", choices=("record", "compare"))
@@ -117,6 +131,9 @@ def main(argv=None):
     diffs = compare(recorded)
     for old, new in diffs:
         print(json.dumps({"was": old, "now": new}))
+    groups = collections.Counter(group(old["argv"]) for old, _ in diffs)
+    for key, count in sorted(groups.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{count:5d}  " + "  ".join(filter(None, key)))
     print(f"{len(diffs)} of {len(recorded)} recorded runs differ")
     return 1 if diffs else 0
 
