@@ -46,9 +46,7 @@ def compile_evenodd(sys):
     """One automaton state per variable; requires zero consistency."""
     if not sys.evens:  # what classify() calls EVEN_ODD
         raise UnsupportedOp("not an even-odd specification")
-    verdict = speclang.check_zero_consistency(sys)
-    if isinstance(verdict, speclang.ZeroInconsistent):
-        raise NotZeroConsistent(verdict.state)
+    speclang.require_zero_consistency(sys)
     return TwoAutomaton(sys.algebra,
                         {v: sys.heads[v] for v in sys.variables},
                         dict(sys.evens), dict(sys.odds),
@@ -94,12 +92,12 @@ class KernelUnknown:
 def kernel2(stream, budget=64, prefix=64, steps=None, automaton=None, state=None):
     """Close {sigma} under even/odd, identifying states.
 
-    Exact when the stream is also given as `state` of an `automaton`
-    (the kernel is then the part reachable from `state`); otherwise
-    states are identified by prefix comparison and a Finite answer is
-    heuristic.  Unknown is returned once more than `budget` states
-    appear, or when the comparisons together run out of the `steps`
-    forcing steps (default DEFAULT_BUDGET).
+    Exact when given an `automaton` and its `state` in place of the
+    stream, which may then be None (the kernel is the part reachable
+    from `state`); otherwise states are identified by prefix comparison
+    and a Finite answer is heuristic.  Unknown is returned once more
+    than `budget` states appear, or when the comparisons together run
+    out of the `steps` forcing steps (default DEFAULT_BUDGET).
     """
     if automaton is not None:
         reachable = [state]

@@ -327,12 +327,12 @@ def _cmd_kernel(args, out):
     loaded = _load(path, args.algebra)
     spec = loaded.spec
     kind = _classify(loaded)
-    streams = _solve_spec(spec, kind)
-    if var not in streams:
-        raise SpecError(f"no variable {var!r} in {path}")
     # an even-odd stream's kernel is exact: its members are automaton states
     aut = automatic.compile_evenodd(spec.system) if kind is Kind.EVEN_ODD else None
-    result = automatic.kernel2(streams[var], budget=min(args.budget, 512),
+    streams = _solve_spec(spec, kind) if aut is None else {}
+    if var not in (streams if aut is None else aut.outputs):
+        raise SpecError(f"no variable {var!r} in {path}")
+    result = automatic.kernel2(streams.get(var), budget=min(args.budget, 512),
                                steps=args.budget, automaton=aut, state=var)
     if isinstance(result, automatic.KernelUnknown):
         print("Unknown (kernel did not close within the budget)", file=out)

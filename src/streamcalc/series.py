@@ -34,9 +34,8 @@ force their argument, so that these errors surface when the engine's
 do.  Over every other algebra a derivative cannot fail and is skipped.
 
 Only the cost differs: no term states are built, so a request that
-exhausted the budget on the engine may finish here.  Even-odd systems,
-which the engine does not run, and 2-automata are causal too; they get
-one node per unknown (`even_odd_nodes`).
+exhausted the budget on the engine may finish here.  Even-odd systems
+and 2-automata get one node per state (`even_odd_nodes`).
 """
 
 from functools import reduce
@@ -45,12 +44,10 @@ from .errors import (
     HeadNotInvertible,
     NonProductive,
     NoExactSqrt,
-    NotZeroConsistent,
     UnorderedAlgebra,
     UnsupportedOp,
 )
-from .speclang import (Const, HLit, OpApp, Sum, Var, ZeroInconsistent,
-                       check_zero_consistency, summands)
+from .speclang import Const, HLit, OpApp, Sum, Var, require_zero_consistency, summands
 from .stream import Stream, _charge, ensure_recursion_room
 
 
@@ -595,14 +592,12 @@ def solve_by_coefficients(sys_, delta_o_inverse=None):
     delta_o_inverse(x(n), r(n)) = x(n+1).  Builds nodes only, refusing
     an operation that is not a builtin, or an algebra the tail operation
     cannot run in, with UnsupportedOp, and a zero-inconsistent even-odd
-    system with NotZeroConsistent; every error of the evaluation
-    surfaces when the returned streams are observed.
+    system with NotZeroConsistent; every other error surfaces when the
+    returned streams are observed.
     """
     alg = sys_.algebra
     if sys_.evens:
-        verdict = check_zero_consistency(sys_)
-        if isinstance(verdict, ZeroInconsistent):
-            raise NotZeroConsistent(verdict.state)
+        require_zero_consistency(sys_)
         nodes = even_odd_nodes(alg, sys_.heads, sys_.evens, sys_.odds)
         return {v: node_stream(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)

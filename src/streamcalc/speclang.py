@@ -36,6 +36,7 @@ from .errors import (
     HeadNotInvertible,
     MissingInitialValue,
     NoExactSqrt,
+    NotZeroConsistent,
     SpecSyntaxError,
     UnknownSymbol,
     UnsupportedOp,
@@ -1253,6 +1254,12 @@ def check_zero_consistency(sys):
         if not alg.eq(sys.heads[var], sys.heads[target]):
             return ZeroInconsistent(var)
     return ZeroConsistent()
+
+
+def require_zero_consistency(sys):
+    verdict = check_zero_consistency(sys)
+    if isinstance(verdict, ZeroInconsistent):
+        raise NotZeroConsistent(verdict.state)
 
 
 # ---------------------------------------------------------------------------

@@ -602,15 +602,22 @@ def _argv(draw):
             + draw(count),
         "check": lambda: ("check", path()) + draw(budget),
         "none": lambda: draw(st.sampled_from([(), ("solve",), ("frobnicate",)])),
-        "help": lambda: draw(st.sampled_from([("--help",), ("-h",), ("solve", "-h")])),
     }
-    command = draw(_mostly(["solve", "eval", "closed-form", "equiv", "kernel", "at",
-                            "bbin", "check"], ["none", "help"]))
-    argv = shapes[command]()
-    if command in ("none", "help"):
-        return argv
-    # a help flag ends the parse where it stands: help, or an earlier error
-    return argv + draw(algebra) + draw(_flags([], ["--help", "-h"]))
+    commands = ["solve", "eval", "closed-form", "equiv", "kernel", "at", "bbin", "check"]
+
+    def command_argv(command):
+        argv = shapes[command]()
+        return argv if command in ("bbin", "none") else argv + draw(algebra)
+
+    def help_argv():
+        # a help flag ends the parse where it stands: help, or an earlier error
+        argv = draw(st.sampled_from([(), ("solve",), None]))
+        if argv is None:
+            argv = command_argv(draw(st.sampled_from(commands)))
+        return argv + draw(st.sampled_from([("--help",), ("-h",)]))
+
+    command = draw(_mostly(commands, ["none", "help"]))
+    return help_argv() if command == "help" else command_argv(command)
 
 
 class TestCliFuzz:
