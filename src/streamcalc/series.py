@@ -18,24 +18,21 @@ The nodes observe the GSOS engine (gsos.py) wherever it answers:
 * a demand on a coefficient that its own node is still computing raises
   NonProductive, the trap of Stream and Engine;
 * a convolution demands every factor a(i) and b(n-i), zero or not, so a
-  definition the engine finds non-productive stays non-productive;
-* an algebra-capability error is raised when the coefficient needing it
-  is demanded, with the engine's class and message, never while the
-  nodes are built.
+  definition the engine finds non-productive stays non-productive.
 
-The engine computes an element's output before the derivative that
-yields the next state.  Two capabilities are needed by derivatives
-only, both of them a negation: inv's clause [-b(0)] * (a' * inv(a)),
-and delta, which the engine refuses over a semiring when it builds the
-right-hand side holding it.  Over an algebra without negation the nodes
-therefore replay the engine's derivatives (`derive`) after each
-observed element, and where the engine's native even/odd/delta/ddx
-force their argument, so that these errors surface when the engine's
-do.  Over every other algebra a derivative cannot fail and is skipped.
+An algebra-capability error follows one rule, that of lazy power
+series: it is raised when the coefficient that needs it is demanded,
+with the engine's class and message, never while the nodes are built.
+The engine also takes each element's derivative, and over an algebra
+without negation two of those can fail: inv's clause
+[-b(0)] * (a' * inv(a)), and delta, which the engine refuses when it
+builds the right-hand side holding it.  There the nodes may print more
+elements than the engine before they stop, with the same error or
+another; the elements that both print are equal.
 
-Only the cost differs: no term states are built, so a request that
-exhausted the budget on the engine may finish here.  Even-odd systems
-and 2-automata get one node per state (`even_odd_nodes`).
+No term states are built, so a request that exhausted the budget on
+the engine may finish here.  Even-odd systems and 2-automata get one
+node per state (`even_odd_nodes`).
 """
 
 from functools import reduce
@@ -47,44 +44,22 @@ from .errors import (
     UnorderedAlgebra,
     UnsupportedOp,
 )
-from .speclang import Const, HLit, OpApp, Sum, Var, require_zero_consistency, summands
+from .speclang import Const, HLit, OpApp, Var, require_zero_consistency, summands
 from .stream import Stream, _charge, ensure_recursion_room
-
-
-def _mentions(t, symbol):
-    if isinstance(t, Sum):
-        return any(_mentions(s, symbol) for s, _ in t.summands)
-    return isinstance(t, OpApp) and (
-        t.symbol == symbol or any(_mentions(a, symbol) for a in t.args))
 
 
 def _no_negation(alg):
     return UnsupportedOp(f"{alg.name} has no negation")
 
 
-def _no_ring(alg):
-    return UnsupportedOp(f"delta needs a ring, not {alg.name}")
-
-
-def _replays_derivatives(alg):
-    # only inv's derivative clause and delta's construction can fail,
-    # both for want of a negation
-    return alg.neg is None
-
-
 class _Node:
-    """A stream as the growing list of its computed coefficients.
+    """A stream as the growing list of its computed coefficients."""
 
-    `derived` counts the engine derivatives replayed so far; levels are
-    replayed in order, each once.
-    """
-
-    __slots__ = ("alg", "coeffs", "derived", "_busy")
+    __slots__ = ("alg", "coeffs", "_busy")
 
     def __init__(self, alg):
         self.alg = alg
         self.coeffs = []
-        self.derived = 0
         self._busy = False
 
     def get(self, n):
@@ -104,38 +79,22 @@ class _Node:
     def compute(self, n):
         raise NotImplementedError
 
-    def derive(self, k):
-        """Replay the engine's derivatives of this node up to level k."""
-        while self.derived <= k:
-            self.derive_level(self.derived)
-            self.derived += 1
-
-    def derive_level(self, k):
-        pass
-
 
 class _Unknown(_Node):
     """x(0) = head, x(n+1) = successor(n, x(n), rhs(n))."""
 
-    __slots__ = ("head", "successor", "rhs", "needs_ring")
+    __slots__ = ("head", "successor", "rhs")
 
     def __init__(self, alg, head, successor):
         super().__init__(alg)
         self.head = alg.coerce(head)
         self.successor = successor
         self.rhs = None
-        self.needs_ring = False
 
     def compute(self, n):
         if not n:
             return self.head
         return self.successor(n - 1, self.coeffs[n - 1], self.rhs.get(n - 1))
-
-    def derive_level(self, k):
-        if k:
-            self.rhs.derive(k - 1)
-        elif self.needs_ring:
-            raise _no_ring(self.alg)
 
 
 class _EvenOdd(_Node):
@@ -217,10 +176,6 @@ class _Sum(_Node):
             acc = value if acc is None else alg.add(acc, value)
         return acc
 
-    def derive_level(self, k):
-        for node, _ in self.terms:
-            node.derive(k)
-
 
 class _Unary(_Node):
     __slots__ = ("arg",)
@@ -228,9 +183,6 @@ class _Unary(_Node):
     def __init__(self, alg, arg):
         super().__init__(alg)
         self.arg = arg
-
-    def derive_level(self, k):
-        self.arg.derive(k)
 
 
 class _Neg(_Unary):
@@ -265,9 +217,6 @@ class _Shift(_Unary):
     def compute(self, n):
         return self.arg.get(n + 1)
 
-    def derive_level(self, k):
-        self.arg.derive(k + 1)
-
 
 class _Binary(_Node):
     __slots__ = ("a", "b")
@@ -275,10 +224,6 @@ class _Binary(_Node):
     def __init__(self, alg, a, b):
         super().__init__(alg)
         self.a, self.b = a, b
-
-    def derive_level(self, k):
-        self.a.derive(k)
-        self.b.derive(k)
 
 
 class _Mul(_Binary):
@@ -336,47 +281,30 @@ class _Zip(_Binary):
     def compute(self, n):
         return (self.b if n & 1 else self.a).get(n >> 1)
 
-    def derive_level(self, k):
-        # zip(a, b)' = zip(b, a'): only the argument just read is derived
-        (self.b if k & 1 else self.a).derive(k >> 1)
-
 
 class _Merge(_Binary):
     """Sorted merge dropping duplicates, by two cursors."""
 
-    __slots__ = ("i", "j", "steps")
+    __slots__ = ("i", "j")
 
     def __init__(self, alg, a, b):
         super().__init__(alg, a, b)
         self.i = self.j = 0
-        self.steps = []  # per element: the cursor each argument advanced from
 
     def compute(self, n):
         alg = self.alg
-        i, j = self.i, self.j
-        x, y = self.a.get(i), self.b.get(j)
+        x, y = self.a.get(self.i), self.b.get(self.j)
         if alg.lt is None:
             raise UnorderedAlgebra(f"{alg.name} has no order for guards")
         if alg.lt(x, y):
             self.i += 1
-            self.steps.append((i, None))
             return x
         if alg.eq(x, y):
             self.i += 1
             self.j += 1
-            self.steps.append((i, j))
             return x
         self.j += 1
-        self.steps.append((None, j))
         return y
-
-    def derive_level(self, k):
-        # the engine derives only the argument(s) its clause advanced
-        i, j = self.steps[k]
-        if i is not None:
-            self.a.derive(i)
-        if j is not None:
-            self.b.derive(j)
 
 
 class _Inv(_Unary):
@@ -407,11 +335,6 @@ class _Inv(_Unary):
                                     reversed(self.coeffs[:n])))
         return alg.mul(self.neg_b0, total)
 
-    def derive_level(self, k):
-        if k == 0 and self.alg.neg is None:
-            raise _no_negation(self.alg)
-        self.arg.derive(k)
-
 
 class _Sqrt(_Unary):
     """r(0) = sqrt(a(0)), r' = a' * inv([r(0)] + r), from the same nodes."""
@@ -436,62 +359,40 @@ class _Sqrt(_Unary):
         self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0
 
-    def derive_level(self, k):
-        if k:
-            self.tail.derive(k - 1)
-        else:
-            self.arg.derive(0)
 
-
-class _Native(_Unary):
-    """even, odd, delta and ddx, which the engine runs as native streams:
-    reading an argument element also takes that element's derivative."""
-
-    __slots__ = ()
-
-    def read(self, m):
-        value = self.arg.get(m)
-        if _replays_derivatives(self.alg):
-            self.arg.derive(m)
-        return value
-
-    def derive_level(self, k):
-        pass
-
-
-class _Even(_Native):
+class _Even(_Unary):
     __slots__ = ()
 
     def compute(self, n):
-        return self.read(2 * n)
+        return self.arg.get(2 * n)
 
 
-class _Odd(_Native):
+class _Odd(_Unary):
     __slots__ = ()
 
     def compute(self, n):
-        return self.read(2 * n + 1)
+        return self.arg.get(2 * n + 1)
 
 
-class _Delta(_Native):
+class _Delta(_Unary):
     """Forward difference a(n+1) - a(n)."""
 
     __slots__ = ()
 
     def compute(self, n):
         if self.alg.neg is None:
-            raise _no_ring(self.alg)
-        low = self.read(n)
-        return self.alg.sub(self.read(n + 1), low)
+            raise UnsupportedOp(f"delta needs a ring, not {self.alg.name}")
+        low = self.arg.get(n)
+        return self.alg.sub(self.arg.get(n + 1), low)
 
 
-class _Ddx(_Native):
+class _Ddx(_Unary):
     """Power-series derivative (n+1) * a(n+1)."""
 
     __slots__ = ()
 
     def compute(self, n):
-        return self.alg.nat_mul(n + 1, self.read(n + 1))
+        return self.alg.nat_mul(n + 1, self.arg.get(n + 1))
 
 
 _OPERATIONS = {
@@ -572,16 +473,7 @@ def _successor(sys_, delta_o_inverse):
 
 def node_stream(node, n=0):
     """The stream of a node's coefficients from the n-th on."""
-    if not _replays_derivatives(node.alg):
-        return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
-
-    def cell():
-        # the engine's observation takes each element's derivative
-        value = node.get(n)
-        node.derive(n)
-        return value, node_stream(node, n + 1)
-
-    return Stream(node.alg, cell)
+    return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
 
 
 def solve_by_coefficients(sys_, delta_o_inverse=None):
@@ -605,8 +497,6 @@ def solve_by_coefficients(sys_, delta_o_inverse=None):
     builder = _Builder(alg, unknowns)
     for v in sys_.variables:
         unknowns[v].rhs = builder.node(sys_.rhs[v])
-        # only an algebra without negation can refuse delta's construction
-        unknowns[v].needs_ring = alg.neg is None and _mentions(sys_.rhs[v], "delta")
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed
     ensure_recursion_room(4 * (len(unknowns) + 5 * len(builder.nodes)) + 1000)

@@ -338,6 +338,12 @@ def _lex(source):
 # parsed terms stay within the interpreter's default recursion limit.
 MAX_NESTING = 150
 
+# A term's `*` chain, and a head expression's `+`, `-` and `*` at one
+# nesting level, parse into a left-nested binary tree that the passes
+# after parsing walk one level per operator; a longer chain is refused
+# at the operator past the bound.  (A term's `+`/`-` chain is one Sum.)
+MAX_CHAIN = 400
+
 
 @dataclass
 class _RawEquation:
@@ -355,6 +361,7 @@ class _Parser:
         self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.depth = 0
+        self.links = 0  # operators in the chain being parsed
         self.algebra = algebra_override or rationals()
         self.algebra_name = self.algebra.name
         self.algebra_override = algebra_override
@@ -409,6 +416,13 @@ class _Parser:
     def leave(self, text):
         self.expect(text)
         self.depth -= 1
+
+    def link(self):
+        """Consume the next operator of a chain, counting it."""
+        tok = self.next()
+        self.links += 1
+        if self.links > MAX_CHAIN:
+            raise SpecSyntaxError(f"chain longer than {MAX_CHAIN} operators", tok[2])
 
     # -- entry point
 
@@ -598,17 +612,20 @@ class _Parser:
     # -- head expressions
 
     def headexpr(self, params):
+        outer, self.links = self.links, 0
         left = self.headterm(params)
-        while True:
-            op = self.tokens[self.pos][1]
-            if op != "+" and op != "-":
-                return left
-            self.pos += 1
+        op = self.tokens[self.pos][1]
+        while op == "+" or op == "-":
+            self.link()
             left = HOp(op, (left, self.headterm(params)))
+            op = self.tokens[self.pos][1]
+        self.links = outer
+        return left
 
     def headterm(self, params):
         left = self.headfactor(params)
-        while self.eat("*"):
+        while self.tokens[self.pos][1] == "*":
+            self.link()
             left = HOp("*", (left, self.headfactor(params)))
         return left
 
@@ -690,9 +707,12 @@ class _Parser:
         return Sum(tuple(parts))
 
     def product(self, params):
+        outer, self.links = self.links, 0
         left = self.factor(params)
-        while self.eat("*"):
+        while self.tokens[self.pos][1] == "*":
+            self.link()
             left = OpApp("*", (left, self.factor(params)))
+        self.links = outer
         return left
 
     def factor(self, params):

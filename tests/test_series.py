@@ -4,11 +4,15 @@ The GSOS engine (gsos.solve_system_with_defs) is the reference for
 ordinary systems: on seeded random builtin-only systems and on the
 corpus's context-free and general systems, series.solve_by_coefficients
 must give the same prefix, the same NonProductive index and the same
-error.  Linear systems are also checked against the coefficient-vector
-unfolding (solvers.solve_linear_coinductive), simple systems against
-their automaton unfolding (solvers.solve_simple), even-odd systems
-against bbin indexing (automatic.value_at), and delta and ddx systems
-against their index formulas, computed here from the definitions.
+error.  Over an algebra without negation the engine's derivatives can
+fail before any coefficient does, so there the engine's prefix must be
+a prefix of the coefficients, and where both stop at the same element
+with different errors, the engine's must be a derivative's.  Linear
+systems are also checked against the coefficient-vector unfolding
+(solvers.solve_linear_coinductive), simple systems against their
+automaton unfolding (solvers.solve_simple), even-odd systems against
+bbin indexing (automatic.value_at), and delta and ddx systems against
+their index formulas, computed here from the definitions.
 """
 
 import math
@@ -62,9 +66,9 @@ class _RandomSystem:
     """x-unknowns over all allowed operations; u-unknowns causal only, so
     that the non-causal operations applied to them stay productive."""
 
-    def __init__(self, rng, alg, top_op):
+    def __init__(self, rng, alg, top_op, ops=None):
         self.rng, self.alg = rng, alg
-        self.ops = sorted(allowed_ops(alg))
+        self.ops = sorted(ops or allowed_ops(alg))
         self.used = set()
         base = [f"u{i}" for i in range(rng.randint(0, 1))]
         names = [f"x{i}" for i in range(rng.randint(1, 2))]
@@ -145,6 +149,40 @@ def test_random_systems_match_engine(alg_name):
     assert answered >= SYSTEMS_PER_ALGEBRA // 2
 
 
+SEMIRINGS = ("Nat", "Bool", "Tropical")
+NEGATING_OPS = {"-", "neg", "delta", "inv"}
+
+
+@pytest.mark.parametrize("alg_name", SEMIRINGS)
+def test_random_semiring_systems_extend_the_engine(alg_name):
+    # inv's derivative and delta's right-hand side fail in the engine,
+    # after an element's output and before the next one, where no
+    # coefficient needs a negation yet
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-semiring:{alg_name}")
+    ops = allowed_ops(alg) | NEGATING_OPS
+    derivative_errors = {f"{alg.name} has no negation", f"delta needs a ring, not {alg.name}"}
+    used, outcomes = set(), {}
+    for i in range(100):
+        case = _RandomSystem(rng, alg, sorted(ops)[i % len(ops)], ops)
+        used |= case.used
+        want = observe_each(gsos.solve_system_with_defs(case.system)[case.target], DEPTH)
+        got = observe_each(series.solve_by_coefficients(case.system)[case.target], DEPTH)
+        assert got[0][:len(want[0])] == want[0], case.system
+        if got == want:
+            outcome = "same"
+        elif len(got[0]) > len(want[0]):
+            outcome = "further"
+        else:
+            # both stop at the same element: the engine's derivative
+            # failed before the coefficient met another error
+            outcome = "other error"
+            assert want[1][1] in derivative_errors, case.system
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert used == ops
+    assert outcomes["same"] >= 50 and outcomes["further"] >= 20
+
+
 PREFIX_CF_SPECS = (
     ("catalan.sde", "s"), ("schroder.sde", "s"), ("hamming.sde", "g"),
     ("factorials.sde", "p"), ("a000831.sde", "s"), ("thue_morse_cf.sde", "t"),
@@ -172,15 +210,15 @@ def test_zero_factors_are_demanded():
 
 
 # Over an algebra without negation, inv's derivative and delta's
-# construction fail.  The engine takes each derivative after the output,
-# never derives the argument a merge did not advance, and derives what
-# even/odd/delta/ddx read at once; each spec tells one of these apart.
+# construction fail in the engine; a coefficient fails only when it
+# needs the negation.  On these specs both stop at the same point, with
+# another error before the negation is needed, or both answer because
+# merge never reads the inv or delta.
 DERIVATIVE_ERRORS = [
     "algebra Bool; x(0) = 1; x' = inv(X*inv(1 + X*x));",
     "algebra Tropical; x(0) = 1; x' = merge(x, inv(x));",
     "algebra Nat; x(0) = 1; x' = merge(x, 5 + inv(1 + X*x));",
     "algebra Nat; x(0) = 1; x' = merge(x, 5 + y); y(0) = 1; y' = delta(y);",
-    "algebra Nat; x(0) = 1; x' = even(y) + odd(x); y(0) = 2; y' = delta(y);",
 ]
 
 
@@ -188,6 +226,15 @@ DERIVATIVE_ERRORS = [
 def test_derivative_errors_match_engine(text):
     sys_ = parse(text).system
     assert by_coefficients(sys_, "x", 8) == by_engine(sys_, "x", 8)
+
+
+def test_trap_before_a_derivative_error():
+    # the engine fails on y's delta first; no coefficient of y needs a
+    # negation before x(1) demands itself through odd(x)(0)
+    sys_ = parse("algebra Nat; x(0) = 1; x' = even(y) + odd(x); "
+                 "y(0) = 2; y' = delta(y);").system
+    assert by_engine(sys_, "x", 8) == ("UnsupportedOp", "delta needs a ring, not Nat")
+    assert by_coefficients(sys_, "x", 8) == ("NonProductive", 1)
 
 
 def test_errors_wait_for_demand():

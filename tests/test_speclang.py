@@ -23,6 +23,7 @@ from streamcalc import (
 from streamcalc.algebra import get_algebra, tropical
 from streamcalc.cli import run
 from streamcalc.speclang import (
+    MAX_CHAIN,
     MAX_NESTING,
     Const,
     DVar,
@@ -539,6 +540,56 @@ class TestNesting:
             parse(text)
 
 
+# one chain of operators in a term, a head, a bracket and a def's output:
+# the spec around it, its first operand, and each further operator with
+# the operand after it
+CHAINS = {
+    "product": ("algebra Z; s(0) = 1; s' = {};", "s", " * s"),
+    "head": ("s(0) = {}; s' = s;", "1", " + 1"),
+    "bracket": ("s(0) = 1; s' = [{}] * s;", "1", " * 1"),
+    "def": ("def f(a) {{ out = {}; deriv = f(a'); }} s(0) = 1; s' = f(s);", "a(0)", " - a(0)"),
+}
+
+
+def chain_text(shape, operators):
+    spec, first, link = CHAINS[shape]
+    return spec.format(first + link * operators)
+
+
+class TestChains:
+    @pytest.mark.parametrize("shape", sorted(CHAINS))
+    def test_limit_parses(self, shape):
+        assert parse(chain_text(shape, MAX_CHAIN)).system.variables == ("s",)
+
+    @pytest.mark.parametrize("shape", sorted(CHAINS))
+    def test_one_longer_is_refused_at_its_last_operator(self, shape):
+        text = chain_text(shape, MAX_CHAIN + 1)
+        with pytest.raises(SpecSyntaxError) as info:
+            parse(text)
+        assert str(info.value).endswith(f"chain longer than {MAX_CHAIN} operators")
+        _, first, link = CHAINS[shape]
+        # each link is a blank, the operator, a blank and the operand
+        last = text.index(first + link * (MAX_CHAIN + 1)) + len(first) + MAX_CHAIN * len(link) + 1
+        assert info.value.span == (1, last + 1)
+
+    def test_a_head_expression_counts_every_operator_at_its_level(self):
+        half = MAX_CHAIN // 2
+        assert parse("s(0) = " + "2*3+" * half + "1; s' = s;").system.heads["s"] == 6 * half + 1
+        with pytest.raises(SpecSyntaxError, match="chain longer than"):
+            parse("s(0) = " + "2*3+" * half + "1*1; s' = s;")
+
+    def test_nested_chains_count_apart(self):
+        inner = "s" + "*s" * MAX_CHAIN
+        assert parse(f"s(0)=1; s' = s*({inner})*s*f({inner});"
+                     "def f(a) { out = a(0); deriv = f(a'); }").defs
+        head = "1" + "+1" * MAX_CHAIN
+        spec = parse(f"s(0) = 1+({head})*2; s' = [1+({head})]*s;")
+        assert spec.system.heads["s"] == 1 + 2 * (MAX_CHAIN + 1)
+
+    def test_term_sums_are_not_chains(self):
+        assert len(parse("s(0)=1; s' = " + "s+" * 5000 + "s;").system.rhs["s"].summands) == 5001
+
+
 
 def test_resolution_keeps_unchanged_subterms():
     parser = _Parser("")
@@ -559,6 +610,12 @@ def _mostly(valid, rare=()):
     """One of `valid`, or now and then one of `rare`.  Hypothesis favours
     the ends of a sampled list, so the rare choices go in its middle."""
     return st.sampled_from([*valid, *rare, *valid])
+
+
+# a corpus text, or now and then a chain at or past speclang.MAX_CHAIN
+_CORPUS_OR_CHAIN = _mostly(sorted(_CORPUS_TEXTS.values()), [None]).flatmap(
+    lambda text: st.just(text) if text else st.builds(
+        chain_text, st.sampled_from(sorted(CHAINS)), st.sampled_from([300, 400, 401, 3000])))
 
 
 def _flags(valid, invalid=()):
@@ -629,14 +686,15 @@ class TestCliFuzz:
         return shared
 
     @given(writes=st.lists(st.tuples(st.sampled_from(_FUZZ_FILES), st.one_of(
-               *[st.sampled_from(sorted(_CORPUS_TEXTS.values()))] * 4, SPEC_TEXT,
+               *[_CORPUS_OR_CHAIN] * 4, SPEC_TEXT,
                _systems())), max_size=1),
            argvs=st.lists(_argv(), min_size=1, max_size=3))
     @settings(max_examples=400, deadline=None)
     def test_every_command_ends_in_an_exit_code(self, shared_dir, writes, argvs):
         # the files outlive each example, so later examples read texts
         # that earlier ones left, some of them from the spec cache; a
-        # write is a corpus text four times as often as a fuzzed one
+        # write is a corpus text (now and then a long chain) four times
+        # as often as a fuzzed one
         for name, text in writes:
             (shared_dir / name).write_text(text, encoding="utf-8")
         for argv in argvs:
