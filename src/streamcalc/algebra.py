@@ -688,6 +688,23 @@ def ratexpr_head(r):
     return alg.mul(r.num.at_zero(), alg.inv(r.den.at_zero()))
 
 
+def ratexpr_coefficients(r, count):
+    """The first `count` coefficients of r as a power series.
+
+    With den(0) = 1, num = den * sum a_k X^k gives
+    a_k = num_k - sum_{j >= 1} den_j * a_(k-j).
+    """
+    alg = r.algebra
+    num, den = r.num, r.den
+    coeffs = []
+    for k in range(count):
+        acc = num.coeff(k)
+        for j in range(1, min(k, den.degree) + 1):
+            acc = alg.sub(acc, alg.mul(den.coeff(j), coeffs[k - j]))
+        coeffs.append(acc)
+    return coeffs
+
+
 def ratexpr_derivative(r):
     """Stream derivative: (num - head*den) / (X*den), with the division
     by X exact because the shifted numerator has zero constant term."""

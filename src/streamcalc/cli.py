@@ -204,22 +204,23 @@ def _cmd_eval(args, out):
     return EXIT_OK
 
 
-def _closed_forms(spec, kind):
+def _closed_form(spec, kind, var):
+    """The closed form of unknown `var` alone, or None if the system has
+    no such unknown; the system's own errors come first either way."""
     if kind not in (Kind.SIMPLE, Kind.LINEAR):
         raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
     ls = solvers.linear_system_of(spec.system)
-    forms = solvers.solve_linear_matrix(ls)
-    return dict(zip(ls.names, forms))
+    forms = solvers.solve_linear_matrix(ls, [var] if var in ls.names else [])
+    return forms[0] if forms else None
 
 
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
-    spec = loaded.spec
-    forms = _closed_forms(spec, _classify(loaded))
-    if var not in forms:
+    form = _closed_form(loaded.spec, _classify(loaded), var)
+    if form is None:
         raise SpecError(f"no variable {var!r} in {path}")
-    print(format_ratexpr(forms[var]), file=out)
+    print(format_ratexpr(form), file=out)
     return EXIT_OK
 
 
@@ -263,12 +264,12 @@ def _cmd_equiv(args, out):
     linear = (Kind.SIMPLE, Kind.LINEAR)
     if (kind_a in linear and kind_b in linear
             and spec_a.algebra.kind == "field" and args.up_to is None):
-        forms_a = _closed_forms(spec_a, kind_a)
-        forms_b = _closed_forms(spec_b, kind_b)
-        result = equivalence.equiv_rational(forms_a[var_a], forms_b[var_b])
+        form_a = _closed_form(spec_a, kind_a, var_a)
+        form_b = _closed_form(spec_b, kind_b, var_b)
+        result = equivalence.equiv_rational(form_a, form_b)
         if isinstance(result, equivalence.Proved):
             print("Proved", file=out)
-            print(f"closed form: {format_ratexpr(forms_a[var_a])}", file=out)
+            print(f"closed form: {format_ratexpr(form_a)}", file=out)
             return EXIT_OK
         print(f"Refuted at index {result.index}: "
               f"{spec_a.algebra.fmt(result.left)} != "

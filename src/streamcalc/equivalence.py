@@ -20,7 +20,7 @@ re-check.
 
 from dataclasses import dataclass, field
 
-from .algebra import RatExpr, ratexpr_derivative, ratexpr_head, same_algebra
+from .algebra import RatExpr, ratexpr_coefficients, same_algebra
 from .errors import UnsupportedOp
 from .gsos import Engine, State, SymbolicStuck, SymHead, sym_equal, term_of_state
 from .stream import ensure_recursion_room
@@ -75,10 +75,9 @@ def equiv_rational(r1, r2):
         return Proved(RationalCertificate(r1, r2, lhs))
     diff = lhs - rhs
     index = next(i for i, c in enumerate(diff.coeffs) if not alg.is_zero(c))
-    a, b = r1, r2
-    for _ in range(index):
-        a, b = ratexpr_derivative(a), ratexpr_derivative(b)
-    return Refuted(index, ratexpr_head(a), ratexpr_head(b))
+    # the streams first differ where the cross products do (den(0) = 1)
+    return Refuted(index, ratexpr_coefficients(r1, index + 1)[index],
+                   ratexpr_coefficients(r2, index + 1)[index])
 
 
 def _convolve(alg, p, q):

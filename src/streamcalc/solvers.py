@@ -15,14 +15,19 @@ context-free systems over polynomials in words of unknowns.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import series, speclang
 from .algebra import (
     Poly,
     RatExpr,
+    ratexpr_coefficients,
     ratexpr_derivative,
     ratexpr_head,
     ratexpr_normalize,
+    rationals,
 )
 from .errors import UnsupportedOp
 from .stream import Stream, UnfoldOrigin, unfold
@@ -142,34 +147,59 @@ def linear_system_of(sys):
     return LinearSystem(alg, tuple(sys.variables), tuple(heads), tuple(rows))
 
 
-def solve_linear_matrix(ls):
-    """Closed forms of a linear system: one canonical RatExpr per unknown.
+def solve_linear_matrix(ls, names=None):
+    """Closed forms of a linear system: one canonical RatExpr for each
+    unknown in `names` (default: every unknown), in that order.
 
     The closed forms are the entries of (I - X*M)^-1 * o.  Each is a
     cofactor polynomial of degree <= n-1 over det(I - X*M), of degree
     <= n, so after cancelling their gcd every form p/q has linear
-    complexity max(deg p + 1, deg q) <= n.  Berlekamp-Massey on the
-    first 2n coefficients (x^(k)(0) = (M^k o)_i, from iterating
-    v <- M*v) therefore finds each unknown's unique shortest recurrence:
-    its connection polynomial is q, and p is the prefix times q mod
-    X^L.  The algebra must be a field.
+    complexity L = max(deg p + 1, deg q) <= n.  Berlekamp-Massey on the
+    first 2n >= 2L coefficients (x^(k)(0) = (M^k o)_i) therefore finds
+    each unknown's unique shortest recurrence: its connection polynomial
+    is q, with q(0) = 1, and p is the prefix times q mod X^L.  The
+    algebra must be a field.
     """
     alg = ls.algebra
     if alg.kind != "field":
         raise UnsupportedOp("the matrix method needs a field algebra")
-    n = ls.n
-    vectors = [ls.o]
-    for _ in range(2 * n - 1):
-        v = vectors[-1]
-        vectors.append(tuple(_dot(alg, row, v) for row in ls.M))
+    rows = range(ls.n) if names is None else [ls.names.index(v) for v in names]
     forms = []
-    for i in range(n):
-        seq = [v[i] for v in vectors]
+    for seq in _power_sequences(ls, rows):
         connection, length = _berlekamp_massey(alg, seq)
         den = Poly(alg, connection)
         num = Poly(alg, (Poly(alg, seq[:length]) * den).coeffs[:length])
         forms.append(ratexpr_normalize(num, den))
     return forms
+
+
+def _power_sequences(ls, rows):
+    """The coefficients (M^k o)_i, k < 2n, of each unknown i in `rows`.
+
+    Over Q the vectors are iterated in integers: with D the lcm of M's
+    denominators and E that of o's, u_k = (D*M)^k (E*o) has integer
+    entries and (M^k o)_i = u_k[i] / (E * D^k), so only the entries read
+    become Fractions.  Other fields iterate v <- M*v in the algebra.
+    """
+    alg = ls.algebra
+    terms = 2 * ls.n
+    if alg is rationals():
+        d = lcm(*(c.denominator for row in ls.M for c in row))
+        e = lcm(*(c.denominator for c in ls.o))
+        matrix = [[c.numerator * (d // c.denominator) for c in row] for row in ls.M]
+        u = [c.numerator * (e // c.denominator) for c in ls.o]
+        seqs = [[Fraction(u[i], e)] for i in rows]
+        for _ in range(terms - 1):
+            u = [sum(map(mul, row, u)) for row in matrix]
+            e *= d
+            for seq, i in zip(seqs, rows):
+                seq.append(Fraction(u[i], e))
+        return seqs
+    vectors = [ls.o]
+    for _ in range(terms - 1):
+        v = vectors[-1]
+        vectors.append(tuple(_dot(alg, row, v) for row in ls.M))
+    return [[v[i] for v in vectors] for i in rows]
 
 
 def _berlekamp_massey(alg, seq):
@@ -255,12 +285,7 @@ def rational_to_linear(r):
         return LinearSystem(alg, ("x0",), (alg.zero,), ((alg.zero,),))
     num, den = r.num, r.den
     dim = max(num.degree + 1, den.degree)
-    heads = []
-    for k in range(dim):
-        acc = num.coeff(k)
-        for j in range(1, min(k, den.degree) + 1):
-            acc = alg.sub(acc, alg.mul(den.coeff(j), heads[k - j]))
-        heads.append(acc)
+    heads = ratexpr_coefficients(r, dim)
     rows = [tuple(alg.one if j == i + 1 else alg.zero for j in range(dim))
             for i in range(dim - 1)]
     rows.append(tuple(alg.neg(den.coeff(dim - j)) for j in range(dim)))

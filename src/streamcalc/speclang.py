@@ -344,6 +344,13 @@ MAX_NESTING = 150
 # at the operator past the bound.  (A term's `+`/`-` chain is one Sum.)
 MAX_CHAIN = 400
 
+# Chains stacked through nesting add up: 40-factor products nested 13
+# deep, or a 400-factor product inside 100 `inv(`, make a tree that the
+# passes after parsing walk deeper than the default recursion limit.  So
+# a term, head expression or guard whose parsed tree has a path of more
+# than MAX_HEIGHT nodes below its root is refused too.
+MAX_HEIGHT = 450
+
 
 @dataclass
 class _RawEquation:
@@ -416,6 +423,18 @@ class _Parser:
     def leave(self, text):
         self.expect(text)
         self.depth -= 1
+
+    def bounded(self, node, start):
+        """`node`, parsed from the tokens from index `start` on, unless it
+        is a whole term, head expression or guard (parsed at depth 0)
+        taller than MAX_HEIGHT.  Each level of a path takes a token of
+        its own, so an expression of at most MAX_HEIGHT tokens is not
+        walked."""
+        if (self.depth == 0 and self.pos - start > MAX_HEIGHT
+                and _taller_than(node, MAX_HEIGHT)):
+            raise SpecSyntaxError(f"expression deeper than {MAX_HEIGHT} levels",
+                                  self.tokens[start][2])
+        return node
 
     def link(self):
         """Consume the next operator of a chain, counting it."""
@@ -586,10 +605,12 @@ class _Parser:
 
     def guard(self, params):
         """or-separated conjunctions of comparisons and `not (guard)`."""
+        start = self.pos
         parts = [self.conjunction(params)]
         while self.eat("or"):
             parts.append(self.conjunction(params))
-        return parts[0] if len(parts) == 1 else BoolOp("or", tuple(parts))
+        return self.bounded(parts[0] if len(parts) == 1 else BoolOp("or", tuple(parts)),
+                            start)
 
     def conjunction(self, params):
         parts = [self.guard_atom(params)]
@@ -613,6 +634,7 @@ class _Parser:
 
     def headexpr(self, params):
         outer, self.links = self.links, 0
+        start = self.pos
         left = self.headterm(params)
         op = self.tokens[self.pos][1]
         while op == "+" or op == "-":
@@ -620,7 +642,7 @@ class _Parser:
             left = HOp(op, (left, self.headterm(params)))
             op = self.tokens[self.pos][1]
         self.links = outer
-        return left
+        return self.bounded(left, start)
 
     def headterm(self, params):
         left = self.headfactor(params)
@@ -693,18 +715,19 @@ class _Parser:
     # direct path in factor(), the other primaries go through primary().
 
     def term(self, params):
-        first = self.product(params)
         tokens = self.tokens
+        start = self.pos
+        first = self.product(params)
         op = tokens[self.pos][1]
         if op != "+" and op != "-":
-            return first
+            return self.bounded(first, start)
         # a parenthesised sum leading the chain joins it
         parts = list(first.summands) if type(first) is Sum else [(first, False)]
         while op == "+" or op == "-":
             self.pos += 1
             parts.append((self.product(params), op == "-"))
             op = tokens[self.pos][1]
-        return Sum(tuple(parts))
+        return self.bounded(Sum(tuple(parts)), start)
 
     def product(self, params):
         outer, self.links = self.links, 0
@@ -941,6 +964,34 @@ class _Parser:
                 (evens if label == "even" else odds)[var] = target
         return EquationSystem(self.algebra, variables, heads,
                               tail_op="tail", evens=evens, odds=odds)
+
+
+def _taller_than(root, limit):
+    """Whether a parsed term, head expression or guard has a path of more
+    than `limit` nodes below its root; walked level by level."""
+    level = [root]
+    for _ in range(limit + 1):
+        level = [child for node in level for child in _children(node)]
+        if not level:
+            return False
+    return True
+
+
+def _children(node):
+    cls = type(node)
+    if cls is OpApp or cls is HOp or cls is BoolOp:
+        return node.args
+    if cls is Sum:
+        return [t for t, _ in node.summands]
+    if cls is Const:
+        return (node.value,)
+    if cls is TermDeriv:
+        return (node.term,)
+    if cls is Cmp:
+        return (node.left, node.right)
+    if cls is Not:
+        return (node.arg,)
+    return ()
 
 
 def parse(text, algebra=None):

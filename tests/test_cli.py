@@ -16,8 +16,8 @@ import pytest
 
 from streamcalc.cli import run
 from streamcalc.errors import StreamCalcError
-from streamcalc.speclang import MAX_CHAIN
-from test_speclang import CHAINS, chain_text
+from streamcalc.speclang import MAX_CHAIN, MAX_HEIGHT
+from test_speclang import CHAINS, chain_text, stacked_products, tall_text
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -511,6 +511,42 @@ class TestNumericFlags:
                       "--budget", "1") == (0, "\n", "")
 
 
+class TestClosedFormErrorOrder:
+    """closed-form computes the selected unknown only, yet a missing
+    unknown fails as the whole system did: format, then algebra, then name."""
+
+    @pytest.mark.parametrize("spec,flags,expected", [
+        ("fib.sde", ("--algebra", "Z"),
+         (1, "", "error: UnsupportedOp: the matrix method needs a field algebra\n")),
+        ("catalan.sde", (),
+         (1, "", "error: UnsupportedOp: closed forms need a linear system, "
+                 "got context-free\n")),
+        ("catalan.sde", ("--algebra", "Z"),
+         (1, "", "error: UnsupportedOp: closed forms need a linear system, "
+                 "got context-free\n")),
+    ])
+    def test_missing_unknown_fails_as_the_system(self, spec, flags, expected):
+        assert invoke("closed-form", corpus(spec) + "#nope", *flags) == expected
+        assert invoke("closed-form", corpus(spec) + "#s", *flags) == expected
+
+    def test_missing_unknown_of_a_linear_system(self):
+        path = corpus("fib.sde")
+        assert invoke("closed-form", path + "#nope") == (
+            3, "", f"error: SpecError: no variable 'nope' in {path}\n")
+        assert invoke("equiv", path + "#s", path + "#nope") == (
+            3, "", "error: SpecError: no variable 'nope'\n")
+
+    def test_every_unknown_alone(self):
+        path = corpus("nth_powers.sde")
+        forms = {var: invoke("closed-form", f"{path}#{var}") for var in
+                 ("p0", "p1", "p2", "p3")}
+        assert forms["p2"] == (0, "(1 + X)/(1 - 3*X + 3*X^2 - X^3)\n", "")
+        for var, (code, out, err) in forms.items():
+            assert (code, err) == (0, "")
+            assert invoke("equiv", f"{path}#{var}", f"{path}#{var}") == (
+                0, f"Proved\nclosed form: {out}", "")
+
+
 class TestNonPrimeModulus:
     def test_algebra_flag_is_usage_error(self):
         code, out, err = invoke("closed-form", corpus("fib.sde") + "#s",
@@ -838,6 +874,35 @@ def test_long_chains_are_syntax_errors_in_a_fresh_process(tmp_path, shape, links
                             r"operators\n", err)
 
 
+@pytest.mark.parametrize("text", [
+    stacked_products(20, 40),
+    "algebra Z; s(0) = 1; s' = X*" + "inv(" * 120 + "s" + "*s" * 399 + ")" * 120 + ";",
+], ids=["stacked-products", "product-in-invs"])
+def test_stacked_chains_are_syntax_errors_in_a_fresh_process(tmp_path, text):
+    # both escaped cli.run with a RecursionError: each chain and each
+    # nesting was within its bound, but not the tree they made together
+    path = tmp_path / "stacked.sde"
+    path.write_text(text + "\n")
+    for argv in (("solve", f"{path}#s"), ("check", str(path))):
+        code, out, err = invoke_in_a_fresh_process(*argv)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(rf"error: SpecSyntaxError: 1:\d+: expression deeper than "
+                            rf"{MAX_HEIGHT} levels\n", err)
+
+
+def test_tallest_expressions_solve_in_a_fresh_process(tmp_path):
+    # a longest chain under -( levels up to the bound, in the rhs and a head
+    term, head = tmp_path / "term.sde", tmp_path / "head.sde"
+    term.write_text(tall_text("term", MAX_HEIGHT) + "\n")
+    head.write_text(tall_text("head", MAX_HEIGHT) + "\n")
+    assert (MAX_HEIGHT - MAX_CHAIN) % 2 == 0  # an even number of negations
+    for argv, expected in ((("solve", f"{term}#s", "-n", "4"), "1, 1, 401, 241001\n"),
+                           (("at", "3", f"{term}#s"), "241001\n"),
+                           (("solve", f"{head}#s", "-n", "3"), "1, 1, 1\n"),
+                           (("closed-form", f"{head}#s"), "(1)/(1 - X)\n")):
+        assert invoke_in_a_fresh_process(*argv) == (0, expected, "")
+
+
 def test_long_mixed_sum(tmp_path):
     rng = random.Random(2000)
     signs = [rng.choice("+-") for _ in range(1999)]
@@ -882,20 +947,25 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
-    # per spec: check under 8 algebra settings, 4 commands per unknown
+    # per spec: check under 8 algebra settings, 6 commands per unknown
     # under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
-    assert len(runs) == (8 * (1 + 4) + 1) + (8 * (1 + 4 * 2) + 2)
+    assert len(runs) == (8 * (1 + 6) + 1) + (8 * (1 + 6 * 2) + 2)
+    assert {tuple(r["argv"][:1] + r["argv"][2:]) for r in runs if r["argv"][0] == "equiv"} \
+        == {("equiv", f"{spec}#s") + extra for spec in specs
+            for extra in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
     assert cli_parity.main(["compare", str(out)]) == 0
     runs[1]["out"] += "changed\n"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.endswith("1 of 115 recorded runs differ\n")
+    assert capsys.readouterr().out.endswith("1 of 163 recorded runs differ\n")
 
 
 def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
     cli_parity = _parity_tool()
     assert cli_parity.group(["at", "30", "corpus/ones.sde#s", "--algebra", "Z"]) == (
         "at", "ones.sde", "30")
+    assert cli_parity.group(["equiv", "corpus/alt.sde#t", "corpus/alt.sde#s",
+                             "--algebra", "Q"]) == ("equiv", "alt.sde", "")
     runs = cli_parity.record([corpus("ones.sde")])
     for run in runs:
         if run["argv"][0] == "kernel" or "--budget" in run["argv"]:
@@ -908,7 +978,7 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "17 of 41 recorded runs differ"]
+        "17 of 57 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

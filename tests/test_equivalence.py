@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
-from conftest import Q, rand_ratexpr, seeded
-from streamcalc import Poly, bounded_eq, parse, ratexpr_normalize
+import pytest
+
+from conftest import Q, prefix, rand_ratexpr, seeded
+from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
+from streamcalc.algebra import gf
 from streamcalc.equivalence import (
     Proved,
     Refuted,
@@ -67,6 +70,23 @@ class TestEquivRational:
                 assert isinstance(result, Refuted)
                 assert isinstance(scan, Differ)
                 assert scan.index == result.index
+                assert (result.left, result.right) == (scan.left, scan.right)
+
+    @pytest.mark.parametrize("alg", [Q, gf(5)], ids=["Q", "Fp5"])
+    def test_late_refutation_reads_the_series_coefficients(self, alg):
+        # r and r + c*X^k agree up to index k; the refutation's elements
+        # are the streams' own, as the derivatives' heads would give
+        rng = seeded(98)
+        for _ in range(60):
+            num, den = ([alg.sample(rng) for _ in range(rng.randint(1, 5))]
+                        for _ in range(2))
+            den[0] = alg.one
+            r = ratexpr_normalize(Poly(alg, num), Poly(alg, den))
+            k, c = rng.randint(0, 12), alg.coerce(rng.randint(1, 4))
+            other = r + RatExpr.from_poly(Poly(alg, [alg.zero] * k + [c]))
+            result = equiv_rational(r, other)
+            values = prefix(ratexpr_stream(r), k + 1)
+            assert result == Refuted(k, values[k], alg.add(values[k], c))
 
 
 FIG1 = SimpleAutomaton(Q, {"x0": 0, "x1": 1, "x2": 0, "x3": 0},

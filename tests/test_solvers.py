@@ -28,6 +28,8 @@ from streamcalc.solvers import (
     Periodic,
     PeriodicityUnknown,
     SimpleAutomaton,
+    _berlekamp_massey,
+    _power_sequences,
     context_free_system_of,
     detect_eventually_periodic,
     linear_system_of,
@@ -273,6 +275,68 @@ class TestLinearMatrixAgainstElimination:
                 + tuple(zeros + row for row in other.M))
             assert assert_matches_oracle(block) \
                 == base + solve_linear_matrix(other)
+
+    @pytest.mark.parametrize("alg", [Q, F5, F2], ids=["Q", "Fp5", "F2"])
+    def test_each_unknown_alone(self, alg):
+        rng = seeded(49)
+        for n in range(1, 9):
+            for _ in range(3):
+                ls = rand_field_system(rng, alg, n, rng.choice((0.3, 0.6, 1.0)))
+                oracle = gauss_oracle(ls)
+                for i, name in enumerate(ls.names):
+                    assert solve_linear_matrix(ls, [name]) == [oracle[i]]
+                assert solve_linear_matrix(ls, ls.names[::-1]) == oracle[::-1]
+                assert solve_linear_matrix(ls, []) == []
+
+    def test_integer_power_sequence_over_q(self):
+        # mixed denominators and signs: the integer iteration scaled back
+        # equals M^k o iterated in Fractions, and its forms the oracle's
+        rng = seeded(51)
+        for n in range(1, 8):
+            def entry():
+                if rng.random() < 0.3:
+                    return Fraction(0)
+                return Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 7, 9, 12)))
+
+            ls = LinearSystem(Q, tuple(f"v{i}" for i in range(n)),
+                              tuple(entry() for _ in range(n)),
+                              tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+            vectors = [ls.o]
+            for _ in range(2 * n - 1):
+                vectors.append(tuple(sum(a * b for a, b in zip(row, vectors[-1]))
+                                     for row in ls.M))
+            rows = range(n)
+            assert _power_sequences(ls, rows) == [[v[i] for v in vectors] for i in rows]
+            oracle = gauss_oracle(ls)
+            for i, name in enumerate(ls.names):
+                assert solve_linear_matrix(ls, [name]) == [oracle[i]]
+
+    @pytest.mark.parametrize("alg", [Q, F2, gf(3), F5], ids=["Q", "F2", "Fp3", "Fp5"])
+    def test_berlekamp_massey_forms_are_already_canonical(self, alg):
+        # on 2n >= 2L terms Berlekamp-Massey finds the shortest recurrence,
+        # so its num/den is reduced, with den(0) = 1, before any gcd
+        rng = seeded(50)
+        zero = alg.zero
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            ls = rand_field_system(rng, alg, n, rng.choice((0.2, 0.5, 0.9)))
+            M = [list(row) for row in ls.M]
+            o = list(ls.o)
+            shape = rng.randrange(4)
+            if shape == 0:  # zero rows
+                for i in rng.sample(range(n), rng.randint(1, n)):
+                    M[i] = [zero] * n
+            elif shape == 1:  # nilpotent: strictly upper triangular
+                M = [[M[i][j] if j > i else zero for j in range(n)] for i in range(n)]
+            elif shape == 2:  # zero heads
+                o = [zero if rng.random() < 0.7 else h for h in o]
+            system = LinearSystem(alg, ls.names, tuple(o), tuple(map(tuple, M)))
+            for seq in _power_sequences(system, range(n)):
+                connection, length = _berlekamp_massey(alg, seq)
+                den = Poly(alg, connection)
+                num = Poly(alg, (Poly(alg, seq[:length]) * den).coeffs[:length])
+                canonical = ratexpr_normalize(num, den)
+                assert (canonical.num, canonical.den) == (num, den)
 
     def test_corpus_linear_and_simple_specs(self):
         checked = 0

@@ -24,6 +24,7 @@ from streamcalc.algebra import get_algebra, tropical
 from streamcalc.cli import run
 from streamcalc.speclang import (
     MAX_CHAIN,
+    MAX_HEIGHT,
     MAX_NESTING,
     Const,
     DVar,
@@ -589,6 +590,65 @@ class TestChains:
     def test_term_sums_are_not_chains(self):
         assert len(parse("s(0)=1; s' = " + "s+" * 5000 + "s;").system.rhs["s"].summands) == 5001
 
+
+
+# a whole term, head expression, guard and definition body made of a
+# longest chain inside one-level openers: the spec around it, the opener
+# and its closer, the chain's first operand and each further operator
+# with its operand, and the levels the spec adds above the expression
+TALL = {
+    "term": ("algebra Z; s(0) = 1; s' = {};", "-(", ")", "s", "*s", 0),
+    "head": ("s(0) = {}; s' = s;", "-", "", "1", "*1", 0),
+    "guard": ("def f(a) {{ when {} = 0 => {{ out = 1; deriv = f(a'); }} "
+              "otherwise => {{ out = 0; deriv = f(a'); }} }} s(0) = 1; s' = f(s);",
+              "-", "", "a(0)", "*a(0)", 1),
+    "def": ("def f(a) {{ out = 1; deriv = {}; }} s(0) = 1; s' = f(s);",
+            "-(", ")", "a'", "*a'", 0),
+}
+
+
+def tall_text(shape, height):
+    """The spec of `shape` whose expression is `height` levels tall."""
+    spec, opener, closer, first, link, extra = TALL[shape]
+    openers = height - MAX_CHAIN - extra
+    return spec.format(opener * openers + first + link * MAX_CHAIN + closer * openers)
+
+
+def stacked_products(levels, width):
+    """((s*...*s)*s*...*s)*...: `levels` products of `width` factors, each
+    leading the next, levels * (width - 1) levels tall."""
+    term = "s"
+    for _ in range(levels):
+        term = f"({term})" + "*s" * (width - 1)
+    return f"algebra Z; s(0) = 1; s' = {term};"
+
+
+class TestHeight:
+    @pytest.mark.parametrize("shape", sorted(TALL))
+    def test_limit_parses(self, shape):
+        assert parse(tall_text(shape, MAX_HEIGHT)).system.variables == ("s",)
+
+    @pytest.mark.parametrize("shape", sorted(TALL))
+    def test_one_taller_is_refused_at_its_first_token(self, shape):
+        with pytest.raises(SpecSyntaxError) as info:
+            parse(tall_text(shape, MAX_HEIGHT + 1))
+        assert str(info.value).endswith(f"expression deeper than {MAX_HEIGHT} levels")
+        before = TALL[shape][0].split("{}")[0].replace("{{", "{")
+        assert info.value.span == (1, len(before) + 1)
+
+    def test_stacked_chains_are_refused(self):
+        width = 41
+        levels = MAX_HEIGHT // (width - 1)
+        assert parse(stacked_products(levels, width)).system is not None
+        with pytest.raises(SpecSyntaxError, match="expression deeper than"):
+            parse(stacked_products(levels + 1, width))
+
+    def test_a_standalone_term_is_bounded(self):
+        spec = parse("s(0) = 1; s' = s;")
+        deep = "-(" * (MAX_HEIGHT - MAX_CHAIN + 1) + "s" + "*s" * MAX_CHAIN + ")" * (
+            MAX_HEIGHT - MAX_CHAIN + 1)
+        with pytest.raises(SpecSyntaxError, match="expression deeper than"):
+            parse_term(deep, spec)
 
 
 def test_resolution_keeps_unchanged_subterms():

@@ -4,8 +4,9 @@
     PYTHONPATH=src python tools/cli_parity.py compare OUT.json
 
 The specs default to corpus/*.sde.  For each spec the runs are `check`,
-and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30` and
-`kernel`, each without an algebra override and under each of the seven
+and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30`,
+`kernel`, `closed-form` and `equiv` against the spec's first unknown,
+each without an algebra override and under each of the seven
 `--algebra` values; then `solve -n 900` on every unknown without an
 override.  The unknowns are those of the spec parsed without override; a
 spec that does not parse gets its `check` runs only.
@@ -71,6 +72,9 @@ def shape(specs):
                     else:
                         runs.append(command[:1] + (f"{path}#{var}",) + command[1:]
                                     + override)
+                runs.append(("closed-form", f"{path}#{var}") + override)
+                runs.append(("equiv", f"{path}#{var}", f"{path}#{unknowns[0]}")
+                            + override)
         runs += [("solve", f"{path}#{var}", "-n", "900") for var in unknowns]
     return runs
 
@@ -110,6 +114,8 @@ def group(argv):
     its --algebra override."""
     command, *rest = argv
     spec = rest.pop(1 if command == "at" else 0)
+    if command == "equiv":
+        rest.pop(0)  # the right-hand selector, in the same spec file
     if "--algebra" in rest:
         at = rest.index("--algebra")
         del rest[at:at + 2]
