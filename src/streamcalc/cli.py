@@ -204,22 +204,23 @@ def _cmd_eval(args, out):
     return EXIT_OK
 
 
-def _closed_form(spec, kind, var):
-    """The closed form of unknown `var` alone, or None if the system has
-    no such unknown; the system's own errors come first either way."""
+def _closed_form(spec, kind, var, path):
+    """The closed form of unknown `var` alone; the system's own errors
+    come before a missing unknown's."""
     if kind not in (Kind.SIMPLE, Kind.LINEAR):
         raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
     ls = solvers.linear_system_of(spec.system)
-    forms = solvers.solve_linear_matrix(ls, [var] if var in ls.names else [])
-    return forms[0] if forms else None
+    if var not in ls.names:
+        solvers.solve_linear_matrix(ls, [])  # the field check
+        raise SpecError(f"no variable {var!r} in {path}")
+    (form,) = solvers.solve_linear_matrix(ls, [var])
+    return form
 
 
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
-    form = _closed_form(loaded.spec, _classify(loaded), var)
-    if form is None:
-        raise SpecError(f"no variable {var!r} in {path}")
+    form = _closed_form(loaded.spec, _classify(loaded), var, path)
     print(format_ratexpr(form), file=out)
     return EXIT_OK
 
@@ -264,8 +265,8 @@ def _cmd_equiv(args, out):
     linear = (Kind.SIMPLE, Kind.LINEAR)
     if (kind_a in linear and kind_b in linear
             and spec_a.algebra.kind == "field" and args.up_to is None):
-        form_a = _closed_form(spec_a, kind_a, var_a)
-        form_b = _closed_form(spec_b, kind_b, var_b)
+        form_a = _closed_form(spec_a, kind_a, var_a, path_a)
+        form_b = _closed_form(spec_b, kind_b, var_b, path_b)
         result = equivalence.equiv_rational(form_a, form_b)
         if isinstance(result, equivalence.Proved):
             print("Proved", file=out)

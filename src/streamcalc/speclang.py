@@ -41,6 +41,7 @@ from .errors import (
     UnknownSymbol,
     UnsupportedOp,
 )
+from .stream import ensure_recursion_room
 
 # builtin operation -> its arity, or the tuple of its arities
 BUILTIN_ARITY = {
@@ -348,7 +349,8 @@ MAX_CHAIN = 400
 # deep, or a 400-factor product inside 100 `inv(`, make a tree that the
 # passes after parsing walk deeper than the default recursion limit.  So
 # a term, head expression or guard whose parsed tree has a path of more
-# than MAX_HEIGHT nodes below its root is refused too.
+# than MAX_HEIGHT nodes below its root is refused too, and so is an
+# equation's `[...]`, which is evaluated inside its term.
 MAX_HEIGHT = 450
 
 
@@ -425,16 +427,21 @@ class _Parser:
         self.depth -= 1
 
     def bounded(self, node, start):
-        """`node`, parsed from the tokens from index `start` on, unless it
-        is a whole term, head expression or guard (parsed at depth 0)
-        taller than MAX_HEIGHT.  Each level of a path takes a token of
-        its own, so an expression of at most MAX_HEIGHT tokens is not
+        """`node`, parsed from the tokens from index `start` on, checked
+        by check_height() if it is a whole term, head expression or
+        guard (parsed at depth 0)."""
+        if self.depth == 0:
+            self.check_height(node, start)
+        return node
+
+    def check_height(self, node, start):
+        """Refuse `node`, parsed from the tokens from index `start` on, if
+        it is taller than MAX_HEIGHT.  Each level of a path takes a token
+        of its own, so an expression of at most MAX_HEIGHT tokens is not
         walked."""
-        if (self.depth == 0 and self.pos - start > MAX_HEIGHT
-                and _taller_than(node, MAX_HEIGHT)):
+        if self.pos - start > MAX_HEIGHT and _taller_than(node, MAX_HEIGHT):
             raise SpecSyntaxError(f"expression deeper than {MAX_HEIGHT} levels",
                                   self.tokens[start][2])
-        return node
 
     def link(self):
         """Consume the next operator of a chain, counting it."""
@@ -774,9 +781,14 @@ class _Parser:
             return inner
         if name == "[":
             self.enter("[")
+            start = self.pos
             expr = self.headexpr(params)
             self.leave("]")
             if params is None:
+                # evaluated here, before the whole term's height is known,
+                # above at most 5 parser frames per nesting level
+                self.check_height(expr, start)
+                ensure_recursion_room(5 * self.depth + 2 * MAX_HEIGHT + 1000)
                 expr = HLit(eval_headexpr(expr, (), self.algebra))
             return Const(expr)
         if kind != "IDENT":

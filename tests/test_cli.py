@@ -16,8 +16,8 @@ import pytest
 
 from streamcalc.cli import run
 from streamcalc.errors import StreamCalcError
-from streamcalc.speclang import MAX_CHAIN, MAX_HEIGHT
-from test_speclang import CHAINS, chain_text, stacked_products, tall_text
+from streamcalc.speclang import MAX_CHAIN, MAX_HEIGHT, MAX_NESTING
+from test_speclang import CHAINS, chain_text, stacked_bracket, stacked_products, tall_text
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -877,9 +877,10 @@ def test_long_chains_are_syntax_errors_in_a_fresh_process(tmp_path, shape, links
 @pytest.mark.parametrize("text", [
     stacked_products(20, 40),
     "algebra Z; s(0) = 1; s' = X*" + "inv(" * 120 + "s" + "*s" * 399 + ")" * 120 + ";",
-], ids=["stacked-products", "product-in-invs"])
+    stacked_bracket(30, 40),
+], ids=["stacked-products", "product-in-invs", "stacked-bracket"])
 def test_stacked_chains_are_syntax_errors_in_a_fresh_process(tmp_path, text):
-    # both escaped cli.run with a RecursionError: each chain and each
+    # all escaped cli.run with a RecursionError: each chain and each
     # nesting was within its bound, but not the tree they made together
     path = tmp_path / "stacked.sde"
     path.write_text(text + "\n")
@@ -891,14 +892,20 @@ def test_stacked_chains_are_syntax_errors_in_a_fresh_process(tmp_path, text):
 
 
 def test_tallest_expressions_solve_in_a_fresh_process(tmp_path):
-    # a longest chain under -( levels up to the bound, in the rhs and a head
+    # a longest chain under -( levels up to the bound, in the rhs and a head;
+    # an equation's bracket is evaluated inside its term, so one at the bound
+    # goes under `(` up to MAX_NESTING (it escaped with a RecursionError)
     term, head = tmp_path / "term.sde", tmp_path / "head.sde"
     term.write_text(tall_text("term", MAX_HEIGHT) + "\n")
     head.write_text(tall_text("head", MAX_HEIGHT) + "\n")
+    bracket, parens = tmp_path / "bracket.sde", MAX_NESTING - 1 - (MAX_HEIGHT - MAX_CHAIN)
+    bracket.write_text(tall_text("bracket", MAX_HEIGHT).replace("[", "(" * parens + "[")
+                       .replace("* s;", "* s" + ")" * parens + ";") + "\n")
     assert (MAX_HEIGHT - MAX_CHAIN) % 2 == 0  # an even number of negations
     for argv, expected in ((("solve", f"{term}#s", "-n", "4"), "1, 1, 401, 241001\n"),
                            (("at", "3", f"{term}#s"), "241001\n"),
                            (("solve", f"{head}#s", "-n", "3"), "1, 1, 1\n"),
+                           (("solve", f"{bracket}#s", "-n", "3"), "1, 1, 1\n"),
                            (("closed-form", f"{head}#s"), "(1)/(1 - X)\n")):
         assert invoke_in_a_fresh_process(*argv) == (0, expected, "")
 

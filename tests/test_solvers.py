@@ -28,7 +28,6 @@ from streamcalc.solvers import (
     Periodic,
     PeriodicityUnknown,
     SimpleAutomaton,
-    _berlekamp_massey,
     _power_sequences,
     context_free_system_of,
     detect_eventually_periodic,
@@ -310,33 +309,6 @@ class TestLinearMatrixAgainstElimination:
             oracle = gauss_oracle(ls)
             for i, name in enumerate(ls.names):
                 assert solve_linear_matrix(ls, [name]) == [oracle[i]]
-
-    @pytest.mark.parametrize("alg", [Q, F2, gf(3), F5], ids=["Q", "F2", "Fp3", "Fp5"])
-    def test_berlekamp_massey_forms_are_already_canonical(self, alg):
-        # on 2n >= 2L terms Berlekamp-Massey finds the shortest recurrence,
-        # so its num/den is reduced, with den(0) = 1, before any gcd
-        rng = seeded(50)
-        zero = alg.zero
-        for _ in range(120):
-            n = rng.randint(1, 6)
-            ls = rand_field_system(rng, alg, n, rng.choice((0.2, 0.5, 0.9)))
-            M = [list(row) for row in ls.M]
-            o = list(ls.o)
-            shape = rng.randrange(4)
-            if shape == 0:  # zero rows
-                for i in rng.sample(range(n), rng.randint(1, n)):
-                    M[i] = [zero] * n
-            elif shape == 1:  # nilpotent: strictly upper triangular
-                M = [[M[i][j] if j > i else zero for j in range(n)] for i in range(n)]
-            elif shape == 2:  # zero heads
-                o = [zero if rng.random() < 0.7 else h for h in o]
-            system = LinearSystem(alg, ls.names, tuple(o), tuple(map(tuple, M)))
-            for seq in _power_sequences(system, range(n)):
-                connection, length = _berlekamp_massey(alg, seq)
-                den = Poly(alg, connection)
-                num = Poly(alg, (Poly(alg, seq[:length]) * den).coeffs[:length])
-                canonical = ratexpr_normalize(num, den)
-                assert (canonical.num, canonical.den) == (num, den)
 
     def test_corpus_linear_and_simple_specs(self):
         checked = 0

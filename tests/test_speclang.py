@@ -604,6 +604,7 @@ TALL = {
               "-", "", "a(0)", "*a(0)", 1),
     "def": ("def f(a) {{ out = 1; deriv = {}; }} s(0) = 1; s' = f(s);",
             "-(", ")", "a'", "*a'", 0),
+    "bracket": ("algebra Z; s(0) = 1; s' = [{}] * s;", "-", "", "1", "*1", 0),
 }
 
 
@@ -614,13 +615,21 @@ def tall_text(shape, height):
     return spec.format(opener * openers + first + link * MAX_CHAIN + closer * openers)
 
 
-def stacked_products(levels, width):
-    """((s*...*s)*s*...*s)*...: `levels` products of `width` factors, each
-    leading the next, levels * (width - 1) levels tall."""
-    term = "s"
+def stacked(levels, width, atom):
+    """((a*...*a)*a*...*a)*...: `levels` products of `width` factors `atom`,
+    each leading the next, levels * (width - 1) levels tall."""
+    expr = atom
     for _ in range(levels):
-        term = f"({term})" + "*s" * (width - 1)
-    return f"algebra Z; s(0) = 1; s' = {term};"
+        expr = f"({expr})" + f"*{atom}" * (width - 1)
+    return expr
+
+
+def stacked_products(levels, width):
+    return f"algebra Z; s(0) = 1; s' = {stacked(levels, width, 's')};"
+
+
+def stacked_bracket(levels, width):
+    return f"algebra Z; s(0) = 1; s' = [{stacked(levels, width, '1')}] * s;"
 
 
 class TestHeight:
@@ -636,12 +645,13 @@ class TestHeight:
         before = TALL[shape][0].split("{}")[0].replace("{{", "{")
         assert info.value.span == (1, len(before) + 1)
 
-    def test_stacked_chains_are_refused(self):
+    @pytest.mark.parametrize("text", [stacked_products, stacked_bracket])
+    def test_stacked_chains_are_refused(self, text):
         width = 41
         levels = MAX_HEIGHT // (width - 1)
-        assert parse(stacked_products(levels, width)).system is not None
+        assert parse(text(levels, width)).system is not None
         with pytest.raises(SpecSyntaxError, match="expression deeper than"):
-            parse(stacked_products(levels + 1, width))
+            parse(text(levels + 1, width))
 
     def test_a_standalone_term_is_bounded(self):
         spec = parse("s(0) = 1; s' = s;")
