@@ -129,14 +129,21 @@ def _load(path, algebra_name):
 
 
 class _Loaded:
-    """A parsed spec file and, once a command has asked for it, the
-    format of its system."""
+    """A parsed spec file and, once a command has asked for them, the
+    format of its system and the `series` plan of its nodes."""
 
-    __slots__ = ("spec", "kind")
+    __slots__ = ("spec", "kind", "plan")
 
     def __init__(self, spec):
         self.spec = spec
         self.kind = None
+        self.plan = None
+
+    def series_plan(self, sys_):
+        # sys_ is spec.system; nothing is kept if compiling raises
+        if self.plan is None:
+            self.plan = series.compile_plan(sys_)
+        return self.plan
 
 
 SPEC_CACHE_SIZE = 64
@@ -144,9 +151,9 @@ SPEC_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _parsed(text, override):
-    # parsing and classifying are pure functions of the text and the
-    # override, so a text seen again reuses both; nothing that raises is
-    # kept, and no command changes a parsed spec
+    # parsing, classifying and the series plan are pure functions of the
+    # text and the override, so a text seen again reuses all three;
+    # nothing that raises is kept, and no command changes a parsed spec
     return _Loaded(speclang.parse(text, algebra=override))
 
 
@@ -165,15 +172,16 @@ def _classify(loaded):
     return loaded.kind
 
 
-def _solve_spec(spec, kind):
-    """Solution streams of a spec file's system, routed by its format
-    `kind` (the classification of spec.system)."""
+def _solve_spec(loaded, kind):
+    """Solution streams of a loaded spec's system, routed by its format
+    `kind` (the classification of the system)."""
+    spec = loaded.spec
     if kind in (Kind.CONTEXT_FREE, Kind.GENERAL) and spec.defs:
         # the GSOS engine runs user definitions and validates every one
         return gsos.solve_system_with_defs(spec.system, spec.defs)
     # coefficient arrays: every builtin has an index formula and the
     # other formats are causal, so no term states are built
-    return series.solve_by_coefficients(spec.system)
+    return series.solve_by_coefficients(spec.system, plan_of=loaded.series_plan)
 
 
 def _format_prefix(alg, values):
@@ -184,7 +192,7 @@ def _cmd_solve(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
     spec = loaded.spec
-    streams = _solve_spec(spec, _classify(loaded))
+    streams = _solve_spec(loaded, _classify(loaded))
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     values = take(streams[var], args.count, args.budget)
@@ -331,7 +339,7 @@ def _cmd_kernel(args, out):
     kind = _classify(loaded)
     # an even-odd stream's kernel is exact: its members are automaton states
     aut = automatic.compile_evenodd(spec.system) if kind is Kind.EVEN_ODD else None
-    streams = _solve_spec(spec, kind) if aut is None else {}
+    streams = _solve_spec(loaded, kind) if aut is None else {}
     if var not in (streams if aut is None else aut.outputs):
         raise SpecError(f"no variable {var!r} in {path}")
     result = automatic.kernel2(streams.get(var), budget=min(args.budget, 512),
@@ -357,7 +365,7 @@ def _cmd_at(args, out):
         aut = automatic.compile_evenodd(sys_)
         print(spec.algebra.fmt(automatic.value_at(aut, var, args.index)), file=out)
         return EXIT_OK
-    streams = _solve_spec(spec, kind)
+    streams = _solve_spec(loaded, kind)
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     values = take(streams[var], args.index + 1, args.budget)
@@ -404,7 +412,7 @@ def _cmd_check(args, out):
             print(f"zero-consistency: violation at {verdict.state}", file=out)
             return max(status, EXIT_REFUTED)
     try:
-        streams = _solve_spec(spec, kind)
+        streams = _solve_spec(loaded, kind)
     except StreamCalcError as err:
         print(f"solve: failed ({err})", file=out)
         return max(status, EXIT_REFUTED)

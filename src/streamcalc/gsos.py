@@ -490,9 +490,11 @@ class Engine:
         if isinstance(term, Const):
             return self.lit_or_stuck(self._hval(term.value, heads))
         if isinstance(term, OpApp):
-            return self.app(term.symbol,
-                            [self._instantiate(a, params, args, heads)
-                             for a in term.args])
+            # a loop, not a comprehension: one frame per level, not two
+            states = []
+            for a in term.args:
+                states.append(self._instantiate(a, params, args, heads))
+            return self.app(term.symbol, states)
         if isinstance(term, Sum):
             return self._fold_sum(
                 term, lambda t: self._instantiate(t, params, args, heads))
@@ -512,7 +514,10 @@ class Engine:
         if isinstance(expr, HArg):
             return heads[expr.index]
         if isinstance(expr, HOp):
-            args = [self._hval(a, heads) for a in expr.args]
+            # a loop, not a comprehension: one frame per level, not two
+            args = []
+            for a in expr.args:
+                args.append(self._hval(a, heads))
             symbolic = any(isinstance(a, SymHead) for a in args)
             if expr.op == "+":
                 return sym_add(alg, *args)

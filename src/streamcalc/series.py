@@ -12,6 +12,16 @@ observation budget once.  `operation` makes the node of one builtin;
 the `calculus` operations are such nodes over Leaf nodes, which read
 streams in order.
 
+A system is solved in two steps.  `compile_plan`, a pure function of
+the system, walks the right-hand sides once, gives equal subterms one
+slot, and returns an immutable Plan: the unknowns' heads, then a flat
+tuple of steps, each a node kind, its payload (a constant, a sum's
+negation flags, a scalar and its side) and its child slots.
+`solve_by_coefficients` makes fresh nodes from a plan in one pass that
+hashes no term.  A caller that sees a system again can keep its plan
+(cli keeps one per cached spec text) and pay for the walk once; no
+coefficient, busy flag or budget charge is shared between two calls.
+
 The nodes observe the GSOS engine (gsos.py) wherever it answers:
 
 * prefixes are identical;
@@ -36,6 +46,7 @@ node per state (`even_odd_nodes`).
 """
 
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import (
     HeadNotInvertible,
@@ -87,7 +98,7 @@ class _Unknown(_Node):
 
     def __init__(self, alg, head, successor):
         super().__init__(alg)
-        self.head = alg.coerce(head)
+        self.head = head
         self.successor = successor
         self.rhs = None
 
@@ -160,9 +171,9 @@ class _Sum(_Node):
 
     __slots__ = ("terms",)
 
-    def __init__(self, alg, terms):
+    def __init__(self, alg, negated, *nodes):
         super().__init__(alg)
-        self.terms = terms
+        self.terms = tuple(zip(nodes, negated))
 
     def compute(self, n):
         alg = self.alg
@@ -200,7 +211,7 @@ class _Scale(_Unary):
 
     __slots__ = ("c", "left")
 
-    def __init__(self, alg, c, arg, left):
+    def __init__(self, alg, c, left, arg):
         super().__init__(alg, arg)
         self.c, self.left = c, left
 
@@ -355,7 +366,7 @@ class _Sqrt(_Unary):
         r0 = alg.sqrt(a0)
         if r0 is None:
             raise NoExactSqrt(f"{alg.fmt(a0)} has no exact square root")
-        denominator = _Sum(alg, ((Constant(alg, r0), False), (self, False)))
+        denominator = _Sum(alg, (False, False), Constant(alg, r0), self)
         self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0
 
@@ -403,51 +414,121 @@ _OPERATIONS = {
 }
 
 
-def operation(alg, symbol, args):
-    """The node of builtin `symbol` over the nodes `args`; a product with
-    a constant factor is the scalar action on the other factor."""
+def _operation_step(symbol, args, constant):
+    """(kind, payload, args): the node of builtin `symbol` over `args` is
+    kind(alg, *payload, *args).  `constant(arg)` is the payload of a
+    constant argument, (value,), or None; a product with a constant
+    factor is the scalar action on the other factor."""
     if len(args) == 2:
         if symbol in ("+", "-"):
-            return _Sum(alg, ((args[0], False), (args[1], symbol == "-")))
+            return _Sum, ((False, symbol == "-"),), args
         if symbol == "*":
             for side, other, left in ((args[0], args[1], True),
                                       (args[1], args[0], False)):
-                if type(side) is Constant:
-                    return _Scale(alg, side.value, other, left)
-    make = _OPERATIONS.get((symbol, len(args)))
-    if make is None:
+                value = constant(side)
+                if value is not None:
+                    return _Scale, value + (left,), (other,)
+    kind = _OPERATIONS.get((symbol, len(args)))
+    if kind is None:
         raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
-    return make(alg, *args)
+    return kind, (), args
 
 
-class _Builder:
-    """Nodes of right-hand-side terms; equal subterms share one node."""
+def operation(alg, symbol, args):
+    """The node of builtin `symbol` over the nodes `args`."""
+    kind, payload, args = _operation_step(
+        symbol, args, lambda a: (a.value,) if type(a) is Constant else None)
+    return kind(alg, *payload, *args)
 
-    def __init__(self, alg, unknowns):
+
+class Plan(NamedTuple):
+    """The nodes of a system's right-hand sides, to be made afresh.
+
+    Slots 0..k-1 are the k unknowns, whose heads are `heads`; step i
+    makes slot k+i as kind(alg, *payload, *nodes of its child slots),
+    every child slot being an unknown or an earlier step.  `rhs` is the
+    slot of each unknown's right-hand side, and `terms` the number of
+    distinct subterms, unknowns included, that the steps came from.
+    """
+
+    heads: tuple
+    steps: tuple
+    rhs: tuple
+    terms: int
+
+
+class _Compiler:
+    """Plan steps of right-hand-side terms; equal subterms share one slot."""
+
+    def __init__(self, alg, variables):
         self.alg = alg
-        self.unknowns = unknowns
-        self.nodes = {}
+        self.unknowns = {v: i for i, v in enumerate(variables)}
+        self.slots = {}
+        self.steps = []
 
-    def node(self, term):
-        found = self.nodes.get(term)
-        if found is None:
-            found = self.nodes[term] = self._make(term)
+    def slot(self, term):
+        """The slot of `term`, its new subterms' slots made first.  One
+        frame per level of the term: subterms are walked by map or a
+        loop, and the lookup is not a call of its own."""
+        found = self.slots.get(term)
+        if found is not None:
+            return found
+        if isinstance(term, Var):
+            found = self.unknowns[term.name]
+        elif isinstance(term, Const) and isinstance(term.value, HLit):
+            found = self._step(Constant, (self.alg.coerce(term.value.value),))
+        elif (parts := summands(term)) is not None:
+            children = []
+            for s, _ in parts:
+                children.append(self.slot(s))
+            found = self._step(_Sum, (tuple(negated for _, negated in parts),),
+                               tuple(children))
+        elif isinstance(term, OpApp):
+            found = self._step(*_operation_step(
+                term.symbol, tuple(map(self.slot, term.args)), self._constant))
+        else:
+            raise UnsupportedOp(f"cannot evaluate term {term!r}")
+        self.slots[term] = found
         return found
 
-    def _make(self, term):
-        alg = self.alg
-        if isinstance(term, Var):
-            return self.unknowns[term.name]
-        if isinstance(term, Const) and isinstance(term.value, HLit):
-            return Constant(alg, alg.coerce(term.value.value))
-        parts = summands(term)
-        if parts is not None:
-            return _Sum(alg, tuple((self.node(s), negated) for s, negated in parts))
-        if not isinstance(term, OpApp):
-            raise UnsupportedOp(f"cannot evaluate term {term!r}")
-        # map, not a comprehension: a left-nested chain such as a long
-        # product then costs two frames per link, not three
-        return operation(alg, term.symbol, list(map(self.node, term.args)))
+    def _step(self, kind, payload, children=()):
+        self.steps.append((kind, payload, children))
+        return len(self.unknowns) + len(self.steps) - 1
+
+    def _constant(self, slot):
+        """The payload of the Constant made at `slot`, or None."""
+        k = slot - len(self.unknowns)
+        if k >= 0 and self.steps[k][0] is Constant:
+            return self.steps[k][1]
+        return None
+
+
+def compile_plan(sys_):
+    """The Plan of a system without definitions, a pure function of it.
+
+    Refuses an operation that is not a builtin with UnsupportedOp, and a
+    head or constant outside the algebra with its coerce error, in the
+    order of the unknowns' heads and then of their right-hand sides.
+    """
+    alg = sys_.algebra
+    heads = tuple(alg.coerce(sys_.heads[v]) for v in sys_.variables)
+    compiler = _Compiler(alg, sys_.variables)
+    rhs = []
+    for v in sys_.variables:
+        rhs.append(compiler.slot(sys_.rhs[v]))
+    return Plan(heads, tuple(compiler.steps), tuple(rhs), len(compiler.slots))
+
+
+def _instantiate(plan, alg, successor):
+    """Fresh nodes of a plan, one per slot: no term is hashed, and no
+    coefficient is shared with the nodes of another call."""
+    nodes = [_Unknown(alg, head, successor) for head in plan.heads]
+    get = nodes.__getitem__
+    for kind, payload, children in plan.steps:
+        nodes.append(kind(alg, *payload, *map(get, children)))
+    for unknown, slot in zip(nodes, plan.rhs):
+        unknown.rhs = nodes[slot]
+    return nodes
 
 
 def _successor(sys_, delta_o_inverse):
@@ -476,16 +557,18 @@ def node_stream(node, n=0):
     return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
 
 
-def solve_by_coefficients(sys_, delta_o_inverse=None):
+def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None):
     """Solution streams of a system without definitions, one per unknown.
 
     The system's tail operation gives the successor rule of every
     unknown: x' = r, delta(x) = r, ddx(x) = r, or delta_o(x) = r with
     delta_o_inverse(x(n), r(n)) = x(n+1).  Builds nodes only, refusing
-    an operation that is not a builtin, or an algebra the tail operation
-    cannot run in, with UnsupportedOp, and a zero-inconsistent even-odd
+    an algebra the tail operation cannot run in with UnsupportedOp, then
+    the errors of `compile_plan`, and a zero-inconsistent even-odd
     system with NotZeroConsistent; every other error surfaces when the
-    returned streams are observed.
+    returned streams are observed.  `plan_of(sys_)` gives the system's
+    Plan, compile_plan by default; a caller that keeps plans passes its
+    own, and the nodes are made afresh from the plan on every call.
     """
     alg = sys_.algebra
     if sys_.evens:
@@ -493,11 +576,9 @@ def solve_by_coefficients(sys_, delta_o_inverse=None):
         nodes = even_odd_nodes(alg, sys_.heads, sys_.evens, sys_.odds)
         return {v: node_stream(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)
-    unknowns = {v: _Unknown(alg, sys_.heads[v], successor) for v in sys_.variables}
-    builder = _Builder(alg, unknowns)
-    for v in sys_.variables:
-        unknowns[v].rhs = builder.node(sys_.rhs[v])
+    plan = (plan_of or compile_plan)(sys_)
+    nodes = _instantiate(plan, alg, successor)
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed
-    ensure_recursion_room(4 * (len(unknowns) + 5 * len(builder.nodes)) + 1000)
-    return {v: node_stream(unknowns[v]) for v in sys_.variables}
+    ensure_recursion_room(4 * (len(plan.heads) + 5 * plan.terms) + 1000)
+    return {v: node_stream(node) for v, node in zip(sys_.variables, nodes)}

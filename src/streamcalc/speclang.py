@@ -932,15 +932,19 @@ class _Parser:
             if t.name in self.defs and self.defs[t.name].arity == 0:
                 return OpApp(t.name, ())
             raise UnknownSymbol(f"unknown stream variable {t.name!r}")
+        # loops, not comprehensions: one frame per level, not two
         if cls is OpApp:
             self.check_arity(t, None)
-            args = [self.resolve_system_term(a, orders) for a in t.args]
+            args = []
+            for a in t.args:
+                args.append(self.resolve_system_term(a, orders))
             for new, old in zip(args, t.args):
                 if new is not old:
                     return OpApp(t.symbol, tuple(args))
         elif cls is Sum:
-            parts = [(self.resolve_system_term(s, orders), negated)
-                     for s, negated in t.summands]
+            parts = []
+            for s, negated in t.summands:
+                parts.append((self.resolve_system_term(s, orders), negated))
             for (new, _), (old, _) in zip(parts, t.summands):
                 if new is not old:
                     return Sum(tuple(parts))
@@ -1055,7 +1059,10 @@ def eval_headexpr(expr, heads, alg):
     if isinstance(expr, HArg):
         return heads[expr.index]
     if isinstance(expr, HOp):
-        args = [eval_headexpr(a, heads, alg) for a in expr.args]
+        # a loop, not a comprehension: one frame per level, not two
+        args = []
+        for a in expr.args:
+            args.append(eval_headexpr(a, heads, alg))
         if expr.op == "+":
             return alg.add(*args)
         if expr.op == "*":

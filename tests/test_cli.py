@@ -818,6 +818,101 @@ class TestSpecCache:
         assert cache.cache_info().misses == parsed  # every entry was still kept
 
 
+def _count_compiles(monkeypatch):
+    """Record the system of every series.compile_plan call."""
+    from streamcalc import series
+
+    compiled = []
+    original = series.compile_plan
+    monkeypatch.setattr(series, "compile_plan",
+                        lambda sys_: compiled.append(sys_) or original(sys_))
+    return compiled
+
+
+class TestSeriesPlan:
+    """The spec cache keeps a system's series plan; every request makes
+    its own nodes from it, so no coefficient, busy flag or budget charge
+    is shared between requests."""
+
+    def test_a_budget_runs_out_at_the_same_index_each_time(self, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        argv = ("solve", corpus("fib.sde") + "#s", "-n", "200", "--budget", "60")
+        first = invoke(*argv)
+        assert first == (2, "", "error: BudgetExhausted: forcing budget exhausted "
+                                "(at index 15)\n")
+        assert invoke(*argv) == first
+
+    def test_a_non_productive_system_is_refused_each_time(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        path = tmp_path / "np.sde"
+        path.write_text("algebra Z; s(0) = 1; s' = even(s);\n")
+        for _ in range(2):
+            assert invoke("solve", f"{path}#s", "-n", "5") == (
+                2, "", "error: NonProductive: non-productive definition (at index 2)\n")
+            assert invoke("check", path)[:2] == (2, "parse: ok (algebra Z, 1 unknown(s), "
+                                                    "0 definition(s))\nkind: general\n"
+                                                    "probe s: NonProductive at index 2\n")
+
+    def test_each_algebra_override_has_its_own_plan(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        compiled = _count_compiles(monkeypatch)
+        path = tmp_path / "three.sde"
+        path.write_text("s(0) = 1; s' = 3*s + X;\n")
+        for _ in range(2):
+            for algebra, expected in (("Z", "1, 3, 10, 30, 90\n"),
+                                      ("F2", "1, 1, 0, 0, 0\n")):
+                assert invoke("solve", f"{path}#s", "-n", "5", "--algebra", algebra) == (
+                    0, expected, "")
+        assert [sys_.algebra.name for sys_ in compiled] == ["Z", "F2"]
+
+    def test_one_compile_per_cached_text(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        compiled = _count_compiles(monkeypatch)
+        path = tmp_path / "fib.sde"
+        path.write_text(pathlib.Path(corpus("fib.sde")).read_text())
+        for argv in (("solve", f"{path}#s", "-n", "5"), ("at", "7", f"{path}#s"),
+                     ("check", path), ("kernel", f"{path}#s", "--budget", "50")):
+            for _ in range(2):
+                assert invoke(*argv)[0] in (0, 2)
+        assert len(compiled) == 1
+        invoke("solve", corpus("fib.sde") + "#s")  # another path, the same text
+        assert len(compiled) == 1
+
+    def test_a_build_error_is_not_kept(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        compiled = _count_compiles(monkeypatch)
+        path = tmp_path / "user_op.sde"
+        path.write_text("algebra Q; def f(a) { out = a(0); deriv = f(a'); }\n"
+                        "x(0) = 1; delta(x) = x + f(x);\n")
+        for _ in range(2):
+            assert invoke("solve", f"{path}#x") == (
+                1, "", "error: UnsupportedOp: 'f' is not a builtin operation\n")
+        assert len(compiled) == 2
+
+    def test_the_successor_rule_is_refused_before_the_build(self, tmp_path, monkeypatch):
+        # a ddx system over Z that also uses a user operation
+        _empty_spec_cache(monkeypatch)
+        compiled = _count_compiles(monkeypatch)
+        path = tmp_path / "ddx_z.sde"
+        path.write_text("algebra Z; def f(a) { out = a(0); deriv = f(a'); }\n"
+                        "x(0) = 1; ddx(x) = f(x);\n")
+        for _ in range(2):
+            assert invoke("solve", f"{path}#x") == (
+                1, "", "error: UnsupportedOp: ddx systems need a field of "
+                       "characteristic 0 (division by the naturals)\n")
+        assert compiled == []
+
+    def test_a_large_spec_checks_alike_compiled_cached_and_fresh(self, tmp_path, monkeypatch):
+        _empty_spec_cache(monkeypatch)
+        compiled = _count_compiles(monkeypatch)
+        path = _dense_z_spec(tmp_path, "v", 60)
+        first = invoke("check", path)
+        assert first[0] == 0 and first[1].count("\nprobe v") == 60
+        assert invoke("check", path) == first
+        assert len(compiled) == 1
+        assert invoke_in_a_fresh_process("check", str(path)) == first
+
+
 def _sum_spec(tmp_path, algebra, rhs):
     path = tmp_path / f"sum-{algebra}.sde"
     path.write_text(f"algebra {algebra}; s(0) = 1; s' = {rhs};\n")
@@ -842,11 +937,24 @@ def test_long_sums_solve(tmp_path, k):
     _long_sum_answers(tmp_path, " + ".join(["s"] * k), k)
 
 
-def invoke_in_a_fresh_process(*argv):
-    """Like invoke, in a new interpreter with the default recursion limit."""
+# calls cli.run under argv[1] more frames, with the arguments after it
+DEEPER = """import sys
+from streamcalc.cli import run
+
+def deeper(k):
+    return deeper(k - 1) if k else run(sys.argv[2:])
+
+sys.exit(deeper(int(sys.argv[1])))
+"""
+
+
+def invoke_in_a_fresh_process(*argv, frames=0):
+    """Like invoke, in a new interpreter with the default recursion limit,
+    with cli.run called `frames` frames deeper than `python -m` calls it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "streamcalc", *argv],
+    command = ["-c", DEEPER, str(frames)] if frames else ["-m", "streamcalc"]
+    proc = subprocess.run([sys.executable, *command, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -908,6 +1016,35 @@ def test_tallest_expressions_solve_in_a_fresh_process(tmp_path):
                            (("solve", f"{bracket}#s", "-n", "3"), "1, 1, 1\n"),
                            (("closed-form", f"{head}#s"), "(1)/(1 - X)\n")):
         assert invoke_in_a_fresh_process(*argv) == (0, expected, "")
+
+
+def tall_def_text():
+    """A definition whose guard, `out` and `deriv` are each MAX_HEIGHT
+    levels tall, the guard's comparison counted."""
+    def tall(opener, closer, first, link, height):
+        openers = height - MAX_CHAIN
+        return opener * openers + first + link * MAX_CHAIN + closer * openers
+
+    guard = tall("-", "", "a(0)", "*a(0)", MAX_HEIGHT - 1)
+    out = tall("-", "", "a(0)", "*a(0)", MAX_HEIGHT)
+    deriv = tall("-(", ")", "a'", "*a'", MAX_HEIGHT)
+    body = f"{{ out = {out}; deriv = {deriv}; }}"
+    return (f"def f(a) {{ when {guard} = 0 => {body} otherwise => {body} }}"
+            " s(0) = 1; s' = f(s);")
+
+
+def test_tallest_definition_answers_from_a_deeper_caller(tmp_path):
+    # the engine's head values, and the parser's passes over a system
+    # term and a head expression, spent two frames per level on a list
+    # comprehension: this escaped cli.run with a RecursionError when the
+    # caller was about 90 frames deep
+    path = tmp_path / "tall_def.sde"
+    path.write_text(tall_def_text() + "\n")
+    assert invoke_in_a_fresh_process("solve", f"{path}#s", "-n", "4", frames=200) == (
+        0, "1, 1, 1, 401\n", "")
+    code, out, err = invoke_in_a_fresh_process("check", str(path), frames=200)
+    assert (code, err) == (0, "")
+    assert out.endswith("kind: general\nprobe s: ok (1, 1, 1)\n")
 
 
 def test_long_mixed_sum(tmp_path):

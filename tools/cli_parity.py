@@ -22,8 +22,9 @@ runs, each twice in a row, prints each one whose first answer differs
 from the record or whose second differs from its first, then the
 number of such runs per command, spec file and flags (the --algebra
 override aside), and exits 1 if any differs.  cli.run keeps the parsed
-form of recent spec texts, so the second answer comes from that cache,
-and so do first answers whose spec an earlier run has loaded.  (A
+form of recent spec texts and the `series` plan of their systems, so
+the second answer comes from that cache and reuses the cached plan, and
+so do first answers whose spec an earlier run has loaded.  (A
 second pass over the whole shape would not find them there: the corpus
 shape loads more distinct texts and --algebra values than the cache
 holds.)
