@@ -568,7 +568,9 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None):
     system with NotZeroConsistent; every other error surfaces when the
     returned streams are observed.  `plan_of(sys_)` gives the system's
     Plan, compile_plan by default; a caller that keeps plans passes its
-    own, and the nodes are made afresh from the plan on every call.
+    own.  It is called after the successor rule is checked, so that
+    refusal comes first, and the nodes are made afresh from the plan on
+    every call.
     """
     alg = sys_.algebra
     if sys_.evens:
