@@ -397,8 +397,11 @@ class Engine:
             value = speclang.eval_headexpr(term.value, (), self.algebra)
             return self.lit(value)
         if isinstance(term, OpApp):
-            return self.app(term.symbol,
-                            [self.from_term(a, env, symbolic) for a in term.args])
+            # a loop, not a comprehension: one frame per level, not two
+            args = []
+            for a in term.args:
+                args.append(self.from_term(a, env, symbolic))
+            return self.app(term.symbol, args)
         if isinstance(term, Sum):
             return self._fold_sum(term, lambda t: self.from_term(t, env, symbolic))
         raise SpecError(f"cannot evaluate term {term!r}")

@@ -51,10 +51,13 @@ class SimpleAutomaton:
 
 
 def automaton_of_simple(sys):
-    if not speclang.is_simple(sys):
+    if speclang.classify(sys) is not speclang.Kind.SIMPLE:
         raise UnsupportedOp("not a simple system")
-    return SimpleAutomaton(sys.algebra, dict(sys.heads),
-                           {v: sys.rhs[v].name for v in sys.variables})
+    successors = {}
+    for v in sys.variables:
+        ((successor,),) = speclang.as_polynomial(sys.rhs[v], sys.algebra)
+        successors[v] = successor
+    return SimpleAutomaton(sys.algebra, dict(sys.heads), successors)
 
 
 def unfold_automaton(aut, state):
@@ -136,13 +139,14 @@ def linear_system_of(sys):
     rows = []
     heads = []
     for v in sys.variables:
-        lc = speclang.as_linear_combination(sys.rhs[v], alg)
-        if lc is None:
+        poly = speclang.as_polynomial(sys.rhs[v], alg)
+        if poly is None or not all(map(speclang.is_single_unknown, poly)):
             raise UnsupportedOp(f"equation for {v!r} is not linear")
-        unknown = set(lc) - set(sys.variables)
+        row = {w: c for (w,), c in poly.items()}
+        unknown = set(row) - set(sys.variables)
         if unknown:
             raise UnsupportedOp(f"unknown variables {sorted(unknown)}")
-        rows.append(tuple(lc.get(w, alg.zero) for w in sys.variables))
+        rows.append(tuple(row.get(w, alg.zero) for w in sys.variables))
         heads.append(sys.heads[v])
     return LinearSystem(alg, tuple(sys.variables), tuple(heads), tuple(rows))
 

@@ -23,6 +23,10 @@ Higher-order equations are flattened into first-order systems; the
 fresh unknowns are named `<var>#k`.  A derivative of an unknown on a
 right-hand side is only accepted when the unknown's own equation has
 strictly higher order (so `c' = c';` is rejected outright).
+
+`classify` reads a system's format from its equations (even-odd,
+non-standard) or else from its right-hand sides, each read once as a
+polynomial in the unknowns and X (`as_polynomial`).
 """
 
 import enum
@@ -110,10 +114,27 @@ class Const:
     value: object  # HLit / HArg / HOp
 
 
-@dataclass(frozen=True)
 class OpApp:
-    symbol: str
-    args: tuple
+    """An operation applied to the tuple of its argument terms.  As for
+    Sum, the hash is computed once, at construction, so hashing a tall
+    term does not recurse down it."""
+
+    __slots__ = ("symbol", "args", "_hash")
+
+    def __init__(self, symbol, args):
+        self.symbol = symbol
+        self.args = args
+        self._hash = hash((symbol, args))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is OpApp and self._hash == other._hash
+                                 and self.symbol == other.symbol and self.args == other.args)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"OpApp(symbol={self.symbol!r}, args={self.args!r})"
 
 
 class Sum:
@@ -1038,11 +1059,18 @@ def parse_term(text, spec):
             return t
         if isinstance(t, TermDeriv):
             raise SpecSyntaxError("derivative of a compound term")
+        # loops, not generator expressions: one frame per level, not two
         if isinstance(t, Sum):
-            return Sum(tuple((resolve(s), negated) for s, negated in t.summands))
+            parts = []
+            for s, negated in t.summands:
+                parts.append((resolve(s), negated))
+            return Sum(tuple(parts))
         if isinstance(t, OpApp):
             parser.check_arity(t, None)
-            return OpApp(t.symbol, tuple(resolve(a) for a in t.args))
+            args = []
+            for a in t.args:
+                args.append(resolve(a))
+            return OpApp(t.symbol, tuple(args))
         return t
 
     return resolve(term)
@@ -1092,85 +1120,34 @@ def eval_headexpr(expr, heads, alg):
 
 # ---------------------------------------------------------------------------
 # Classification
-
-
-def term_constant_value(t, alg):
-    """The element denoted by a constant term, or None."""
-    if isinstance(t, Const) and isinstance(t.value, HLit):
-        return alg.coerce(t.value.value)
-    if isinstance(t, OpApp) and t.symbol == "*" and len(t.args) == 2:
-        a = term_constant_value(t.args[0], alg)
-        b = term_constant_value(t.args[1], alg)
-        if a is not None and b is not None:
-            return alg.mul(a, b)
-    if isinstance(t, OpApp) and t.symbol == "-" and alg.neg is not None:
-        if len(t.args) == 1:
-            a = term_constant_value(t.args[0], alg)
-            return None if a is None else alg.neg(a)
-    return None
-
-
-def as_linear_combination(t, alg):
-    """Interpret a term as a finite linear combination of variables.
-
-    Returns {var: coefficient} or None if the term is not linear.  The
-    zero constant is the empty combination; other constants are not
-    linear (the format has no affine part).
-    """
-    if isinstance(t, Var):
-        return {t.name: alg.one}
-    if isinstance(t, Const):
-        const = term_constant_value(t, alg)
-        return None if const is None or not alg.is_zero(const) else {}
-    parts = summands(t)
-    if parts is not None:
-        combination = {}
-        for s, negated in parts:
-            if negated and alg.neg is None:
-                return None
-            inner = as_linear_combination(s, alg)
-            if inner is None:
-                return None
-            for k, v in inner.items():
-                if negated:
-                    v = alg.neg(v)
-                combination[k] = alg.add(combination[k], v) if k in combination else v
-        return combination
-    if not isinstance(t, OpApp):
-        return None
-    symbol, args = t.symbol, t.args
-    if symbol == "*" and len(args) == 2:
-        left = term_constant_value(args[0], alg)
-        right = term_constant_value(args[1], alg)
-        if left is not None and right is not None:
-            return {} if alg.is_zero(alg.mul(left, right)) else None
-        if left is not None:
-            inner = as_linear_combination(args[1], alg)
-        elif right is not None:
-            inner, left = as_linear_combination(args[0], alg), right
-        else:
-            return None
-        return None if inner is None else {k: alg.mul(left, v) for k, v in inner.items()}
-    if symbol == "-" and len(args) == 1 and alg.neg is not None:
-        # -c is zero exactly when c is
-        inner = as_linear_combination(args[0], alg)
-        return None if inner is None else {k: alg.neg(v) for k, v in inner.items()}
-    return None
+#
+# The formats are shapes of the right-hand sides' polynomials, read with
+# the algebra's arithmetic, so monomials that cancel (x*y - x*y, or
+# 2*x*x over F2) do not make a system less specific.
 
 
 def as_polynomial(t, alg):
     """Interpret a term as a polynomial over words of variables (and X).
 
     Returns {word-tuple: coefficient} or None.  The empty word stands
-    for [1]; plain constants embed as coefficient * empty word.
+    for [1]; plain constants embed as coefficient * empty word.  No
+    coefficient is zero.
     """
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return {(t.name,): alg.one}
-    if isinstance(t, OpApp) and t.symbol == "X" and not t.args:
-        return {("X",): alg.one}
-    if isinstance(t, Const) and isinstance(t.value, HLit):
+    if cls is Const:
+        if type(t.value) is not HLit:
+            return None
         c = alg.coerce(t.value.value)
         return {} if alg.is_zero(c) else {(): c}
+    # products before sums: c*v is the commonest node of a linear system
+    if cls is OpApp and t.symbol == "*" and len(t.args) == 2:
+        left = as_polynomial(t.args[0], alg)
+        right = as_polynomial(t.args[1], alg)
+        if left is None or right is None:
+            return None
+        return poly_mul(left, right, alg)
     parts = summands(t)
     if parts is not None:
         total = {}
@@ -1180,16 +1157,12 @@ def as_polynomial(t, alg):
             inner = as_polynomial(s, alg)
             if inner is None:
                 return None
-            _poly_add_into(total, {w: alg.neg(c) for w, c in inner.items()}
-                           if negated else inner, alg)
+            for w, c in inner.items():
+                _add_monomial(total, w, alg.neg(c) if negated else c, alg)
         return total
-    if isinstance(t, OpApp):
-        if t.symbol == "*" and len(t.args) == 2:
-            left = as_polynomial(t.args[0], alg)
-            right = as_polynomial(t.args[1], alg)
-            if left is None or right is None:
-                return None
-            return poly_mul(left, right, alg)
+    if cls is OpApp:
+        if t.symbol == "X" and not t.args:
+            return {("X",): alg.one}
         if t.symbol == "-" and len(t.args) == 1 and alg.neg is not None:
             inner = as_polynomial(t.args[0], alg)
             if inner is None:
@@ -1198,62 +1171,51 @@ def as_polynomial(t, alg):
     return None
 
 
-def _poly_add_into(out, q, alg):
-    """Add the polynomial q into out, in place."""
-    for w, c in q.items():
-        s = alg.add(out[w], c) if w in out else c
-        if alg.is_zero(s):
-            out.pop(w, None)
-        else:
-            out[w] = s
+def _add_monomial(out, w, c, alg):
+    """Add c*w, c nonzero, into the polynomial out, in place."""
+    if w in out:
+        c = alg.add(out[w], c)
+        if alg.is_zero(c):
+            del out[w]
+            return
+    out[w] = c
 
 
 def poly_mul(p, q, alg):
+    # no algebra of get_algebra has zero divisors, so the product of two
+    # nonzero coefficients is nonzero
     out = {}
     for w1, c1 in p.items():
         for w2, c2 in q.items():
-            w = w1 + w2
-            c = alg.mul(c1, c2)
-            s = alg.add(out[w], c) if w in out else c
-            if alg.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_monomial(out, w1 + w2, alg.mul(c1, c2), alg)
     return out
 
 
-def is_simple(sys):
-    return (sys.tail_op == "tail" and not sys.evens
-            and all(isinstance(t, Var) for t in sys.rhs.values()))
-
-
-def is_linear(sys):
-    if sys.tail_op != "tail" or sys.evens:
-        return False
-    return all(as_linear_combination(t, sys.algebra) is not None
-               for t in sys.rhs.values())
-
-
-def is_context_free(sys):
-    if sys.tail_op != "tail" or sys.evens:
-        return False
-    return all(as_polynomial(t, sys.algebra) is not None
-               for t in sys.rhs.values())
+def is_single_unknown(word):
+    """Whether a word of as_polynomial is one unknown: not X, not the
+    empty word of a constant, not a product."""
+    return len(word) == 1 and word[0] != "X"
 
 
 def classify(sys):
-    """The most specific format an equation system falls in."""
+    """The most specific format an equation system falls in: even-odd or
+    non-standard by its equations, else general if a right-hand side has
+    no polynomial form, context-free if a monomial is not a single
+    unknown, simple if every right-hand side is one unknown with
+    coefficient one, and linear if not."""
     if sys.evens:
         return Kind.EVEN_ODD
     if sys.tail_op != "tail":
         return Kind.NONSTD
-    if is_simple(sys):
-        return Kind.SIMPLE
-    if is_linear(sys):
-        return Kind.LINEAR
-    if is_context_free(sys):
+    alg = sys.algebra
+    polys = [as_polynomial(t, alg) for t in sys.rhs.values()]
+    if any(p is None for p in polys):
+        return Kind.GENERAL
+    if not all(is_single_unknown(w) for p in polys for w in p):
         return Kind.CONTEXT_FREE
-    return Kind.GENERAL
+    if all(len(p) == 1 and alg.eq(*p.values(), alg.one) for p in polys):
+        return Kind.SIMPLE
+    return Kind.LINEAR
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,15 @@ class TestSolveRoutes:
         assert err.startswith("error: GsosViolation")
         assert calls == ["solve_system_with_defs"]
 
+    def test_cancelled_nonlinear_part_takes_series(self, tmp_path, calls):
+        # the system's polynomial form is linear, so an unused invalid
+        # definition no longer stops it
+        path = tmp_path / "cancelled.sde"
+        path.write_text("def evn(a) { out = a(0); deriv = evn(a''); }\n"
+                        "s(0) = 1; s' = s*s - s*s + s;\n")
+        assert invoke("solve", f"{path}#s", "-n", "3") == (0, "1, 1, 1\n", "")
+        assert calls == ["solve_by_coefficients"]
+
     @pytest.mark.parametrize("name,var", [
         ("catalan.sde", "s"), ("hamming.sde", "g"), ("nth_powers.sde", "p3"),
         ("fib.sde", "s"), ("delta_powers.sde", "x"), ("ddx_exp.sde", "x"),
@@ -457,6 +466,50 @@ def test_nonstd_beyond_context_free(tmp_path, text, expected):
     path = tmp_path / "nonstd.sde"
     path.write_text(text)
     assert invoke("solve", f"{path}#x", "-n", "9") == (0, expected, "")
+
+
+# systems whose polynomial form is more specific than their syntax: the
+# nonlinear monomials of the first three cancel, so `check` called them
+# context-free and `closed-form` refused them; the corpus four were linear
+MOST_SPECIFIC = [
+    ("x(0) = 1; x' = x*y - x*y + 2*y; y(0) = 1; y' = y;", None, "linear"),
+    ("x(0) = 1; x' = X*[0] + y; y(0) = 2; y' = x + y;", None, "linear"),
+    ("x(0) = 1; x' = 2*x*x + y; y(0) = 1; y' = x + y;", "F2", "linear"),
+    ("alternating.sde", "F2", "simple"),
+    ("powers2.sde", "Bool", "simple"),
+    ("powers2.sde", "Tropical", "simple"),
+    ("powers3.sde", "F2", "simple"),
+]
+
+
+@pytest.mark.parametrize("text,algebra,kind", MOST_SPECIFIC)
+def test_format_is_read_from_the_polynomial_form(tmp_path, text, algebra, kind):
+    from streamcalc import format_ratexpr, parse
+    from streamcalc.algebra import get_algebra, ratexpr_coefficients
+    from streamcalc.solvers import linear_system_of, solve_linear_matrix
+
+    if text.endswith(".sde"):
+        path = pathlib.Path(corpus(text))
+    else:
+        path = tmp_path / "spec.sde"
+        path.write_text(text + "\n")
+    override = ("--algebra", algebra) if algebra else ()
+    code, out, err = invoke("check", path, *override)
+    assert (code, err) == (0, "") and f"\nkind: {kind}\n" in out
+    spec = parse(path.read_text(), algebra=algebra and get_algebra(algebra))
+    var = spec.system.variables[0]
+    code, prefix, err = invoke("solve", f"{path}#{var}", "-n", "12", *override)
+    assert (code, err) == (0, "")
+    if spec.algebra.kind != "field":
+        return
+    (form,) = solve_linear_matrix(linear_system_of(spec.system), [var])
+    printed = ", ".join(spec.algebra.fmt(c) for c in ratexpr_coefficients(form, 12))
+    assert printed + "\n" == prefix
+    assert invoke("closed-form", f"{path}#{var}", *override) == (
+        0, f"{format_ratexpr(form)}\n", "")
+    # equiv over a field decides by closed forms
+    assert invoke("equiv", f"{path}#{var}", f"{path}#{var}", *override) == (
+        0, f"Proved\nclosed form: {format_ratexpr(form)}\n", "")
 
 
 def _dense_z_spec(tmp_path, prefix, n):
@@ -1045,6 +1098,25 @@ def test_tallest_definition_answers_from_a_deeper_caller(tmp_path):
     code, out, err = invoke_in_a_fresh_process("check", str(path), frames=200)
     assert (code, err) == (0, "")
     assert out.endswith("kind: general\nprobe s: ok (1, 1, 1)\n")
+
+
+def test_tallest_terms_answer_from_a_deeper_caller(tmp_path):
+    # hashing a system term recursed once per level in OpApp.__hash__, and
+    # a standalone term's passes spent two frames per level on generator
+    # expressions and a list comprehension: each escaped cli.run with a
+    # RecursionError when the caller was about 90 frames deep
+    path, defs = tmp_path / "term.sde", tmp_path / "defs.sde"
+    path.write_text(tall_text("term", MAX_HEIGHT) + "\n")
+    defs.write_text("algebra Z;\n")
+    assert invoke_in_a_fresh_process("solve", f"{path}#s", "-n", "4", frames=200) == (
+        0, "1, 1, 401, 241001\n", "")
+    code, out, err = invoke_in_a_fresh_process("check", str(path), frames=200)
+    assert (code, err) == (0, "")
+    assert out.endswith("kind: context-free\nprobe s: ok (1, 1, 401)\n")
+    term = "X + " + "-(" * (MAX_HEIGHT - MAX_CHAIN) + "X" + "*X" * (MAX_CHAIN - 1) + ")" * (
+        MAX_HEIGHT - MAX_CHAIN)
+    assert invoke_in_a_fresh_process("eval", "--defs", str(defs), "--term", term, "-n", "4",
+                                     frames=200) == (0, "0, 1, 0, 0\n", "")
 
 
 def test_long_mixed_sum(tmp_path):

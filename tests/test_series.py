@@ -12,7 +12,9 @@ systems are also checked against the coefficient-vector unfolding
 (solvers.solve_linear_coinductive), simple systems against their
 automaton unfolding (solvers.solve_simple), even-odd systems against
 bbin indexing (automatic.value_at), and delta and ddx systems against
-their index formulas, computed here from the definitions.
+their index formulas, computed here from the definitions.  Seeded
+systems of every format are checked against the references of the
+format speclang.classify gives them.
 """
 
 import math
@@ -34,7 +36,9 @@ from streamcalc.errors import (
     StreamCalcError,
     UnsupportedOp,
 )
-from streamcalc.speclang import Const, EquationSystem, HLit, Kind, OpApp, Sum, Var, classify
+from streamcalc.speclang import (
+    Const, EquationSystem, HLit, Kind, OpApp, Sum, Var, as_polynomial, classify,
+)
 from test_automatic import _random_automaton
 from streamcalc.stream import take
 
@@ -512,3 +516,93 @@ def test_sum_hash_is_computed_once():
     nodes = {term: 1}
     assert nodes[term] == 1 and hash(term) == hash(term)
     assert len(calls) == 1
+    # so is an operation's
+    app = OpApp("-", (Counted("u"),))
+    assert len(calls) == 2
+    assert {app: 1}[app] == 1 and hash(app) == hash(OpApp("-", (Var("u"),)))
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Formats read from the polynomial form, against each format's reference
+
+FORMAT_ALGEBRAS = ("Q", "Z", "Nat", "Bool", "Tropical", "F2", "Fp(3)")
+FORMAT_DEPTH = 30
+
+
+def _zero_term(rng, alg, t):
+    """A term whose polynomial form is zero, made of copies of t."""
+    shapes = [OpApp("*", (Const(HLit(alg.zero)), t))]
+    if alg.neg is not None:
+        shapes.append(Sum(((t, False), (t, True))))
+    if alg.characteristic:
+        shapes.append(Sum(((t, False),) * alg.characteristic))
+    return rng.choice(shapes)
+
+
+def _format_term(rng, alg, names, depth):
+    """A term of unknowns, X, constants, +, -, *, unary minus and now and
+    then a shuffle product or a zip, which have no polynomial form;
+    some add a nonlinear part that cancels."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.35:
+        leaf = rng.random()
+        if leaf < 0.75:
+            return Var(rng.choice(names))
+        return Const(HLit(alg.sample(rng))) if leaf < 0.9 else OpApp("X", ())
+
+    def sub():
+        return _format_term(rng, alg, names, depth - 1)
+
+    if pick < 0.55:
+        c, t = Const(HLit(alg.sample(rng))), sub()
+        return OpApp("*", (c, t) if rng.random() < 0.5 else (t, c))
+    if pick < 0.7:
+        minus = alg.neg is not None
+        return Sum(tuple((sub(), i > 0 and minus and rng.random() < 0.4)
+                         for i in range(rng.randint(2, 3))))
+    if pick < 0.8:
+        product = OpApp("*", (Var(rng.choice(names)), Var(rng.choice(names))))
+        return Sum(((sub(), False), (_zero_term(rng, alg, product), False)))
+    if pick < 0.88:
+        return OpApp("*", (sub(), sub()))
+    if pick < 0.94 and alg.neg is not None:
+        return OpApp("-", (sub(),))
+    return OpApp(rng.choice(("shuffle", "zip")), (sub(), sub()))
+
+
+def _powers_of_m(ls, n):
+    """x^(k)(0) = (M^k o)_x for k < n, by iterating the matrix."""
+    alg, vector, rows = ls.algebra, list(ls.o), []
+    for _ in range(n):
+        rows.append(vector)
+        vector = [reduce(alg.add, map(alg.mul, row, vector), alg.zero) for row in ls.M]
+    return {v: [row[i] for row in rows] for i, v in enumerate(ls.names)}
+
+
+@pytest.mark.parametrize("alg_name", FORMAT_ALGEBRAS)
+def test_formats_match_their_references(alg_name):
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-formats:{alg_name}")
+    seen = []
+    for _ in range(40):
+        names = tuple(f"x{j}" for j in range(rng.randint(1, 3)))
+        heads = {v: alg.sample(rng) for v in names}
+        depth = rng.choice((0, 1, 1, 2))
+        rhs = {v: _format_term(rng, alg, names, depth) for v in names}
+        sys_ = EquationSystem(alg, names, heads, rhs=rhs)
+        kind = classify(sys_)
+        seen.append(kind)
+        got = series.solve_by_coefficients(sys_)
+        got = {v: take(got[v], FORMAT_DEPTH) for v in names}
+        if kind is Kind.GENERAL:
+            assert any(as_polynomial(t, alg) is None for t in rhs.values())
+            continue
+        references = [solvers.solve_context_free(solvers.context_free_system_of(sys_))]
+        if kind in (Kind.SIMPLE, Kind.LINEAR):
+            assert got == _powers_of_m(solvers.linear_system_of(sys_), FORMAT_DEPTH), sys_
+        if kind is Kind.SIMPLE:
+            references.append(solvers.solve_simple(sys_))
+        for streams in references:
+            assert {v: take(streams[v], FORMAT_DEPTH) for v in names} == got, sys_
+    assert set(seen) == {Kind.SIMPLE, Kind.LINEAR, Kind.CONTEXT_FREE, Kind.GENERAL}, seen

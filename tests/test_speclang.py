@@ -39,7 +39,7 @@ from streamcalc.speclang import (
     _TOKEN,
     _lex,
     _Parser,
-    as_linear_combination,
+    as_polynomial,
     check_zero_consistency,
     format_term,
     print_spec,
@@ -147,15 +147,13 @@ class TestClassify:
         assert classify(spec.system) is Kind.EVEN_ODD
 
     def test_monotone(self):
-        # every simple system satisfies the linear and context-free predicates
-        from streamcalc.speclang import is_context_free, is_linear, is_simple
-
-        for text in ("s(0)=1; s'=s;",
-                     "s(0)=1; s'=t; t(0)=0; t'=s;"):
-            sys = parse(text).system
-            assert is_simple(sys) and is_linear(sys) and is_context_free(sys)
-        linear = parse("s(0)=1; s' = 2*s;").system
-        assert not is_simple(linear) and is_linear(linear) and is_context_free(linear)
+        # a format is the most specific one its polynomial form allows
+        for text, kind in (("s(0)=1; s'=s;", Kind.SIMPLE),
+                           ("s(0)=1; s'=t; t(0)=0; t'=s;", Kind.SIMPLE),
+                           ("s(0)=1; s' = 2*s;", Kind.LINEAR),
+                           ("s(0)=1; s' = 2*s + X;", Kind.CONTEXT_FREE),
+                           ("s(0)=1; s' = 2*s + even(s);", Kind.GENERAL)):
+            assert classify(parse(text).system) is kind
 
     def test_scalar_chains_are_linear(self):
         sys = parse("s(0)=1; s' = 2*3*s + -s;").system
@@ -308,7 +306,7 @@ class TestSums:
         assert summands(OpApp("*", (a, b))) is None and summands(a) is None
         assert format_term(chain, Q) == format_term(parsed, Q) == "a + b - c"
         z = get_algebra("Z")
-        assert as_linear_combination(chain, z) == as_linear_combination(parsed, z)
+        assert as_polynomial(chain, z) == as_polynomial(parsed, z)
 
     def test_resolution_keeps_unchanged_summands(self):
         parser = _Parser("")
