@@ -255,6 +255,39 @@ def _match(engine, pattern, state, theta):
     return False
 
 
+class _Relation:
+    """The relation R of the up-to search, indexed for the hypothesis step.
+
+    pairs: R in relation order.  A ground pair (no stream variables on
+    either side) matches only its own two states, so it is looked up by
+    their ids; the pairs with stream variables are matched in order.
+    """
+
+    def __init__(self):
+        self.pairs = []
+        self._ground = {}   # (a.sid, b.sid) -> position of the pair
+        self._schemas = []  # (position, a, b) of the pairs with variables
+
+    def append(self, pair):
+        a, b = pair
+        if a.has_vars or b.has_vars:
+            self._schemas.append((len(self.pairs), a, b))
+        else:
+            self._ground.setdefault((a.sid, b.sid), len(self.pairs))
+        self.pairs.append(pair)
+
+    def instance_of(self, engine, u, v):
+        """The first pair in R of which (u, v) is an instance, or None."""
+        at = self._ground.get((u.sid, v.sid), len(self.pairs))
+        for position, a, b in self._schemas:
+            if position > at:
+                break
+            theta = {}
+            if _match(engine, a, u, theta) and _match(engine, b, v, theta):
+                return a, b
+        return self.pairs[at] if at < len(self.pairs) else None
+
+
 def _closure_membership(engine, pair, relation, sig_ops, used):
     """Derivation that pair is in R-bar, or None.
 
@@ -265,10 +298,9 @@ def _closure_membership(engine, pair, relation, sig_ops, used):
     u, v = pair
     if u is v:
         return ("refl", u)
-    for a, b in relation:
-        theta = {}
-        if _match(engine, a, u, theta) and _match(engine, b, v, theta):
-            return ("hyp", (a, b))
+    hypothesis = relation.instance_of(engine, u, v)
+    if hypothesis is not None:
+        return ("hyp", hypothesis)
     if (u.kind == "app" and v.kind == "app" and u.symbol == v.symbol
             and len(u.args) == len(v.args)
             and (sig_ops is None or u.symbol in sig_ops)):
@@ -316,14 +348,14 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
         return Unknown(budget, str(stuck))
     depth_cap = max(64, min(budget, 400))
     ensure_recursion_room(16 * depth_cap + 2000)
-    relation = []
+    relation = _Relation()
     used = set()
     current = (s1, s2)
     index = 0
     while True:
         derivation = _closure_membership(engine, current, relation, sig_ops, used)
         if derivation is not None:
-            cert = UpToCertificate(engine, (s1, s2), relation, derivation,
+            cert = UpToCertificate(engine, (s1, s2), relation.pairs, derivation,
                                    sig_ops, frozenset(used))
             return Proved(cert)
         if max(current[0].depth, current[1].depth) > depth_cap:
@@ -336,7 +368,7 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
                     return Unknown(budget, "symbolic heads not provably equal")
                 return Refuted(index, a, b)
             relation.append(current)
-            if len(relation) > budget:
+            if len(relation.pairs) > budget:
                 return Unknown(budget)
             current = (engine.derivative(current[0]),
                        engine.derivative(current[1]))

@@ -140,7 +140,8 @@ def linear_system_of(sys):
     heads = []
     for v in sys.variables:
         poly = speclang.as_polynomial(sys.rhs[v], alg)
-        if poly is None or not all(map(speclang.is_single_unknown, poly)):
+        if poly is None or poly is speclang.UNEXPANDED or not all(
+                map(speclang.is_single_unknown, poly)):
             raise UnsupportedOp(f"equation for {v!r} is not linear")
         row = {w: c for (w,), c in poly.items()}
         unknown = set(row) - set(sys.variables)
@@ -318,6 +319,8 @@ def context_free_system_of(sys):
         poly = speclang.as_polynomial(sys.rhs[v], alg)
         if poly is None:
             raise UnsupportedOp(f"equation for {v!r} is not context-free")
+        if poly is speclang.UNEXPANDED:
+            raise UnsupportedOp(f"equation for {v!r} is too large to expand")
         letters = {x for w in poly for x in w} - set(sys.variables) - {"X"}
         if letters:
             raise UnsupportedOp(f"unknown variables {sorted(letters)}")

@@ -1124,14 +1124,26 @@ def eval_headexpr(expr, heads, alg):
 # The formats are shapes of the right-hand sides' polynomials, read with
 # the algebra's arithmetic, so monomials that cancel (x*y - x*y, or
 # 2*x*x over F2) do not make a system less specific.
+#
+# A product of two polynomials that each have a nonempty word has a word
+# of two letters or more: words multiply freely, and no algebra of
+# get_algebra has zero divisors.  So it is not linear, whatever it
+# expands to, and only the cancellation of that word by other summands
+# could make its right-hand side more specific than context-free.  Such a
+# product with more than MAX_EXPANDED_MONOMIALS monomials before
+# cancellation is not expanded, and a term that contains one reads as
+# UNEXPANDED: (s+X)*...*(s+X) has 2^k words for k factors.
+MAX_EXPANDED_MONOMIALS = 4096
+UNEXPANDED = object()
 
 
 def as_polynomial(t, alg):
     """Interpret a term as a polynomial over words of variables (and X).
 
-    Returns {word-tuple: coefficient} or None.  The empty word stands
-    for [1]; plain constants embed as coefficient * empty word.  No
-    coefficient is zero.
+    Returns {word-tuple: coefficient}, UNEXPANDED, or None.  The empty
+    word stands for [1]; plain constants embed as coefficient * empty
+    word.  No coefficient is zero.  None, no polynomial form, wins over
+    UNEXPANDED, a polynomial that is not linear and too large to expand.
     """
     cls = type(t)
     if cls is Var:
@@ -1147,6 +1159,10 @@ def as_polynomial(t, alg):
         right = as_polynomial(t.args[1], alg)
         if left is None or right is None:
             return None
+        if left is UNEXPANDED or right is UNEXPANDED:
+            return UNEXPANDED
+        if len(left) * len(right) > MAX_EXPANDED_MONOMIALS and any(left) and any(right):
+            return UNEXPANDED
         return poly_mul(left, right, alg)
     parts = summands(t)
     if parts is not None:
@@ -1157,6 +1173,9 @@ def as_polynomial(t, alg):
             inner = as_polynomial(s, alg)
             if inner is None:
                 return None
+            if inner is UNEXPANDED or total is UNEXPANDED:
+                total = UNEXPANDED
+                continue
             for w, c in inner.items():
                 _add_monomial(total, w, alg.neg(c) if negated else c, alg)
         return total
@@ -1165,8 +1184,8 @@ def as_polynomial(t, alg):
             return {("X",): alg.one}
         if t.symbol == "-" and len(t.args) == 1 and alg.neg is not None:
             inner = as_polynomial(t.args[0], alg)
-            if inner is None:
-                return None
+            if inner is None or inner is UNEXPANDED:
+                return inner
             return {w: alg.neg(c) for w, c in inner.items()}
     return None
 
@@ -1200,9 +1219,9 @@ def is_single_unknown(word):
 def classify(sys):
     """The most specific format an equation system falls in: even-odd or
     non-standard by its equations, else general if a right-hand side has
-    no polynomial form, context-free if a monomial is not a single
-    unknown, simple if every right-hand side is one unknown with
-    coefficient one, and linear if not."""
+    no polynomial form, context-free if one is UNEXPANDED or a monomial
+    is not a single unknown, simple if every right-hand side is one
+    unknown with coefficient one, and linear if not."""
     if sys.evens:
         return Kind.EVEN_ODD
     if sys.tail_op != "tail":
@@ -1211,7 +1230,8 @@ def classify(sys):
     polys = [as_polynomial(t, alg) for t in sys.rhs.values()]
     if any(p is None for p in polys):
         return Kind.GENERAL
-    if not all(is_single_unknown(w) for p in polys for w in p):
+    if any(p is UNEXPANDED for p in polys) or not all(
+            is_single_unknown(w) for p in polys for w in p):
         return Kind.CONTEXT_FREE
     if all(len(p) == 1 and alg.eq(*p.values(), alg.one) for p in polys):
         return Kind.SIMPLE

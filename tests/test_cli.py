@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -990,6 +991,23 @@ def test_long_sums_solve(tmp_path, k):
     _long_sum_answers(tmp_path, " + ".join(["s"] * k), k)
 
 
+def test_a_product_of_many_sums_answers_quickly(tmp_path):
+    # classify expanded (s+X)^k into all its 2^k words: 0.64 s at 18
+    # factors, hours at 30.  The two files differ in spacing, so neither
+    # command finds the other's classification in the spec cache.
+    power = "*".join(["(s+X)"] * 30)
+    check, solve = tmp_path / "check.sde", tmp_path / "solve.sde"
+    check.write_text(f"algebra Z; s(0) = 1; s' = {power};\n")
+    solve.write_text(f"algebra Z; s(0)=1; s'={power};\n")
+    for argv, expected in (
+            (("check", check), "parse: ok (algebra Z, 1 unknown(s), 0 definition(s))\n"
+                               "kind: context-free\nprobe s: ok (1, 1, 60)\n"),
+            (("solve", f"{solve}#s", "-n", "3"), "1, 1, 60\n")):
+        start = time.perf_counter()
+        assert invoke(*argv) == (0, expected, "")
+        assert time.perf_counter() - start < 1
+
+
 # calls cli.run under argv[1] more frames, with the arguments after it
 DEEPER = """import sys
 from streamcalc.cli import run
@@ -1163,17 +1181,18 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
-    # per spec: check under 8 algebra settings, 6 commands per unknown
+    # per spec: check under 8 algebra settings, 7 commands per unknown
     # under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
-    assert len(runs) == (8 * (1 + 6) + 1) + (8 * (1 + 6 * 2) + 2)
+    assert len(runs) == (8 * (1 + 7) + 1) + (8 * (1 + 7 * 2) + 2)
     assert {tuple(r["argv"][:1] + r["argv"][2:]) for r in runs if r["argv"][0] == "equiv"} \
-        == {("equiv", f"{spec}#s") + extra for spec in specs
-            for extra in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
+        == {("equiv", f"{spec}#s") + flags + override for spec in specs
+            for flags in [(), ("--prefix", "0", "--budget", "60")]
+            for override in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
     assert cli_parity.main(["compare", str(out)]) == 0
     runs[1]["out"] += "changed\n"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.endswith("1 of 163 recorded runs differ\n")
+    assert capsys.readouterr().out.endswith("1 of 187 recorded runs differ\n")
 
 
 def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
@@ -1190,11 +1209,12 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
     out = tmp_path / "parity.json"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.splitlines()[-4:] == [
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "    8  equiv  ones.sde  --prefix 0 --budget 60",
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "17 of 57 recorded runs differ"]
+        "25 of 65 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact and budgeted equivalence checking with checkable certificates."""
 
+import collections
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,20 @@ import pytest
 from conftest import Q, prefix, rand_ratexpr, seeded
 from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
 from streamcalc.algebra import gf
+from streamcalc import equivalence, gsos
 from streamcalc.equivalence import (
+    COMMUTATIVE_OPS,
     Proved,
     Refuted,
     Unknown,
+    _closure_membership,
+    _match,
+    _Relation,
     bisim_finite,
     equiv_rational,
     equiv_up_to,
     verify_certificate,
 )
-from streamcalc import gsos
 from streamcalc.gsos import Engine, load_system
 from streamcalc.solvers import (
     SimpleAutomaton,
@@ -325,3 +330,205 @@ class TestEquivUpTo:
                 unknown += 1
         # the harness must actually exercise both decisive outcomes
         assert proved >= 10 and refuted >= 10
+
+
+# ---------------------------------------------------------------------------
+# The indexed hypothesis step against the linear scan it replaced
+
+
+def scan_closure_membership(engine, pair, relation, sig_ops, used):
+    """_closure_membership with the hypothesis step as a scan of the
+    whole relation, in relation order: the reference for the index."""
+    u, v = pair
+    if u is v:
+        return ("refl", u)
+    for a, b in relation.pairs:
+        theta = {}
+        if _match(engine, a, u, theta) and _match(engine, b, v, theta):
+            return ("hyp", (a, b))
+    if (u.kind == "app" and v.kind == "app" and u.symbol == v.symbol
+            and len(u.args) == len(v.args)
+            and (sig_ops is None or u.symbol in sig_ops)):
+        pairings = [tuple(zip(u.args, v.args))]
+        if u.symbol in COMMUTATIVE_OPS and len(u.args) == 2:
+            pairings.append(((u.args[0], v.args[1]), (u.args[1], v.args[0])))
+        for pairing in pairings:
+            subs = []
+            for child in pairing:
+                sub = scan_closure_membership(engine, child, relation, sig_ops, used)
+                if sub is None:
+                    subs = None
+                    break
+                subs.append(sub)
+            if subs is not None:
+                used.add(u.symbol)
+                return ("cong", u.symbol, tuple(subs))
+    return None
+
+
+# algebra -> (coefficient literals, head literals, zero term)
+UPTO_ALGEBRAS = {
+    "Nat": (("1", "2", "3"), ("0", "1", "2"), "0"),
+    "Q": (("1", "2", "-1", "1/2", "3"), ("0", "1", "-1", "1/2"), "0"),
+    "Bool": (("1",), ("0", "1"), "0"),
+    "Tropical": (("0", "1", "2", "3"), ("0", "1", "3"), "[inf]"),
+}
+SIG_OPS = (None, None, frozenset(), frozenset({"+"}), frozenset({"+", "*"}))
+
+
+def cf_rhs(rng, alg, letters):
+    """1-3 monomials of degree <= 2 over `letters` and X, plus a product
+    of the first letter with itself; `{}` in place of each letter's
+    name."""
+    coefficients = UPTO_ALGEBRAS[alg][0]
+    monomials = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rng.choice(letters + ("X",)) for _ in range(rng.choice((0, 1, 2, 2)))]
+        if not factors or rng.random() < 0.5:
+            factors.insert(0, rng.choice(coefficients))
+        monomials.append("*".join(factors))
+    monomials.append(f"{letters[0]}*{letters[0]}")
+    return " + ".join(monomials)
+
+
+def system_text(alg, heads, rhs):
+    return f"algebra {alg};" + "".join(
+        f" {v}(0) = {heads[v]}; {v}' = {rhs[v]};" for v in heads)
+
+
+def renamed_pair(rng, alg):
+    """A one-unknown context-free system against its renamed copy."""
+    head, rhs = rng.choice(UPTO_ALGEBRAS[alg][1]), cf_rhs(rng, alg, ("{0}",))
+    return ({"x": head}, {"x": rhs.format("x")}, "x"), ({"y": head}, {"y": rhs.format("y")}, "y")
+
+
+def chain_pair(rng, alg):
+    """x against y = x + c*X^k, through a renamed copy of x and a delay
+    chain z1 .. zk whose last cell holds c."""
+    coefficients, heads, zero = UPTO_ALGEBRAS[alg]
+    k = rng.randint(1, 4)
+    head, rhs = rng.choice(heads), cf_rhs(rng, alg, ("{0}",))
+    zs = [f"z{i}" for i in range(1, k + 1)]
+    b_heads = {"y": head, "w": head, **{z: "0" if alg != "Tropical" else "inf" for z in zs}}
+    b_heads[zs[-1]] = rng.choice(coefficients)
+    b_rhs = {"y": rhs.format("w") + f" + {zs[0]}", "w": rhs.format("w"),
+             **{z: nxt for z, nxt in zip(zs, zs[1:] + [zero])}}
+    return ({"x": head}, {"x": rhs.format("x")}, "x"), (b_heads, b_rhs, "y")
+
+
+def rewrite_pair(rng, alg):
+    """x' = x + ... + x (m terms) against y' = m*y (1*y over Bool)."""
+    m, head = rng.randint(2, 4), rng.choice(UPTO_ALGEBRAS[alg][1])
+    return (({"x": head}, {"x": " + ".join(["x"] * m)}, "x"),
+            ({"y": head}, {"y": f"{1 if alg == 'Bool' else m}*y"}, "y"))
+
+
+def linear_pair(rng, alg):
+    """A 2-unknown linear system against its renamed, reordered copy.
+    (The closure's cost grows exponentially with the states' depth, and a
+    3-unknown sum chain can take minutes at budget 40.)"""
+    coefficients, heads, _ = UPTO_ALGEBRAS[alg]
+    n = 2
+    rows = [[rng.choice(coefficients + ("1",) * 3) if rng.random() < 0.6 else None
+             for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[(i + 1) % n] = row[(i + 1) % n] or "1"
+    start = [rng.choice(heads) for _ in range(n)]
+
+    def system(prefix, order):
+        names = [f"{prefix}{i}" for i in range(n)]
+        rhs = [" + ".join(names[j] if c == "1" else f"{c}*{names[j]}"
+                          for j, c in enumerate(row) if c) for row in rows]
+        return ({names[i]: start[i] for i in order}, {names[i]: rhs[i] for i in order},
+                names[0])
+
+    order = list(range(n))
+    rng.shuffle(order)
+    return system("a", range(n)), system("b", order)
+
+
+def schema_pairs():
+    """Pairs of terms over universally quantified stream variables, and
+    over a system unknown s with them."""
+    u, v, w, s = Var("u"), Var("v"), Var("w"), Var("s")
+
+    def op(symbol, *args):
+        return OpApp(symbol, args)
+
+    return [
+        (op("+", u, v), op("+", v, u)),
+        (op("*", u, v), op("*", v, u)),
+        (op("zip", u, v), op("zip", v, u)),
+        (op("hadamard", u, v), op("hadamard", v, u)),
+        (u, v),
+        (op("*", op("+", u, v), w), op("*", w, op("+", v, u))),
+        (op("*", u, op("+", v, w)), op("+", op("*", u, v), op("*", u, w))),
+        (op("+", op("*", op("X"), u), v), op("+", v, op("*", op("X"), u))),
+        (op("+", u, u), op("*", Const(HLit(2)), u)),
+        (s, op("+", s, op("-", u, u))),
+        (op("*", s, u), op("*", u, s)),
+        (op("+", s, op("*", op("X"), u)), op("+", op("*", op("X"), u), s)),
+    ]
+
+
+def assert_same_search(monkeypatch, engine, left, right, budget, sig_ops, env=None):
+    indexed = equiv_up_to(left, right, env=env, engine=engine, sig_ops=sig_ops,
+                          budget=budget)
+    with monkeypatch.context() as scan:
+        scan.setattr(equivalence, "_closure_membership", scan_closure_membership)
+        reference = equiv_up_to(left, right, env=env, engine=engine, sig_ops=sig_ops,
+                                budget=budget)
+    # the engine is shared, so the two searches build the same states:
+    # equal verdicts are of one type with equal indices and reasons, and
+    # equal certificates have the same pairs, discharge and ops_used
+    assert indexed == reference
+    if isinstance(indexed, Proved):
+        assert verify_certificate(indexed)
+    return type(indexed)
+
+
+class TestIndexedHypothesis:
+    @pytest.mark.parametrize("make", [renamed_pair, chain_pair, rewrite_pair, linear_pair])
+    @pytest.mark.parametrize("alg", sorted(UPTO_ALGEBRAS))
+    def test_same_search_as_the_scan_on_systems(self, monkeypatch, make, alg):
+        rng = seeded(f"{make.__name__}:{alg}")
+        verdicts = collections.Counter()
+        for _ in range(6):
+            (ha, ra, va), (hb, rb, vb) = make(rng, alg)
+            engine = Engine(parse(f"algebra {alg};").algebra)
+            left = load_system(engine, parse(system_text(alg, ha, ra)).system)[va]
+            right = load_system(engine, parse(system_text(alg, hb, rb)).system)[vb]
+            verdicts[assert_same_search(monkeypatch, engine, left, right,
+                                        rng.randint(20, 120), rng.choice(SIG_OPS))] += 1
+        # x + x against 2*x is never proved; every other kind decides some
+        assert make is rewrite_pair or verdicts[Proved] + verdicts[Refuted]
+
+    def test_same_search_as_the_scan_on_schemas(self, monkeypatch):
+        rng = seeded(41)
+        system = parse("s(0)=1; s' = s + X;").system
+        verdicts = collections.Counter()
+        for left, right in schema_pairs() * 3:
+            engine = Engine(Q)
+            env = load_system(engine, system)
+            verdicts[assert_same_search(monkeypatch, engine, left, right,
+                                        rng.randint(20, 120), rng.choice(SIG_OPS), env)] += 1
+        assert verdicts[Proved] and verdicts[Unknown]
+
+    def test_an_earlier_schema_pair_is_named_before_a_ground_one(self):
+        # (u, v) is an instance of any pair, so it matches the ground pair
+        # (c, d) as well; the derivation names whichever comes first
+        engine = Engine(Q)
+        system = load_system(engine, parse("c(0)=1; c' = c; d(0)=1; d' = d;").system)
+        ground = (system["c"], system["d"])
+        schema = (engine.var("u"), engine.var("v"))
+        for order in ((schema, ground), (ground, schema)):
+            relation = _Relation()
+            for pair in order:
+                relation.append(pair)
+            for closure in (_closure_membership, scan_closure_membership):
+                assert closure(engine, ground, relation, None, set()) == ("hyp", order[0])
+        # a later ground pair is found past schemas that do not match it
+        relation = _Relation()
+        for pair in ((engine.var("u"), system["c"]), ground):
+            relation.append(pair)
+        assert _closure_membership(engine, ground, relation, None, set()) == ("hyp", ground)

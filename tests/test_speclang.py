@@ -24,6 +24,7 @@ from streamcalc.algebra import get_algebra, tropical
 from streamcalc.cli import run
 from streamcalc.speclang import (
     MAX_CHAIN,
+    MAX_EXPANDED_MONOMIALS,
     MAX_HEIGHT,
     MAX_NESTING,
     Const,
@@ -32,6 +33,7 @@ from streamcalc.speclang import (
     Ok,
     OpApp,
     Sum,
+    UNEXPANDED,
     Var,
     Violation,
     ZeroConsistent,
@@ -158,6 +160,43 @@ class TestClassify:
     def test_scalar_chains_are_linear(self):
         sys = parse("s(0)=1; s' = 2*3*s + -s;").system
         assert classify(sys) is Kind.LINEAR
+
+    def test_products_past_the_cap_are_not_expanded(self):
+        # (s+X)^k has 2^k words; past the cap the product is read as
+        # context-free without expanding it
+        z = get_algebra("Z")
+        small = parse("algebra Z; s(0)=1; s' = " + "*".join(["(s+X)"] * 12) + ";")
+        large = parse("algebra Z; s(0)=1; s' = " + "*".join(["(s+X)"] * 30) + ";")
+        assert len(as_polynomial(small.system.rhs["s"], z)) == 2 ** 12 == MAX_EXPANDED_MONOMIALS
+        assert as_polynomial(large.system.rhs["s"], z) is UNEXPANDED
+        assert classify(small.system) is classify(large.system) is Kind.CONTEXT_FREE
+        from streamcalc.errors import UnsupportedOp
+        from streamcalc.solvers import context_free_system_of, linear_system_of
+
+        for reader, message in ((linear_system_of, "not linear"),
+                                (context_free_system_of, "too large to expand")):
+            with pytest.raises(UnsupportedOp, match=message):
+                reader(large.system)
+        # no polynomial form still wins, before and after the large factor
+        for term in ("even(s) * {0}", "{0} * even(s)", "{0} + even(s)", "-{0} - even(s)"):
+            text = term.format("*".join(["(s+X)"] * 30))
+            assert classify(parse(f"algebra Z; s(0)=1; s' = {text};").system) is Kind.GENERAL
+
+    def test_the_cap_is_on_products_of_two_nonconstant_factors(self):
+        # a scalar times a long sum stays linear, X times it cannot be
+        z = get_algebra("Z")
+        long_sum = Sum(tuple((Var(f"x{i}"), False) for i in range(2 * MAX_EXPANDED_MONOMIALS)))
+        scaled = as_polynomial(OpApp("*", (Const(HLit(3)), long_sum)), z)
+        assert len(scaled) == 2 * MAX_EXPANDED_MONOMIALS
+        assert as_polynomial(OpApp("*", (OpApp("X", ()), long_sum)), z) is UNEXPANDED
+
+    def test_cancellation_past_the_cap_is_not_seen(self):
+        # a behaviour change of the cap: below it the squares cancel and
+        # s' = 2*s is linear; past it the right-hand side reads context-free
+        for k, kind in ((6, Kind.LINEAR), (13, Kind.CONTEXT_FREE)):
+            power = "*".join(["(s+X)"] * k)
+            sys = parse(f"algebra Z; s(0)=1; s' = {power} - {power} + 2*s;").system
+            assert classify(sys) is kind
 
 
 class TestGsosValidation:
