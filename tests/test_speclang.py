@@ -15,6 +15,7 @@ from streamcalc import (
     MissingInitialValue,
     SpecSyntaxError,
     UnknownSymbol,
+    UnsupportedOp,
     classify,
     parse,
     parse_term,
@@ -22,6 +23,7 @@ from streamcalc import (
 )
 from streamcalc.algebra import get_algebra, tropical
 from streamcalc.cli import run
+from streamcalc.solvers import context_free_system_of, linear_system_of
 from streamcalc.speclang import (
     MAX_CHAIN,
     MAX_EXPANDED_MONOMIALS,
@@ -170,9 +172,6 @@ class TestClassify:
         assert len(as_polynomial(small.system.rhs["s"], z)) == 2 ** 12 == MAX_EXPANDED_MONOMIALS
         assert as_polynomial(large.system.rhs["s"], z) is UNEXPANDED
         assert classify(small.system) is classify(large.system) is Kind.CONTEXT_FREE
-        from streamcalc.errors import UnsupportedOp
-        from streamcalc.solvers import context_free_system_of, linear_system_of
-
         for reader, message in ((linear_system_of, "not linear"),
                                 (context_free_system_of, "too large to expand")):
             with pytest.raises(UnsupportedOp, match=message):
