@@ -116,15 +116,29 @@ class BisimCertificate:
     relation: frozenset  # pairs (x, y), x in left, y in right
 
 
+def _reachable(aut, start):
+    """The states reachable from start, in walk order: a path into a cycle,
+    since every state has one successor."""
+    seen = {}
+    state = start
+    while state not in seen:
+        seen[state] = None
+        state = aut.next[state]
+    return tuple(seen)
+
+
 def bisim_finite(aut1, s1, aut2, s2):
     """Decide the behaviours of two finite-automaton states.
 
-    Partition refinement (Moore) on the disjoint union computes
-    bisimilarity; refutations report the first disagreeing index by a
-    prefix walk, which is bounded by |S1|*|S2| steps.
+    Partition refinement (Moore) on the disjoint union of the states
+    reachable from s1 and s2 computes their bisimilarity; refutations
+    report the first disagreeing index by a prefix walk, which is bounded
+    by the product of the two reachable sets' sizes.  The certificate's
+    relation holds the bisimilar pairs of reachable states only.
     """
     alg = same_algebra(aut1.algebra, aut2.algebra)
-    states = [("L", x) for x in aut1.states] + [("R", y) for y in aut2.states]
+    reach1, reach2 = _reachable(aut1, s1), _reachable(aut2, s2)
+    states = [("L", x) for x in reach1] + [("R", y) for y in reach2]
 
     def out(tagged):
         tag, q = tagged
@@ -159,13 +173,13 @@ def bisim_finite(aut1, s1, aut2, s2):
     if block[("L", s1)] == block[("R", s2)]:
         relation = frozenset(
             (x, y)
-            for x in aut1.states
-            for y in aut2.states
+            for x in reach1
+            for y in reach2
             if block[("L", x)] == block[("R", y)]
         )
         return Proved(BisimCertificate(aut1, aut2, relation))
     x, y = s1, s2
-    for i in range(len(aut1.states) * len(aut2.states) + 1):
+    for i in range(len(reach1) * len(reach2) + 1):
         a, b = aut1.outputs[x], aut2.outputs[y]
         if not alg.eq(a, b):
             return Refuted(i, a, b)
@@ -293,32 +307,56 @@ def _closure_membership(engine, pair, relation, sig_ops, used):
 
     R-bar: the diagonal, instances of relation pairs, and closure under
     the operations in sig_ops (congruence steps, also crosswise for
-    commutative operations).
+    commutative operations).  Argument pairs are tried in order, the
+    crosswise pairing after the straight one.
     """
-    u, v = pair
-    if u is v:
-        return ("refl", u)
-    hypothesis = relation.instance_of(engine, u, v)
-    if hypothesis is not None:
-        return ("hyp", hypothesis)
-    if (u.kind == "app" and v.kind == "app" and u.symbol == v.symbol
-            and len(u.args) == len(v.args)
-            and (sig_ops is None or u.symbol in sig_ops)):
-        pairings = [tuple(zip(u.args, v.args))]
-        if u.symbol in COMMUTATIVE_OPS and len(u.args) == 2:
-            pairings.append(((u.args[0], v.args[1]), (u.args[1], v.args[0])))
-        for pairing in pairings:
-            subs = []
-            for child in pairing:
-                sub = _closure_membership(engine, child, relation, sig_ops, used)
-                if sub is None:
-                    subs = None
-                    break
-                subs.append(sub)
-            if subs is not None:
-                used.add(u.symbol)
-                return ("cong", u.symbol, tuple(subs))
-    return None
+    ground, pairs = relation._ground, relation.pairs
+    schemas = bool(relation._schemas)
+
+    def member(u, v):
+        # one frame per level of the two terms
+        if u is v:
+            return ("refl", u)
+        if schemas:
+            hypothesis = relation.instance_of(engine, u, v)
+            if hypothesis is not None:
+                return ("hyp", hypothesis)
+        else:
+            at = ground.get((u.sid, v.sid))
+            if at is not None:
+                return ("hyp", pairs[at])
+        symbol = u.symbol  # None unless u is an application
+        if (symbol is None or symbol != v.symbol
+                or (sig_ops is not None and symbol not in sig_ops)):
+            return None
+        us, vs = u.args, v.args
+        if len(us) != len(vs):
+            return None
+        if len(us) == 2:
+            first = member(us[0], vs[0])
+            if first is not None:
+                second = member(us[1], vs[1])
+                if second is not None:
+                    used.add(symbol)
+                    return ("cong", symbol, (first, second))
+            if symbol in COMMUTATIVE_OPS:
+                first = member(us[0], vs[1])
+                if first is not None:
+                    second = member(us[1], vs[0])
+                    if second is not None:
+                        used.add(symbol)
+                        return ("cong", symbol, (first, second))
+            return None
+        subs = []
+        for a, b in zip(us, vs):
+            sub = member(a, b)
+            if sub is None:
+                return None
+            subs.append(sub)
+        used.add(symbol)
+        return ("cong", symbol, tuple(subs))
+
+    return member(*pair)
 
 
 def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,

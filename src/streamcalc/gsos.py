@@ -178,7 +178,12 @@ class State:
         self.name = name
         self.order = order
         self.has_vars = has_vars
-        self.depth = 1 + max((a.depth for a in args), default=0)
+        # a loop, not max() over a generator: states are made by the thousand
+        depth = 0
+        for a in args:
+            if a.depth > depth:
+                depth = a.depth
+        self.depth = depth + 1
         self._out = self
         self._next = None
         self._clause = None
@@ -360,14 +365,20 @@ class Engine:
         if symbol == "-" and len(args) == 1:
             symbol = "neg"
         args = tuple(args)
-        if symbol in self.defs:
-            d = self.defs[symbol]
+        d = self.defs.get(symbol)
+        if d is not None:
             if len(args) != d.arity:
                 raise UnknownSymbol(f"{symbol!r} takes {d.arity} argument(s)")
-            key = ("app", symbol, tuple(a.sid for a in args))
-            return self._intern(key, lambda sid: State(
-                self, sid, "app", symbol=symbol, args=args,
-                has_vars=any(a.has_vars for a in args)))
+            key = ("app", symbol, tuple([a.sid for a in args]))
+            # _intern inlined, with no closure made per call: most calls
+            # find a state made before
+            state = self._table.get(key)
+            if state is None:
+                state = State(self, self._next_sid, "app", symbol=symbol, args=args,
+                              has_vars=any(a.has_vars for a in args))
+                self._next_sid += 1
+                self._table[key] = state
+            return state
         if symbol in _NATIVE_ONLY:
             # non-GSOS builtin: evaluate natively on the behaviour streams
             streams = [self.behaviour(a) for a in args]
@@ -521,7 +532,6 @@ class Engine:
             args = []
             for a in expr.args:
                 args.append(self._hval(a, heads))
-            symbolic = any(isinstance(a, SymHead) for a in args)
             if expr.op == "+":
                 return sym_add(alg, *args)
             if expr.op == "*":
@@ -531,7 +541,7 @@ class Engine:
             if expr.op == "neg":
                 return sym_neg(alg, args[0])
             if expr.op in ("inv", "sqrt"):
-                if symbolic:
+                if isinstance(args[0], SymHead):
                     raise SymbolicStuck(f"{expr.op} of a symbolic head")
                 return speclang.eval_headexpr(
                     HOp(expr.op, (HLit(args[0]),)), (), alg)

@@ -1181,18 +1181,19 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
-    # per spec: check under 8 algebra settings, 7 commands per unknown
+    # per spec: check under 8 algebra settings, 8 commands per unknown
     # under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
-    assert len(runs) == (8 * (1 + 7) + 1) + (8 * (1 + 7 * 2) + 2)
+    assert len(runs) == (8 * (1 + 8) + 1) + (8 * (1 + 8 * 2) + 2)
     assert {tuple(r["argv"][:1] + r["argv"][2:]) for r in runs if r["argv"][0] == "equiv"} \
         == {("equiv", f"{spec}#s") + flags + override for spec in specs
-            for flags in [(), ("--prefix", "0", "--budget", "60")]
+            for flags in [(), ("--prefix", "0", "--budget", "60"),
+                          ("--prefix", "0", "--budget", "60", "--up-to", "+,*")]
             for override in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
     assert cli_parity.main(["compare", str(out)]) == 0
     runs[1]["out"] += "changed\n"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.endswith("1 of 187 recorded runs differ\n")
+    assert capsys.readouterr().out.endswith("1 of 211 recorded runs differ\n")
 
 
 def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
@@ -1209,12 +1210,13 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
     out = tmp_path / "parity.json"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.splitlines()[-5:] == [
+    assert capsys.readouterr().out.splitlines()[-6:] == [
         "    8  equiv  ones.sde  --prefix 0 --budget 60",
+        "    8  equiv  ones.sde  --prefix 0 --budget 60 --up-to +,*",
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "25 of 65 recorded runs differ"]
+        "33 of 73 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

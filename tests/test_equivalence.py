@@ -7,7 +7,7 @@ import pytest
 
 from conftest import Q, prefix, rand_ratexpr, seeded
 from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
-from streamcalc.algebra import gf
+from streamcalc.algebra import get_algebra, gf
 from streamcalc import equivalence, gsos
 from streamcalc.equivalence import (
     COMMUTATIVE_OPS,
@@ -140,6 +140,101 @@ class TestBisimFinite:
             else:
                 assert isinstance(scan, Differ)
                 assert scan.index == verdict.index
+
+    @pytest.mark.parametrize("name", ["Nat", "Q", "F2"])
+    def test_same_verdicts_as_the_whole_union_refinement(self, name):
+        alg = get_algebra(name)
+        rng = seeded(f"bisim:{name}")
+        verdicts = collections.Counter()
+        for _ in range(80):
+            aut1, s1 = random_automaton(rng, alg, "p")
+            if rng.random() < 0.5:
+                # a renamed copy with more states: equal behaviours
+                rename = {q: f"q{q[1:]}" for q in aut1.states}
+                outputs = {rename[q]: o for q, o in aut1.outputs.items()}
+                nxt = {rename[q]: rename[t] for q, t in aut1.next.items()}
+                extra, _ = random_automaton(rng, alg, "r")
+                aut2 = SimpleAutomaton(alg, {**outputs, **extra.outputs},
+                                       {**nxt, **extra.next})
+                s2 = rename[s1]
+            else:
+                aut2, s2 = random_automaton(rng, alg, "q")
+            verdict = bisim_finite(aut1, s1, aut2, s2)
+            reference = whole_union_bisim(aut1, s1, aut2, s2)
+            assert type(verdict) is type(reference)
+            verdicts[type(verdict)] += 1
+            if isinstance(verdict, Refuted):
+                assert verdict == reference
+                continue
+            assert verify_certificate(verdict, s1, s2)
+            reach1, reach2 = unfold_states(aut1, s1), unfold_states(aut2, s2)
+            assert verdict.certificate.relation == {
+                (x, y) for x, y in reference.certificate.relation
+                if x in reach1 and y in reach2}
+            # the unreachable states are left out
+            assert len(reach1) < len(aut1.states) or len(reach2) < len(aut2.states)
+        assert verdicts[Proved] >= 20 and verdicts[Refuted] >= 20
+
+
+def random_automaton(rng, alg, tag):
+    """A random automaton of 3-12 states over alg, and a state from which
+    at least one other state is unreachable."""
+    n = rng.randint(3, 12)
+    states = [f"{tag}{i}" for i in range(n)]
+    outputs = {q: alg.coerce(rng.randint(0, 2)) for q in states}
+    nxt = {q: rng.choice(states) for q in states}
+    start = rng.choice(states)
+    reachable = unfold_states(SimpleAutomaton(alg, outputs, nxt), start)
+    if len(reachable) == n:
+        # an orphan state: no state leads to it
+        orphan = f"{tag}{n}"
+        outputs[orphan], nxt[orphan] = alg.coerce(rng.randint(0, 2)), rng.choice(states)
+    return SimpleAutomaton(alg, outputs, nxt), start
+
+
+def unfold_states(aut, start):
+    seen = set()
+    while start not in seen:
+        seen.add(start)
+        start = aut.next[start]
+    return seen
+
+
+def whole_union_bisim(aut1, s1, aut2, s2):
+    """bisim_finite as Moore refinement over every state of both automata,
+    the reference for its refinement of the reachable states only."""
+    alg = aut1.algebra
+    states = [("L", x) for x in aut1.states] + [("R", y) for y in aut2.states]
+
+    def automaton(tagged):
+        return aut1 if tagged[0] == "L" else aut2
+
+    outputs, block = [], {}
+    for st in states:
+        o = automaton(st).outputs[st[1]]
+        key = next((k for k, seen in enumerate(outputs) if alg.eq(seen, o)), None)
+        if key is None:
+            key = len(outputs)
+            outputs.append(o)
+        block[st] = key
+    while True:
+        keys, new_block = {}, {}
+        for st in states:
+            sig = (block[st], block[(st[0], automaton(st).next[st[1]])])
+            new_block[st] = keys.setdefault(sig, len(keys))
+        if new_block == block:
+            break
+        block = new_block
+    if block[("L", s1)] == block[("R", s2)]:
+        return Proved(equivalence.BisimCertificate(aut1, aut2, frozenset(
+            (x, y) for x in aut1.states for y in aut2.states
+            if block[("L", x)] == block[("R", y)])))
+    x, y = s1, s2
+    for i in range(len(aut1.states) * len(aut2.states) + 1):
+        if not alg.eq(aut1.outputs[x], aut2.outputs[y]):
+            return Refuted(i, aut1.outputs[x], aut2.outputs[y])
+        x, y = aut1.next[x], aut2.next[y]
+    raise AssertionError("refinement and walk disagree")
 
 
 def companion_system(r):
@@ -471,6 +566,71 @@ def schema_pairs():
     ]
 
 
+USER_DEFS = """
+def twice(a) { out = a(0) + a(0); deriv = twice(a'); }
+def mix3(a, b, c) { out = a(0) + c(0); deriv = mix3(b', a, c'); }
+"""
+
+
+def op_tree(rng, ops, depth):
+    """A random term tree whose operations are drawn from ops (symbol ->
+    arity), with the unknown, X and 2 at the leaves; never a leaf at the
+    top."""
+    symbol = rng.choice(sorted(ops))
+    args = [rng.choice(("{0}", "{0}", "X", "2")) if depth <= 1 or rng.random() < 0.3
+            else op_tree(rng, ops, depth - 1) for _ in range(ops[symbol])]
+    return symbol, args
+
+
+def render(tree, letter, swap=False):
+    """The text of a term tree with `letter` for the unknown; with swap,
+    the two arguments of every binary operation change places."""
+    if isinstance(tree, str):
+        return tree.format(letter)
+    symbol, args = tree
+    parts = [render(a, letter, swap) for a in args]
+    if swap and len(parts) == 2:
+        parts.reverse()
+    if symbol in ("+", "-", "*"):
+        return f"({parts[0]} {symbol} {parts[1]})"
+    return f"{symbol}({', '.join(parts)})"
+
+
+def op_pair_verdicts(monkeypatch, rng, alg, ops, swap, trials=8):
+    """Searches on x' = t(x) against y' = t(y), or against t with binary
+    arguments swapped, each under the full signature or under ops less
+    the head symbol of t; asserts each equal to the scan's.  Counts the
+    verdicts by (type, full signature) and the operations the proofs
+    cross."""
+    verdicts, crossed = collections.Counter(), collections.Counter()
+    for _ in range(trials):
+        tree, head = op_tree(rng, ops, 3), rng.choice(UPTO_ALGEBRAS[alg][1])
+        sig_ops = rng.choice((None, frozenset(ops) - {tree[0]}))
+        a, b = (parse(f"algebra {alg};{USER_DEFS}{v}(0) = {head}; {v}' = {t};")
+                for v, t in (("x", render(tree, "x")), ("y", render(tree, "y", swap))))
+        engine = Engine(a.algebra, a.defs)
+        left, right = load_system(engine, a.system)["x"], load_system(engine, b.system)["y"]
+        verdict = assert_same_search(monkeypatch, engine, left, right,
+                                     rng.randint(20, 60), sig_ops)
+        verdicts[type(verdict), sig_ops is None] += 1
+        if isinstance(verdict, Proved):
+            crossed.update(verdict.certificate.ops_used)
+    return verdicts, crossed
+
+
+def substitute(engine, state, theta):
+    """The state with each stream variable x^(k) replaced by the k-th
+    derivative of theta[x]."""
+    if state.kind == "var":
+        bound = theta[state.name]
+        for _ in range(state.order):
+            bound = engine.derivative(bound)
+        return bound
+    if state.kind != "app" or not state.has_vars:
+        return state
+    return engine.app(state.symbol, [substitute(engine, a, theta) for a in state.args])
+
+
 def assert_same_search(monkeypatch, engine, left, right, budget, sig_ops, env=None):
     indexed = equiv_up_to(left, right, env=env, engine=engine, sig_ops=sig_ops,
                           budget=budget)
@@ -484,7 +644,7 @@ def assert_same_search(monkeypatch, engine, left, right, budget, sig_ops, env=No
     assert indexed == reference
     if isinstance(indexed, Proved):
         assert verify_certificate(indexed)
-    return type(indexed)
+    return indexed
 
 
 class TestIndexedHypothesis:
@@ -498,8 +658,8 @@ class TestIndexedHypothesis:
             engine = Engine(parse(f"algebra {alg};").algebra)
             left = load_system(engine, parse(system_text(alg, ha, ra)).system)[va]
             right = load_system(engine, parse(system_text(alg, hb, rb)).system)[vb]
-            verdicts[assert_same_search(monkeypatch, engine, left, right,
-                                        rng.randint(20, 120), rng.choice(SIG_OPS))] += 1
+            verdicts[type(assert_same_search(monkeypatch, engine, left, right,
+                                             rng.randint(20, 120), rng.choice(SIG_OPS)))] += 1
         # x + x against 2*x is never proved; every other kind decides some
         assert make is rewrite_pair or verdicts[Proved] + verdicts[Refuted]
 
@@ -510,9 +670,109 @@ class TestIndexedHypothesis:
         for left, right in schema_pairs() * 3:
             engine = Engine(Q)
             env = load_system(engine, system)
-            verdicts[assert_same_search(monkeypatch, engine, left, right,
-                                        rng.randint(20, 120), rng.choice(SIG_OPS), env)] += 1
+            verdicts[type(assert_same_search(monkeypatch, engine, left, right,
+                                             rng.randint(20, 120), rng.choice(SIG_OPS), env))] += 1
         assert verdicts[Proved] and verdicts[Unknown]
+
+    @pytest.mark.parametrize("alg", ["Nat", "Q"])
+    def test_user_definitions_of_arity_1_and_3(self, monkeypatch, alg):
+        rng = seeded(f"user:{alg}")
+        verdicts, crossed = op_pair_verdicts(monkeypatch, rng, alg,
+                                             {"twice": 1, "mix3": 3, "+": 2, "*": 2}, False)
+        assert verdicts[Proved, True] and crossed["twice"] and crossed["mix3"]
+
+    def test_non_commutative_operations(self, monkeypatch):
+        rng = seeded("minus-zip")
+        ops = {"-": 2, "zip": 2, "+": 2}
+        (same, _), (swapped, _) = (op_pair_verdicts(monkeypatch, rng, "Q", ops, swap)
+                                   for swap in (False, True))
+        assert same[Proved, True] and swapped[Refuted, True]
+
+    @pytest.mark.parametrize("alg", ["Nat", "Q"])
+    def test_crosswise_pairing_under_merge_and_shuffle(self, monkeypatch, alg):
+        # the swapped copy is the same stream, and only the crosswise
+        # pairing relates the two right-hand sides
+        rng = seeded(f"crosswise:{alg}")
+        verdicts, crossed = op_pair_verdicts(monkeypatch, rng, alg,
+                                             {"merge": 2, "shuffle": 2, "+": 2}, True)
+        assert verdicts[Proved, True] and crossed["merge"] and crossed["shuffle"]
+
+    def test_a_relation_of_schema_and_ground_pairs(self):
+        # the search only ever builds relations of one kind or the other,
+        # so this one is made by hand and queried on pairs in its closure
+        rng = seeded(47)
+        engine = Engine(Q)
+        system = load_system(engine, parse(
+            "a(0)=1; a' = a + X; b(0)=2; b' = b*b; c(0)=0; c' = a - b;").system)
+        ground = [system["a"], system["b"], system["c"], engine.derivative(system["a"]),
+                  engine.lit(1), engine.app("X", ())]
+        variables = [engine.var("u"), engine.var("v"), engine.var("u", 1)]
+
+        def term(depth, atoms):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(atoms)
+            symbol = rng.choice(("+", "*", "-", "zip", "shuffle", "neg"))
+            return engine.app(symbol, [term(depth - 1, atoms)
+                                       for _ in range(1 if symbol == "neg" else 2)])
+
+        def generalize(state):
+            # some subterm of the state replaced by u or v
+            if rng.random() < 0.4:
+                return rng.choice(variables[:2])
+            if state.kind == "app" and state.args:
+                args = list(state.args)
+                at = rng.randrange(len(args))
+                args[at] = generalize(args[at])
+                return engine.app(state.symbol, args)
+            return state
+
+        kinds = collections.Counter()
+        for _ in range(400):
+            relation = _Relation()
+            for _ in range(rng.randint(1, 6)):
+                atoms = ground + variables if rng.random() < 0.5 else ground
+                a, b = term(1, atoms), term(1, atoms)
+                if rng.random() < 0.3:
+                    # a schema of the next pair, ahead of it
+                    relation.append((generalize(a), generalize(b)))
+                relation.append((a, b))
+
+            def query(depth):
+                # a context over shared states, with relation pairs or
+                # instances of them at some of its holes
+                if depth == 0 or rng.random() < 0.3:
+                    roll = rng.random()
+                    if roll < 0.5:
+                        a, b = rng.choice(relation.pairs)
+                        theta = {"u": rng.choice(ground), "v": rng.choice(ground)}
+                        return substitute(engine, a, theta), substitute(engine, b, theta)
+                    if roll < 0.8:
+                        shared = rng.choice(ground)
+                        return shared, shared
+                    return term(1, ground), term(1, ground)
+                symbol = rng.choice(("+", "*", "-", "zip", "shuffle"))
+                (a, b), (c, d) = query(depth - 1), query(depth - 1)
+                if symbol in COMMUTATIVE_OPS and rng.random() < 0.5:
+                    return engine.app(symbol, (a, c)), engine.app(symbol, (d, b))
+                return engine.app(symbol, (a, c)), engine.app(symbol, (b, d))
+
+            for _ in range(5):
+                pair = query(3)
+                sig_ops = rng.choice(SIG_OPS + (frozenset({"-", "zip", "shuffle"}),))
+                indexed_used, scan_used = set(), set()
+                derivation = _closure_membership(engine, pair, relation, sig_ops,
+                                                 indexed_used)
+                assert derivation == scan_closure_membership(engine, pair, relation,
+                                                             sig_ops, scan_used)
+                assert indexed_used == scan_used
+                kinds[derivation[0] if derivation else None] += 1
+                if derivation and derivation[0] == "hyp":
+                    schema = any(s.has_vars for s in derivation[1])
+                    kinds["schema" if schema else "ground"] += 1
+                    if schema and derivation[1] != pair and pair in relation.pairs:
+                        kinds["schema before ground"] += 1
+        assert all(kinds[k] for k in ("refl", "hyp", "cong", None, "schema", "ground",
+                                      "schema before ground"))
 
     def test_an_earlier_schema_pair_is_named_before_a_ground_one(self):
         # (u, v) is an instance of any pair, so it matches the ground pair

@@ -7,9 +7,10 @@ The specs default to corpus/*.sde.  For each spec the runs are `check`,
 and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30`,
 `kernel`, `closed-form`, `equiv` against the spec's first unknown, and
 `equiv --prefix 0 --budget 60` against it, so that the up-to search
-answers and not the prefix scan, each without an algebra override and
-under each of the seven `--algebra` values; then `solve -n 900` on every
-unknown without an override.  The unknowns are those of the spec parsed without override; a
+answers and not the prefix scan, and the same with `--up-to +,*`, so
+that its congruence steps cross only those two operations, each without
+an algebra override and under each of the seven `--algebra` values; then
+`solve -n 900` on every unknown without an override.  The unknowns are those of the spec parsed without override; a
 spec that does not parse gets its `check` runs only.
 
 Every run goes in-process through streamcalc.cli.run, with the package
@@ -45,6 +46,11 @@ PER_UNKNOWN = (
     ("at", "30"),
     ("kernel",),
 )
+EQUIV_FLAGS = (
+    (),
+    ("--prefix", "0", "--budget", "60"),
+    ("--prefix", "0", "--budget", "60", "--up-to", "+,*"),
+)
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 RECURSION_LIMIT = sys.getrecursionlimit()
 
@@ -75,7 +81,7 @@ def shape(specs):
                         runs.append(command[:1] + (f"{path}#{var}",) + command[1:]
                                     + override)
                 runs.append(("closed-form", f"{path}#{var}") + override)
-                for flags in ((), ("--prefix", "0", "--budget", "60")):
+                for flags in EQUIV_FLAGS:
                     runs.append(("equiv", f"{path}#{var}", f"{path}#{unknowns[0]}")
                                 + flags + override)
         runs += [("solve", f"{path}#{var}", "-n", "900") for var in unknowns]
