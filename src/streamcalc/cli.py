@@ -8,6 +8,7 @@ Output is plain deterministic text; diagnostics go to stderr as single
 
 import argparse
 import functools
+import re
 import sys
 
 from . import automatic, equivalence, gsos, series, solvers, speclang
@@ -157,11 +158,18 @@ def _parsed(text, override):
     return _Loaded(speclang.parse(text, algebra=override))
 
 
+# file.sde#var: the unknown is the longest suffix after a `#` that is an
+# identifier as the lexer reads one (a letter or `_`, then word
+# characters and `#`), so a file name may hold `#` and an auxiliary
+# unknown such as `s#1` can be named
+_SELECTOR = re.compile(r"(.*?)#([^\W\d][\w#]*)", re.DOTALL)
+
+
 def _selector(text):
-    if "#" not in text:
+    match = _SELECTOR.fullmatch(text)
+    if match is None:
         raise _UsageError(f"selector {text!r} must look like file.sde#var")
-    path, var = text.rsplit("#", 1)
-    return path, var
+    return match.groups()
 
 
 def _classify(loaded):

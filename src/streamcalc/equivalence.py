@@ -4,8 +4,8 @@ Three procedures, by decidability:
 
 * rational streams: canonical forms make equality a cross-multiplication
   check -- never Unknown;
-* finite stream automata: partition refinement decides bisimilarity,
-  refutations come with the first disagreeing index;
+* finite stream automata: one walk of the two runs decides
+  bisimilarity, refutations come with the first disagreeing index;
 * terms over a GSOS signature: a budgeted bisimulation-up-to search.
   The candidate relation grows along the (deterministic) derivative
   chain; a pair is discharged when it lies in the congruence closure of
@@ -116,75 +116,24 @@ class BisimCertificate:
     relation: frozenset  # pairs (x, y), x in left, y in right
 
 
-def _reachable(aut, start):
-    """The states reachable from start, in walk order: a path into a cycle,
-    since every state has one successor."""
-    seen = {}
-    state = start
-    while state not in seen:
-        seen[state] = None
-        state = aut.next[state]
-    return tuple(seen)
-
-
 def bisim_finite(aut1, s1, aut2, s2):
     """Decide the behaviours of two finite-automaton states.
 
-    Partition refinement (Moore) on the disjoint union of the states
-    reachable from s1 and s2 computes their bisimilarity; refutations
-    report the first disagreeing index by a prefix walk, which is bounded
-    by the product of the two reachable sets' sizes.  The certificate's
-    relation holds the bisimilar pairs of reachable states only.
+    Every state has one successor, so running both automata from (s1, s2)
+    meets one pair per step.  Within |Q1|*|Q2| steps either the outputs
+    differ, at the first disagreeing index, or a pair repeats: then the
+    walked pairs are a bisimulation, the certificate's relation.
     """
     alg = same_algebra(aut1.algebra, aut2.algebra)
-    reach1, reach2 = _reachable(aut1, s1), _reachable(aut2, s2)
-    states = [("L", x) for x in reach1] + [("R", y) for y in reach2]
-
-    def out(tagged):
-        tag, q = tagged
-        return (aut1 if tag == "L" else aut2).outputs[q]
-
-    def nxt(tagged):
-        tag, q = tagged
-        return (tag, (aut1 if tag == "L" else aut2).next[q])
-
-    block = {}
-    outputs = {}
-    for st in states:
-        o = out(st)
-        key = next((k for k in outputs if alg.eq(outputs[k], o)), None)
-        if key is None:
-            key = len(outputs)
-            outputs[key] = o
-        block[st] = key
-    while True:
-        signature = {st: (block[st], block[nxt(st)]) for st in states}
-        keys = {}
-        new_block = {}
-        for st in states:
-            sig = signature[st]
-            if sig not in keys:
-                keys[sig] = len(keys)
-            new_block[st] = keys[sig]
-        if new_block == block:
-            break
-        block = new_block
-
-    if block[("L", s1)] == block[("R", s2)]:
-        relation = frozenset(
-            (x, y)
-            for x in reach1
-            for y in reach2
-            if block[("L", x)] == block[("R", y)]
-        )
-        return Proved(BisimCertificate(aut1, aut2, relation))
+    walked = set()
     x, y = s1, s2
-    for i in range(len(reach1) * len(reach2) + 1):
+    while (x, y) not in walked:
         a, b = aut1.outputs[x], aut2.outputs[y]
         if not alg.eq(a, b):
-            return Refuted(i, a, b)
+            return Refuted(len(walked), a, b)
+        walked.add((x, y))
         x, y = aut1.next[x], aut2.next[y]
-    raise AssertionError("refinement and walk disagree")
+    return Proved(BisimCertificate(aut1, aut2, frozenset(walked)))
 
 
 def verify_bisim_certificate(cert, s1, s2):

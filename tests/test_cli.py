@@ -50,6 +50,9 @@ GOLDEN = [
      "1, 3, 9, 27, 81\n"),
     (("solve", corpus("catalan.sde") + "#s", "-n", "9"),
      "1, 1, 2, 5, 14, 42, 132, 429, 1430\n"),
+    # the same stream through user definitions, on the GSOS engine
+    (("solve", corpus("defs_catalan.sde") + "#s", "-n", "9"),
+     "1, 1, 2, 5, 14, 42, 132, 429, 1430\n"),
     (("solve", corpus("schroder.sde") + "#s", "-n", "9"),
      "1, 2, 6, 22, 90, 394, 1806, 8558, 41586\n"),
     (("solve", corpus("hamming.sde") + "#g", "-n", "12"),
@@ -182,6 +185,44 @@ class TestExitCodes:
             assert "UnorderedAlgebra" in err
         finally:
             os.unlink(path)
+
+
+class TestSelector:
+    """The unknown is the longest identifier after a `#`; the file name
+    is everything before it."""
+
+    def tail(self, path):
+        return invoke("solve", f"{path}#s", "-n", "6")[1].split(", ", 1)[1]
+
+    @pytest.mark.parametrize("name", ["alternating.sde", "fib.sde"])
+    def test_auxiliary_unknown(self, name):
+        # s#1 is the derivative s' that the higher-order equation adds
+        path = corpus(name)
+        assert invoke("solve", f"{path}#s#1", "-n", "5") == (0, self.tail(path), "")
+
+    def test_hash_in_the_file_name(self, tmp_path):
+        path = tmp_path / "x#y.sde"
+        path.write_text(pathlib.Path(corpus("fib.sde")).read_text())
+        assert invoke("solve", f"{path}#s", "-n", "5") == (0, "0, 1, 1, 2, 3\n", "")
+        assert invoke("solve", f"{path}#s#1", "-n", "5") == (0, self.tail(path), "")
+
+    @pytest.mark.parametrize("directory", ["run#1", "run#a", "run#a#"])
+    def test_hash_in_a_directory_name(self, tmp_path, directory):
+        path = tmp_path / directory / "fib.sde"
+        path.parent.mkdir()
+        path.write_text(pathlib.Path(corpus("fib.sde")).read_text())
+        assert invoke("solve", f"{path}#s", "-n", "5") == (0, "0, 1, 1, 2, 3\n", "")
+
+    def test_non_ascii_unknown(self, tmp_path):
+        path = tmp_path / "u.sde"
+        path.write_text("\u00e9(0) = 1; \u00e9' = 2*\u00e9;\n", encoding="utf-8")
+        assert invoke("solve", f"{path}#\u00e9", "-n", "4") == (0, "1, 2, 4, 8\n", "")
+
+    @pytest.mark.parametrize("suffix", ["", "#", "#1", "#1s", "#s.t"])
+    def test_no_identifier_after_a_hash_is_a_usage_error(self, suffix):
+        selector = corpus("fib.sde") + suffix
+        assert invoke("solve", selector) == (
+            3, "", f"error: usage: selector {selector!r} must look like file.sde#var\n")
 
 
 class TestCheck:
@@ -408,8 +449,6 @@ class TestSolveRoutes:
                     Kind.SIMPLE, Kind.LINEAR, Kind.NONSTD, Kind.EVEN_ODD):
                 continue
             for var in sys_.variables:
-                if "#" in var:
-                    continue
                 code, out, err = invoke("solve", f"{path}#{var}", "-n", "900")
                 assert (code, err) == (0, ""), (path.name, var)
                 assert out.count(",") == 899

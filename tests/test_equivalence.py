@@ -1,6 +1,7 @@
 """Exact and budgeted equivalence checking with checkable certificates."""
 
 import collections
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,10 @@ from streamcalc.equivalence import (
     bisim_finite,
     equiv_rational,
     equiv_up_to,
+    verify_bisim_certificate,
     verify_certificate,
+    verify_rational_certificate,
+    verify_up_to_certificate,
 )
 from streamcalc.gsos import Engine, load_system
 from streamcalc.solvers import (
@@ -141,6 +145,19 @@ class TestBisimFinite:
                 assert isinstance(scan, Differ)
                 assert scan.index == verdict.index
 
+    def test_coprime_cycles_are_proved_after_every_pair_of_phases(self):
+        # a pair first repeats after lcm(3, 5) = 15 steps
+        left, right = cycle("p", [1] * 3), cycle("q", [1] * 5)
+        result = bisim_finite(left, "p0", right, "q0")
+        assert isinstance(result, Proved)
+        assert len(result.certificate.relation) == 15
+        assert verify_certificate(result, "p0", "q0")
+
+    def test_periods_3_and_5_first_differ_at_the_fine_wilf_bound(self):
+        # p + q - gcd(p, q) - 1 = 6: the runs agree on indices 0..5
+        left, right = cycle("p", [0, 1, 0]), cycle("q", [0, 1, 0, 0, 1])
+        assert bisim_finite(left, "p0", right, "q0") == Refuted(6, 0, 1)
+
     @pytest.mark.parametrize("name", ["Nat", "Q", "F2"])
     def test_same_verdicts_as_the_whole_union_refinement(self, name):
         alg = get_algebra(name)
@@ -168,12 +185,63 @@ class TestBisimFinite:
                 continue
             assert verify_certificate(verdict, s1, s2)
             reach1, reach2 = unfold_states(aut1, s1), unfold_states(aut2, s2)
-            assert verdict.certificate.relation == {
+            # the walked pairs: bisimilar pairs of reachable states
+            assert (s1, s2) in verdict.certificate.relation
+            assert verdict.certificate.relation <= {
                 (x, y) for x, y in reference.certificate.relation
                 if x in reach1 and y in reach2}
             # the unreachable states are left out
             assert len(reach1) < len(aut1.states) or len(reach2) < len(aut2.states)
         assert verdicts[Proved] >= 20 and verdicts[Refuted] >= 20
+
+
+def cycle(tag, outputs):
+    """An automaton over Q whose run from state 0 repeats `outputs`."""
+    n = len(outputs)
+    return SimpleAutomaton(Q, {f"{tag}{i}": o for i, o in enumerate(outputs)},
+                           {f"{tag}{i}": f"{tag}{(i + 1) % n}" for i in range(n)})
+
+
+class TestVerifiersReject:
+    def test_bisim_relation_without_the_root_pair(self):
+        cert = bisim_finite(FIG1, "x0", FIG1, "x2").certificate
+        assert cert.relation == {("x0", "x2"), ("x1", "x1"), ("x2", "x2")}
+        assert verify_bisim_certificate(cert, "x0", "x2")
+        without_root = replace(cert, relation=cert.relation - {("x0", "x2")})
+        assert not verify_bisim_certificate(without_root, "x0", "x2")
+
+    def test_bisim_relation_with_unequal_outputs(self):
+        # the pair is its own successor, so only the outputs are wrong
+        zeros, ones = cycle("a", [0]), cycle("b", [1])
+        cert = equivalence.BisimCertificate(zeros, ones, frozenset({("a0", "b0")}))
+        assert not verify_bisim_certificate(cert, "a0", "b0")
+
+    def test_bisim_relation_missing_a_successor_pair(self):
+        cert = bisim_finite(FIG1, "x0", FIG1, "x2").certificate
+        # every output still agrees; (x1, x1) leads to the missing pair
+        cut = replace(cert, relation=cert.relation - {("x2", "x2")})
+        assert not verify_bisim_certificate(cut, "x0", "x2")
+
+    def test_rational_certificate_with_a_wrong_product(self):
+        fib = ratexpr_normalize(P(0, 1), P(1, -1, -1))
+        other = ratexpr_normalize(P(0, 1) * P(1, -1), P(1, -1) * P(1, -1, -1))
+        cert = equiv_rational(fib, other).certificate
+        assert verify_rational_certificate(cert)
+        wrong = replace(cert, product=cert.product + P(0, 0, 1))
+        assert not verify_rational_certificate(wrong)
+
+    def test_up_to_relation_with_one_pair_removed(self):
+        fib = parse("s(0)=0; s'(0)=1; s'' = s' + s;")
+        comp = companion_system(ratexpr_normalize(P(0, 1), P(1, -1, -1)))
+        engine = Engine(Q)
+        left = load_system(engine, fib.system)["s"]
+        right = load_system(engine, comp)["x0"]
+        cert = equiv_up_to(left, right, engine=engine).certificate
+        assert verify_up_to_certificate(cert)
+        assert len(cert.pairs) >= 2
+        for k in range(len(cert.pairs)):
+            cut = replace(cert, pairs=cert.pairs[:k] + cert.pairs[k + 1:])
+            assert not verify_up_to_certificate(cut)
 
 
 def random_automaton(rng, alg, tag):
@@ -202,7 +270,7 @@ def unfold_states(aut, start):
 
 def whole_union_bisim(aut1, s1, aut2, s2):
     """bisim_finite as Moore refinement over every state of both automata,
-    the reference for its refinement of the reachable states only."""
+    the reference for its walk of the reachable pairs only."""
     alg = aut1.algebra
     states = [("L", x) for x in aut1.states] + [("R", y) for y in aut2.states]
 
