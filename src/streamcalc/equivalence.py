@@ -258,6 +258,11 @@ def _closure_membership(engine, pair, relation, sig_ops, used):
     the operations in sig_ops (congruence steps, also crosswise for
     commutative operations).  Argument pairs are tried in order, the
     crosswise pairing after the straight one.
+
+    Without schema pairs, two states of different symbols (a leaf, a
+    literal and a variable have none) are in R-bar only as a ground
+    hypothesis, so the call on such an argument pair is not made: it
+    could only fail.
     """
     ground, pairs = relation._ground, relation.pairs
     schemas = bool(relation._schemas)
@@ -282,22 +287,30 @@ def _closure_membership(engine, pair, relation, sig_ops, used):
         if len(us) != len(vs):
             return None
         if len(us) == 2:
-            first = member(us[0], vs[0])
-            if first is not None:
-                second = member(us[1], vs[1])
-                if second is not None:
-                    used.add(symbol)
-                    return ("cong", symbol, (first, second))
-            if symbol in COMMUTATIVE_OPS:
-                first = member(us[0], vs[1])
-                if first is not None:
-                    second = member(us[1], vs[0])
+            a, b = us
+            c, d = vs
+            if schemas or a.symbol == c.symbol or (a.sid, c.sid) in ground:
+                first = member(a, c)
+                if first is not None and (schemas or b.symbol == d.symbol
+                                          or (b.sid, d.sid) in ground):
+                    second = member(b, d)
+                    if second is not None:
+                        used.add(symbol)
+                        return ("cong", symbol, (first, second))
+            if symbol in COMMUTATIVE_OPS and (
+                    schemas or a.symbol == d.symbol or (a.sid, d.sid) in ground):
+                first = member(a, d)
+                if first is not None and (schemas or b.symbol == c.symbol
+                                          or (b.sid, c.sid) in ground):
+                    second = member(b, c)
                     if second is not None:
                         used.add(symbol)
                         return ("cong", symbol, (first, second))
             return None
         subs = []
         for a, b in zip(us, vs):
+            if not schemas and a.symbol != b.symbol and (a.sid, b.sid) not in ground:
+                return None
             sub = member(a, b)
             if sub is None:
                 return None
@@ -370,24 +383,37 @@ def verify_up_to_certificate(cert):
     closure, and the roots are covered."""
     engine = cert.engine
     alg = engine.algebra
+    # the verifier's own memo: whether a pair of hash-consed states is in
+    # the closure depends on nothing else, and without it the shared
+    # subterms of a state dag are checked again on every path to them
+    memo = {}
 
-    def in_closure(pair):
-        u, v = pair
-        if u is v:
-            return True
+    def instance(u, v):
         for a, b in cert.pairs:
             theta = {}
             if _match(engine, a, u, theta) and _match(engine, b, v, theta):
                 return True
-        if (u.kind == "app" and v.kind == "app" and u.symbol == v.symbol
+        return False
+
+    def in_closure(pair):
+        held = memo.get(pair)
+        if held is not None:
+            return held
+        u, v = pair
+        held = u is v or instance(u, v)
+        if (not held and u.kind == "app" and v.kind == "app" and u.symbol == v.symbol
                 and len(u.args) == len(v.args)
                 and (cert.sig_ops is None or u.symbol in cert.sig_ops)):
-            if all(in_closure(p) for p in zip(u.args, v.args)):
-                return True
-            if u.symbol in COMMUTATIVE_OPS and len(u.args) == 2:
-                return (in_closure((u.args[0], v.args[1]))
+            held = True
+            for p in zip(u.args, v.args):
+                if not in_closure(p):
+                    held = False
+                    break
+            if not held and u.symbol in COMMUTATIVE_OPS and len(u.args) == 2:
+                held = (in_closure((u.args[0], v.args[1]))
                         and in_closure((u.args[1], v.args[0])))
-        return False
+        memo[pair] = held
+        return held
 
     try:
         for u, v in cert.pairs:

@@ -3,7 +3,9 @@
 States are hash-consed terms whose leaves are streams (or literal
 elements), so the substitution step of the derivative clause shares
 subterm states and structurally equal terms are identical objects.
-Output and next state of every node are computed exactly once.
+Output and next state of every node are computed exactly once, by the
+clauses of its symbol's definition, each compiled into closures the first
+time it is used and reused for every later state.
 
 Unknowns of an equation system enter as fresh nullary definitions (the
 signature-extension device), so solving a system and evaluating a term
@@ -22,6 +24,7 @@ non-constant, an order comparison) raises SymbolicStuck.
 
 from . import calculus, speclang
 from .errors import (
+    AlgebraMismatch,
     GsosViolation,
     NonProductive,
     SpecError,
@@ -233,19 +236,6 @@ def term_of_state(state, max_depth=12):
     return f"{sym}({inner})"
 
 
-class _LazyHeads:
-    """Argument heads, forced only when an o/d clause mentions them."""
-
-    __slots__ = ("engine", "args")
-
-    def __init__(self, engine, args):
-        self.engine = engine
-        self.args = args
-
-    def __getitem__(self, i):
-        return self.engine.output(self.args[i])
-
-
 # ---------------------------------------------------------------------------
 # Builtin definitions in the GSOS shape
 
@@ -301,6 +291,209 @@ def _builtin_defs(alg):
 
 
 # ---------------------------------------------------------------------------
+# Clause bodies compiled into closures
+#
+# Each part of a clause -- its guard, `out` head expression and `deriv`
+# term -- is turned once into nested closures f(engine, args) over the
+# argument states of the state it is applied to.  Heads are read through
+# engine.output and derivatives taken through engine.derivative, states
+# are made through engine.app and engine.lit, all in the order of the
+# syntax tree, left to right.  The compile passes recurse one frame per
+# level and so do the closures.  A malformed part compiles to a closure
+# that raises each time it is evaluated, so the error comes at the step
+# that reads that part, after the parts read before it.
+
+
+class _Rule:
+    """A clause of a definition, each of its parts compiled at first use."""
+
+    __slots__ = ("clause", "params", "guard", "out", "deriv")
+
+    def __init__(self, clause, params):
+        self.clause = clause
+        self.params = params
+        self.guard = self.out = self.deriv = None
+
+
+def _failing(kind, message):
+    def fail(engine, args):
+        raise kind(message)
+    return fail
+
+
+def _head_op(expr, alg):
+    """The function of a head operation on the tuple of its argument values."""
+    op = expr.op
+    if op == "+":
+        return lambda values: sym_add(alg, *values)
+    if op == "*":
+        return lambda values: sym_mul(alg, *values)
+    if op == "-":
+        return lambda values: sym_add(alg, values[0], sym_neg(alg, values[1]))
+    if op == "neg":
+        return lambda values: sym_neg(alg, values[0])
+    if op in ("inv", "sqrt"):
+        def root(values):
+            if isinstance(values[0], SymHead):
+                raise SymbolicStuck(f"{op} of a symbolic head")
+            return speclang.eval_headexpr(HOp(op, (HLit(values[0]),)), (), alg)
+        return root
+
+    def bad(values):
+        raise SpecError(f"bad head expression {expr!r}")
+    return bad
+
+
+def _compile_head(expr, alg):
+    """f(engine, args) -> the value of a head expression."""
+    if isinstance(expr, HLit):
+        try:
+            value = alg.coerce(expr.value)
+        except AlgebraMismatch:
+            return lambda engine, args: alg.coerce(expr.value)
+        return lambda engine, args: value
+    if isinstance(expr, HArg):
+        i = expr.index
+        return lambda engine, args: engine.output(args[i])
+    if isinstance(expr, HOp):
+        # a loop, not a comprehension: one frame per level, not two
+        parts = []
+        for a in expr.args:
+            parts.append(_compile_head(a, alg))
+        op = _head_op(expr, alg)
+        if len(parts) == 2:
+            first, second = parts
+            return lambda engine, args: op((first(engine, args), second(engine, args)))
+
+        def apply(engine, args):
+            values = []
+            for part in parts:
+                values.append(part(engine, args))
+            return op(values)
+        return apply
+    return _failing(SpecError, f"bad head expression {expr!r}")
+
+
+def _compile_term(term, params, alg):
+    """f(engine, args) -> the state of a derivative clause's term."""
+    if isinstance(term, Var):
+        name = term.name
+        if name not in params:
+            # a system unknown, present as a nullary constant
+            return lambda engine, args: engine.app(name, ())
+        i = params.index(name)
+
+        def subst(engine, args):
+            engine.stats["x_subst"] += 1
+            return args[i]
+        return subst
+    if isinstance(term, DVar):
+        name, order = term.name, term.order
+        if name not in params:
+            # not an argument: a ValueError each time it is evaluated
+            return lambda engine, args: args[params.index(name)]
+        i = params.index(name)
+        if order == 1:
+            return lambda engine, args: engine.derivative(args[i])
+
+        def derive(engine, args):
+            state = args[i]
+            for _ in range(order):
+                state = engine.derivative(state)
+            return state
+        return derive
+    if isinstance(term, Const):
+        head = _compile_head(term.value, alg)
+        return lambda engine, args: engine.lit_or_stuck(head(engine, args))
+    if isinstance(term, OpApp):
+        symbol = term.symbol
+        # a loop, not a comprehension: one frame per level, not two
+        parts = []
+        for a in term.args:
+            parts.append(_compile_term(a, params, alg))
+        if len(parts) == 2:
+            first, second = parts
+            return lambda engine, args: engine.app(
+                symbol, (first(engine, args), second(engine, args)))
+
+        def apply(engine, args):
+            states = []
+            for part in parts:
+                states.append(part(engine, args))
+            return engine.app(symbol, states)
+        return apply
+    if isinstance(term, Sum):
+        # the left-nested binary + and - states of Engine._fold_sum
+        summands = []
+        for s, negated in term.summands:
+            summands.append(("-" if negated else "+", _compile_term(s, params, alg)))
+        (_, first), rest = summands[0], summands[1:]
+
+        def fold(engine, args):
+            state = first(engine, args)
+            for symbol, part in rest:
+                state = engine.app(symbol, (state, part(engine, args)))
+            return state
+        return fold
+    if isinstance(term, TermDeriv):
+        return _failing(SpecError, "derivative of a compound term in a derivative clause")
+    return _failing(SpecError, f"cannot instantiate {term!r}")
+
+
+def _compile_guard(guard, alg):
+    """f(engine, args) -> whether a clause's guard holds."""
+    if isinstance(guard, BoolOp):
+        parts = []
+        for g in guard.args:
+            parts.append(_compile_guard(g, alg))
+        combine = any if guard.op == "or" else all
+
+        def boolean(engine, args):
+            # every operand is evaluated, as each may raise
+            results = []
+            for part in parts:
+                results.append(part(engine, args))
+            return combine(results)
+        return boolean
+    if isinstance(guard, Not):
+        inner = _compile_guard(guard.arg, alg)
+        return lambda engine, args: not inner(engine, args)
+    if isinstance(guard, Cmp):
+        left, right = _compile_head(guard.left, alg), _compile_head(guard.right, alg)
+        return _comparison(guard, alg, left, right)
+    return _failing(SpecError, f"bad guard {guard!r}")
+
+
+def _comparison(guard, alg, left, right):
+    op = guard.op
+
+    def compare(engine, args):
+        a, b = left(engine, args), right(engine, args)
+        symbolic = isinstance(a, SymHead) or isinstance(b, SymHead)
+        if op in ("=", "!="):
+            if symbolic:
+                if sym_equal(alg, a, b):
+                    return op == "="
+                raise SymbolicStuck("equality guard over symbolic heads")
+            eq = alg.eq(a, b)
+            return eq if op == "=" else not eq
+        if symbolic:
+            raise SymbolicStuck("order guard over symbolic heads")
+        if alg.lt is None:
+            raise UnorderedAlgebra(f"{alg.name} has no order for guards")
+        if op == "<":
+            return alg.lt(a, b)
+        if op == "<=":
+            return not alg.lt(b, a)
+        if op == ">":
+            return alg.lt(b, a)
+        if op == ">=":
+            return not alg.lt(a, b)
+        raise SpecError(f"bad guard {guard!r}")
+    return compare
+
+
+# ---------------------------------------------------------------------------
 # The engine
 
 
@@ -314,7 +507,9 @@ class Engine:
     def __init__(self, algebra, defs=None):
         self.algebra = algebra
         self.defs = _builtin_defs(algebra)
-        self._table = {}
+        self._table = {}  # leaf, lit and var states
+        self._apps = {}   # (symbol, *argument states) -> the application state
+        self._rules = {}  # symbol -> its clauses, as _Rule
         self._next_sid = 0
         self._zero_lit = None
         self.stats = {"x_subst": 0}
@@ -327,6 +522,7 @@ class Engine:
             raise GsosViolation(f"definition of {d.symbol!r} is not in the "
                                 f"GSOS format: {verdict.reason}", verdict.span)
         self.defs[d.symbol] = d
+        self._rules.pop(d.symbol, None)
 
     def add_constant(self, name, head, rhs_term):
         """Introduce an equation-system unknown as a fresh nullary symbol."""
@@ -364,20 +560,26 @@ class Engine:
     def app(self, symbol, args):
         if symbol == "-" and len(args) == 1:
             symbol = "neg"
-        args = tuple(args)
         d = self.defs.get(symbol)
         if d is not None:
             if len(args) != d.arity:
                 raise UnknownSymbol(f"{symbol!r} takes {d.arity} argument(s)")
-            key = ("app", symbol, tuple([a.sid for a in args]))
-            # _intern inlined, with no closure made per call: most calls
-            # find a state made before
-            state = self._table.get(key)
+            # keyed on the argument states themselves, which hash by identity;
+            # _intern inlined, with no closure made per call: most calls find
+            # a state made before
+            key = (symbol, *args)
+            state = self._apps.get(key)
             if state is None:
+                args = tuple(args)
+                has_vars = False
+                for a in args:
+                    if a.has_vars:
+                        has_vars = True
+                        break
                 state = State(self, self._next_sid, "app", symbol=symbol, args=args,
-                              has_vars=any(a.has_vars for a in args))
+                              has_vars=has_vars)
                 self._next_sid += 1
-                self._table[key] = state
+                self._apps[key] = state
             return state
         if symbol in _NATIVE_ONLY:
             # non-GSOS builtin: evaluate natively on the behaviour streams
@@ -453,8 +655,11 @@ class Engine:
             return state.value
         if state.kind == "var":
             return _sym_var(self.algebra, state.name, state.order)
-        clause = self._select_clause(state)
-        return self._hval(clause.out, _LazyHeads(self, state.args))
+        rule = self._select_clause(state)
+        out = rule.out
+        if out is None:
+            out = rule.out = _compile_head(rule.clause.out, self.algebra)
+        return out(self, state.args)
 
     def derivative(self, state):
         nxt = state._next
@@ -468,116 +673,39 @@ class Engine:
             elif state.kind == "var":
                 nxt = self.var(state.name, state.order + 1)
             else:
-                clause = self._select_clause(state)
-                heads = _LazyHeads(self, state.args)
-                params = self.defs[state.symbol].params
-                nxt = self._instantiate(clause.deriv, params, state.args, heads)
+                rule = self._select_clause(state)
+                deriv = rule.deriv
+                if deriv is None:
+                    deriv = rule.deriv = _compile_term(rule.clause.deriv, rule.params,
+                                                       self.algebra)
+                nxt = deriv(self, state.args)
             state._next = nxt
         return nxt
 
     def _select_clause(self, state):
-        clause = state._clause
-        if clause is None:
-            d = self.defs[state.symbol]
-            heads = _LazyHeads(self, state.args)
-            for c in d.clauses:
-                if c.guard is None or self._guard_holds(c.guard, heads):
-                    clause = c
+        rule = state._clause
+        if rule is None:
+            rules = self._rules.get(state.symbol)
+            if rules is None:
+                d = self.defs[state.symbol]
+                rules = self._rules[state.symbol] = [_Rule(c, d.params) for c in d.clauses]
+            for rule in rules:
+                if rule.clause.guard is None:
+                    break
+                guard = rule.guard
+                if guard is None:
+                    guard = rule.guard = _compile_guard(rule.clause.guard, self.algebra)
+                if guard(self, state.args):
                     break
             else:
                 raise SpecError(f"no clause of {state.symbol!r} matched")
-            state._clause = clause
-        return clause
-
-    def _instantiate(self, term, params, args, heads):
-        if isinstance(term, Var):
-            if term.name not in params:
-                # a system unknown, present as a nullary constant
-                return self.app(term.name, ())
-            self.stats["x_subst"] += 1
-            return args[params.index(term.name)]
-        if isinstance(term, DVar):
-            state = args[params.index(term.name)]
-            for _ in range(term.order):
-                state = self.derivative(state)
-            return state
-        if isinstance(term, Const):
-            return self.lit_or_stuck(self._hval(term.value, heads))
-        if isinstance(term, OpApp):
-            # a loop, not a comprehension: one frame per level, not two
-            states = []
-            for a in term.args:
-                states.append(self._instantiate(a, params, args, heads))
-            return self.app(term.symbol, states)
-        if isinstance(term, Sum):
-            return self._fold_sum(
-                term, lambda t: self._instantiate(t, params, args, heads))
-        if isinstance(term, TermDeriv):
-            raise SpecError("derivative of a compound term in a derivative clause")
-        raise SpecError(f"cannot instantiate {term!r}")
+            state._clause = rule
+        return rule
 
     def lit_or_stuck(self, value):
         if isinstance(value, SymHead):
             raise SymbolicStuck("constant clause over symbolic heads")
         return self.lit(value)
-
-    def _hval(self, expr, heads):
-        alg = self.algebra
-        if isinstance(expr, HLit):
-            return alg.coerce(expr.value)
-        if isinstance(expr, HArg):
-            return heads[expr.index]
-        if isinstance(expr, HOp):
-            # a loop, not a comprehension: one frame per level, not two
-            args = []
-            for a in expr.args:
-                args.append(self._hval(a, heads))
-            if expr.op == "+":
-                return sym_add(alg, *args)
-            if expr.op == "*":
-                return sym_mul(alg, *args)
-            if expr.op == "-":
-                return sym_add(alg, args[0], sym_neg(alg, args[1]))
-            if expr.op == "neg":
-                return sym_neg(alg, args[0])
-            if expr.op in ("inv", "sqrt"):
-                if isinstance(args[0], SymHead):
-                    raise SymbolicStuck(f"{expr.op} of a symbolic head")
-                return speclang.eval_headexpr(
-                    HOp(expr.op, (HLit(args[0]),)), (), alg)
-        raise SpecError(f"bad head expression {expr!r}")
-
-    def _guard_holds(self, guard, heads):
-        alg = self.algebra
-        if isinstance(guard, BoolOp):
-            results = [self._guard_holds(g, heads) for g in guard.args]
-            return any(results) if guard.op == "or" else all(results)
-        if isinstance(guard, Not):
-            return not self._guard_holds(guard.arg, heads)
-        if isinstance(guard, Cmp):
-            left = self._hval(guard.left, heads)
-            right = self._hval(guard.right, heads)
-            symbolic = isinstance(left, SymHead) or isinstance(right, SymHead)
-            if guard.op in ("=", "!="):
-                if symbolic:
-                    if sym_equal(alg, left, right):
-                        return guard.op == "="
-                    raise SymbolicStuck("equality guard over symbolic heads")
-                eq = alg.eq(left, right)
-                return eq if guard.op == "=" else not eq
-            if symbolic:
-                raise SymbolicStuck("order guard over symbolic heads")
-            if alg.lt is None:
-                raise UnorderedAlgebra(f"{alg.name} has no order for guards")
-            if guard.op == "<":
-                return alg.lt(left, right)
-            if guard.op == "<=":
-                return not alg.lt(right, left)
-            if guard.op == ">":
-                return alg.lt(right, left)
-            if guard.op == ">=":
-                return not alg.lt(left, right)
-        raise SpecError(f"bad guard {guard!r}")
 
     # -- behaviour streams
 

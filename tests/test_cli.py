@@ -1147,7 +1147,8 @@ def test_tallest_definition_answers_from_a_deeper_caller(tmp_path):
     # the engine's head values, and the parser's passes over a system
     # term and a head expression, spent two frames per level on a list
     # comprehension: this escaped cli.run with a RecursionError when the
-    # caller was about 90 frames deep
+    # caller was about 90 frames deep.  The engine compiles the clauses at
+    # first use, and that pass too must spend one frame per level
     path = tmp_path / "tall_def.sde"
     path.write_text(tall_def_text() + "\n")
     assert invoke_in_a_fresh_process("solve", f"{path}#s", "-n", "4", frames=200) == (
@@ -1155,6 +1156,12 @@ def test_tallest_definition_answers_from_a_deeper_caller(tmp_path):
     code, out, err = invoke_in_a_fresh_process("check", str(path), frames=200)
     assert (code, err) == (0, "")
     assert out.endswith("kind: general\nprobe s: ok (1, 1, 1)\n")
+    # a free term and an equivalence run the definition's compiled clauses
+    assert invoke_in_a_fresh_process("eval", "--defs", str(path), "--term", "f(s)", "-n", "4",
+                                     frames=200) == (0, "1, 1, 401, 241001\n", "")
+    assert invoke_in_a_fresh_process("equiv", f"{path}#s", f"{path}#s", "--prefix", "3",
+                                     frames=200) == (
+        0, "Proved\ncertificate (bisimulation-up-to, user signature):\n  s  ~  s#b\n", "")
 
 
 def test_tallest_terms_answer_from_a_deeper_caller(tmp_path):
@@ -1220,19 +1227,28 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
-    # per spec: check under 8 algebra settings, 8 commands per unknown
-    # under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
-    assert len(runs) == (8 * (1 + 8) + 1) + (8 * (1 + 8 * 2) + 2)
+    # per spec: check and 4 eval runs under 8 algebra settings, 8 commands
+    # per unknown under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
+    assert len(runs) == (8 * (1 + 4 + 8) + 1) + (8 * (1 + 4 + 8 * 2) + 2)
+    assert {tuple(r["argv"][:2] + r["argv"][3:]) for r in runs if r["argv"][0] == "eval"} \
+        == {("eval", "--defs", "--term", term, "-n", "12") + override
+            for term in cli_parity.EVAL_TERMS
+            for override in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
     assert {tuple(r["argv"][:1] + r["argv"][2:]) for r in runs if r["argv"][0] == "equiv"} \
         == {("equiv", f"{spec}#s") + flags + override for spec in specs
             for flags in [(), ("--prefix", "0", "--budget", "60"),
                           ("--prefix", "0", "--budget", "60", "--up-to", "+,*")]
             for override in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
+    # a spec that defines plus and times also evaluates the terms over them
+    arithmetic = cli_parity.shape([corpus("defs_arith.sde")])
+    assert len(arithmetic) == 8 * (1 + 6)
+    assert [argv[4] for argv in arithmetic[1:7]] == list(
+        cli_parity.EVAL_TERMS + cli_parity.DEFS_TERMS)
     assert cli_parity.main(["compare", str(out)]) == 0
     runs[1]["out"] += "changed\n"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.endswith("1 of 211 recorded runs differ\n")
+    assert capsys.readouterr().out.endswith("1 of 275 recorded runs differ\n")
 
 
 def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
@@ -1241,6 +1257,8 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
         "at", "ones.sde", "30")
     assert cli_parity.group(["equiv", "corpus/alt.sde#t", "corpus/alt.sde#s",
                              "--algebra", "Q"]) == ("equiv", "alt.sde", "")
+    assert cli_parity.group(["eval", "--defs", "corpus/alt.sde", "--term", "X", "-n", "12",
+                             "--algebra", "F2"]) == ("eval", "alt.sde", "--term X -n 12")
     runs = cli_parity.record([corpus("ones.sde")])
     for run in runs:
         if run["argv"][0] == "kernel" or "--budget" in run["argv"]:
@@ -1255,7 +1273,7 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "33 of 73 recorded runs differ"]
+        "33 of 105 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from conftest import Q, prefix, rand_ratexpr, seeded
 from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
 from streamcalc.algebra import get_algebra, gf
-from streamcalc import equivalence, gsos
+from streamcalc import calculus, equivalence, gsos
 from streamcalc.equivalence import (
     COMMUTATIVE_OPS,
     Proved,
@@ -860,3 +860,156 @@ class TestIndexedHypothesis:
         for pair in ((engine.var("u"), system["c"]), ground):
             relation.append(pair)
         assert _closure_membership(engine, ground, relation, None, set()) == ("hyp", ground)
+
+
+# ---------------------------------------------------------------------------
+# The closure's skipped calls, and the verifier's memo
+
+
+def closure_fixture():
+    """An engine with four unknown streams a, b, c, d and X."""
+    engine = Engine(Q)
+    states = load_system(engine, parse(
+        "a(0)=1; a' = a; b(0)=2; b' = b; c(0)=0; c' = c; d(0)=3; d' = d;").system)
+    return engine, states, engine.app("X", ())
+
+
+def assert_same_closure(engine, pair, pairs, sig_ops=None):
+    """_closure_membership of pair against the scan reference: the same
+    derivation and the same operations in `used`."""
+    relation = _Relation()
+    for p in pairs:
+        relation.append(p)
+    used, scan_used = set(), set()
+    derivation = _closure_membership(engine, pair, relation, sig_ops, used)
+    assert derivation == scan_closure_membership(engine, pair, relation, sig_ops, scan_used)
+    assert used == scan_used
+    return derivation, used
+
+
+class TestClosurePrefilter:
+    def test_a_schema_pair_relates_states_of_different_symbols(self):
+        # (s + X, t * X) is an instance of (u + X, w): with schema pairs
+        # present the call on it is made
+        engine, s, x = closure_fixture()
+        a_x, b_x = engine.app("+", (s["a"], x)), engine.app("*", (s["b"], x))
+        schema = (engine.app("+", (engine.var("u"), x)), engine.var("w"))
+        pair = (engine.app("zip", (a_x, s["c"])), engine.app("zip", (b_x, s["c"])))
+        assert assert_same_closure(engine, pair, [schema]) == (
+            ("cong", "zip", (("hyp", schema), ("refl", s["c"]))), {"zip"})
+        assert assert_same_closure(engine, pair, []) == (None, set())
+
+    def test_a_ground_hypothesis_relates_states_of_different_symbols(self):
+        engine, s, x = closure_fixture()
+        a_x, b_x = engine.app("+", (s["a"], x)), engine.app("*", (s["b"], x))
+        pair = (engine.app("-", (s["c"], a_x)), engine.app("-", (s["c"], b_x)))
+        assert assert_same_closure(engine, pair, [(a_x, b_x)]) == (
+            ("cong", "-", (("refl", s["c"]), ("hyp", (a_x, b_x)))), {"-"})
+        # the crosswise pairing of + meets the hypothesis too
+        pair = (engine.app("+", (a_x, s["c"])), engine.app("+", (s["c"], b_x)))
+        assert assert_same_closure(engine, pair, [(a_x, b_x)]) == (
+            ("cong", "+", (("hyp", (a_x, b_x)), ("refl", s["c"]))), {"+"})
+        assert assert_same_closure(engine, pair, [(b_x, a_x)]) == (None, set())
+
+    def test_a_leaf_or_literal_against_an_application(self):
+        engine, s, x = closure_fixture()
+        a_x, c = engine.app("+", (s["a"], x)), s["c"]
+        for atom in (engine.lit(1), engine.leaf(calculus.ones(Q))):
+            hypothesis = (atom, a_x)
+            straight = (engine.app("*", (atom, c)), engine.app("*", (a_x, c)))
+            crosswise = (engine.app("*", (atom, c)), engine.app("*", (c, a_x)))
+            for pair in (straight, crosswise):
+                assert assert_same_closure(engine, pair, []) == (None, set())
+                assert assert_same_closure(engine, pair, [hypothesis]) == (
+                    ("cong", "*", (("hyp", hypothesis), ("refl", c))), {"*"})
+            stream_variable = (engine.app("*", (engine.var("u"), c)), straight[1])
+            assert assert_same_closure(engine, stream_variable, []) == (None, set())
+
+    def test_a_failed_pairing_keeps_what_its_first_argument_used(self):
+        # the straight pairing's first argument pair is proved by a
+        # congruence step under *, its second pair cannot be: * stays in
+        # `used`, as the scan leaves it
+        engine, s, x = closure_fixture()
+        left = engine.app("zip", (engine.app("*", (s["a"], s["c"])), engine.app("+", (s["a"], x))))
+        right = engine.app("zip", (engine.app("*", (s["a"], s["d"])), engine.lit(1)))
+        assert assert_same_closure(engine, (left, right), [(s["c"], s["d"])]) == (None, {"*"})
+
+    def test_sig_ops_without_the_head_symbol(self):
+        engine, s, x = closure_fixture()
+        a_x, x_a = engine.app("+", (s["a"], x)), engine.app("+", (x, s["a"]))
+        pair = (engine.app("zip", (a_x, s["c"])), engine.app("zip", (x_a, s["c"])))
+        assert assert_same_closure(engine, pair, [], None)[0] is not None
+        for sig_ops in (frozenset(), frozenset({"+"}), frozenset({"zip"}), frozenset({"*"})):
+            assert assert_same_closure(engine, pair, [], sig_ops) == (None, set())
+        # a ground hypothesis still holds where no congruence step may go
+        assert assert_same_closure(engine, pair, [(a_x, x_a)], frozenset({"zip"})) == (
+            ("cong", "zip", (("hyp", (a_x, x_a)), ("refl", s["c"]))), {"zip"})
+
+    @pytest.mark.parametrize("alg", sorted(UPTO_ALGEBRAS))
+    def test_random_pairs_without_schemas(self, alg):
+        # ground relations over a pool of shared states, queried on
+        # contexts with relation pairs, equal states and unrelated pairs
+        # at their holes, so that many argument pairs differ in symbols
+        rng = seeded(f"prefilter:{alg}")
+        engine = Engine(parse(f"algebra {alg};").algebra)
+        system = load_system(engine, parse(system_text(
+            alg, {"p": "1", "q": "0"}, {"p": "p + X", "q": "q*p"})).system)
+        atoms = [system["p"], system["q"], engine.app("X", ()), engine.lit(1),
+                 engine.leaf(calculus.ones(engine.algebra))]
+
+        def term(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(atoms)
+            symbol = rng.choice(("+", "*", "zip", "shuffle", "neg"))
+            args = [term(depth - 1) for _ in range(1 if symbol == "neg" else 2)]
+            return engine.app(symbol, args)
+
+        def query(depth, pairs):
+            if depth == 0 or rng.random() < 0.3:
+                roll = rng.random()
+                if roll < 0.4 and pairs:
+                    return rng.choice(pairs)
+                if roll < 0.7:
+                    shared = term(1)
+                    return shared, shared
+                return term(1), term(1)
+            symbol = rng.choice(("+", "*", "-", "zip", "shuffle"))
+            (a, b), (c, d) = query(depth - 1, pairs), query(depth - 1, pairs)
+            if symbol in COMMUTATIVE_OPS and rng.random() < 0.5:
+                return engine.app(symbol, (a, c)), engine.app(symbol, (d, b))
+            return engine.app(symbol, (a, c)), engine.app(symbol, (b, d))
+
+        kinds = collections.Counter()
+        for _ in range(300):
+            pairs = [(term(2), term(2)) for _ in range(rng.randint(0, 4))]
+            derivation, _ = assert_same_closure(engine, query(3, pairs), pairs,
+                                                rng.choice(SIG_OPS))
+            kinds[derivation[0] if derivation else None] += 1
+        assert all(kinds[k] for k in ("refl", "hyp", "cong", None))
+
+
+class TestVerifierMemo:
+    def test_a_shared_dag_is_checked_once_per_pair(self, monkeypatch):
+        # t_k = t_(k-1) + t_(k-1) over a proved relation: without a memo,
+        # each pairing of + re-checks t_(k-1) on every path to it, 2^k
+        # times over
+        engine, s, _ = closure_fixture()
+        left, other = s["a"], s["c"]
+        right = load_system(engine, parse("e(0)=1; e' = e;").system)["e"]
+        cert = equiv_up_to(left, right, engine=engine).certificate
+        assert cert.pairs == [(left, right)]
+        matches = collections.Counter()
+
+        def counted(engine, pattern, state, theta):
+            matches[pattern.sid, state.sid] += 1
+            return _match(engine, pattern, state, theta)
+
+        monkeypatch.setattr(equivalence, "_match", counted)
+        for root_right, held in ((right, True), (other, False)):
+            tall_left, tall_right = left, root_right
+            for _ in range(12):
+                tall_left = engine.app("+", (tall_left, tall_left))
+                tall_right = engine.app("+", (tall_right, tall_right))
+            matches.clear()
+            assert verify_up_to_certificate(replace(cert, roots=(tall_left, tall_right))) is held
+            assert max(matches.values()) <= 2

@@ -1,13 +1,52 @@
 """The syntactic stream automaton: traces, evaluation, system solving."""
 
+import collections
+import functools
+
 import pytest
 
-from conftest import Q, prefix, rand_rational_stream, seeded
+from conftest import Q, from_fn, prefix, rand_rational_stream, seeded
 from streamcalc import NonProductive, SpecError, bounded_eq, parse, parse_term
-from streamcalc import calculus
-from streamcalc.gsos import Engine, d_d, eval_term, load_system, o_d, solve_system_with_defs, term_of_state
+from streamcalc import calculus, speclang
+from streamcalc.algebra import registered_algebras
+from streamcalc.errors import (
+    AlgebraMismatch,
+    HeadNotInvertible,
+    NoExactSqrt,
+    UnorderedAlgebra,
+    UnsupportedOp,
+)
+from streamcalc.gsos import (
+    Engine,
+    SymbolicStuck,
+    SymHead,
+    _sym_var,
+    d_d,
+    eval_term,
+    load_system,
+    o_d,
+    solve_system_with_defs,
+    sym_add,
+    sym_equal,
+    sym_mul,
+    sym_neg,
+    term_of_state,
+)
 from streamcalc.solvers import linear_system_of, solve_linear_coinductive
-from streamcalc.speclang import Const, HLit, OpApp, Var
+from streamcalc.speclang import (
+    BoolOp,
+    Cmp,
+    Const,
+    DVar,
+    HArg,
+    HLit,
+    HOp,
+    Not,
+    OpApp,
+    Sum,
+    TermDeriv,
+    Var,
+)
 from streamcalc.stream import Equal, take
 
 
@@ -273,3 +312,288 @@ class TestNativeFallbacks:
         # delta(t) = (1, 2, 4, ...) and ddx(t) = (2, 8, 24, 64, ...)
         assert prefix(got["s"], 5) == [0, 1, 2, 4, 8]
         assert prefix(got["u"], 5) == [0, 2, 8, 24, 64]
+
+
+# ---------------------------------------------------------------------------
+# The compiled clause bodies against a walk of their syntax trees
+
+
+class _LazyHeads:
+    """Argument heads, forced only when a clause mentions them."""
+
+    def __init__(self, engine, args):
+        self.engine = engine
+        self.args = args
+
+    def __getitem__(self, i):
+        return self.engine.output(self.args[i])
+
+
+class RecordingEngine(Engine):
+    """An engine that logs every output and derivative call, in order."""
+
+    def __init__(self, algebra, defs=None):
+        self.calls = []
+        super().__init__(algebra, defs)
+
+    def output(self, state):
+        self.calls.append(("o", state.sid))
+        return super().output(state)
+
+    def derivative(self, state):
+        self.calls.append(("d", state.sid))
+        return super().derivative(state)
+
+
+class ReferenceEngine(RecordingEngine):
+    """The engine with clause bodies evaluated by walking their syntax
+    trees for every state, as before they were compiled: the reference
+    for the compiled closures."""
+
+    def _compute_output(self, state):
+        if state.kind == "leaf":
+            return state.stream.head
+        if state.kind == "lit":
+            return state.value
+        if state.kind == "var":
+            return _sym_var(self.algebra, state.name, state.order)
+        clause = self._select_clause(state)
+        return self._hval(clause.out, _LazyHeads(self, state.args))
+
+    def derivative(self, state):
+        self.calls.append(("d", state.sid))
+        nxt = state._next
+        if nxt is None:
+            if state.kind == "leaf":
+                nxt = self.leaf(state.stream.tail)
+            elif state.kind == "lit":
+                if self._zero_lit is None:
+                    self._zero_lit = self.lit(self.algebra.zero)
+                nxt = self._zero_lit
+            elif state.kind == "var":
+                nxt = self.var(state.name, state.order + 1)
+            else:
+                clause = self._select_clause(state)
+                heads = _LazyHeads(self, state.args)
+                params = self.defs[state.symbol].params
+                nxt = self._instantiate(clause.deriv, params, state.args, heads)
+            state._next = nxt
+        return nxt
+
+    def _select_clause(self, state):
+        clause = state._clause
+        if clause is None:
+            heads = _LazyHeads(self, state.args)
+            for c in self.defs[state.symbol].clauses:
+                if c.guard is None or self._guard_holds(c.guard, heads):
+                    clause = c
+                    break
+            else:
+                raise SpecError(f"no clause of {state.symbol!r} matched")
+            state._clause = clause
+        return clause
+
+    def _instantiate(self, term, params, args, heads):
+        if isinstance(term, Var):
+            if term.name not in params:
+                return self.app(term.name, ())
+            self.stats["x_subst"] += 1
+            return args[params.index(term.name)]
+        if isinstance(term, DVar):
+            state = args[params.index(term.name)]
+            for _ in range(term.order):
+                state = self.derivative(state)
+            return state
+        if isinstance(term, Const):
+            return self.lit_or_stuck(self._hval(term.value, heads))
+        if isinstance(term, OpApp):
+            states = []
+            for a in term.args:
+                states.append(self._instantiate(a, params, args, heads))
+            return self.app(term.symbol, states)
+        if isinstance(term, Sum):
+            return self._fold_sum(
+                term, lambda t: self._instantiate(t, params, args, heads))
+        if isinstance(term, TermDeriv):
+            raise SpecError("derivative of a compound term in a derivative clause")
+        raise SpecError(f"cannot instantiate {term!r}")
+
+    def _hval(self, expr, heads):
+        alg = self.algebra
+        if isinstance(expr, HLit):
+            return alg.coerce(expr.value)
+        if isinstance(expr, HArg):
+            return heads[expr.index]
+        if isinstance(expr, HOp):
+            args = []
+            for a in expr.args:
+                args.append(self._hval(a, heads))
+            if expr.op == "+":
+                return sym_add(alg, *args)
+            if expr.op == "*":
+                return sym_mul(alg, *args)
+            if expr.op == "-":
+                return sym_add(alg, args[0], sym_neg(alg, args[1]))
+            if expr.op == "neg":
+                return sym_neg(alg, args[0])
+            if expr.op in ("inv", "sqrt"):
+                if isinstance(args[0], SymHead):
+                    raise SymbolicStuck(f"{expr.op} of a symbolic head")
+                return speclang.eval_headexpr(
+                    HOp(expr.op, (HLit(args[0]),)), (), alg)
+        raise SpecError(f"bad head expression {expr!r}")
+
+    def _guard_holds(self, guard, heads):
+        alg = self.algebra
+        if isinstance(guard, BoolOp):
+            results = [self._guard_holds(g, heads) for g in guard.args]
+            return any(results) if guard.op == "or" else all(results)
+        if isinstance(guard, Not):
+            return not self._guard_holds(guard.arg, heads)
+        if isinstance(guard, Cmp):
+            left = self._hval(guard.left, heads)
+            right = self._hval(guard.right, heads)
+            symbolic = isinstance(left, SymHead) or isinstance(right, SymHead)
+            if guard.op in ("=", "!="):
+                if symbolic:
+                    if sym_equal(alg, left, right):
+                        return guard.op == "="
+                    raise SymbolicStuck("equality guard over symbolic heads")
+                eq = alg.eq(left, right)
+                return eq if guard.op == "=" else not eq
+            if symbolic:
+                raise SymbolicStuck("order guard over symbolic heads")
+            if alg.lt is None:
+                raise UnorderedAlgebra(f"{alg.name} has no order for guards")
+            if guard.op == "<":
+                return alg.lt(left, right)
+            if guard.op == "<=":
+                return not alg.lt(right, left)
+            if guard.op == ">":
+                return alg.lt(right, left)
+            if guard.op == ">=":
+                return not alg.lt(left, right)
+        raise SpecError(f"bad guard {guard!r}")
+
+
+# plus and times of corpus/defs_arith.sde; pick has guards (and, or, not,
+# an order comparison), head constants, an inv head, a Const clause and a
+# sum with a subtraction.  Parsed over Q, so their literals are rationals
+# that each engine coerces into its own algebra: dbl's 2 is no Boolean.
+REFERENCE_DEFS = """
+def plus(a, b) { out = a(0) + b(0); deriv = plus(a', b'); }
+def times(a, b) { out = a(0) * b(0); deriv = plus(times(a', b), times([a(0)], b')); }
+def pick(a, b) {
+  when a(0) = b(0) and not (a(0) = 0) => { out = a(0) * b(0) + 1; deriv = pick(b', [a(0) + 1] * a); }
+  when b(0) = 0 or a(0) < b(0) => { out = b(0) - a(0); deriv = plus(a', b) - b' + X; }
+  otherwise => { out = inv(a(0)) + b(0); deriv = pick(a', b') + [b(0)]; }
+}
+def dbl(a) { out = 2 * a(0); deriv = dbl(a') + X * a; }
+"""
+REFERENCE_OPS = {"+": 2, "-": 2, "neg": 1, "*": 2, "inv": 1, "X": 0, "shuffle": 2,
+                 "hadamard": 2, "sqrt": 1, "zip": 2, "merge": 2, "plus": 2, "times": 2,
+                 "pick": 2, "dbl": 1}
+
+
+def reference_term(rng, depth, used):
+    """A random term over REFERENCE_OPS with the stream variables a, b, c
+    and literals at the leaves; the symbols it applies go into `used`."""
+    if depth == 0 or rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.7:
+            return Var(rng.choice("abc"))
+        return Const(HLit(rng.choice((0, 1, 1, 2))))
+    symbol = rng.choice(sorted(REFERENCE_OPS))
+    used.add(symbol)
+    args = []
+    for _ in range(REFERENCE_OPS[symbol]):
+        args.append(reference_term(rng, depth - 1, used))
+    return OpApp(symbol, tuple(args))
+
+
+def walk(engine, term, env, symbolic, steps=7):
+    """Output and derivative of a term's state and its derivatives, in
+    turn, up to the first exception: [(sid, term, output), ...] and the
+    exception's type, or None."""
+    trace = []
+    try:
+        state = engine.from_term(term, env, symbolic=symbolic)
+        for _ in range(steps):
+            trace.append((state.sid, term_of_state(state), engine.output(state)))
+            state = engine.derivative(state)
+    except Exception as raised:  # any exception is an outcome to compare
+        return trace, type(raised)
+    return trace, None
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_against_reference(alg):
+    """Walks of 60 seeded terms over `alg` on the compiled engine and on
+    the reference, asserted equal: the same states in the same order,
+    outputs, output and derivative calls, and exception types.  Returns
+    the count of walks per exception type (None: no exception)."""
+    rng = seeded(f"compiled:{alg.name}")
+    defs = parse(REFERENCE_DEFS).defs
+    values = [alg.sample(rng) for _ in range(5)]
+    outcomes, used = collections.Counter(), set()
+    for trial in range(60):
+        term = reference_term(rng, 3, used)
+        # some variables are streams, the rest stream variables when symbolic
+        symbolic = trial % 3 == 0
+        env = {}
+        for name in "abc":
+            if not symbolic or rng.random() < 0.4:
+                cycle = [rng.choice(values) for _ in range(rng.randint(1, 4))]
+                env[name] = from_fn(alg, lambda i, cycle=cycle: cycle[i % len(cycle)])
+        compiled, reference = RecordingEngine(alg, defs), ReferenceEngine(alg, defs)
+        got = walk(compiled, term, env, symbolic)
+        assert got == walk(reference, term, env, symbolic), term
+        assert compiled.calls == reference.calls
+        assert compiled._next_sid == reference._next_sid
+        assert compiled.stats == reference.stats
+        outcomes[got[1]] += 1
+    assert used == set(REFERENCE_OPS)
+    return outcomes
+
+
+class TestCompiledClauses:
+    @pytest.mark.parametrize("alg", registered_algebras(), ids=lambda a: a.name)
+    def test_same_states_outputs_and_errors_as_the_syntax_walk(self, alg):
+        outcomes = compiled_against_reference(alg)
+        assert outcomes[None] and outcomes[SymbolicStuck]
+
+    def test_every_error_path_is_reached(self):
+        raised = collections.Counter()
+        for alg in registered_algebras():
+            raised.update(compiled_against_reference(alg))
+        for kind in (UnsupportedOp, UnorderedAlgebra, AlgebraMismatch, SymbolicStuck):
+            assert raised[kind], kind
+        assert raised[HeadNotInvertible] + raised[NoExactSqrt]
+
+    def test_malformed_parts_raise_where_the_walk_did(self):
+        # a derivative of a compound term (only a system's right-hand side
+        # escapes validation), an unknown head operation and a guard that
+        # is no comparison compile, and raise only once evaluated
+        a, cube = HArg(0), HOp("cube", (HArg(0),))
+        outcomes = []
+        for engine_class in (RecordingEngine, ReferenceEngine):
+            engine = engine_class(Q)
+            engine.add_constant("k", 1, OpApp("+", (Var("k"), TermDeriv(Var("k"), 1))))
+            for name, guard in (("cubed", Cmp("=", a, cube)), ("lit", HLit(1))):
+                engine.add_def(speclang.GsosDef(name, ("x",), (
+                    speclang.GsosClause(guard, a, DVar("x")),
+                    speclang.GsosClause(None, cube, DVar("x")))))
+            leaf = engine.leaf(calculus.ones(Q))
+            got = []
+            for state in (engine.app("k", ()), engine.app("cubed", (leaf,)),
+                          engine.app("lit", (leaf,))):
+                for step in (engine.output, engine.derivative):
+                    try:
+                        got.append(step(state))
+                    except SpecError as raised:
+                        got.append(str(raised))
+            outcomes.append((got, engine.calls, engine._next_sid))
+        assert outcomes[0][0][:2] == [1, "derivative of a compound term in a derivative clause"]
+        assert outcomes[0][0][2].startswith("bad head expression")
+        assert outcomes[0][0][4].startswith("bad guard")
+        assert outcomes[0] == outcomes[1]

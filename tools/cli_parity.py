@@ -3,15 +3,19 @@
     PYTHONPATH=src python tools/cli_parity.py record OUT.json [SPEC ...]
     PYTHONPATH=src python tools/cli_parity.py compare OUT.json
 
-The specs default to corpus/*.sde.  For each spec the runs are `check`,
-and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30`,
-`kernel`, `closed-form`, `equiv` against the spec's first unknown, and
-`equiv --prefix 0 --budget 60` against it, so that the up-to search
-answers and not the prefix scan, and the same with `--up-to +,*`, so
-that its congruence steps cross only those two operations, each without
-an algebra override and under each of the seven `--algebra` values; then
-`solve -n 900` on every unknown without an override.  The unknowns are those of the spec parsed without override; a
-spec that does not parse gets its `check` runs only.
+The specs default to corpus/*.sde.  For each spec the runs are `check`;
+`eval --defs SPEC --term T -n 12` for each closed term T of EVAL_TERMS,
+which together apply every GSOS builtin on the engine, and of
+DEFS_TERMS too where the spec defines `plus` and `times`; and on every
+unknown `solve`, `solve -n 200 --budget 60`, `at 30`, `kernel`,
+`closed-form`, `equiv` against the spec's first unknown, and `equiv
+--prefix 0 --budget 60` against it, so that the up-to search answers and
+not the prefix scan, and the same with `--up-to +,*`, so that its
+congruence steps cross only those two operations; each without an
+algebra override and under each of the seven `--algebra` values.  Then
+`solve -n 900` on every unknown without an override.  The unknowns and
+definitions are those of the spec parsed without override; a spec that
+does not parse gets its `check` and `eval` runs only.
 
 Every run goes in-process through streamcalc.cli.run, with the package
 that is importable, so recording under one PYTHONPATH and comparing
@@ -51,28 +55,44 @@ EQUIV_FLAGS = (
     ("--prefix", "0", "--budget", "60"),
     ("--prefix", "0", "--budget", "60", "--up-to", "+,*"),
 )
+# closed terms for `eval`: + * - X; neg shuffle inv; hadamard sqrt zip;
+# merge, whose clauses have guards
+EVAL_TERMS = (
+    "(X + 2) * (1 + X*X) - X",
+    "-shuffle(X + 1, inv(1 + X))",
+    "hadamard(sqrt(1 + X), zip(X, 1 + X))",
+    "merge(X + 1, 2*X + X*X)",
+)
+# and over the `plus` and `times` of corpus/defs_*.sde
+DEFS_TERMS = ("plus(X, 1)", "times(1 + X, plus(X, times(X, 2)))")
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 RECURSION_LIMIT = sys.getrecursionlimit()
 
 
-def _unknowns(path):
+def _read(path):
+    """The unknowns of a spec parsed without override, and whether it
+    defines `plus` and `times`; none and False if it does not parse."""
     from streamcalc import speclang
 
     try:
         spec = speclang.parse(pathlib.Path(path).read_text(encoding="utf-8"))
     except Exception:  # any failure to parse, an escaping one included
-        return ()
-    return spec.system.variables if spec.system else ()
+        return (), False
+    unknowns = spec.system.variables if spec.system else ()
+    return unknowns, {"plus", "times"} <= spec.defs.keys()
 
 
 def shape(specs):
     """The argv of every run, in order."""
     runs = []
     for path in specs:
-        unknowns = _unknowns(path)
+        unknowns, arithmetic = _read(path)
+        terms = EVAL_TERMS + (DEFS_TERMS if arithmetic else ())
         for algebra in ALGEBRAS:
             override = ("--algebra", algebra) if algebra else ()
             runs.append(("check", path) + override)
+            for term in terms:
+                runs.append(("eval", "--defs", path, "--term", term, "-n", "12") + override)
             for var in unknowns:
                 for command in PER_UNKNOWN:
                     if command[0] == "at":
@@ -122,6 +142,8 @@ def group(argv):
     """The command, spec file name and flags of a run's argv, without
     its --algebra override."""
     command, *rest = argv
+    if command == "eval":
+        del rest[rest.index("--defs")]
     spec = rest.pop(1 if command == "at" else 0)
     if command == "equiv":
         rest.pop(0)  # the right-hand selector, in the same spec file
