@@ -96,7 +96,7 @@ def _build_parser():
 
     p = sub.add_parser("kernel", help="2-kernel of a stream")
     p.add_argument("selector", metavar="SPEC#VAR")
-    common(p)
+    common(p, count=False)
 
     p = sub.add_parser("at", help="single element by bbin indexing")
     p.add_argument("index", type=int)

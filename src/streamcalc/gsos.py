@@ -4,8 +4,9 @@ States are hash-consed terms whose leaves are streams (or literal
 elements), so the substitution step of the derivative clause shares
 subterm states and structurally equal terms are identical objects.
 Output and next state of every node are computed exactly once, by the
-clauses of its symbol's definition, each compiled into closures the first
-time it is used and reused for every later state.
+clauses of its symbol's definition, compiled into closures when the
+definition enters the engine.  A term from outside the engine becomes a
+state through the same compiler.
 
 Unknowns of an equation system enter as fresh nullary definitions (the
 signature-extension device), so solving a system and evaluating a term
@@ -239,8 +240,15 @@ def term_of_state(state, max_depth=12):
 # ---------------------------------------------------------------------------
 # Builtin definitions in the GSOS shape
 
+# algebra -> its builtin definitions and their compiled clauses, which
+# take the engine as a parameter, so every engine shares them
+_BUILTINS = {}
 
-def _builtin_defs(alg):
+
+def _builtins(alg):
+    built = _BUILTINS.get(alg)
+    if built is not None:
+        return built
     x1, x2 = Var("x1"), Var("x2")
     y1, y2 = DVar("x1"), DVar("x2")
     a, b = HArg(0), HArg(1)
@@ -287,32 +295,30 @@ def _builtin_defs(alg):
                     clause(a, OpApp("merge", (y1, y2)), Cmp("=", a, b)),
                     clause(b, OpApp("merge", (x1, y2)), Cmp(">", a, b))]),
     }
-    return defs
+    _BUILTINS[alg] = defs, {symbol: _compile_def(d, alg) for symbol, d in defs.items()}
+    return _BUILTINS[alg]
 
 
 # ---------------------------------------------------------------------------
 # Clause bodies compiled into closures
 #
 # Each part of a clause -- its guard, `out` head expression and `deriv`
-# term -- is turned once into nested closures f(engine, args) over the
-# argument states of the state it is applied to.  Heads are read through
-# engine.output and derivatives taken through engine.derivative, states
-# are made through engine.app and engine.lit, all in the order of the
-# syntax tree, left to right.  The compile passes recurse one frame per
-# level and so do the closures.  A malformed part compiles to a closure
-# that raises each time it is evaluated, so the error comes at the step
-# that reads that part, after the parts read before it.
+# term -- is turned into nested closures f(engine, args) over the
+# argument states of the state it is applied to, when its definition
+# enters the engine.  Heads are read through engine.output and derivatives
+# taken through engine.derivative, states are made through engine.app and
+# engine.lit, all in the order of the syntax tree, left to right.  The
+# compile passes recurse one frame per level and so do the closures.  A
+# malformed part compiles to a closure that raises each time it is
+# evaluated, so the error comes at the step that reads that part, after
+# the parts read before it.
 
 
-class _Rule:
-    """A clause of a definition, each of its parts compiled at first use."""
-
-    __slots__ = ("clause", "params", "guard", "out", "deriv")
-
-    def __init__(self, clause, params):
-        self.clause = clause
-        self.params = params
-        self.guard = self.out = self.deriv = None
+def _compile_def(d, alg):
+    """The clauses of a definition as (guard, out, deriv) closures, guard None if absent."""
+    return tuple((None if c.guard is None else _compile_guard(c.guard, alg),
+                  _compile_head(c.out, alg), _compile_term(c.deriv, d.params, alg))
+                 for c in d.clauses)
 
 
 def _failing(kind, message):
@@ -374,30 +380,37 @@ def _compile_head(expr, alg):
     return _failing(SpecError, f"bad head expression {expr!r}")
 
 
-def _compile_term(term, params, alg):
-    """f(engine, args) -> the state of a derivative clause's term."""
+def _compile_term(term, params, alg, resolve=None):
+    """f(engine, args) -> the state of a derivative clause's term, or of
+    a term whose names outside `params` are the states resolve(name)."""
     if isinstance(term, Var):
         name = term.name
-        if name not in params:
-            # a system unknown, present as a nullary constant
-            return lambda engine, args: engine.app(name, ())
-        i = params.index(name)
+        if name in params:
+            i = params.index(name)
 
-        def subst(engine, args):
-            engine.stats["x_subst"] += 1
-            return args[i]
-        return subst
+            def subst(engine, args):
+                engine.stats["x_subst"] += 1
+                return args[i]
+            return subst
+        if resolve is not None:
+            return lambda engine, args: resolve(name)
+        # a system unknown, present as a nullary constant
+        return lambda engine, args: engine.app(name, ())
     if isinstance(term, DVar):
         name, order = term.name, term.order
-        if name not in params:
+        if name in params:
+            i = params.index(name)
+            if order == 1:
+                return lambda engine, args: engine.derivative(args[i])
+            base = lambda engine, args: args[i]
+        elif resolve is not None:
+            base = lambda engine, args: resolve(name)
+        else:
             # not an argument: a ValueError each time it is evaluated
             return lambda engine, args: args[params.index(name)]
-        i = params.index(name)
-        if order == 1:
-            return lambda engine, args: engine.derivative(args[i])
 
         def derive(engine, args):
-            state = args[i]
+            state = base(engine, args)
             for _ in range(order):
                 state = engine.derivative(state)
             return state
@@ -410,7 +423,7 @@ def _compile_term(term, params, alg):
         # a loop, not a comprehension: one frame per level, not two
         parts = []
         for a in term.args:
-            parts.append(_compile_term(a, params, alg))
+            parts.append(_compile_term(a, params, alg, resolve))
         if len(parts) == 2:
             first, second = parts
             return lambda engine, args: engine.app(
@@ -423,10 +436,11 @@ def _compile_term(term, params, alg):
             return engine.app(symbol, states)
         return apply
     if isinstance(term, Sum):
-        # the left-nested binary + and - states of Engine._fold_sum
+        # the left-nested binary + and - states a hand-built chain would have
         summands = []
         for s, negated in term.summands:
-            summands.append(("-" if negated else "+", _compile_term(s, params, alg)))
+            part = _compile_term(s, params, alg, resolve)
+            summands.append(("-" if negated else "+", part))
         (_, first), rest = summands[0], summands[1:]
 
         def fold(engine, args):
@@ -506,10 +520,11 @@ class Engine:
 
     def __init__(self, algebra, defs=None):
         self.algebra = algebra
-        self.defs = _builtin_defs(algebra)
+        builtin_defs, builtin_rules = _builtins(algebra)
+        self.defs = dict(builtin_defs)
+        self._rules = dict(builtin_rules)  # symbol -> its clauses, by _compile_def
         self._table = {}  # leaf, lit and var states
         self._apps = {}   # (symbol, *argument states) -> the application state
-        self._rules = {}  # symbol -> its clauses, as _Rule
         self._next_sid = 0
         self._zero_lit = None
         self.stats = {"x_subst": 0}
@@ -521,15 +536,17 @@ class Engine:
         if isinstance(verdict, Violation):
             raise GsosViolation(f"definition of {d.symbol!r} is not in the "
                                 f"GSOS format: {verdict.reason}", verdict.span)
+        self._rules[d.symbol] = _compile_def(d, self.algebra)
         self.defs[d.symbol] = d
-        self._rules.pop(d.symbol, None)
 
     def add_constant(self, name, head, rhs_term):
         """Introduce an equation-system unknown as a fresh nullary symbol."""
         if name in self.defs:
             raise SpecError(f"symbol {name!r} already defined")
         head = self.algebra.coerce(head)
-        self.defs[name] = GsosDef(name, (), (GsosClause(None, HLit(head), rhs_term),))
+        d = GsosDef(name, (), (GsosClause(None, HLit(head), rhs_term),))
+        self._rules[name] = _compile_def(d, self.algebra)
+        self.defs[name] = d
 
     # -- state construction (hash-consed)
 
@@ -589,44 +606,22 @@ class Engine:
         raise UnknownSymbol(f"unknown operation {symbol!r}")
 
     def from_term(self, term, env=None, symbolic=False):
+        """A name of the term is bound in env (a state, or a stream made a
+        leaf), or a nullary definition, or a stream variable if symbolic."""
         env = env or {}
-        if isinstance(term, Var):
-            if term.name in env:
-                bound = env[term.name]
-                return bound if isinstance(bound, State) else self.leaf(
-                    bound, name=term.name)
-            if term.name in self.defs and self.defs[term.name].arity == 0:
-                return self.app(term.name, ())
-            if symbolic:
-                return self.var(term.name)
-            raise UnknownSymbol(f"unbound stream variable {term.name!r}")
-        if isinstance(term, DVar):
-            base = self.from_term(Var(term.name), env, symbolic)
-            state = base
-            for _ in range(term.order):
-                state = self.derivative(state)
-            return state
-        if isinstance(term, Const):
-            value = speclang.eval_headexpr(term.value, (), self.algebra)
-            return self.lit(value)
-        if isinstance(term, OpApp):
-            # a loop, not a comprehension: one frame per level, not two
-            args = []
-            for a in term.args:
-                args.append(self.from_term(a, env, symbolic))
-            return self.app(term.symbol, args)
-        if isinstance(term, Sum):
-            return self._fold_sum(term, lambda t: self.from_term(t, env, symbolic))
-        raise SpecError(f"cannot evaluate term {term!r}")
 
-    def _fold_sum(self, term, state_of):
-        """The state of a Sum as the left-nested binary + and - states the
-        summands would have as a hand-built chain."""
-        parts = iter(term.summands)
-        state = state_of(next(parts)[0])
-        for s, negated in parts:
-            state = self.app("-" if negated else "+", (state, state_of(s)))
-        return state
+        def resolve(name):
+            if name in env:
+                bound = env[name]
+                return bound if isinstance(bound, State) else self.leaf(bound, name=name)
+            d = self.defs.get(name)
+            if d is not None and d.arity == 0:
+                return self.app(name, ())
+            if symbolic:
+                return self.var(name)
+            raise UnknownSymbol(f"unbound stream variable {name!r}")
+
+        return _compile_term(term, (), self.algebra, resolve)(self, ())
 
     # -- the automaton structure o_D / d_D
 
@@ -655,11 +650,7 @@ class Engine:
             return state.value
         if state.kind == "var":
             return _sym_var(self.algebra, state.name, state.order)
-        rule = self._select_clause(state)
-        out = rule.out
-        if out is None:
-            out = rule.out = _compile_head(rule.clause.out, self.algebra)
-        return out(self, state.args)
+        return self._select_clause(state)[1](self, state.args)
 
     def derivative(self, state):
         nxt = state._next
@@ -673,34 +664,21 @@ class Engine:
             elif state.kind == "var":
                 nxt = self.var(state.name, state.order + 1)
             else:
-                rule = self._select_clause(state)
-                deriv = rule.deriv
-                if deriv is None:
-                    deriv = rule.deriv = _compile_term(rule.clause.deriv, rule.params,
-                                                       self.algebra)
-                nxt = deriv(self, state.args)
+                nxt = self._select_clause(state)[2](self, state.args)
             state._next = nxt
         return nxt
 
     def _select_clause(self, state):
-        rule = state._clause
-        if rule is None:
-            rules = self._rules.get(state.symbol)
-            if rules is None:
-                d = self.defs[state.symbol]
-                rules = self._rules[state.symbol] = [_Rule(c, d.params) for c in d.clauses]
-            for rule in rules:
-                if rule.clause.guard is None:
-                    break
-                guard = rule.guard
-                if guard is None:
-                    guard = rule.guard = _compile_guard(rule.clause.guard, self.algebra)
-                if guard(self, state.args):
+        clause = state._clause
+        if clause is None:
+            for clause in self._rules[state.symbol]:
+                guard = clause[0]
+                if guard is None or guard(self, state.args):
                     break
             else:
                 raise SpecError(f"no clause of {state.symbol!r} matched")
-            state._clause = rule
-        return rule
+            state._clause = clause
+        return clause
 
     def lit_or_stuck(self, value):
         if isinstance(value, SymHead):
@@ -728,14 +706,11 @@ class Engine:
 
 def eval_term(term, env=None, defs=None, algebra=None):
     """Behaviour stream of a term over streams, under a definition set."""
-    engines_alg = algebra
-    if engines_alg is None:
-        for v in (env or {}).values():
-            engines_alg = v.algebra
-            break
-    if engines_alg is None:
-        raise UnsupportedOp("eval_term needs an algebra or a nonempty env")
-    engine = Engine(engines_alg, defs)
+    if algebra is None:
+        if not env:
+            raise UnsupportedOp("eval_term needs an algebra or a nonempty env")
+        algebra = next(iter(env.values())).algebra
+    engine = Engine(algebra, defs)
     return engine.behaviour(engine.from_term(term, env))
 
 
@@ -748,7 +723,7 @@ def load_system(engine, sys):
     return {v: engine.app(v, ()) for v in sys.variables}
 
 
-def solve_system_with_defs(sys, defs=None, algebra=None):
+def solve_system_with_defs(sys, defs=None):
     """Solve a (possibly General) system by the signature-extension device.
 
     For GSOS-conforming systems this is the unique solution; for General
@@ -756,6 +731,6 @@ def solve_system_with_defs(sys, defs=None, algebra=None):
     prefix is a prefix of every solution, and non-productive demands
     raise NonProductive.
     """
-    engine = Engine(algebra or sys.algebra, defs)
+    engine = Engine(sys.algebra, defs)
     states = load_system(engine, sys)
     return {v: engine.behaviour(states[v]) for v in sys.variables}

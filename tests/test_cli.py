@@ -599,6 +599,11 @@ class TestNumericFlags:
         assert invoke("solve", corpus("ones.sde") + "#s") == (
             0, ", ".join(["1"] * 20) + "\n", "")
 
+    def test_kernel_takes_no_count(self):
+        # kernel never read -n, so it does not accept one
+        assert invoke("kernel", corpus("thue_morse_evenodd.sde") + "#tm", "-n", "3") == (
+            3, "", "error: usage: unrecognized arguments: -n 3\n")
+
     def test_bounds_are_inclusive(self):
         assert invoke("solve", corpus("fib.sde") + "#s", "-n", "0",
                       "--budget", "1") == (0, "\n", "")
@@ -1147,8 +1152,8 @@ def test_tallest_definition_answers_from_a_deeper_caller(tmp_path):
     # the engine's head values, and the parser's passes over a system
     # term and a head expression, spent two frames per level on a list
     # comprehension: this escaped cli.run with a RecursionError when the
-    # caller was about 90 frames deep.  The engine compiles the clauses at
-    # first use, and that pass too must spend one frame per level
+    # caller was about 90 frames deep.  The engine compiles the clauses as
+    # the definition enters it, and that pass too must spend one frame per level
     path = tmp_path / "tall_def.sde"
     path.write_text(tall_def_text() + "\n")
     assert invoke_in_a_fresh_process("solve", f"{path}#s", "-n", "4", frames=200) == (
@@ -1227,12 +1232,13 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
-    # per spec: check and 4 eval runs under 8 algebra settings, 8 commands
-    # per unknown under each, and solve -n 900 per unknown (1 in ones, 2 in alt)
-    assert len(runs) == (8 * (1 + 4 + 8) + 1) + (8 * (1 + 4 + 8 * 2) + 2)
+    # per spec: check and 5 eval runs (the last over the first unknown) under
+    # 8 algebra settings, 8 commands per unknown under each, and solve -n 900
+    # per unknown (1 in ones, 2 in alt)
+    assert len(runs) == (8 * (1 + 5 + 8) + 1) + (8 * (1 + 5 + 8 * 2) + 2)
     assert {tuple(r["argv"][:2] + r["argv"][3:]) for r in runs if r["argv"][0] == "eval"} \
         == {("eval", "--defs", "--term", term, "-n", "12") + override
-            for term in cli_parity.EVAL_TERMS
+            for term in cli_parity.EVAL_TERMS + ("s' + s * X",)
             for override in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
     assert {tuple(r["argv"][:1] + r["argv"][2:]) for r in runs if r["argv"][0] == "equiv"} \
         == {("equiv", f"{spec}#s") + flags + override for spec in specs
@@ -1248,7 +1254,7 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     runs[1]["out"] += "changed\n"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.endswith("1 of 275 recorded runs differ\n")
+    assert capsys.readouterr().out.endswith("1 of 291 recorded runs differ\n")
 
 
 def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
@@ -1273,7 +1279,7 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "33 of 105 recorded runs differ"]
+        "33 of 113 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

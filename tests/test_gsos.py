@@ -8,16 +8,18 @@ import pytest
 from conftest import Q, from_fn, prefix, rand_rational_stream, seeded
 from streamcalc import NonProductive, SpecError, bounded_eq, parse, parse_term
 from streamcalc import calculus, speclang
-from streamcalc.algebra import registered_algebras
+from streamcalc.algebra import get_algebra, registered_algebras
 from streamcalc.errors import (
     AlgebraMismatch,
     HeadNotInvertible,
     NoExactSqrt,
+    UnknownSymbol,
     UnorderedAlgebra,
     UnsupportedOp,
 )
 from streamcalc.gsos import (
     Engine,
+    State,
     SymbolicStuck,
     SymHead,
     _sym_var,
@@ -346,9 +348,45 @@ class RecordingEngine(Engine):
 
 
 class ReferenceEngine(RecordingEngine):
-    """The engine with clause bodies evaluated by walking their syntax
-    trees for every state, as before they were compiled: the reference
-    for the compiled closures."""
+    """The engine with clause bodies, and terms from outside, evaluated by
+    walking their syntax trees for every state, as before they were
+    compiled: the reference for the compiled closures."""
+
+    def from_term(self, term, env=None, symbolic=False):
+        env = env or {}
+        if isinstance(term, Var):
+            if term.name in env:
+                bound = env[term.name]
+                return bound if isinstance(bound, State) else self.leaf(
+                    bound, name=term.name)
+            if term.name in self.defs and self.defs[term.name].arity == 0:
+                return self.app(term.name, ())
+            if symbolic:
+                return self.var(term.name)
+            raise UnknownSymbol(f"unbound stream variable {term.name!r}")
+        if isinstance(term, DVar):
+            state = self.from_term(Var(term.name), env, symbolic)
+            for _ in range(term.order):
+                state = self.derivative(state)
+            return state
+        if isinstance(term, Const):
+            return self.lit(speclang.eval_headexpr(term.value, (), self.algebra))
+        if isinstance(term, OpApp):
+            args = []
+            for a in term.args:
+                args.append(self.from_term(a, env, symbolic))
+            return self.app(term.symbol, args)
+        if isinstance(term, Sum):
+            return self._fold_sum(term, lambda t: self.from_term(t, env, symbolic))
+        raise SpecError(f"cannot evaluate term {term!r}")
+
+    def _fold_sum(self, term, state_of):
+        """The left-nested binary + and - states of a Sum's summands."""
+        parts = iter(term.summands)
+        state = state_of(next(parts)[0])
+        for s, negated in parts:
+            state = self.app("-" if negated else "+", (state, state_of(s)))
+        return state
 
     def _compute_output(self, state):
         if state.kind == "leaf":
@@ -597,3 +635,66 @@ class TestCompiledClauses:
         assert outcomes[0][0][2].startswith("bad head expression")
         assert outcomes[0][0][4].startswith("bad guard")
         assert outcomes[0] == outcomes[1]
+
+
+class TestOneCompiler:
+    """Definitions are compiled as they enter an engine, and terms from
+    outside become states through the same compiler."""
+
+    def test_definitions_stay_in_their_engine(self):
+        # the builtins' compiled clauses are shared by every engine over Q
+        one, other = Engine(Q), Engine(Q)
+        second_of = speclang.GsosDef("zip", ("x1", "x2"), (
+            speclang.GsosClause(None, HArg(1), OpApp("zip", (DVar("x1"), DVar("x2")))),))
+        one.add_def(second_of)
+        one.add_def(parse("def dbl(a) { out = 2 * a(0); deriv = dbl(a'); }").defs["dbl"])
+        one.add_constant("k", 1, Var("k"))
+        env = {"a": calculus.nats(Q), "b": calculus.ones(Q)}
+        zipped = OpApp("zip", (Var("a"), Var("b")))
+        assert prefix(one.behaviour(one.from_term(zipped, env)), 4) == [1, 1, 1, 1]
+        for engine in (other, Engine(Q)):
+            assert prefix(engine.behaviour(engine.from_term(zipped, env)), 4) == [1, 1, 2, 1]
+            assert "dbl" not in engine.defs and "k" not in engine.defs
+            with pytest.raises(UnknownSymbol):
+                engine.from_term(OpApp("dbl", (Var("a"),)), env)
+            with pytest.raises(UnknownSymbol):
+                engine.from_term(Var("k"))
+        other.add_constant("k", 2, Var("k"))
+        assert prefix(other.behaviour(other.from_term(Var("k"))), 3) == [2, 2, 2]
+        assert prefix(one.behaviour(one.from_term(Var("k"))), 3) == [1, 1, 1]
+
+    def test_a_redefinition_applies_to_states_made_after_it(self):
+        engine = Engine(Q)
+        engine.add_def(parse("def f(a) { out = a(0); deriv = f(a'); }").defs["f"])
+        term = OpApp("f", (Var("a"),))
+        before = engine.behaviour(engine.from_term(term, {"a": calculus.ones(Q)}))
+        assert prefix(before, 3) == [1, 1, 1]
+        engine.add_def(parse("def f(a) { out = 2 * a(0); deriv = f(a'); }").defs["f"])
+        after = engine.behaviour(engine.from_term(term, {"a": calculus.nats(Q)}))
+        assert prefix(after, 3) == [2, 4, 6]
+        assert prefix(before, 4) == [1, 1, 1, 1]
+
+    def test_free_names_resolve_in_order(self):
+        # bound in env, else a nullary definition, else a stream variable
+        # if symbolic; none of them is an argument substitution
+        engine = Engine(Q)
+        engine.add_constant("k", 5, Var("k"))
+        nats = calculus.nats(Q)
+        assert engine.from_term(Var("k"), {"k": nats}) is engine.leaf(nats)
+        assert engine.from_term(Var("k"), symbolic=True) is engine.app("k", ())
+        assert engine.from_term(Var("v"), symbolic=True) is engine.var("v")
+        assert engine.from_term(DVar("v", 2), symbolic=True) is engine.var("v", 2)
+        assert engine.output(engine.from_term(DVar("a", 2), {"a": nats})) == 3
+        assert engine.stats["x_subst"] == 0
+
+    def test_hand_built_terms(self):
+        engine = Engine(Q)
+        with pytest.raises(UnknownSymbol, match="unbound stream variable 'q'"):
+            engine.from_term(OpApp("+", (Var("q"), OpApp("X", ()))))
+        with pytest.raises(SpecError, match="derivative of a compound term"):
+            engine.from_term(TermDeriv(OpApp("X", ()), 1))
+        three = engine.from_term(Const(HOp("+", (HLit(1), HLit(2)))))
+        assert three is engine.lit(3)
+        # a constant head runs on the engine's own head operations
+        with pytest.raises(UnsupportedOp, match="Nat has no negation"):
+            Engine(get_algebra("Nat")).from_term(Const(HOp("-", (HLit(2), HLit(1)))))

@@ -6,8 +6,10 @@
 The specs default to corpus/*.sde.  For each spec the runs are `check`;
 `eval --defs SPEC --term T -n 12` for each closed term T of EVAL_TERMS,
 which together apply every GSOS builtin on the engine, and of
-DEFS_TERMS too where the spec defines `plus` and `times`; and on every
-unknown `solve`, `solve -n 200 --budget 60`, `at 30`, `kernel`,
+DEFS_TERMS too where the spec defines `plus` and `times`; where the spec
+has a system, `eval` of UNKNOWN_TERM over its first unknown, so that a
+system unknown and its derivative are resolved as free names of a term;
+and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30`, `kernel`,
 `closed-form`, `equiv` against the spec's first unknown, and `equiv
 --prefix 0 --budget 60` against it, so that the up-to search answers and
 not the prefix scan, and the same with `--up-to +,*`, so that its
@@ -65,6 +67,8 @@ EVAL_TERMS = (
 )
 # and over the `plus` and `times` of corpus/defs_*.sde
 DEFS_TERMS = ("plus(X, 1)", "times(1 + X, plus(X, times(X, 2)))")
+# over the first unknown u of a spec's system: u' + u * X
+UNKNOWN_TERM = "{u}' + {u} * X"
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 RECURSION_LIMIT = sys.getrecursionlimit()
 
@@ -88,6 +92,8 @@ def shape(specs):
     for path in specs:
         unknowns, arithmetic = _read(path)
         terms = EVAL_TERMS + (DEFS_TERMS if arithmetic else ())
+        if unknowns:
+            terms += (UNKNOWN_TERM.format(u=unknowns[0]),)
         for algebra in ALGEBRAS:
             override = ("--algebra", algebra) if algebra else ()
             runs.append(("check", path) + override)
