@@ -12,6 +12,9 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import add as _add, and_ as _and, attrgetter, mul as _mul
 
 from .errors import (
     AlgebraMismatch,
@@ -35,6 +38,14 @@ class Algebra:
       the invertible elements (e.g. ±1 in the integers),
     * ``sqrt`` is an exact partial square root,
     * ``lt`` is a total order (present iff ``ordered``).
+
+    ``dot(xs, ys, weights=None)`` is the fused sum of products
+    w0*x0*y0 + w1*x1*y1 + ... over two equally long, non-empty
+    sequences, each weight a non-negative integer taken as its image in
+    the algebra (the sum of that many ones; no weights means all ones).
+    It must equal the left fold of ``add`` over the products
+    ``mul(w, mul(x, y))`` exactly, in value and in type.  Without a
+    kernel of its own an algebra gets that fold.
 
     ``coerce`` normalises foreign representations (plain ints into Q,
     integers mod p, ...) and raises :class:`AlgebraMismatch` for values
@@ -61,11 +72,12 @@ class Algebra:
         "fmt",
         "characteristic",
         "sample",
+        "dot",
     )
 
     def __init__(self, name, kind, zero, one, add, mul, eq, coerce, parse, fmt,
                  sample, neg=None, inv=None, sqrt=None, lt=None,
-                 characteristic=None):
+                 characteristic=None, dot=None):
         if kind not in ("semiring", "ring", "field"):
             raise ValueError(f"bad algebra kind {kind!r}")
         if kind in ("ring", "field") and neg is None:
@@ -89,6 +101,13 @@ class Algebra:
         self.fmt = fmt
         self.characteristic = characteristic
         self.sample = sample
+        if dot is None:
+            def dot(xs, ys, weights=None):
+                terms = map(mul, xs, ys)
+                if weights is not None:
+                    terms = map(mul, (self.nat_mul(w, one) for w in weights), terms)
+                return reduce(add, terms)
+        self.dot = dot
 
     def sub(self, a, b):
         if self.neg is None:
@@ -141,6 +160,22 @@ def _q_sqrt(a):
     return None
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _q_dot(xs, ys, weights=None):
+    """Sum over the lcm of the products' denominators, normalised once."""
+    dens = list(map(_mul, map(_denominator, xs), map(_denominator, ys)))
+    nums = map(_mul, map(_numerator, xs), map(_numerator, ys))
+    if weights is not None:
+        nums = map(_mul, weights, nums)
+    common = math.lcm(*dens)
+    if common == 1:
+        return Fraction(sum(nums))
+    return Fraction(sum(map(_mul, nums, map(common.__floordiv__, dens))), common)
+
+
 def _q_sample(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -151,6 +186,13 @@ def _int_coerce(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise AlgebraMismatch(f"{x!r} is not an integer")
+
+
+def _int_dot(xs, ys, weights=None):
+    terms = map(_mul, xs, ys)
+    if weights is not None:
+        terms = map(_mul, weights, terms)
+    return sum(terms)
 
 
 def _int_sqrt(a):
@@ -225,6 +267,7 @@ _Q = Algebra(
     fmt=format_fraction,
     characteristic=0,
     sample=_q_sample,
+    dot=_q_dot,
 )
 
 _Z = Algebra(
@@ -241,6 +284,7 @@ _Z = Algebra(
     fmt=format_int,
     characteristic=0,
     sample=lambda rng: rng.randint(-9, 9),
+    dot=_int_dot,
 )
 
 
@@ -263,6 +307,7 @@ _NAT = Algebra(
     parse=lambda t: _nat_coerce(_parse_int(t)),
     fmt=format_int,
     sample=lambda rng: rng.randint(0, 9),
+    dot=_int_dot,
 )
 
 
@@ -282,6 +327,13 @@ def _bool_parse(text):
     raise AlgebraMismatch(f"bad Boolean literal {text!r}")
 
 
+def _bool_dot(xs, ys, weights=None):
+    # a zero weight drops its term; any() gives the True/False singletons
+    # that eq compares by identity
+    terms = map(_and, xs, ys)
+    return any(terms if weights is None else compress(terms, weights))
+
+
 _BOOL = Algebra(
     name="Bool", kind="semiring",
     zero=False, one=True,
@@ -293,6 +345,7 @@ _BOOL = Algebra(
     parse=_bool_parse,
     fmt=lambda a: "1" if a else "0",
     sample=lambda rng: rng.random() < 0.5,
+    dot=_bool_dot,
 )
 
 
@@ -308,6 +361,13 @@ def _trop_parse(text):
     return _q_coerce(_parse_q(text))
 
 
+def _trop_dot(xs, ys, weights=None):
+    # a positive weight's image is the unit 0, which keeps its term; the
+    # image of 0 is inf, which drops it
+    terms = map(_add, xs, ys)
+    return min(terms if weights is None else compress(terms, weights), default=INF)
+
+
 _TROPICAL = Algebra(
     name="Tropical", kind="semiring",
     zero=INF, one=Fraction(0),
@@ -319,17 +379,71 @@ _TROPICAL = Algebra(
     parse=_trop_parse,
     fmt=lambda a: "inf" if a == INF else format_fraction(a),
     sample=lambda rng: INF if rng.random() < 0.15 else Fraction(rng.randint(-9, 9)),
+    dot=_trop_dot,
 )
 
 
 _GF_CACHE = {}
+# Miller-Rabin with these bases is exact below 3.18e23, so on every modulus
+# gf accepts
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 2 ** 64
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _fp_sqrt(a, p):
+    """The smaller square root of a mod the prime p, or None, by
+    Tonelli-Shanks."""
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
 
 
 def gf(p):
-    """The prime field F_p; instances are memoised per p."""
+    """The prime field F_p for a prime p < 2^64; instances are memoised
+    per p."""
     if p in _GF_CACHE:
         return _GF_CACHE[p]
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} is too large: Fp needs a prime below 2^64")
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
 
     def coerce(x):
@@ -339,13 +453,6 @@ def gf(p):
             return x.numerator * pow(x.denominator, -1, p) % p
         raise AlgebraMismatch(f"{x!r} is not in F_{p}")
 
-    def sqrt(a):
-        # brute force; fine for the small moduli used in specs
-        for b in range(p):
-            if b * b % p == a:
-                return b
-        return None
-
     alg = Algebra(
         name="F2" if p == 2 else f"Fp({p})", kind="field",
         zero=0, one=1 % p,
@@ -353,12 +460,13 @@ def gf(p):
         eq=lambda a, b: a == b,
         neg=lambda a: (-a) % p,
         inv=lambda a: None if a % p == 0 else pow(a, -1, p),
-        sqrt=sqrt,
+        sqrt=lambda a: _fp_sqrt(a, p),
         coerce=coerce,
         parse=lambda t: coerce(_parse_int(t)),
         fmt=str,
         characteristic=p,
         sample=lambda rng: rng.randrange(p),
+        dot=lambda xs, ys, weights=None: _int_dot(xs, ys, weights) % p,
     )
     _GF_CACHE[p] = alg
     return alg

@@ -8,7 +8,10 @@ relaxed multiplication (van der Hoeven, *Relax, but Don't Be Too Lazy*,
 2002).  Every unknown and every distinct subterm of the right-hand sides
 becomes a node holding the coefficients computed so far.  A coefficient
 is computed once, when it is first demanded, and charges the
-observation budget once.  `operation` makes the node of one builtin;
+observation budget once.  A coefficient of a convolution (`*`, `inv`)
+or a shuffle is one call of the algebra's fused sum of products,
+alg.dot; the shuffle's binomial weights are plain integers, reduced mod
+p in characteristic p.  `operation` makes the node of one builtin;
 the `calculus` operations are such nodes over Leaf nodes, which read
 streams in order.
 
@@ -45,7 +48,7 @@ the engine may finish here.  Even-odd systems and 2-automata get one
 node per state (`even_odd_nodes`).
 """
 
-from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .errors import (
@@ -247,17 +250,16 @@ class _Mul(_Binary):
         # a(n) comes first and b(n) last, as in the engine's expansion
         self.a.get(n)
         self.b.get(n)
-        alg = self.alg
-        return reduce(alg.add, map(alg.mul, self.a.coeffs[:n + 1],
-                                   reversed(self.b.coeffs[:n + 1])))
+        return self.alg.dot(self.a.coeffs[:n + 1], self.b.coeffs[n::-1])
 
 
 class _Shuffle(_Binary):
     """Shuffle product: sum of C(n, i) * a(i) * b(n-i) over i = 0..n.
 
-    C(n, i) is the algebra's image of the integer, the n-fold sum of
-    ones that alg.nat_mul would add up; it is kept as the current row
-    of Pascal's triangle, one addition per entry.
+    The binomials C(n, i) are plain integers, the weights of alg.dot,
+    which takes each as its image in the algebra.  They are kept as the
+    current row of Pascal's triangle, one integer addition per entry,
+    and reduced mod p over a field of characteristic p.
     """
 
     __slots__ = ("row",)
@@ -269,14 +271,12 @@ class _Shuffle(_Binary):
     def compute(self, n):
         self.a.get(n)
         self.b.get(n)
-        alg = self.alg
-        last = self.row
-        row = [alg.one] + [alg.add(last[i - 1], last[i]) for i in range(1, n)]
-        if n:
-            row.append(alg.one)
-        self.row = row
-        terms = map(alg.mul, self.a.coeffs[:n + 1], reversed(self.b.coeffs[:n + 1]))
-        return reduce(alg.add, map(alg.mul, row, terms))
+        last, p = self.row, self.alg.characteristic
+        inner = map(add, last, last[1:])
+        if p:
+            inner = (c % p for c in inner)
+        self.row = row = [1, *inner, 1] if n else [1]
+        return self.alg.dot(self.a.coeffs[:n + 1], self.b.coeffs[n::-1], row)
 
 
 class _Hadamard(_Binary):
@@ -342,8 +342,7 @@ class _Inv(_Unary):
         if alg.neg is None:
             raise _no_negation(alg)
         self.arg.get(n)
-        total = reduce(alg.add, map(alg.mul, self.arg.coeffs[1:n + 1],
-                                    reversed(self.coeffs[:n])))
+        total = alg.dot(self.arg.coeffs[1:n + 1], self.coeffs[n - 1::-1])
         return alg.mul(self.neg_b0, total)
 
 

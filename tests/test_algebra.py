@@ -1,5 +1,6 @@
 """Coefficient domains, polynomials, rational expressions, elimination."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from streamcalc import (
     ratexpr_head,
     ratexpr_normalize,
 )
-from streamcalc.algebra import registered_algebras
+from streamcalc.algebra import Algebra, _is_prime, get_algebra, registered_algebras
 from streamcalc import calculus
 from streamcalc.solvers import ratexpr_stream
 from streamcalc.stream import bounded_eq, Equal
@@ -324,3 +325,154 @@ def test_exact_values_beyond_the_str_digit_limit():
         Z.parse("1/" + "3" * 5000)
     with pytest.raises(AlgebraMismatch, match="bad rational literal"):
         Q.parse("1/" + "0" * 5000)
+
+
+# ---------------------------------------------------------------------------
+# The fused sum of products against the fold it replaces
+
+
+def _repeated_sum(alg, w):
+    """The image of the integer w: w ones added up."""
+    acc = alg.zero
+    for _ in range(w):
+        acc = alg.add(acc, alg.one)
+    return acc
+
+
+def _pascal_row(alg, n):
+    """The images of C(n, 0..n), each entry one addition in the algebra."""
+    row = [alg.one]
+    for _ in range(n):
+        row = [alg.one] + [alg.add(a, b) for a, b in zip(row, row[1:])] + [alg.one]
+    return row
+
+
+def reference_dot(alg, xs, ys, images=None):
+    """The left fold of add over the products mul(image, mul(x, y))."""
+    terms = [alg.mul(x, y) for x, y in zip(xs, ys)]
+    if images is not None:
+        terms = [alg.mul(c, t) for c, t in zip(images, terms)]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = alg.add(acc, t)
+    return acc
+
+
+def _dot_value(rng, alg):
+    pick = rng.random()
+    if pick < 0.15:
+        return alg.zero
+    if pick < 0.3 and alg.name in ("Nat", "Z", "Q"):
+        big = 10 ** 300 + rng.randrange(10 ** 320)
+        if alg.name == "Nat":
+            return big
+        big *= rng.choice((1, -1))
+        return big if alg.name == "Z" else Fraction(big, rng.randint(1, 9))
+    return alg.sample(rng)
+
+
+def _generic(alg):
+    """The same algebra with the default dot: the fold of add over mul."""
+    return Algebra(alg.name, alg.kind, alg.zero, alg.one, alg.add, alg.mul, alg.eq,
+                   alg.coerce, alg.parse, alg.fmt, alg.sample, neg=alg.neg,
+                   inv=alg.inv, characteristic=alg.characteristic)
+
+
+DOT_ALGEBRAS = [*registered_algebras(), gf(3), gf(7)]
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["kernel", "default"])
+@pytest.mark.parametrize("alg", DOT_ALGEBRAS, ids=lambda a: a.name)
+def test_dot_equals_the_fold(alg, generic):
+    rng = seeded(f"dot:{alg.name}")
+    dot = (_generic(alg) if generic else alg).dot
+    p = alg.characteristic
+    for length in [1, 2, 64, *(rng.randint(1, 64) for _ in range(40))]:
+        xs = [_dot_value(rng, alg) for _ in range(length)]
+        ys = [_dot_value(rng, alg) for _ in range(length)]
+        small = [rng.randint(0, 12) for _ in range(length)]
+        binomials = [math.comb(length - 1, i) for i in range(length)]
+        cases = [(None, None), (small, [_repeated_sum(alg, w) for w in small]),
+                 ([c % p for c in binomials] if p else binomials,
+                  _pascal_row(alg, length - 1))]
+        for weights, images in cases:
+            want = reference_dot(alg, xs, ys, images)
+            got = dot(xs, ys) if weights is None else dot(xs, ys, weights)
+            assert got == want and type(got) is type(want), (xs, ys, weights)
+            if alg.name == "Bool":
+                assert got is want
+
+
+def test_q_dot_sums_over_the_lcm():
+    Q_ = get_algebra("Q")
+    halves = [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)]
+    assert Q_.dot(halves, [Fraction(1)] * 3) == Fraction(0)
+    assert Q_.dot(halves, [Fraction(3), Fraction(2), Fraction(1)], [2, 1, 6]) == Fraction(-4, 3)
+    assert Q_.dot([Fraction(7)], [Fraction(-3)]) == Fraction(-21)
+
+
+# ---------------------------------------------------------------------------
+# Prime fields: primality of the modulus and square roots
+
+
+def _sieve(n):
+    prime = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if prime[i]:
+            prime[i * i::i] = [False] * len(prime[i * i::i])
+    return prime
+
+
+# strong pseudoprimes to every base 2, 3, ... up to some prime below 37,
+# Carmichael numbers, and 1000000007 * 1000000009
+COMPOSITES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 561, 1105, 41041, 825265,
+              1000000016000000063, 2 ** 64 - 1)
+PRIMES = (1000000007, 1000000009, 2 ** 61 - 1, 1000000000000000003, 2 ** 64 - 59)
+
+
+def test_modulus_primality_is_exact():
+    prime = _sieve(5000)
+    for n in range(-3, 5000):
+        assert _is_prime(n) is prime[max(n, 0)], n
+    for n in COMPOSITES:
+        assert not _is_prime(n), n
+        with pytest.raises(UnsupportedOp, match=f"^{n} is not prime$"):
+            get_algebra(f"Fp({n})")
+    for p in PRIMES:
+        assert _is_prime(p)
+        alg = get_algebra(f"Fp({p})")
+        assert alg is gf(p) and alg.characteristic == p
+
+
+def test_modulus_from_2_to_the_64_is_refused():
+    for n in (2 ** 64, 2 ** 64 + 13, 10 ** 30 + 57):
+        with pytest.raises(UnsupportedOp, match=f"^modulus {n} is too large: "
+                           "Fp needs a prime below 2\\^64$"):
+            get_algebra(f"Fp({n})")
+
+
+def brute_force_sqrt(a, p):
+    """The square root loop gf used before Tonelli-Shanks: the smallest b
+    with b*b = a mod p."""
+    for b in range(p):
+        if b * b % p == a:
+            return b
+    return None
+
+
+def test_fp_sqrt_is_the_smallest_root():
+    for p in (q for q, is_prime in enumerate(_sieve(300)) if is_prime):
+        F = gf(p)
+        for a in range(p):
+            assert F.sqrt(a) == brute_force_sqrt(a, p), (a, p)
+
+
+def test_fp_sqrt_on_a_large_modulus():
+    p = 1000000007
+    F = gf(p)
+    assert F.sqrt(3) == 82062379 and F.sqrt(4) == 2 and F.sqrt(p - 1) is None
+    for r in (2, 12345, p - 1):
+        root = F.sqrt(r * r % p)
+        assert root == min(r, p - r)
+    assert F.sqrt(5) is None  # p = 2 mod 5, so 5 is no square mod p

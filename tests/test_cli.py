@@ -658,6 +658,29 @@ class TestNonPrimeModulus:
         assert (code, out) == (3, "")
         assert err == "error: SpecSyntaxError: 1:9: 4 is not prime\n"
 
+    # primality by trial division ran past 10 s on 1000000016000000063
+    # (1000000007 * 1000000009) and on the prime 1000000000000000003, and
+    # the square root loop on Fp(1000000007) took 6 s
+    @pytest.mark.parametrize("modulus,message", [
+        (1000000016000000063, "1000000016000000063 is not prime"),
+        (2 ** 64, f"modulus {2 ** 64} is too large: Fp needs a prime below 2^64"),
+    ])
+    def test_large_moduli_end(self, tmp_path, modulus, message):
+        assert invoke("solve", corpus("fib.sde") + "#s", "--algebra", f"Fp({modulus})") == (
+            3, "", f"error: usage: {message}\n")
+        spec = tmp_path / "big.sde"
+        spec.write_text(f"algebra Fp({modulus}); s(0)=1; s'=s;\n")
+        assert invoke("solve", str(spec) + "#s") == (
+            3, "", f"error: SpecSyntaxError: 1:9: {message}\n")
+
+    def test_large_prime_modulus_answers(self, tmp_path):
+        assert invoke("solve", corpus("fib.sde") + "#s", "-n", "5",
+                      "--algebra", "Fp(1000000000000000003)") == (0, "0, 1, 1, 2, 3\n", "")
+        spec = tmp_path / "sqrt.sde"
+        spec.write_text("algebra Fp(1000000007); x(0) = 3; x' = sqrt(x);\n")
+        assert invoke("solve", str(spec) + "#x", "-n", "3") == (
+            0, "3, 82062379, 500000004\n", "")
+
 
 class TestNesting:
     """Nesting past speclang.MAX_NESTING is a syntax error, not a crash."""

@@ -12,7 +12,9 @@ systems are also checked against the coefficient-vector unfolding
 (solvers.solve_linear_coinductive), simple systems against their
 automaton unfolding (solvers.solve_simple), even-odd systems against
 bbin indexing (automatic.value_at), and delta and ddx systems against
-their index formulas, computed here from the definitions.  Seeded
+their index formulas, computed here from the definitions, and a Q
+system with fractional coefficients under *, shuffle and inv against
+the definitions of those operations, at 300 elements.  Seeded
 systems of every format are checked against the references of the
 format speclang.classify gives them.
 """
@@ -40,6 +42,7 @@ from streamcalc.speclang import (
     Const, EquationSystem, HLit, Kind, OpApp, Sum, Var, as_polynomial, classify,
 )
 from test_automatic import _random_automaton
+from test_cli import invoke
 from streamcalc.stream import take
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -205,6 +208,85 @@ def test_catalan_200_by_binomials():
     sys_ = parse((CORPUS / "catalan.sde").read_text()).system
     got = take(series.solve_by_coefficients(sys_)["s"], 200)
     assert got == [math.comb(2 * n, n) // (n + 1) for n in range(200)]
+
+
+def _by_definitions(sys_, n):
+    """The first n coefficients of every unknown of a +, -, *, X, shuffle,
+    inv system over Q, each operation's coefficient straight from its
+    definition in plain Fractions, memoised per subterm and index."""
+    xs = {v: [Fraction(sys_.heads[v])] for v in sys_.variables}
+    memo = {}
+
+    def coef(term, k):
+        if isinstance(term, Var):
+            return xs[term.name][k]
+        if isinstance(term, Const):
+            return Fraction(term.value.value) if k == 0 else Fraction(0)
+        if isinstance(term, Sum):
+            return sum((-coef(t, k) if neg else coef(t, k) for t, neg in term.summands),
+                       Fraction(0))
+        key = (term, k)
+        if key not in memo:
+            op, args = term.symbol, term.args
+            if op == "X":
+                value = Fraction(k == 1)
+            elif op == "-" and len(args) == 1:
+                value = -coef(args[0], k)
+            elif op in "+-":
+                value = coef(args[0], k) + (coef(args[1], k) if op == "+"
+                                            else -coef(args[1], k))
+            elif op == "*":
+                value = sum(coef(args[0], i) * coef(args[1], k - i) for i in range(k + 1))
+            elif op == "shuffle":
+                value = sum(math.comb(k, i) * coef(args[0], i) * coef(args[1], k - i)
+                            for i in range(k + 1))
+            else:
+                assert op == "inv"
+                head = 1 / coef(args[0], 0)
+                value = head if k == 0 else -head * sum(
+                    coef(args[0], i) * coef(term, k - i) for i in range(1, k + 1))
+            memo[key] = value
+        return memo[key]
+
+    for k in range(n - 1):
+        nxt = {v: coef(sys_.rhs[v], k) for v in sys_.variables}
+        for v in sys_.variables:
+            xs[v].append(nxt[v])
+    return xs
+
+
+def test_fractional_convolutions_match_engine():
+    # heads and coefficients with denominators 2 and 3 under *, shuffle
+    # and inv: the Q kernel sums over the lcm of the denominators.  The
+    # engine takes about 0.3 s per unknown for 30 elements and its cost
+    # grows about cubically, so the 300 elements of `solve -n 300` are
+    # checked against the definitions of the operations
+    path = CORPUS / "q_fractions.sde"
+    sys_ = parse(path.read_text()).system
+    for var in sys_.variables:
+        want = by_engine(sys_, var, 30)
+        assert want[0] == "ok" and all(c.denominator > 1 for c in want[1])
+        assert by_coefficients(sys_, var, 30) == want
+    reference = _by_definitions(sys_, 300)
+    for var in sys_.variables:
+        code, out, err = invoke("solve", f"{path}#{var}", "-n", "300")
+        assert (code, err) == (0, "")
+        assert out == ", ".join(map(str, reference[var])) + "\n"
+
+
+@pytest.mark.parametrize("alg_name", ["Q", "Nat", "F2", "Fp(3)", "Fp(7)", "Bool"])
+def test_shuffle_row_is_pascals_in_integers(alg_name):
+    # the binomials are integers, reduced mod p in characteristic p
+    alg = get_algebra(alg_name)
+    node = series.operation(alg, "shuffle", (series.Constant(alg, alg.one),
+                                             series.operation(alg, "X", ())))
+    p = alg.characteristic
+    for n in range(40):
+        node.get(n)
+        row = [math.comb(n, i) % p if p else math.comb(n, i) for i in range(n + 1)]
+        assert node.row == row and all(type(c) is int for c in node.row)
+    # 1 shuffled with X is X
+    assert node.coeffs == [alg.zero, alg.one] + [alg.zero] * 38
 
 
 def test_zero_factors_are_demanded():
