@@ -472,6 +472,12 @@ def gf(p):
     return alg
 
 
+def prime_modulus(alg):
+    """p if alg is the field gf(p), else None."""
+    p = alg.characteristic
+    return p if _GF_CACHE.get(p) is alg else None
+
+
 _NAMED = {"Q": _Q, "Z": _Z, "Nat": _NAT, "Bool": _BOOL, "Tropical": _TROPICAL}
 
 
@@ -656,14 +662,62 @@ def poly_arith(op, a, b):
     raise UnsupportedOp(f"unknown polynomial op {op!r}")
 
 
+# the prime of poly_gcd's coprimality certificate over Q
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
 def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over a field."""
+    """Monic gcd over a field: by the Euclidean algorithm, except where
+    one prime certifies a pair over Q coprime.
+
+    Over Q both polynomials are first scaled to integer coefficients and
+    reduced mod q = CERTIFICATE_PRIME.  If q divides neither leading
+    coefficient and the gcd mod q is a constant, the gcd is 1.  This is
+    exact: the primitive integer gcd g divides each integer polynomial
+    in Z[X] (Gauss's lemma), so g mod q divides both reductions, and it
+    keeps its degree because its leading coefficient divides theirs.
+    Hence deg gcd mod q >= deg g.  Otherwise the Euclidean algorithm runs
+    on the Fractions, whose coefficients can grow large.
+    """
     alg = same_algebra(a.algebra, b.algebra)
     if alg.kind != "field":
         raise UnsupportedOp("gcd needs a field")
+    if alg is _Q and _coprime_mod_q(a, b):
+        return Poly(alg, (alg.one,))
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic()
+
+
+def _coprime_mod_q(a, b):
+    """Whether CERTIFICATE_PRIME certifies the Q polynomials a and b
+    coprime (see poly_gcd)."""
+    if a.is_zero() or b.is_zero():
+        return False
+    q = CERTIFICATE_PRIME
+    reduced = []
+    for p in (a, b):
+        common = math.lcm(*map(_denominator, p.coeffs))
+        ints = [c.numerator * (common // c.denominator) % q for c in p.coeffs]
+        if not ints[-1]:
+            return False
+        reduced.append(ints)
+    a, b = reduced
+    # Euclid mod q on coefficient lists without trailing zeros
+    while len(b) > 1:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            f = a[-1] * inv % q
+            top = len(a) - len(b)
+            for j in range(len(b) - 1):
+                a[top + j] = (a[top + j] - f * b[j]) % q
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 def format_poly(p):

@@ -1,9 +1,10 @@
 """Solution methods for the equation-system formats.
 
-Linear systems get exact closed forms (I - X*M)^-1 * o, recovered by
-Berlekamp-Massey from the first 2n coefficients of each unknown (a
-dimension-n closed form num/den has deg den <= n and deg num < n, so 2n
-terms fix it).  Their prefixes, like those of simple systems and of
+Linear systems over Q or a prime field get exact closed forms
+(I - X*M)^-1 * o, recovered by a division-free Berlekamp-Massey in
+integers from the first 2n coefficients of each unknown (a dimension-n
+closed form num/den has deg den <= n and deg num < n, so 2n terms fix
+it).  Their prefixes, like those of simple systems and of
 every other builtin-only system, come from series.solve_by_coefficients;
 so do those of non-standard systems (delta, d/dX, delta_o), whose
 unknowns follow the successor rule of their tail operation.
@@ -16,13 +17,14 @@ context-free systems over polynomials in words of unknowns.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import series, speclang
 from .algebra import (
     Poly,
     RatExpr,
+    prime_modulus,
     ratexpr_coefficients,
     ratexpr_derivative,
     ratexpr_head,
@@ -162,74 +164,101 @@ def solve_linear_matrix(ls, names=None):
     complexity L = max(deg p + 1, deg q) <= n.  Berlekamp-Massey on the
     first 2n >= 2L coefficients (x^(k)(0) = (M^k o)_i) therefore finds
     each unknown's unique shortest recurrence: its connection polynomial
-    is q, with q(0) = 1, and p is the prefix times q mod X^L.  The
-    algebra must be a field.
+    is q up to a constant, and p is the prefix times q mod X^L.
+
+    Everything up to the canonical form runs in Python integers, so the
+    algebra must be rationals() or a prime field gf(p).  Over Q the
+    power sequence t is a scaled copy of the coefficients, whose series
+    is T(X/D)/E (see _power_sequences): with c the connection polynomial
+    of t and p_t its numerator, den_j = c[j] / (c[0] * D^j) and
+    num_j = p_t[j] / (c[0] * E * D^j).  Over gf(p), D = E = 1 and the
+    division by c[0] is mod p.
     """
     alg = ls.algebra
-    if alg.kind != "field":
+    p = 0 if alg is rationals() else prime_modulus(alg)
+    if p is None:
         raise UnsupportedOp("the matrix method needs a field algebra")
     rows = range(ls.n) if names is None else [ls.names.index(v) for v in names]
+    seqs, d, e = _power_sequences(ls, rows, p)
     forms = []
-    for seq in _power_sequences(ls, rows):
-        connection, length = _berlekamp_massey(alg, seq)
-        den = Poly(alg, connection)
-        num = Poly(alg, (Poly(alg, seq[:length]) * den).coeffs[:length])
-        forms.append(ratexpr_normalize(num, den))
+    for seq in seqs:
+        c, length = _berlekamp_massey(seq, p)
+        num = [sum(map(mul, reversed(seq[:j + 1]), c)) for j in range(length)]
+        if p:
+            scale = pow(c[0], -1, p)
+            den = [x * scale % p for x in c]
+            num = [x * scale % p for x in num]
+        else:
+            den = [Fraction(x, c[0] * d ** j) for j, x in enumerate(c)]
+            num = [Fraction(x, c[0] * e * d ** j) for j, x in enumerate(num)]
+        forms.append(ratexpr_normalize(Poly(alg, num), Poly(alg, den)))
     return forms
 
 
-def _power_sequences(ls, rows):
-    """The coefficients (M^k o)_i, k < 2n, of each unknown i in `rows`.
+def _power_sequences(ls, rows, p):
+    """Integer sequences t of the coefficients (M^k o)_i, k < 2n, of each
+    unknown i in `rows`, with the scales D and E: (M^k o)_i = t_k / (E * D^k).
 
-    Over Q the vectors are iterated in integers: with D the lcm of M's
-    denominators and E that of o's, u_k = (D*M)^k (E*o) has integer
-    entries and (M^k o)_i = u_k[i] / (E * D^k), so only the entries read
-    become Fractions.  Other fields iterate v <- M*v in the algebra.
+    Over Q (p = 0), D is the lcm of M's denominators and E that of o's,
+    and u_k = (D*M)^k (E*o) has integer entries, t_k = u_k[i].  The
+    series of t is then T(X) = E * S(D*X) for the unknown's series S, so
+    S(X) = T(X/D) / E.  Over gf(p), u_k = M^k o is iterated mod p and
+    D = E = 1.
     """
-    alg = ls.algebra
     terms = 2 * ls.n
-    if alg is rationals():
+    if p:
+        d = e = 1
+        matrix, u = ls.M, ls.o
+    else:
         d = lcm(*(c.denominator for row in ls.M for c in row))
         e = lcm(*(c.denominator for c in ls.o))
         matrix = [[c.numerator * (d // c.denominator) for c in row] for row in ls.M]
         u = [c.numerator * (e // c.denominator) for c in ls.o]
-        seqs = [[Fraction(u[i], e)] for i in rows]
-        for _ in range(terms - 1):
-            u = [sum(map(mul, row, u)) for row in matrix]
-            e *= d
-            for seq, i in zip(seqs, rows):
-                seq.append(Fraction(u[i], e))
-        return seqs
-    vectors = [ls.o]
+    seqs = [[u[i]] for i in rows]
     for _ in range(terms - 1):
-        v = vectors[-1]
-        vectors.append(tuple(_dot(alg, row, v) for row in ls.M))
-    return [[v[i] for v in vectors] for i in rows]
+        u = [sum(map(mul, row, u)) for row in matrix]
+        if p:
+            u = [x % p for x in u]
+        for seq, i in zip(seqs, rows):
+            seq.append(u[i])
+    return seqs, d, e
 
 
-def _berlekamp_massey(alg, seq):
-    """Shortest recurrence of seq over a field (Massey 1969).
+def _berlekamp_massey(seq, p):
+    """Shortest recurrence of an integer sequence over Q (p = 0) or over
+    gf(p), without division (after Massey 1969).
 
-    Returns the connection polynomial c (coefficients, c[0] = 1) and the
-    length L with sum_j c[j] * seq[k - j] = 0 for every L <= k < len(seq).
+    Returns the connection polynomial c (integer coefficients, c[0] not
+    zero, mod p over gf(p)) and the length L with
+    sum_j c[j] * seq[k - j] = 0 for every L <= k < len(seq).  Where the
+    field algorithm subtracts (d/last) * X^m * b from c, this one sets
+    c <- last*c - d*X^m*b, a multiple of the field's c by a unit, so
+    c / c[0] is the field's connection polynomial.  Over Q each new c is
+    divided by the gcd of its entries, and over gf(p) reduced mod p, to
+    keep it small.
     """
-    c = [alg.one]
-    b = [alg.one]
+    c = [1]
+    b = [1]
     length = 0
     shift = 1
-    last = alg.one  # discrepancy when b was last replaced
-    for k, s in enumerate(seq):
-        d = s
-        for j in range(1, min(length, len(c) - 1) + 1):
-            d = alg.add(d, alg.mul(c[j], seq[k - j]))
-        if alg.is_zero(d):
+    last = 1  # discrepancy when b was last replaced
+    for k in range(len(seq)):
+        d = sum(map(mul, c, reversed(seq[k - length:k + 1])))
+        if p:
+            d %= p
+        if not d:
             shift += 1
             continue
-        factor = alg.mul(d, alg.inv(last))
         prev = c
-        c = c + [alg.zero] * (len(b) + shift - len(c))
+        c = [last * x for x in c] + [0] * (len(b) + shift - len(c))
         for j, bj in enumerate(b):
-            c[j + shift] = alg.sub(c[j + shift], alg.mul(factor, bj))
+            c[j + shift] -= d * bj
+        if p:
+            c = [x % p for x in c]
+        else:
+            g = gcd(*c)
+            if g > 1:
+                c = [x // g for x in c]
         if 2 * length <= k:
             length, b, last, shift = k + 1 - length, prev, d, 1
         else:

@@ -25,7 +25,14 @@ from streamcalc import (
     ratexpr_head,
     ratexpr_normalize,
 )
-from streamcalc.algebra import Algebra, _is_prime, get_algebra, registered_algebras
+from streamcalc.algebra import (
+    CERTIFICATE_PRIME,
+    Algebra,
+    _coprime_mod_q,
+    _is_prime,
+    get_algebra,
+    registered_algebras,
+)
 from streamcalc import calculus
 from streamcalc.solvers import ratexpr_stream
 from streamcalc.stream import bounded_eq, Equal
@@ -476,3 +483,70 @@ def test_fp_sqrt_on_a_large_modulus():
         root = F.sqrt(r * r % p)
         assert root == min(r, p - r)
     assert F.sqrt(5) is None  # p = 2 mod 5, so 5 is no square mod p
+
+
+def euclid_gcd(a, b):
+    """poly_gcd's Euclidean algorithm, without the certificate."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def FP(*coeffs):
+    return Poly(Q, [Fraction(c) for c in coeffs])
+
+
+def test_certificate_is_a_prime():
+    assert _is_prime(CERTIFICATE_PRIME) and CERTIFICATE_PRIME == 2 ** 61 - 1
+
+
+def test_gcd_where_the_certificate_does_not_hold():
+    q = CERTIFICATE_PRIME
+    x = FP(0, 1)
+    cases = [
+        # q divides a leading coefficient: mod q the common factor q*X + 1
+        # drops to a constant, and the reductions X + 2, X + 3 are coprime
+        (FP(1, q) * FP(2, 1), FP(1, q) * FP(3, 1), False),
+        (FP(1, 0, q), FP(1, 1), False),
+        (FP(Fraction(1, 3), 0, Fraction(q, 7)), FP(2, Fraction(1, 5)), False),
+        # a common factor mod q only
+        (x, FP(q, 1), False),
+        (FP(1, 1) * FP(-2, 1), FP(1, 1 + q) * FP(Fraction(1, 2), 3), False),
+        # a real common factor
+        (FP(1, 1) * FP(2, Fraction(1, 3)), FP(1, 1) * FP(Fraction(-3, 7), 1), False),
+        (FP(1, -1) * FP(1, -1) * FP(5, 2), FP(1, -1) * FP(1, -1), False),
+        # a constant side
+        (FP(Fraction(3, 7)), FP(1, 0, 1), True),
+        (FP(-2, Fraction(1, 9), 4), FP(Fraction(-5, 12)), True),
+        # a zero side: the gcd is the other side, made monic
+        (Poly(Q, ()), FP(2, 4), False),
+        (FP(Fraction(3, 4)), Poly(Q, ()), False),
+        (Poly(Q, ()), Poly(Q, ()), False),
+    ]
+    for a, b, certified in cases:
+        assert _coprime_mod_q(a, b) is certified, (a, b)
+        assert poly_gcd(a, b) == euclid_gcd(a, b), (a, b)
+        assert poly_gcd(b, a) == euclid_gcd(b, a), (a, b)
+    assert poly_gcd(*cases[0][:2]) == FP(Fraction(1, q), 1)
+    assert poly_gcd(x, FP(q, 1)) == FP(1)
+
+
+def test_gcd_equals_euclid_on_seeded_pairs():
+    rng = seeded(56)
+
+    def rand_poly(degree):
+        span = rng.choice((9, 10 ** 20))
+        coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 12))
+                  for _ in range(degree + 1)]
+        if not coeffs[-1]:
+            coeffs[-1] = Fraction(1)
+        return Poly(Q, coeffs)
+
+    certified = 0
+    for _ in range(300):
+        common = rand_poly(rng.choice((0, 0, 1, 2, 3)))
+        a = rand_poly(rng.randint(0, 6)) * common
+        b = rand_poly(rng.randint(0, 6)) * common
+        certified += _coprime_mod_q(a, b)
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+    assert 100 < certified < 300

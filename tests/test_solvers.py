@@ -1,5 +1,6 @@
 """Solution methods per format, closed forms, and the rational round trip."""
 
+import math
 import pathlib
 from fractions import Fraction
 
@@ -21,13 +22,20 @@ from streamcalc import (
     parse,
     ratexpr_normalize,
 )
-from streamcalc.algebra import gauss_solve, gf, naturals
+from streamcalc.algebra import (
+    Algebra,
+    gauss_solve,
+    gf,
+    naturals,
+    ratexpr_coefficients,
+)
 from streamcalc.solvers import (
     ContextFreeSystem,
     LinearSystem,
     Periodic,
     PeriodicityUnknown,
     SimpleAutomaton,
+    _berlekamp_massey,
     _power_sequences,
     context_free_system_of,
     detect_eventually_periodic,
@@ -41,6 +49,7 @@ from streamcalc.solvers import (
     solve_simple,
     unfold_automaton,
 )
+from streamcalc.series import solve_by_coefficients
 from streamcalc.speclang import EquationSystem, Kind, classify
 from streamcalc.stream import Equal
 from streamcalc.stream import bounded_eq
@@ -305,7 +314,10 @@ class TestLinearMatrixAgainstElimination:
                 vectors.append(tuple(sum(a * b for a, b in zip(row, vectors[-1]))
                                      for row in ls.M))
             rows = range(n)
-            assert _power_sequences(ls, rows) == [[v[i] for v in vectors] for i in rows]
+            seqs, d, e = _power_sequences(ls, rows, 0)
+            assert all(type(t) is int for seq in seqs for t in seq)
+            assert [[Fraction(t, e * d ** k) for k, t in enumerate(seq)] for seq in seqs] \
+                == [[v[i] for v in vectors] for i in rows]
             oracle = gauss_oracle(ls)
             for i, name in enumerate(ls.names):
                 assert solve_linear_matrix(ls, [name]) == [oracle[i]]
@@ -322,7 +334,157 @@ class TestLinearMatrixAgainstElimination:
                 continue
             assert_matches_oracle(linear_system_of(spec.system))
             checked += 1
-        assert checked == 11
+        assert checked == 12
+
+
+def field_berlekamp_massey(alg, seq):
+    """The former Berlekamp-Massey of solve_linear_matrix, in the field's
+    own operations (Massey 1969): the connection polynomial c, with
+    c[0] = 1, and the length L."""
+    c = [alg.one]
+    b = [alg.one]
+    length = 0
+    shift = 1
+    last = alg.one  # discrepancy when b was last replaced
+    for k, s in enumerate(seq):
+        d = s
+        for j in range(1, min(length, len(c) - 1) + 1):
+            d = alg.add(d, alg.mul(c[j], seq[k - j]))
+        if alg.is_zero(d):
+            shift += 1
+            continue
+        factor = alg.mul(d, alg.inv(last))
+        prev = c
+        c = c + [alg.zero] * (len(b) + shift - len(c))
+        for j, bj in enumerate(b):
+            c[j + shift] = alg.sub(c[j + shift], alg.mul(factor, bj))
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    return c, length
+
+
+def rand_sequence(rng, value, zero, length):
+    """A seeded sequence of one of five shapes: all zero; free values;
+    leading zeros then free values; a short linear recurrence, so that
+    most later discrepancies are zero; or one after leading zeros."""
+    shape = rng.randrange(5)
+    if shape == 0:
+        return [zero] * length
+    lead = min(length, rng.randint(1, max(1, length // 2))) if shape in (2, 4) else 0
+    if shape in (1, 2):
+        body = [value() for _ in range(length - lead)]
+    else:
+        order = rng.randint(1, max(1, length // 3))
+        weights = [value() for _ in range(order)]
+        body = [value() for _ in range(order)]
+        while len(body) < length - lead:
+            body.append(sum(w * x for w, x in zip(weights, body[-order:])))
+    return [zero] * lead + body[:length - lead]
+
+
+class TestIntegerBerlekampMassey:
+    """The division-free loop against the field one it replaced: the same
+    length, and the same connection polynomial once c[0] is made 1."""
+
+    def test_rationals(self):
+        rng = seeded(52)
+        unique = 0
+        for _ in range(400):
+            size = rng.choice((10, 10**6, 10**30))
+
+            def value():
+                if rng.random() < 0.25:
+                    return Fraction(0)
+                return Fraction(rng.randint(-size, size), rng.randint(1, 12))
+
+            seq = rand_sequence(rng, value, Fraction(0), rng.randint(0, 16))
+            # the integer sequence t_k = s_k * E * D^k, as _power_sequences
+            # scales it
+            e = math.lcm(*(s.denominator for s in seq))
+            d = rng.choice((1, 1, 2, 3, 12))
+            ints = [s * e * d ** k for k, s in enumerate(seq)]
+            assert all(t.denominator == 1 for t in ints)
+            c, length = _berlekamp_massey([int(t) for t in ints], 0)
+            assert all(type(x) is int for x in c)
+            assert ([Fraction(x, c[0]) for x in c], length) \
+                == field_berlekamp_massey(Q, ints)
+            # where 2L terms fix the recurrence, as in solve_linear_matrix,
+            # scaling back gives s's own: c_s[j] = c_t[j] / (c_t[0] * D^j)
+            if 2 * length <= len(seq):
+                assert ([Fraction(x, c[0] * d ** j) for j, x in enumerate(c)],
+                        length) == field_berlekamp_massey(Q, seq)
+                unique += 1
+        assert unique > 200
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_prime_fields(self, p):
+        alg = gf(p)
+        rng = seeded(53 + p)
+        for _ in range(400):
+            def value():
+                return 0 if rng.random() < 0.3 else rng.randrange(p)
+
+            seq = [x % p for x in rand_sequence(rng, value, 0, rng.randint(0, 16))]
+            c, length = _berlekamp_massey(seq, p)
+            scale = pow(c[0], -1, p)
+            assert ([x * scale % p for x in c], length) \
+                == field_berlekamp_massey(alg, seq)
+
+    def test_connection_polynomial_annihilates(self):
+        # the recurrence holds on the whole sequence, over Q and mod p
+        rng = seeded(54)
+        for p in (0, 2, 5, 7):
+            for _ in range(100):
+                seq = rand_sequence(rng, lambda: rng.randint(-50, 50), 0, 14)
+                if p:
+                    seq = [x % p for x in seq]
+                c, length = _berlekamp_massey(seq, p)
+                assert c[0] % p if p else c[0]
+                for k in range(length, len(seq)):
+                    total = sum(c[j] * seq[k - j] for j in range(min(length, len(c) - 1) + 1))
+                    assert (total % p if p else total) == 0
+
+    def test_other_fields_are_refused(self):
+        # a hand-built field that is neither Q nor a gf(p)
+        fake = Algebra(name="F3bis", kind="field", zero=0, one=1,
+                       add=lambda a, b: (a + b) % 3, mul=lambda a, b: a * b % 3,
+                       eq=lambda a, b: a == b, coerce=int, parse=int, fmt=str,
+                       sample=None, neg=lambda a: -a % 3,
+                       inv=lambda a: pow(a, -1, 3), characteristic=3)
+        ls = LinearSystem(fake, ("x",), (1,), ((1,),))
+        with pytest.raises(UnsupportedOp, match="needs a field algebra"):
+            solve_linear_matrix(ls)
+        ls = LinearSystem(gf(3), ("x",), (1,), ((1,),))
+        assert solve_linear_matrix(ls)[0].den == Poly(gf(3), (1, 2))
+
+
+def dense_spec(rng, n):
+    """A dense linear spec over Q with integer coefficients."""
+    lines = ["algebra Q;"]
+    for i in range(n):
+        terms = " + ".join(f"{rng.choice([-1, 1]) * rng.randint(1, 5)}*x{j}"
+                           for j in range(n) if rng.random() < 0.9)
+        lines.append(f"x{i}(0) = {rng.randint(-5, 5)};")
+        lines.append(f"x{i}' = {terms or '0*x0'};")
+    return "\n".join(lines).replace("+ -", "- ")
+
+
+def test_dense_closed_forms_match_series():
+    # 20 to 30 unknowns: each closed form's first 2n + 10 coefficients
+    # are the series prefix, which shares no code with Berlekamp-Massey
+    rng = seeded(55)
+    for n in (20, 25, 30):
+        system = parse(dense_spec(rng, n)).system
+        assert classify(system) is Kind.LINEAR
+        ls = linear_system_of(system)
+        streams = solve_by_coefficients(system)
+        for name in ("x0", f"x{n // 2}", f"x{n - 1}"):
+            (form,) = solve_linear_matrix(ls, [name])
+            assert form.den.degree <= n and form.num.degree < n
+            assert ratexpr_coefficients(form, 2 * n + 10) \
+                == prefix(streams[name], 2 * n + 10)
 
 
 class TestLinearCoinductive:
