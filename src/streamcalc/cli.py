@@ -241,16 +241,27 @@ def _cmd_closed_form(args, out):
     return EXIT_OK
 
 
-def _rename_system(sys_, suffix):
-    mapping = {v: f"{v}{suffix}" for v in sys_.variables}
+def _rename_system(sys_, suffix, taken=()):
+    """The system with each unknown v renamed to v + suffix, the suffix
+    repeated while the name is in `taken` or given to another unknown;
+    and the renaming."""
+    mapping, taken = {}, set(taken)
+    for v in sys_.variables:
+        name = v + suffix
+        while name in taken:
+            name += suffix
+        taken.add(name)
+        mapping[v] = name
 
     def rn(t):
+        # subterms walked by map: one frame per level of the term
         if isinstance(t, Var):
             return Var(mapping.get(t.name, t.name))
         if isinstance(t, Sum):
-            return Sum(tuple((rn(s), negated) for s, negated in t.summands))
+            terms, signs = zip(*t.summands)
+            return Sum(tuple(zip(map(rn, terms), signs)))
         if isinstance(t, OpApp):
-            return OpApp(t.symbol, tuple(rn(a) for a in t.args))
+            return OpApp(t.symbol, tuple(map(rn, t.args)))
         return t
 
     return speclang.EquationSystem(
@@ -262,6 +273,13 @@ def _rename_system(sys_, suffix):
         evens={mapping[v]: mapping[w] for v, w in sys_.evens.items()},
         odds={mapping[v]: mapping[w] for v, w in sys_.odds.items()},
     ), mapping
+
+
+def _refuted(alg, verdict, out):
+    """Print a Refuted or Differ verdict: its index and the two elements."""
+    print(f"Refuted at index {verdict.index}: {alg.fmt(verdict.left)} != "
+          f"{alg.fmt(verdict.right)}", file=out)
+    return EXIT_REFUTED
 
 
 def _cmd_equiv(args, out):
@@ -288,22 +306,26 @@ def _cmd_equiv(args, out):
             print("Proved", file=out)
             print(f"closed form: {format_ratexpr(form_a)}", file=out)
             return EXIT_OK
-        print(f"Refuted at index {result.index}: "
-              f"{spec_a.algebra.fmt(result.left)} != "
-              f"{spec_a.algebra.fmt(result.right)}", file=out)
-        return EXIT_REFUTED
+        return _refuted(spec_a.algebra, result, out)
 
     defs = dict(spec_a.defs)
     for name, d in spec_b.defs.items():
         if name in defs and defs[name] != d:
             raise SpecError(f"conflicting definitions of {name!r}")
         defs[name] = d
-    sys_b = spec_b.system
-    if set(sys_b.variables) & set(spec_a.system.variables):
-        sys_b, mapping = _rename_system(sys_b, "#b")
+    # a side whose unknowns clash with the other file's unknowns or
+    # definitions has its unknowns renamed to names free in both files,
+    # the right side's ending in #b and the left side's in #a
+    sys_a, sys_b = spec_a.system, spec_b.system
+    taken = {*sys_a.variables, *sys_b.variables, *defs}
+    if not {*sys_a.variables, *spec_a.defs}.isdisjoint(sys_b.variables):
+        sys_b, mapping = _rename_system(sys_b, "#b", taken)
         var_b = mapping[var_b]
+    if not spec_b.defs.keys().isdisjoint(sys_a.variables):
+        sys_a, mapping = _rename_system(sys_a, "#a", taken)
+        var_a = mapping[var_a]
     engine = gsos.Engine(spec_a.algebra, defs)
-    states_a = gsos.load_system(engine, spec_a.system)
+    states_a = gsos.load_system(engine, sys_a)
     states_b = gsos.load_system(engine, sys_b)
     left, right = states_a[var_a], states_b[var_b]
 
@@ -313,10 +335,7 @@ def _cmd_equiv(args, out):
         scan = bounded_eq(engine.behaviour(left), engine.behaviour(right),
                           args.prefix, args.budget)
         if isinstance(scan, Differ):
-            print(f"Refuted at index {scan.index}: "
-                  f"{spec_a.algebra.fmt(scan.left)} != "
-                  f"{spec_a.algebra.fmt(scan.right)}", file=out)
-            return EXIT_REFUTED
+            return _refuted(spec_a.algebra, scan, out)
 
     sig_ops = None
     if args.up_to is not None:
@@ -332,10 +351,7 @@ def _cmd_equiv(args, out):
             print(f"  {line}", file=out)
         return EXIT_OK
     if isinstance(result, equivalence.Refuted):
-        print(f"Refuted at index {result.index}: "
-              f"{spec_a.algebra.fmt(result.left)} != "
-              f"{spec_a.algebra.fmt(result.right)}", file=out)
-        return EXIT_REFUTED
+        return _refuted(spec_a.algebra, result, out)
     print(f"Unknown ({result.reason})", file=out)
     return EXIT_UNKNOWN
 

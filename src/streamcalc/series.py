@@ -6,10 +6,12 @@ coefficient at a time by the index formulas of the operations, as for
 lazy power series (McIlroy, *Power Series, Power Serious*, 1999) and
 relaxed multiplication (van der Hoeven, *Relax, but Don't Be Too Lazy*,
 2002).  Every unknown and every distinct subterm of the right-hand sides
-becomes a node holding the coefficients computed so far.  A coefficient
-is computed once, when it is first demanded, and charges the
-observation budget once.  A coefficient of a convolution (`*`, `inv`)
-or a shuffle is one call of the algebra's fused sum of products,
+becomes a node holding the coefficients computed so far; a linear
+combination, a sum of terms each maybe negated or with a literal factor
+[c] or -[c], is one node.  A coefficient is computed once, when it is
+first demanded, and charges the observation budget once; a literal
+factor charges nothing of its own.  A coefficient of a convolution
+(`*`, `inv`) or a shuffle is one call of the algebra's fused sum of products,
 alg.dot; the shuffle's binomial weights are plain integers, reduced mod
 p in characteristic p.  `operation` makes the node of one builtin;
 the `calculus` operations are such nodes over Leaf nodes, which read
@@ -18,8 +20,8 @@ streams in order.
 A system is solved in two steps.  `compile_plan`, a pure function of
 the system, walks the right-hand sides once, gives equal subterms one
 slot, and returns an immutable Plan: the unknowns' heads, then a flat
-tuple of steps, each a node kind, its payload (a constant, a sum's
-negation flags, a scalar and its side) and its child slots.
+tuple of steps, each a node kind, its payload (a constant, or a linear
+combination's scalars and negation flags) and its child slots.
 `solve_by_coefficients` makes fresh nodes from a plan in one pass that
 hashes no term.  A caller that sees a system again can keep its plan
 (cli keeps one per cached spec text) and pay for the walk once; no
@@ -169,20 +171,23 @@ class _X(_Node):
         return self.alg.one if n == 1 else self.alg.zero
 
 
-class _Sum(_Node):
-    """A sum of (node, negated) terms, one per summand."""
+class _Linear(_Node):
+    """The sum of (node, scalar or None, negated) terms: each value is
+    multiplied by the scalar, then negated, then added, in term order."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, alg, negated, *nodes):
+    def __init__(self, alg, weights, *nodes):
         super().__init__(alg)
-        self.terms = tuple(zip(nodes, negated))
+        self.terms = tuple((node, c, negated) for node, (c, negated) in zip(nodes, weights))
 
     def compute(self, n):
         alg = self.alg
         acc = None
-        for node, negated in self.terms:
+        for node, c, negated in self.terms:
             value = node.get(n)
+            if c is not None:
+                value = alg.mul(c, value)
             if negated:
                 if alg.neg is None:
                     raise _no_negation(alg)
@@ -197,30 +202,6 @@ class _Unary(_Node):
     def __init__(self, alg, arg):
         super().__init__(alg)
         self.arg = arg
-
-
-class _Neg(_Unary):
-    __slots__ = ()
-
-    def compute(self, n):
-        value = self.arg.get(n)
-        if self.alg.neg is None:
-            raise _no_negation(self.alg)
-        return self.alg.neg(value)
-
-
-class _Scale(_Unary):
-    """[c] * b or b * [c]: the scalar fast path of the convolution."""
-
-    __slots__ = ("c", "left")
-
-    def __init__(self, alg, c, left, arg):
-        super().__init__(alg, arg)
-        self.c, self.left = c, left
-
-    def compute(self, n):
-        value = self.arg.get(n)
-        return self.alg.mul(self.c, value) if self.left else self.alg.mul(value, self.c)
 
 
 class _Shift(_Unary):
@@ -365,7 +346,7 @@ class _Sqrt(_Unary):
         r0 = alg.sqrt(a0)
         if r0 is None:
             raise NoExactSqrt(f"{alg.fmt(a0)} has no exact square root")
-        denominator = _Sum(alg, (False, False), Constant(alg, r0), self)
+        denominator = operation(alg, "+", (Constant(alg, r0), self))
         self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0
 
@@ -406,38 +387,33 @@ class _Ddx(_Unary):
 
 
 _OPERATIONS = {
-    ("X", 0): _X, ("-", 1): _Neg, ("inv", 1): _Inv, ("sqrt", 1): _Sqrt,
+    ("X", 0): _X, ("inv", 1): _Inv, ("sqrt", 1): _Sqrt,
     ("even", 1): _Even, ("odd", 1): _Odd, ("delta", 1): _Delta,
     ("ddx", 1): _Ddx, ("*", 2): _Mul, ("shuffle", 2): _Shuffle,
     ("hadamard", 2): _Hadamard, ("zip", 2): _Zip, ("merge", 2): _Merge,
 }
 
 
-def _operation_step(symbol, args, constant):
-    """(kind, payload, args): the node of builtin `symbol` over `args` is
-    kind(alg, *payload, *args).  `constant(arg)` is the payload of a
-    constant argument, (value,), or None; a product with a constant
-    factor is the scalar action on the other factor."""
-    if len(args) == 2:
-        if symbol in ("+", "-"):
-            return _Sum, ((False, symbol == "-"),), args
-        if symbol == "*":
-            for side, other, left in ((args[0], args[1], True),
-                                      (args[1], args[0], False)):
-                value = constant(side)
-                if value is not None:
-                    return _Scale, value + (left,), (other,)
-    kind = _OPERATIONS.get((symbol, len(args)))
+def _builtin(symbol, arity):
+    kind = _OPERATIONS.get((symbol, arity))
     if kind is None:
         raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
-    return kind, (), args
+    return kind
 
 
 def operation(alg, symbol, args):
-    """The node of builtin `symbol` over the nodes `args`."""
-    kind, payload, args = _operation_step(
-        symbol, args, lambda a: (a.value,) if type(a) is Constant else None)
-    return kind(alg, *payload, *args)
+    """The node of builtin `symbol` over the nodes `args`.  `+`, binary
+    and unary `-`, and a product with a Constant factor are one
+    _Linear node, the Constant's value its scalar."""
+    if symbol in ("+", "-") and len(args) == 2:
+        return _Linear(alg, ((None, False), (None, symbol == "-")), *args)
+    if symbol == "-" and len(args) == 1:
+        return _Linear(alg, ((None, True),), *args)
+    if symbol == "*" and len(args) == 2:
+        for c, other in ((args[0], args[1]), (args[1], args[0])):
+            if type(c) is Constant:
+                return _Linear(alg, ((c.value, False),), other)
+    return _builtin(symbol, len(args))(alg, *args)
 
 
 class Plan(NamedTuple):
@@ -474,17 +450,19 @@ class _Compiler:
             return found
         if isinstance(term, Var):
             found = self.unknowns[term.name]
-        elif isinstance(term, Const) and isinstance(term.value, HLit):
-            found = self._step(Constant, (self.alg.coerce(term.value.value),))
-        elif (parts := summands(term)) is not None:
-            children = []
-            for s, _ in parts:
-                children.append(self.slot(s))
-            found = self._step(_Sum, (tuple(negated for _, negated in parts),),
-                               tuple(children))
+        elif self._literal(term):
+            found = self._step(Constant, (self._value(term),))
+        elif (parts := summands(term)) is not None or self._split(term, False):
+            weights, children = [], []
+            for s, negated in parts or ((term, False),):
+                before, t, after, negated = self._split(s, negated) or (None, s, None, negated)
+                c = self._value(before) if before else None  # coerced left to right
+                children.append(self.slot(t))
+                weights.append((self._value(after) if after else c, negated))
+            found = self._step(_Linear, (tuple(weights),), tuple(children))
         elif isinstance(term, OpApp):
-            found = self._step(*_operation_step(
-                term.symbol, tuple(map(self.slot, term.args)), self._constant))
+            children = tuple(map(self.slot, term.args))
+            found = self._step(_builtin(term.symbol, len(children)), (), children)
         else:
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
         self.slots[term] = found
@@ -494,11 +472,31 @@ class _Compiler:
         self.steps.append((kind, payload, children))
         return len(self.unknowns) + len(self.steps) - 1
 
-    def _constant(self, slot):
-        """The payload of the Constant made at `slot`, or None."""
-        k = slot - len(self.unknowns)
-        if k >= 0 and self.steps[k][0] is Constant:
-            return self.steps[k][1]
+    def _literal(self, term):
+        """Whether `term` is a literal: [c], or -[c] over an algebra with
+        negation, which is the literal neg(c)."""
+        if (type(term) is OpApp and term.symbol == "-" and len(term.args) == 1
+                and self.alg.neg is not None):
+            term = term.args[0]
+        return isinstance(term, Const) and isinstance(term.value, HLit)
+
+    def _value(self, literal):
+        if isinstance(literal, Const):
+            return self.alg.coerce(literal.value.value)
+        return self.alg.neg(self._value(literal.args[0]))
+
+    def _split(self, term, negated):
+        """(literal, t, literal, negated) if the summand `term` is [c]*t or
+        t*[c], the other literal None, or -t where the summand is not
+        negated already; else None."""
+        a = term.args if type(term) is OpApp else ()
+        if len(a) == 1 and term.symbol == "-" and not negated and not self._literal(term):
+            return self._split(a[0], True) or (None, a[0], None, True)
+        if len(a) == 2 and term.symbol == "*":
+            if self._literal(a[0]):
+                return a[0], a[1], None, negated
+            if self._literal(a[1]):
+                return None, a[0], a[1], negated
         return None
 
 

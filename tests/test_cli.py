@@ -260,6 +260,73 @@ class TestEquivUpToCli:
         assert out.startswith("Unknown")
 
 
+# Two files whose names clash across them: a's y#b is the name b's y
+# took when renamed, and d's nullary definition c is u's unknown
+CLASHING_FILES = {
+    "a": "algebra Z;\nx(0) = 1;\nx' = x + y#b;\ny#b(0) = 0;\ny#b' = y#b;\n",
+    "b": "algebra Z;\nx(0) = 1;\nx' = x + y;\ny(0) = 0;\ny' = y;\n",
+    "d": "algebra Z;\ndef c() { out = 1; deriv = c(); }\nx(0) = 1;\nx' = x;\n",
+    "u": "algebra Z;\nc(0) = 1;\nc' = c;\n",
+}
+# the pairs of unknowns that ended in `SpecError: symbol ... already
+# defined`, and each one's certificate where it proves
+CLASHED = {
+    ("a#x", "b#x"): None, ("a#x", "b#y"): None, ("a#y#b", "b#x"): None,
+    ("a#y#b", "b#y"): "y#b  ~  y#b#b", ("d#x", "u#c"): "x  ~  c#b",
+    ("u#c", "d#x"): "c#a  ~  x",
+}
+# the certificate of every other pair that proves, as printed before
+PROVED = {
+    ("a#y#b", "a#y#b"): "y#b  ~  y#b#b", ("b#y", "a#y#b"): "y  ~  y#b#b",
+    ("b#y", "b#y"): "y  ~  y#b", ("d#x", "d#x"): "x  ~  x#b", ("u#c", "u#c"): "c  ~  c#b",
+}
+
+
+def _clashing_answer(left, right):
+    """The answer of `equiv left right --prefix 3` on CLASHING_FILES: a
+    refutation at the head where the heads differ; for two streams of
+    ones an unknown verdict where a's or b's x is one side; otherwise a
+    proof."""
+    heads = {"a#x": 1, "a#y#b": 0, "b#x": 1, "b#y": 0, "d#x": 1, "u#c": 1}
+    if heads[left] != heads[right]:
+        return 1, f"Refuted at index 0: {heads[left]} != {heads[right]}\n", ""
+    pair = (left, right)
+    if pair not in PROVED and CLASHED.get(pair) is None:
+        return 2, "Unknown (state depth exceeded)\n", ""
+    certificate = PROVED.get(pair) or CLASHED[pair]
+    return 0, f"Proved\ncertificate (bisimulation-up-to, stream calculus):\n  {certificate}\n", ""
+
+
+def test_equiv_renames_the_clashing_side(tmp_path):
+    paths = {}
+    for name, text in CLASHING_FILES.items():
+        paths[name] = tmp_path / f"{name}.sde"
+        paths[name].write_text(text)
+    unknowns = ("a#x", "a#y#b", "b#x", "b#y", "d#x", "u#c")
+    for left in unknowns:
+        for right in unknowns:
+            argv = [f"{paths[side[0]]}#{side[2:]}" for side in (left, right)]
+            # every pair answers, and those that answered before print
+            # the same bytes; b's unknowns are renamed past a's y#b, and
+            # the side whose unknown is the other file's definition is
+            # renamed, b with #b and a with #a
+            assert invoke("equiv", *argv, "--prefix", "3") == _clashing_answer(left, right), (
+                left, right)
+    # the reverse of each clashed pair answered before and still does
+    assert invoke("equiv", f"{paths['a']}#x", f"{paths['b']}#x") == invoke(
+        "equiv", f"{paths['b']}#x", f"{paths['a']}#x")
+
+
+def test_equiv_refutations_print_alike(tmp_path):
+    # closed forms, the prefix scan and the up-to search each refute
+    path = tmp_path / "r.sde"
+    path.write_text("algebra Z;\nx(0) = 1;\nx' = x;\ny(0) = 1;\ny' = 2*y;\n")
+    refuted = (1, "Refuted at index 1: 1 != 2\n", "")
+    for flags in ((), ("--prefix", "0")):
+        assert invoke("equiv", f"{path}#x", f"{path}#y", *flags) == refuted
+    assert invoke("equiv", f"{path}#x", f"{path}#y", "--algebra", "Q") == refuted
+
+
 def test_gsos_violation_at_solve_is_1():
     import os
     import tempfile
@@ -451,12 +518,13 @@ class TestSolveRoutes:
             for var in sys_.variables:
                 budget = ()
                 if path.name == "linear_q_dense.sde":
-                    # seven dense unknowns: about 27 node coefficients an
-                    # element, so the default budget ends before 900
+                    # seven dense unknowns: about 13 node coefficients an
+                    # element, one per unknown and one per right-hand side,
+                    # so the default budget ends before 900
                     code, out, err = invoke("solve", f"{path}#{var}", "-n", "900")
                     assert (code, out) == (2, "") and re.fullmatch(
                         r"error: BudgetExhausted: forcing budget exhausted "
-                        r"\(at index 3\d\d\)\n", err), (var, err)
+                        r"\(at index 7\d\d\)\n", err), (var, err)
                     budget = ("--budget", "30000")
                 code, out, err = invoke("solve", f"{path}#{var}", "-n", "900", *budget)
                 assert (code, err) == (0, ""), (path.name, var)
@@ -477,7 +545,7 @@ class TestSolveRoutes:
     def test_budget_counts_node_coefficients(self):
         assert invoke("solve", corpus("nth_powers.sde") + "#p3", "-n", "200",
                       "--budget", "60") == (
-            2, "", "error: BudgetExhausted: forcing budget exhausted (at index 6)\n")
+            2, "", "error: BudgetExhausted: forcing budget exhausted (at index 8)\n")
 
     def test_catalan_44_within_default_budget(self):
         import math
@@ -1218,6 +1286,11 @@ def test_tallest_terms_answer_from_a_deeper_caller(tmp_path):
         MAX_HEIGHT - MAX_CHAIN)
     assert invoke_in_a_fresh_process("eval", "--defs", str(defs), "--term", term, "-n", "4",
                                      frames=200) == (0, "0, 1, 0, 0\n", "")
+    # renaming the right side's unknowns spent two frames per level of
+    # the term and escaped with a RecursionError
+    assert invoke_in_a_fresh_process("equiv", f"{path}#s", f"{path}#s", "--prefix", "0",
+                                     frames=200) == (
+        0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  s  ~  s#b\n", "")
 
 
 def test_long_mixed_sum(tmp_path):
@@ -1312,6 +1385,37 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
         "33 of 113 recorded runs differ"]
+
+
+def test_parity_compare_tallies_later_budget_indices(tmp_path, capsys):
+    cli_parity = _parity_tool()
+    later = cli_parity.later_budget_index
+    was = {"argv": ["solve"], "code": 2, "out": "",
+           "err": "error: BudgetExhausted: forcing budget exhausted (at index 6)\n"}
+    now = dict(was, err=was["err"].replace("6", "8"))
+    assert later(was, now) and not later(now, was)
+    assert not later(was, dict(now, code=1)) and not later(was, dict(now, out="1\n"))
+    assert not later(was, {"argv": ["solve"], "code": 0, "out": "1, 2\n", "err": ""})
+    probes = {"argv": ["check"], "code": 2, "err": "",
+              "out": "probe x: BudgetExhausted at index 2\nprobe y: ok (1, 2, 3)\n"}
+    assert later(probes, dict(probes, out=probes["out"].replace("2\n", "3\n")))
+    assert not later(probes, dict(probes, out=probes["out"].replace("3)", "4)")))
+    # compare prints both counts ahead of the groups
+    recorded = [cli_parity.run_one(argv) for argv in (
+        ("solve", corpus("nth_powers.sde") + "#p3", "-n", "200", "--budget", "60"),
+        ("solve", corpus("ones.sde") + "#s", "-n", "3"),
+        ("solve", corpus("ones.sde") + "#s", "-n", "4"))]
+    recorded[0]["err"] = re.sub(r"index \d+", "index 1", recorded[0]["err"])
+    recorded[1]["out"] += "changed\n"
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(recorded))
+    assert cli_parity.main(["compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "    1  differ only by a later BudgetExhausted index",
+        "    1  differ in any other way",
+        "    1  solve  nth_powers.sde  -n 200 --budget 60",
+        "    1  solve  ones.sde  -n 3",
+        "2 of 3 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

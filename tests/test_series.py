@@ -606,6 +606,121 @@ def test_sum_hash_is_computed_once():
 
 
 # ---------------------------------------------------------------------------
+# Linear combinations: one node for sums, negations and literal factors
+
+
+def _minus(t):
+    return OpApp("-", (t,))
+
+
+def _random_linear(rng, alg, names, size, minus, nested=True):
+    """A Sum of `size` summands: an unknown or X*unknown t alone, as
+    [c]*t, t*[c] or -[c]*t, and with `minus` also as -t, -([c]*t), a
+    negated literal or (once per level) a nested sum a + (b - c); each
+    summand after the first is subtracted with probability 0.4 when
+    `minus`."""
+    parts = []
+    for i in range(size):
+        t = Var(rng.choice(names))
+        if rng.random() < 0.2:
+            t = OpApp("*", (OpApp("X", ()), t))
+        c = Const(HLit(alg.sample(rng)))
+        shapes = [t, OpApp("*", (c, t)), OpApp("*", (t, c)), c]
+        if minus:
+            shapes += [OpApp("*", (_minus(c), t)), _minus(t), _minus(OpApp("*", (c, t))),
+                       _minus(c)]
+            if nested:
+                inner = _random_linear(rng, alg, names, rng.randint(2, 4), minus, False)
+                shapes += [inner, _minus(inner)]
+        parts.append((rng.choice(shapes), i > 0 and minus and rng.random() < 0.4))
+    return Sum(tuple(parts))
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_linear_combinations_match_engine(alg_name):
+    # 60 elements of every unknown, the engine's own reading of each
+    # negation, literal and sum the reference
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-linear:{alg_name}")
+    errors, answered = set(), 0
+    for i in range(12):
+        names = tuple(f"x{j}" for j in range(rng.randint(1, 3)))
+        heads = {v: alg.sample(rng) for v in names}
+        rhs = {v: _random_linear(rng, alg, names, rng.randint(1, 8), minus=i % 3 != 0)
+               for v in names}
+        sys_ = EquationSystem(alg, names, heads, rhs=rhs)
+        engine = gsos.solve_system_with_defs(sys_)
+        nodes = series.solve_by_coefficients(sys_)
+        for v in names:
+            want = observe_each(engine[v], 60)
+            assert observe_each(nodes[v], 60) == want, sys_
+            if want[1] is None:
+                answered += 1
+            else:
+                errors.add(want[1][:2])
+    assert answered >= 6
+    if alg.neg is None:
+        assert errors == {("UnsupportedOp", f"{alg.name} has no negation")}
+    else:
+        assert not errors
+
+
+@pytest.mark.parametrize("alg_name,c,head", [
+    ("Nat", "2", 1), ("Bool", "1", True), ("Tropical", "2", Fraction(1)),
+])
+@pytest.mark.parametrize("rhs", ["x - {c}*y", "-{c}*x", "-x"])
+def test_negation_without_a_ring_waits_for_demand(alg_name, c, head, rhs):
+    # the literal -[c] is not folded without a negation: the error is
+    # the one a negation node raised, at the element that needs it
+    text = f"algebra {alg_name}; x(0) = 1; x' = {rhs.format(c=c)}; y(0) = 1; y' = y;"
+    stream = series.solve_by_coefficients(parse(text).system)["x"]
+    assert observe_each(stream, 5) == (
+        [head], ("UnsupportedOp", f"{alg_name} has no negation", 1))
+
+
+def test_a_linear_right_hand_side_is_one_step():
+    plan = series.compile_plan(parse(
+        "algebra Q; x(0) = 1; x' = 2*x - 3*y + z; y(0) = 2; y' = y*5; "
+        "z(0) = 0; z' = -2/3*x + -y - -(1/2);").system)
+    # no Constant step is made for a fused literal
+    assert [(kind.__name__, payload, children) for kind, payload, children in plan.steps] == [
+        ("_Linear", (((Fraction(2), False), (Fraction(3), True), (None, False)),), (0, 1, 2)),
+        ("_Linear", (((Fraction(5), False),),), (1,)),
+        ("Constant", (Fraction(-1, 2),), ()),
+        ("_Linear", (((Fraction(-2, 3), False), (None, True), (None, True)),), (0, 1, 5)),
+    ]
+    # -2/3*x is a scalar, not the convolution of -[2/3] and x
+    for text in ("x' = -2/3*x;", "x' = x*-2/3;", "x' = -(2/3*x);", "x' = 1 - -2/3*x;"):
+        steps = series.compile_plan(parse("algebra Q; x(0) = 1; " + text).system).steps
+        assert [kind.__name__ for kind, _, _ in steps][-1] == "_Linear", text
+        assert all(kind.__name__ != "_Mul" for kind, _, _ in steps), text
+    # without a negation -[2] stays a negation under a convolution
+    steps = series.compile_plan(parse("algebra Nat; x(0) = 1; x' = -2*x;").system).steps
+    assert [kind.__name__ for kind, _, _ in steps] == ["Constant", "_Linear", "_Mul"]
+
+
+def test_coerce_errors_come_left_to_right():
+    # the first literal written that the algebra refuses is the one reported
+    for rhs, bad in (("[1/2]*(x + 1/3)", 2), ("(x + 1/3)*[1/2]", 3),
+                     ("-[1/2]*x + 1/3", 2), ("x*-[1/2] - 1/3*x", 2)):
+        sys_ = parse(f"algebra Q; x(0) = 1; x' = {rhs};").system
+        sys_ = EquationSystem(get_algebra("Z"), sys_.variables, {"x": 1}, rhs=sys_.rhs)
+        with pytest.raises(StreamCalcError, match=re.escape(f"Fraction(1, {bad})")):
+            series.compile_plan(sys_)
+
+
+def test_a_literal_factor_charges_nothing():
+    # as in test_budget_counts_coefficients: s and its right-hand side
+    # compute one coefficient per element, and the scalars, the
+    # negations and -[2/3] add none
+    sys_ = parse("algebra Q; s(0) = 1; s' = -2/3*s + 5*s - s*4 + -s;").system
+    n = 30
+    assert len(take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 1)) == n
+    with pytest.raises(BudgetExhausted):
+        take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 2)
+
+
+# ---------------------------------------------------------------------------
 # Formats read from the polynomial form, against each format's reference
 
 FORMAT_ALGEBRAS = ("Q", "Z", "Nat", "Bool", "Tropical", "F2", "Fp(3)")

@@ -27,15 +27,16 @@ whatever an earlier run raised it to.  A run records its
 exit code, stdout and stderr; an exception that escapes cli.run is
 recorded as its class and message.  `compare` repeats the recorded
 runs, each twice in a row, prints each one whose first answer differs
-from the record or whose second differs from its first, then the
-number of such runs per command, spec file and flags (the --algebra
-override aside), and exits 1 if any differs.  cli.run keeps the parsed
-form of recent spec texts and the `series` plan of their systems, so
-the second answer comes from that cache and reuses the cached plan, and
-so do first answers whose spec an earlier run has loaded.  (A
-second pass over the whole shape would not find them there: the corpus
-shape loads more distinct texts and --algebra values than the cache
-holds.)
+from the record or whose second differs from its first, then how many
+of them differ only in that BudgetExhausted comes at a later index and
+how many differ in any other way, the number of them per command, spec
+file and flags (the --algebra override aside), and their total, and
+exits 1 if any differs.  cli.run keeps the parsed form of recent spec
+texts and the `series` plan of their systems, so the second answer
+comes from that cache and reuses the cached plan, and so do first
+answers whose spec an earlier run has loaded.  (A second pass over the
+whole shape would not find them there: the corpus shape loads more
+distinct texts and --algebra values than the cache holds.)
 """
 
 import argparse
@@ -43,6 +44,7 @@ import collections
 import io
 import json
 import pathlib
+import re
 import sys
 
 ALGEBRAS = (None, "Q", "Z", "Nat", "Bool", "Tropical", "F2", "Fp(5)")
@@ -70,6 +72,9 @@ DEFS_TERMS = ("plus(X, 1)", "times(1 + X, plus(X, times(X, 2)))")
 # over the first unknown u of a spec's system: u' + u * X
 UNKNOWN_TERM = "{u}' + {u} * X"
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+# the index in `error: BudgetExhausted: ... (at index N)` and in a
+# `check` probe's `BudgetExhausted at index N`
+BUDGET_INDEX = re.compile(r"(BudgetExhausted\b.*?\bindex )(\d+)")
 RECURSION_LIMIT = sys.getrecursionlimit()
 
 
@@ -144,6 +149,20 @@ def compare(recorded):
     return diffs
 
 
+def later_budget_index(old, new):
+    """Whether a run's new answer differs from the recorded one only in
+    that each BudgetExhausted comes at the same or a later index."""
+    if old["code"] != new["code"]:
+        return False
+    for key in ("out", "err"):
+        if BUDGET_INDEX.sub(r"\1N", old[key]) != BUDGET_INDEX.sub(r"\1N", new[key]):
+            return False
+        indices = zip(BUDGET_INDEX.findall(old[key]), BUDGET_INDEX.findall(new[key]))
+        if any(int(was) > int(now) for (_, was), (_, now) in indices):
+            return False
+    return True
+
+
 def group(argv):
     """The command, spec file name and flags of a run's argv, without
     its --algebra override."""
@@ -174,6 +193,9 @@ def main(argv=None):
     diffs = compare(recorded)
     for old, new in diffs:
         print(json.dumps({"was": old, "now": new}))
+    budget = sum(later_budget_index(old, new) for old, new in diffs)
+    print(f"{budget:5d}  differ only by a later BudgetExhausted index")
+    print(f"{len(diffs) - budget:5d}  differ in any other way")
     groups = collections.Counter(group(old["argv"]) for old, _ in diffs)
     for key, count in sorted(groups.items(), key=lambda item: (-item[1], item[0])):
         print(f"{count:5d}  " + "  ".join(filter(None, key)))
