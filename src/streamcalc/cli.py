@@ -21,7 +21,7 @@ from .errors import (
     StreamCalcError,
     UnsupportedOp,
 )
-from .speclang import Kind, OpApp, Sum, Var
+from .speclang import Kind
 from .stream import take
 
 EXIT_OK = 0
@@ -209,12 +209,18 @@ def _cmd_solve(args, out):
 
 
 def _cmd_eval(args, out):
-    spec = _load(args.defs, args.algebra).spec
+    loaded = _load(args.defs, args.algebra)
+    spec = loaded.spec
     term = speclang.parse_term(args.term, spec)
     engine = gsos.Engine(spec.algebra, spec.defs)
-    if spec.system is not None:
-        gsos.load_system(engine, spec.system)
-    state = engine.from_term(term)
+    sys_, env = spec.system, None
+    if sys_ is not None and sys_.tail_op == "tail" and not sys_.evens:
+        gsos.load_system(engine, sys_)
+    elif sys_ is not None:
+        # an even-odd or non-standard system's unknowns are the streams
+        # `solve` prints, leaves of the term
+        env = _solve_spec(loaded, _classify(loaded))
+    state = engine.from_term(term, env)
     values = take(engine.behaviour(state), args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)
     return EXIT_OK
@@ -241,38 +247,17 @@ def _cmd_closed_form(args, out):
     return EXIT_OK
 
 
-def _rename_system(sys_, suffix, taken=()):
-    """The system with each unknown v renamed to v + suffix, the suffix
-    repeated while the name is in `taken` or given to another unknown;
-    and the renaming."""
-    mapping, taken = {}, set(taken)
-    for v in sys_.variables:
+def _fresh_names(unknowns, suffix, taken):
+    """Each unknown v named v + suffix, the suffix repeated while the name
+    is in `taken` or given to another unknown."""
+    names, taken = {}, set(taken)
+    for v in unknowns:
         name = v + suffix
         while name in taken:
             name += suffix
         taken.add(name)
-        mapping[v] = name
-
-    def rn(t):
-        # subterms walked by map: one frame per level of the term
-        if isinstance(t, Var):
-            return Var(mapping.get(t.name, t.name))
-        if isinstance(t, Sum):
-            terms, signs = zip(*t.summands)
-            return Sum(tuple(zip(map(rn, terms), signs)))
-        if isinstance(t, OpApp):
-            return OpApp(t.symbol, tuple(map(rn, t.args)))
-        return t
-
-    return speclang.EquationSystem(
-        sys_.algebra,
-        tuple(mapping[v] for v in sys_.variables),
-        {mapping[v]: sys_.heads[v] for v in sys_.variables},
-        tail_op=sys_.tail_op,
-        rhs={mapping[v]: rn(sys_.rhs[v]) for v in sys_.rhs},
-        evens={mapping[v]: mapping[w] for v, w in sys_.evens.items()},
-        odds={mapping[v]: mapping[w] for v, w in sys_.odds.items()},
-    ), mapping
+        names[v] = name
+    return names
 
 
 def _refuted(alg, verdict, out):
@@ -313,21 +298,27 @@ def _cmd_equiv(args, out):
         if name in defs and defs[name] != d:
             raise SpecError(f"conflicting definitions of {name!r}")
         defs[name] = d
+    sig_ops = None
+    if args.up_to is not None:
+        sig_ops = frozenset(s.strip() for s in args.up_to.split(",") if s.strip())
+        for name in sorted(sig_ops):
+            if name not in speclang.BUILTIN_ARITY and name not in defs:
+                raise _UsageError(f"--up-to: {name!r} is no operation of the "
+                                  "spec language or of the two files")
     # a side whose unknowns clash with the other file's unknowns or
-    # definitions has its unknowns renamed to names free in both files,
-    # the right side's ending in #b and the left side's in #a
+    # definitions enters the engine with its unknowns named apart, by names
+    # free in both files, the right side's ending in #b and the left
+    # side's in #a
     sys_a, sys_b = spec_a.system, spec_b.system
     taken = {*sys_a.variables, *sys_b.variables, *defs}
+    names_a = names_b = None
     if not {*sys_a.variables, *spec_a.defs}.isdisjoint(sys_b.variables):
-        sys_b, mapping = _rename_system(sys_b, "#b", taken)
-        var_b = mapping[var_b]
+        names_b = _fresh_names(sys_b.variables, "#b", taken)
     if not spec_b.defs.keys().isdisjoint(sys_a.variables):
-        sys_a, mapping = _rename_system(sys_a, "#a", taken)
-        var_a = mapping[var_a]
+        names_a = _fresh_names(sys_a.variables, "#a", taken)
     engine = gsos.Engine(spec_a.algebra, defs)
-    states_a = gsos.load_system(engine, sys_a)
-    states_b = gsos.load_system(engine, sys_b)
-    left, right = states_a[var_a], states_b[var_b]
+    left = gsos.load_system(engine, sys_a, names_a)[var_a]
+    right = gsos.load_system(engine, sys_b, names_b)[var_b]
 
     if args.prefix > 0:
         from .stream import Differ, bounded_eq
@@ -337,9 +328,6 @@ def _cmd_equiv(args, out):
         if isinstance(scan, Differ):
             return _refuted(spec_a.algebra, scan, out)
 
-    sig_ops = None
-    if args.up_to is not None:
-        sig_ops = frozenset(s.strip() for s in args.up_to.split(",") if s.strip())
     result = equivalence.equiv_up_to(left, right, engine=engine,
                                      sig_ops=sig_ops, budget=args.budget)
     if isinstance(result, equivalence.Proved):

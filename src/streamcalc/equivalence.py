@@ -45,7 +45,7 @@ class Unknown:
 
 
 # Table 1 operations (constants are literal states, not applications).
-TABLE1_OPS = frozenset({"+", "-", "neg", "*", "inv", "X"})
+TABLE1_OPS = frozenset({"+", "-", "*", "inv", "X"})
 
 # The closure relates streams, not terms; for these operations the two
 # operand orders denote the same stream (the coefficient algebras are

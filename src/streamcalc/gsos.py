@@ -8,6 +8,7 @@ clauses of its symbol's definition, compiled into closures when the
 definition enters the engine.  A term from outside the engine becomes a
 state through the same compiler.
 
+An operation is a (symbol, arity) pair: unary minus is - of one argument.
 Unknowns of an equation system enter as fresh nullary definitions (the
 signature-extension device), so solving a system and evaluating a term
 are the same operation.  Builtins in the GSOS shape (+, -, *, inv, X,
@@ -226,7 +227,7 @@ def term_of_state(state, max_depth=12):
     sym = state.symbol
     if sym == "X":
         return "X"
-    if sym == "neg":
+    if sym == "-" and len(state.args) == 1:
         return f"-{term_of_state(state.args[0], max_depth - 1)}"
     if sym in ("+", "-", "*"):
         return (f"({term_of_state(state.args[0], max_depth - 1)} {sym} "
@@ -240,8 +241,9 @@ def term_of_state(state, max_depth=12):
 # ---------------------------------------------------------------------------
 # Builtin definitions in the GSOS shape
 
-# algebra -> its builtin definitions and their compiled clauses, which
-# take the engine as a parameter, so every engine shares them
+# algebra -> its builtin definitions and their compiled clauses, each by
+# (symbol, arity); the clauses take the engine as a parameter, so every
+# engine shares them
 _BUILTINS = {}
 
 
@@ -260,42 +262,43 @@ def _builtins(alg):
     def clause(out, deriv, guard=None):
         return GsosClause(guard, out, deriv)
 
-    defs = {
-        "+": d("+", ("x1", "x2"),
-               [clause(HOp("+", (a, b)), OpApp("+", (y1, y2)))]),
-        "-": d("-", ("x1", "x2"),
-               [clause(HOp("-", (a, b)), OpApp("-", (y1, y2)))]),
-        "neg": d("neg", ("x1",),
-                 [clause(HOp("neg", (a,)), OpApp("neg", (y1,)))]),
-        "*": d("*", ("x1", "x2"),
-               [clause(HOp("*", (a, b)),
-                       OpApp("+", (OpApp("*", (y1, x2)),
-                                   OpApp("*", (Const(a), y2)))))]),
-        "inv": d("inv", ("x1",),
-                 [clause(HOp("inv", (a,)),
-                         OpApp("*", (Const(HOp("neg", (HOp("inv", (a,)),))),
-                                     OpApp("*", (y1, OpApp("inv", (x1,)))))))]),
-        "X": d("X", (),
-               [clause(zero, Const(one))]),
-        "shuffle": d("shuffle", ("x1", "x2"),
-                     [clause(HOp("*", (a, b)),
-                             OpApp("+", (OpApp("shuffle", (y1, x2)),
-                                         OpApp("shuffle", (x1, y2)))))]),
-        "hadamard": d("hadamard", ("x1", "x2"),
-                      [clause(HOp("*", (a, b)), OpApp("hadamard", (y1, y2)))]),
-        "sqrt": d("sqrt", ("x1",),
-                  [clause(HOp("sqrt", (a,)),
-                          OpApp("*", (y1, OpApp("inv",
-                                (OpApp("+", (Const(HOp("sqrt", (a,))),
-                                             OpApp("sqrt", (x1,)))),)))))]),
-        "zip": d("zip", ("x1", "x2"),
-                 [clause(a, OpApp("zip", (x2, y1)))]),
-        "merge": d("merge", ("x1", "x2"),
-                   [clause(a, OpApp("merge", (y1, x2)), Cmp("<", a, b)),
-                    clause(a, OpApp("merge", (y1, y2)), Cmp("=", a, b)),
-                    clause(b, OpApp("merge", (x1, y2)), Cmp(">", a, b))]),
-    }
-    _BUILTINS[alg] = defs, {symbol: _compile_def(d, alg) for symbol, d in defs.items()}
+    defs = (
+        d("+", ("x1", "x2"),
+          [clause(HOp("+", (a, b)), OpApp("+", (y1, y2)))]),
+        d("-", ("x1", "x2"),
+          [clause(HOp("-", (a, b)), OpApp("-", (y1, y2)))]),
+        d("-", ("x1",),
+          [clause(HOp("neg", (a,)), OpApp("-", (y1,)))]),
+        d("*", ("x1", "x2"),
+          [clause(HOp("*", (a, b)),
+                  OpApp("+", (OpApp("*", (y1, x2)),
+                              OpApp("*", (Const(a), y2)))))]),
+        d("inv", ("x1",),
+          [clause(HOp("inv", (a,)),
+                  OpApp("*", (Const(HOp("neg", (HOp("inv", (a,)),))),
+                              OpApp("*", (y1, OpApp("inv", (x1,)))))))]),
+        d("X", (),
+          [clause(zero, Const(one))]),
+        d("shuffle", ("x1", "x2"),
+          [clause(HOp("*", (a, b)),
+                  OpApp("+", (OpApp("shuffle", (y1, x2)),
+                              OpApp("shuffle", (x1, y2)))))]),
+        d("hadamard", ("x1", "x2"),
+          [clause(HOp("*", (a, b)), OpApp("hadamard", (y1, y2)))]),
+        d("sqrt", ("x1",),
+          [clause(HOp("sqrt", (a,)),
+                  OpApp("*", (y1, OpApp("inv",
+                        (OpApp("+", (Const(HOp("sqrt", (a,))),
+                                     OpApp("sqrt", (x1,)))),)))))]),
+        d("zip", ("x1", "x2"),
+          [clause(a, OpApp("zip", (x2, y1)))]),
+        d("merge", ("x1", "x2"),
+          [clause(a, OpApp("merge", (y1, x2)), Cmp("<", a, b)),
+           clause(a, OpApp("merge", (y1, y2)), Cmp("=", a, b)),
+           clause(b, OpApp("merge", (x1, y2)), Cmp(">", a, b))]),
+    )
+    defs = {(d.symbol, d.arity): d for d in defs}
+    _BUILTINS[alg] = defs, {key: _compile_def(d, alg) for key, d in defs.items()}
     return _BUILTINS[alg]
 
 
@@ -314,10 +317,11 @@ def _builtins(alg):
 # the parts read before it.
 
 
-def _compile_def(d, alg):
+def _compile_def(d, alg, resolve=None):
     """The clauses of a definition as (guard, out, deriv) closures, guard None if absent."""
     return tuple((None if c.guard is None else _compile_guard(c.guard, alg),
-                  _compile_head(c.out, alg), _compile_term(c.deriv, d.params, alg))
+                  _compile_head(c.out, alg),
+                  _compile_term(c.deriv, d.params, alg, resolve))
                  for c in d.clauses)
 
 
@@ -394,7 +398,7 @@ def _compile_term(term, params, alg, resolve=None):
             return subst
         if resolve is not None:
             return lambda engine, args: resolve(name)
-        # a system unknown, present as a nullary constant
+        # another name, present as a nullary constant
         return lambda engine, args: engine.app(name, ())
     if isinstance(term, DVar):
         name, order = term.name, term.order
@@ -521,8 +525,9 @@ class Engine:
     def __init__(self, algebra, defs=None):
         self.algebra = algebra
         builtin_defs, builtin_rules = _builtins(algebra)
+        # (symbol, arity) -> its definition, and its clauses by _compile_def
         self.defs = dict(builtin_defs)
-        self._rules = dict(builtin_rules)  # symbol -> its clauses, by _compile_def
+        self._rules = dict(builtin_rules)
         self._table = {}  # leaf, lit and var states
         self._apps = {}   # (symbol, *argument states) -> the application state
         self._next_sid = 0
@@ -536,17 +541,18 @@ class Engine:
         if isinstance(verdict, Violation):
             raise GsosViolation(f"definition of {d.symbol!r} is not in the "
                                 f"GSOS format: {verdict.reason}", verdict.span)
-        self._rules[d.symbol] = _compile_def(d, self.algebra)
-        self.defs[d.symbol] = d
+        self._rules[d.symbol, d.arity] = _compile_def(d, self.algebra)
+        self.defs[d.symbol, d.arity] = d
 
-    def add_constant(self, name, head, rhs_term):
-        """Introduce an equation-system unknown as a fresh nullary symbol."""
-        if name in self.defs:
+    def add_constant(self, name, head, rhs_term, resolve=None):
+        """Introduce an equation-system unknown as a fresh nullary symbol,
+        the names in rhs_term resolved as by _compile_term."""
+        if (name, 0) in self.defs:
             raise SpecError(f"symbol {name!r} already defined")
         head = self.algebra.coerce(head)
         d = GsosDef(name, (), (GsosClause(None, HLit(head), rhs_term),))
-        self._rules[name] = _compile_def(d, self.algebra)
-        self.defs[name] = d
+        self._rules[name, 0] = _compile_def(d, self.algebra, resolve)
+        self.defs[name, 0] = d
 
     # -- state construction (hash-consed)
 
@@ -575,28 +581,24 @@ class Engine:
                                               order=order, has_vars=True))
 
     def app(self, symbol, args):
-        if symbol == "-" and len(args) == 1:
-            symbol = "neg"
-        d = self.defs.get(symbol)
-        if d is not None:
-            if len(args) != d.arity:
-                raise UnknownSymbol(f"{symbol!r} takes {d.arity} argument(s)")
-            # keyed on the argument states themselves, which hash by identity;
-            # _intern inlined, with no closure made per call: most calls find
-            # a state made before
-            key = (symbol, *args)
-            state = self._apps.get(key)
-            if state is None:
-                args = tuple(args)
-                has_vars = False
-                for a in args:
-                    if a.has_vars:
-                        has_vars = True
-                        break
-                state = State(self, self._next_sid, "app", symbol=symbol, args=args,
-                              has_vars=has_vars)
-                self._next_sid += 1
-                self._apps[key] = state
+        # keyed on the argument states themselves, which hash by identity,
+        # so the key holds the arity; _intern inlined, with no closure made
+        # per call: most calls find a state made before
+        key = (symbol, *args)
+        state = self._apps.get(key)
+        if state is not None:
+            return state
+        if (symbol, len(args)) in self._rules:
+            args = tuple(args)
+            has_vars = False
+            for a in args:
+                if a.has_vars:
+                    has_vars = True
+                    break
+            state = State(self, self._next_sid, "app", symbol=symbol, args=args,
+                          has_vars=has_vars)
+            self._next_sid += 1
+            self._apps[key] = state
             return state
         if symbol in _NATIVE_ONLY:
             # non-GSOS builtin: evaluate natively on the behaviour streams
@@ -614,8 +616,7 @@ class Engine:
             if name in env:
                 bound = env[name]
                 return bound if isinstance(bound, State) else self.leaf(bound, name=name)
-            d = self.defs.get(name)
-            if d is not None and d.arity == 0:
+            if (name, 0) in self._rules:
                 return self.app(name, ())
             if symbolic:
                 return self.var(name)
@@ -671,7 +672,7 @@ class Engine:
     def _select_clause(self, state):
         clause = state._clause
         if clause is None:
-            for clause in self._rules[state.symbol]:
+            for clause in self._rules[state.symbol, len(state.args)]:
                 guard = clause[0]
                 if guard is None or guard(self, state.args):
                     break
@@ -714,13 +715,19 @@ def eval_term(term, env=None, defs=None, algebra=None):
     return engine.behaviour(engine.from_term(term, env))
 
 
-def load_system(engine, sys):
-    """Add an equation system's unknowns as constants of the engine."""
+def load_system(engine, sys, names=None):
+    """Add an equation system's unknowns as constants of the engine, each
+    under the symbol `names` maps it to (by default its own name)."""
     if sys.tail_op != "tail" or sys.evens:
         raise UnsupportedOp("only ordinary tail systems run on the engine")
+    symbols = {v: (names or {}).get(v, v) for v in sys.variables}
+
+    def resolve(name):
+        return engine.app(symbols.get(name, name), ())
+
     for v in sys.variables:
-        engine.add_constant(v, sys.heads[v], sys.rhs[v])
-    return {v: engine.app(v, ()) for v in sys.variables}
+        engine.add_constant(symbols[v], sys.heads[v], sys.rhs[v], resolve)
+    return {v: engine.app(symbols[v], ()) for v in sys.variables}
 
 
 def solve_system_with_defs(sys, defs=None):

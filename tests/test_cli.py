@@ -327,6 +327,131 @@ def test_equiv_refutations_print_alike(tmp_path):
     assert invoke("equiv", f"{path}#x", f"{path}#y", "--algebra", "Q") == refuted
 
 
+# Specs whose answers on the GSOS engine once hung on its operation
+# names: a definition named neg, an unknown named neg, a definition and
+# an unknown both named f, and a unary minus between two copies of one
+# system.  Operations are (symbol, arity) pairs, and unary minus is -.
+NAMING_SPECS = {
+    "def_neg": "algebra Z;\ndef neg(a) { out = a(0); deriv = neg(a'); }\n"
+               "x(0) = 1;\nx' = -x * x;\n",
+    "unknown_neg": "neg(0) = 1;\nneg' = neg;\n",
+    "f": "algebra Nat;\ndef f(a) { out = a(0); deriv = f(a'); }\nf(0) = 1;\nf' = f(f) * f;\n",
+    "minus": "algebra Z;\nx(0) = 1;\nx' = -x;\ny(0) = 1;\ny' = -y;\n",
+}
+
+
+@pytest.fixture
+def naming_specs(tmp_path):
+    paths = {}
+    for name, text in NAMING_SPECS.items():
+        paths[name] = tmp_path / f"{name}.sde"
+        paths[name].write_text(text)
+    return paths
+
+
+class TestOperationNames:
+    def test_a_definition_named_neg_is_no_unary_minus(self, naming_specs, tmp_path):
+        signed = (0, "1, -1, 2, -5, 14, -42, 132, -429\n", "")
+        # on the engine, as the definition puts it there, and on series
+        assert invoke("solve", f"{naming_specs['def_neg']}#x", "-n", "8") == signed
+        plain = tmp_path / "plain.sde"
+        plain.write_text("algebra Z;\nx(0) = 1;\nx' = -x * x;\n")
+        assert invoke("solve", f"{plain}#x", "-n", "8") == signed
+
+    def test_an_unknown_named_neg_enters_the_engine(self, naming_specs, tmp_path):
+        path = naming_specs["unknown_neg"]
+        assert invoke("eval", "--defs", path, "--term", "X", "-n", "3") == (0, "0, 1, 0\n", "")
+        assert invoke("eval", "--defs", path, "--term=-neg", "-n", "3") == (
+            0, "-1, -1, -1\n", "")
+        ones = tmp_path / "ones.sde"
+        ones.write_text("x(0) = 1;\nx' = x;\n")
+        assert invoke("equiv", f"{path}#neg", f"{ones}#x", "--algebra", "Nat") == (
+            0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  neg  ~  x\n", "")
+
+    def test_a_definition_and_an_unknown_share_a_name(self, naming_specs):
+        path = naming_specs["f"]
+        assert invoke("solve", f"{path}#f", "-n", "6") == (0, "1, 1, 2, 5, 14, 42\n", "")
+        code, out, _ = invoke("check", path)
+        assert code == 0 and "kind: general\nprobe f: ok (1, 1, 2)\n" in out
+
+    def test_up_to_minus_crosses_unary_minus(self, naming_specs):
+        sides = (f"{naming_specs['minus']}#x", f"{naming_specs['minus']}#y")
+        flags = ("--prefix", "0", "--budget", "50")
+        assert invoke("equiv", *sides, *flags, "--up-to", "-") == (
+            0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  x  ~  y#b\n", "")
+        assert invoke("equiv", *sides, *flags, "--up-to", "+,*") == (
+            2, "Unknown (budget exceeded)\n", "")
+
+    def test_up_to_names_operations(self, naming_specs, tmp_path):
+        sides = (f"{naming_specs['minus']}#x", f"{naming_specs['minus']}#y")
+        flags = ("--prefix", "0", "--budget", "50")
+        for name in ("neg", "x"):
+            assert invoke("equiv", *sides, *flags, "--up-to", f"+,{name}") == (
+                3, "", f"error: usage: --up-to: {name!r} is no operation of the spec "
+                "language or of the two files\n")
+        # no operation at all is a signature too
+        assert invoke("equiv", *sides, *flags, "--up-to", "") == (
+            2, "Unknown (budget exceeded)\n", "")
+        # a definition of either file is an operation
+        flipped = tmp_path / "flip.sde"
+        flipped.write_text("algebra Z;\ndef flip(a) { out = -a(0); deriv = flip(a'); }\n"
+                           "z(0) = 1;\nz' = flip(z);\n")
+        for pair in ((sides[0], f"{flipped}#z"), (f"{flipped}#z", sides[0])):
+            code, out, err = invoke("equiv", *pair, *flags, "--up-to", "flip,-")
+            assert (code, err) == (2, "") and out.startswith("Unknown"), pair
+
+    def test_no_congruence_step_relates_unary_and_binary_minus(self, tmp_path):
+        # a' = -c and b' = c - q: the pair (-c, c - q) shares the symbol -
+        # and the argument c, a definition both sides apply, so only the
+        # arities keep the closure from relating them, and the heads
+        # refute it
+        path = tmp_path / "minus.sde"
+        path.write_text("algebra Z;\ndef c() { out = 1; deriv = c(); }\n"
+                        "a(0) = 0;\na' = -c;\nb(0) = 0;\nb' = c - q;\nq(0) = 0;\nq' = q;\n")
+        assert invoke("equiv", f"{path}#a", f"{path}#b", "--prefix", "0",
+                      "--up-to", "-") == (1, "Refuted at index 1: -1 != 1\n", "")
+
+    def test_conflicting_definitions(self, tmp_path):
+        one, other = tmp_path / "one.sde", tmp_path / "other.sde"
+        one.write_text("def f(a) { out = a(0); deriv = f(a'); }\nx(0) = 1;\nx' = f(x);\n")
+        other.write_text("def f(a) { out = 2 * a(0); deriv = f(a'); }\ny(0) = 1;\ny' = y;\n")
+        assert invoke("equiv", f"{one}#x", f"{other}#y") == (
+            3, "", "error: SpecError: conflicting definitions of 'f'\n")
+
+
+class TestEvalOverEveryFormat:
+    """An even-odd or non-standard system's unknowns are the streams
+    `solve` prints, leaves of the evaluated term."""
+
+    def test_even_odd(self):
+        path = corpus("thue_morse_evenodd.sde")
+        assert invoke("eval", "--defs", path, "--term", "X", "-n", "3") == (0, "0, 1, 0\n", "")
+        assert invoke("eval", "--defs", path, "--term", "tm' + tm * X", "-n", "6") == (
+            0, "1, 1, 1, 0, 0, 1\n", "")
+
+    def test_non_standard(self):
+        assert invoke("eval", "--defs", corpus("delta_powers.sde"), "--term", "x' + x",
+                      "-n", "4") == (0, "3, 6, 12, 24\n", "")
+        assert invoke("eval", "--defs", corpus("ddx_exp.sde"), "--term", "x * x",
+                      "-n", "4") == (0, "1, 2, 2, 4/3\n", "")
+
+    def test_the_systems_own_refusals(self):
+        assert invoke("eval", "--defs", corpus("delta_powers.sde"), "--term", "X",
+                      "--algebra", "Nat") == (
+            1, "", "error: UnsupportedOp: delta systems need a ring\n")
+        code, out, err = invoke("eval", "--defs", corpus("ddx_exp.sde"), "--term", "X",
+                                "--algebra", "Z")
+        assert (code, out) == (1, "") and err.startswith(
+            "error: UnsupportedOp: ddx systems need a field of characteristic 0")
+
+    def test_the_terms_own_errors(self):
+        # as over a tail system
+        for spec in ("thue_morse_evenodd.sde", "ones.sde"):
+            assert invoke("eval", "--defs", corpus(spec), "--term", "X - 1",
+                          "--algebra", "Nat") == (
+                1, "", "error: UnsupportedOp: Nat has no negation\n"), spec
+
+
 def test_gsos_violation_at_solve_is_1():
     import os
     import tempfile
@@ -1338,9 +1463,9 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
     # per spec: check and 5 eval runs (the last over the first unknown) under
-    # 8 algebra settings, 8 commands per unknown under each, and solve -n 900
+    # 8 algebra settings, 9 commands per unknown under each, and solve -n 900
     # per unknown (1 in ones, 2 in alt)
-    assert len(runs) == (8 * (1 + 5 + 8) + 1) + (8 * (1 + 5 + 8 * 2) + 2)
+    assert len(runs) == (8 * (1 + 5 + 9) + 1) + (8 * (1 + 5 + 9 * 2) + 2)
     assert {tuple(r["argv"][:2] + r["argv"][3:]) for r in runs if r["argv"][0] == "eval"} \
         == {("eval", "--defs", "--term", term, "-n", "12") + override
             for term in cli_parity.EVAL_TERMS + ("s' + s * X",)
@@ -1348,7 +1473,8 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     assert {tuple(r["argv"][:1] + r["argv"][2:]) for r in runs if r["argv"][0] == "equiv"} \
         == {("equiv", f"{spec}#s") + flags + override for spec in specs
             for flags in [(), ("--prefix", "0", "--budget", "60"),
-                          ("--prefix", "0", "--budget", "60", "--up-to", "+,*")]
+                          ("--prefix", "0", "--budget", "60", "--up-to", "+,*"),
+                          ("--prefix", "0", "--budget", "60", "--up-to", "+,-,*")]
             for override in [()] + [("--algebra", a) for a in cli_parity.ALGEBRAS[1:]]}
     # a spec that defines plus and times also evaluates the terms over them
     arithmetic = cli_parity.shape([corpus("defs_arith.sde")])
@@ -1359,7 +1485,7 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     runs[1]["out"] += "changed\n"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.endswith("1 of 291 recorded runs differ\n")
+    assert capsys.readouterr().out.endswith("1 of 315 recorded runs differ\n")
 
 
 def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
@@ -1378,13 +1504,14 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
     out = tmp_path / "parity.json"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.splitlines()[-6:] == [
+    assert capsys.readouterr().out.splitlines()[-7:] == [
         "    8  equiv  ones.sde  --prefix 0 --budget 60",
         "    8  equiv  ones.sde  --prefix 0 --budget 60 --up-to +,*",
+        "    8  equiv  ones.sde  --prefix 0 --budget 60 --up-to +,-,*",
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "33 of 113 recorded runs differ"]
+        "41 of 121 recorded runs differ"]
 
 
 def test_parity_compare_tallies_later_budget_indices(tmp_path, capsys):

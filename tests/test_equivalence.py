@@ -779,9 +779,9 @@ class TestIndexedHypothesis:
         def term(depth, atoms):
             if depth == 0 or rng.random() < 0.3:
                 return rng.choice(atoms)
-            symbol = rng.choice(("+", "*", "-", "zip", "shuffle", "neg"))
-            return engine.app(symbol, [term(depth - 1, atoms)
-                                       for _ in range(1 if symbol == "neg" else 2)])
+            symbol, arity = rng.choice(
+                (("+", 2), ("*", 2), ("-", 2), ("zip", 2), ("shuffle", 2), ("-", 1)))
+            return engine.app(symbol, [term(depth - 1, atoms) for _ in range(arity)])
 
         def generalize(state):
             # some subterm of the state replaced by u or v
@@ -911,6 +911,20 @@ class TestClosurePrefilter:
             ("cong", "+", (("hyp", (a_x, b_x)), ("refl", s["c"]))), {"+"})
         assert assert_same_closure(engine, pair, [(b_x, a_x)]) == (None, set())
 
+    def test_unary_and_binary_minus_are_different_operations(self):
+        # -a and a - b share the symbol - and the argument a: pairing their
+        # arguments as far as the shorter list goes would relate them
+        engine, s, _ = closure_fixture()
+        for a, b in ((s["a"], s["b"]), (engine.var("u"), engine.var("w"))):
+            pair = (engine.app("-", (a,)), engine.app("-", (a, b)))
+            for sig_ops in (None, frozenset({"-"})):
+                assert assert_same_closure(engine, pair, [], sig_ops) == (None, set())
+                assert assert_same_closure(engine, pair[::-1], [], sig_ops) == (None, set())
+        minus = OpApp("-", (Var("u"),))
+        difference = OpApp("-", (Var("u"), Var("w")))
+        result = equiv_up_to(minus, difference, algebra=Q, sig_ops=frozenset({"-"}))
+        assert result == Unknown(2000, "symbolic heads not provably equal")
+
     def test_a_leaf_or_literal_against_an_application(self):
         engine, s, x = closure_fixture()
         a_x, c = engine.app("+", (s["a"], x)), s["c"]
@@ -960,8 +974,9 @@ class TestClosurePrefilter:
         def term(depth):
             if depth == 0 or rng.random() < 0.3:
                 return rng.choice(atoms)
-            symbol = rng.choice(("+", "*", "zip", "shuffle", "neg"))
-            args = [term(depth - 1) for _ in range(1 if symbol == "neg" else 2)]
+            symbol, arity = rng.choice(
+                (("+", 2), ("*", 2), ("zip", 2), ("shuffle", 2), ("-", 1)))
+            args = [term(depth - 1) for _ in range(arity)]
             return engine.app(symbol, args)
 
         def query(depth, pairs):

@@ -359,7 +359,7 @@ class ReferenceEngine(RecordingEngine):
                 bound = env[term.name]
                 return bound if isinstance(bound, State) else self.leaf(
                     bound, name=term.name)
-            if term.name in self.defs and self.defs[term.name].arity == 0:
+            if (term.name, 0) in self.defs:
                 return self.app(term.name, ())
             if symbolic:
                 return self.var(term.name)
@@ -413,7 +413,7 @@ class ReferenceEngine(RecordingEngine):
             else:
                 clause = self._select_clause(state)
                 heads = _LazyHeads(self, state.args)
-                params = self.defs[state.symbol].params
+                params = self.defs[state.symbol, len(state.args)].params
                 nxt = self._instantiate(clause.deriv, params, state.args, heads)
             state._next = nxt
         return nxt
@@ -422,7 +422,7 @@ class ReferenceEngine(RecordingEngine):
         clause = state._clause
         if clause is None:
             heads = _LazyHeads(self, state.args)
-            for c in self.defs[state.symbol].clauses:
+            for c in self.defs[state.symbol, len(state.args)].clauses:
                 if c.guard is None or self._guard_holds(c.guard, heads):
                     clause = c
                     break
@@ -528,9 +528,10 @@ def pick(a, b) {
 }
 def dbl(a) { out = 2 * a(0); deriv = dbl(a') + X * a; }
 """
-REFERENCE_OPS = {"+": 2, "-": 2, "neg": 1, "*": 2, "inv": 1, "X": 0, "shuffle": 2,
-                 "hadamard": 2, "sqrt": 1, "zip": 2, "merge": 2, "plus": 2, "times": 2,
-                 "pick": 2, "dbl": 1}
+# (symbol, arity), in the order of the draws
+REFERENCE_OPS = (("*", 2), ("+", 2), ("-", 2), ("X", 0), ("dbl", 1), ("hadamard", 2),
+                 ("inv", 1), ("merge", 2), ("-", 1), ("pick", 2), ("plus", 2),
+                 ("shuffle", 2), ("sqrt", 1), ("times", 2), ("zip", 2))
 
 
 def reference_term(rng, depth, used):
@@ -541,10 +542,10 @@ def reference_term(rng, depth, used):
         if roll < 0.7:
             return Var(rng.choice("abc"))
         return Const(HLit(rng.choice((0, 1, 1, 2))))
-    symbol = rng.choice(sorted(REFERENCE_OPS))
-    used.add(symbol)
+    symbol, arity = rng.choice(REFERENCE_OPS)
+    used.add((symbol, arity))
     args = []
-    for _ in range(REFERENCE_OPS[symbol]):
+    for _ in range(arity):
         args.append(reference_term(rng, depth - 1, used))
     return OpApp(symbol, tuple(args))
 
@@ -654,7 +655,7 @@ class TestOneCompiler:
         assert prefix(one.behaviour(one.from_term(zipped, env)), 4) == [1, 1, 1, 1]
         for engine in (other, Engine(Q)):
             assert prefix(engine.behaviour(engine.from_term(zipped, env)), 4) == [1, 1, 2, 1]
-            assert "dbl" not in engine.defs and "k" not in engine.defs
+            assert ("dbl", 1) not in engine.defs and ("k", 0) not in engine.defs
             with pytest.raises(UnknownSymbol):
                 engine.from_term(OpApp("dbl", (Var("a"),)), env)
             with pytest.raises(UnknownSymbol):

@@ -42,7 +42,7 @@ from streamcalc.speclang import (
     Const, EquationSystem, HLit, Kind, OpApp, Sum, Var, as_polynomial, classify,
 )
 from test_automatic import _random_automaton
-from test_cli import invoke
+from test_cli import NAMING_SPECS, invoke
 from streamcalc.stream import take
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -338,6 +338,24 @@ def test_budget_counts_coefficients():
     assert len(take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 1)) == n
     with pytest.raises(BudgetExhausted):
         take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 2)
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_operation_names_match_engine(alg_name):
+    # wherever both run the specs whose engine answers once hung on its
+    # operation names, the engine and series answer alike
+    compared = 0
+    for text in NAMING_SPECS.values():
+        spec = parse(text, algebra=get_algebra(alg_name))
+        try:
+            by_series = series.solve_by_coefficients(spec.system)
+        except UnsupportedOp:
+            continue  # an application of a user definition
+        by_defs = gsos.solve_system_with_defs(spec.system, spec.defs)
+        for var in spec.system.variables:
+            assert observe(by_defs, var, 30) == observe(by_series, var, 30), (text, var)
+            compared += 1
+    assert compared == 4
 
 
 def test_user_definitions_are_refused():

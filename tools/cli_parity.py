@@ -13,7 +13,8 @@ and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30`, `kernel`,
 `closed-form`, `equiv` against the spec's first unknown, and `equiv
 --prefix 0 --budget 60` against it, so that the up-to search answers and
 not the prefix scan, and the same with `--up-to +,*`, so that its
-congruence steps cross only those two operations; each without an
+congruence steps cross only those two operations, and with `--up-to
++,-,*`, whose `-` crosses unary and binary minus; each without an
 algebra override and under each of the seven `--algebra` values.  Then
 `solve -n 900` on every unknown without an override.  The unknowns and
 definitions are those of the spec parsed without override; a spec that
@@ -58,6 +59,7 @@ EQUIV_FLAGS = (
     (),
     ("--prefix", "0", "--budget", "60"),
     ("--prefix", "0", "--budget", "60", "--up-to", "+,*"),
+    ("--prefix", "0", "--budget", "60", "--up-to", "+,-,*"),
 )
 # closed terms for `eval`: + * - X; neg shuffle inv; hadamard sqrt zip;
 # merge, whose clauses have guards
