@@ -213,13 +213,8 @@ def _cmd_eval(args, out):
     spec = loaded.spec
     term = speclang.parse_term(args.term, spec)
     engine = gsos.Engine(spec.algebra, spec.defs)
-    sys_, env = spec.system, None
-    if sys_ is not None and sys_.tail_op == "tail" and not sys_.evens:
-        gsos.load_system(engine, sys_)
-    elif sys_ is not None:
-        # an even-odd or non-standard system's unknowns are the streams
-        # `solve` prints, leaves of the term
-        env = _solve_spec(loaded, _classify(loaded))
+    # a system's unknowns are the streams `solve` prints, leaves of the term
+    env = _solve_spec(loaded, _classify(loaded)) if spec.system else None
     state = engine.from_term(term, env)
     values = take(engine.behaviour(state), args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)

@@ -53,6 +53,11 @@ TABLE1_OPS = frozenset({"+", "-", "*", "inv", "X"})
 # crosswise.
 COMMUTATIVE_OPS = frozenset({"+", "*", "shuffle", "hadamard", "merge"})
 
+# What an operation's streams need of the algebra (the derivatives of inv
+# and sqrt negate, merge's guards compare).  No congruence step crosses an
+# operation whose need is missing: it would relate streams that do not exist.
+_NEEDS = {"-": "neg", "inv": "neg", "sqrt": "neg", "merge": "lt"}
+
 
 # ---------------------------------------------------------------------------
 # Rational streams
@@ -346,6 +351,10 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
         # e.g. a non-causal builtin applied to a universally quantified
         # variable: no syntactic state exists for it
         return Unknown(budget, str(stuck))
+    partial = {op for op, need in _NEEDS.items() if getattr(alg, need) is None}
+    if partial:  # each operation of the engine is a symbol of its definitions
+        ops = {symbol for symbol, _ in engine.defs} if sig_ops is None else sig_ops
+        sig_ops = frozenset(ops - partial)
     depth_cap = max(64, min(budget, 400))
     ensure_recursion_room(16 * depth_cap + 2000)
     relation = _Relation()
@@ -387,6 +396,8 @@ def verify_up_to_certificate(cert):
     # the closure depends on nothing else, and without it the shared
     # subterms of a state dag are checked again on every path to them
     memo = {}
+    # the verifier's own table of what an operation needs of the algebra
+    needs = {"-": alg.neg, "inv": alg.neg, "sqrt": alg.neg, "merge": alg.lt}
 
     def instance(u, v):
         for a, b in cert.pairs:
@@ -403,7 +414,8 @@ def verify_up_to_certificate(cert):
         held = u is v or instance(u, v)
         if (not held and u.kind == "app" and v.kind == "app" and u.symbol == v.symbol
                 and len(u.args) == len(v.args)
-                and (cert.sig_ops is None or u.symbol in cert.sig_ops)):
+                and (cert.sig_ops is None or u.symbol in cert.sig_ops)
+                and needs.get(u.symbol, True) is not None):
             held = True
             for p in zip(u.args, v.args):
                 if not in_closure(p):

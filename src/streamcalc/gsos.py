@@ -209,10 +209,6 @@ def d_d(state):
     return state.engine.derivative(state)
 
 
-def behaviour(state):
-    return state.engine.behaviour(state)
-
-
 def term_of_state(state, max_depth=12):
     # hash-consed states are dags; unshared printing of a deep dag is
     # exponential, so rendering is depth-capped
@@ -346,7 +342,7 @@ def _head_op(expr, alg):
         def root(values):
             if isinstance(values[0], SymHead):
                 raise SymbolicStuck(f"{op} of a symbolic head")
-            return speclang.eval_headexpr(HOp(op, (HLit(values[0]),)), (), alg)
+            return speclang.head_root(op, values[0], alg)
         return root
 
     def bad(values):

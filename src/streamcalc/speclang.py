@@ -844,38 +844,45 @@ class _Parser:
 
     def finish(self):
         for d in self.defs.values():
-            self.resolve_def(d)
+            rule = self.def_rule(d)
+            for clause in d.clauses:
+                self.resolve(clause.deriv, rule, d.span)
         system = self.build_system() if (self.inits or self.tails or self.evens) else None
         return SpecFile(self.algebra, self.algebra_name, self.defs, system)
 
-    def resolve_def(self, d):
-        for clause in d.clauses:
-            self.resolve_def_term(clause.deriv, d)
-
-    def resolve_def_term(self, t, d):
-        if isinstance(t, Var):
-            if t.name not in d.params:
-                raise UnknownSymbol(f"{t.name!r} is not a parameter of {d.symbol!r}",
-                                    d.span)
-        elif isinstance(t, DVar):
-            if t.name not in d.params:
-                raise UnknownSymbol(f"{t.name!r} is not a parameter of {d.symbol!r}",
-                                    d.span)
-        elif isinstance(t, TermDeriv):
-            self.resolve_def_term(t.term, d)
-        elif isinstance(t, Sum):
-            for s, _ in t.summands:
-                self.resolve_def_term(s, d)
-        elif isinstance(t, OpApp):
-            self.check_arity(t, d.span)
+    def resolve(self, t, rule, span):
+        """`t` with each Var and DVar replaced by rule(leaf), where rule
+        reads the names of a definition, a system or a standalone term; a
+        TermDeriv that rule() keeps is walked into.  Arity errors come at
+        `span`.  A Sum or OpApp is rebuilt only if a part changed."""
+        # loops, not comprehensions: one frame per level, not two
+        cls = type(t)
+        if cls is OpApp:
+            self.check_arity(t, span)
+            args = []
             for a in t.args:
-                self.resolve_def_term(a, d)
+                args.append(self.resolve(a, rule, span))
+            for new, old in zip(args, t.args):
+                if new is not old:
+                    return OpApp(t.symbol, tuple(args))
+        elif cls is Sum:
+            parts = []
+            for s, negated in t.summands:
+                parts.append((self.resolve(s, rule, span), negated))
+            for (new, _), (old, _) in zip(parts, t.summands):
+                if new is not old:
+                    return Sum(tuple(parts))
+        elif cls is Var or cls is DVar:
+            return rule(t)
+        elif cls is TermDeriv:
+            rule(t)
+            self.resolve(t.term, rule, span)
+        return t
 
     def check_arity(self, t, span):
         if t.symbol in BUILTIN_ARITY:
             arity = BUILTIN_ARITY[t.symbol]
-            ok = len(t.args) in arity if isinstance(arity, tuple) else len(t.args) == arity
-            if not ok:
+            if len(t.args) not in (arity if isinstance(arity, tuple) else (arity,)):
                 raise ArityMismatch(f"{t.symbol!r} applied to {len(t.args)} argument(s)",
                                     span)
         elif t.symbol in self.defs:
@@ -884,6 +891,53 @@ class _Parser:
                     f"{t.symbol!r} takes {self.defs[t.symbol].arity} argument(s)", span)
         else:
             raise UnknownSymbol(f"unknown operation {t.symbol!r}", span)
+
+    def def_rule(self, d):
+        """A definition's names: its parameters."""
+        def rule(t):
+            if type(t) is not TermDeriv and t.name not in d.params:
+                raise UnknownSymbol(f"{t.name!r} is not a parameter of {d.symbol!r}",
+                                    d.span)
+            return t
+        return rule
+
+    def system_rule(self, orders):
+        """A system's names: its unknowns, x' below the order of x's
+        equation as the auxiliary unknown x#1, and nullary definitions."""
+        def rule(t):
+            cls = type(t)
+            if cls is Var:
+                return t if t.name in orders or "#" in t.name else self.nullary_app(t)
+            if cls is TermDeriv:
+                raise SpecSyntaxError("derivative of a compound term on a right-hand side")
+            order = orders.get(t.name)
+            if order is None:
+                raise UnknownSymbol(f"unknown stream variable {t.name!r}")
+            if t.order >= order:
+                raise SpecSyntaxError(
+                    f"derivative {t.name + chr(39) * t.order} on a right-hand side "
+                    "is not allowed (the equation has no unique solution)")
+            return Var(f"{t.name}#{t.order}")
+        return rule
+
+    def term_rule(self, unknowns):
+        """A standalone term's names: `unknowns`, nullary definitions."""
+        def rule(t):
+            if type(t) is TermDeriv:
+                raise SpecSyntaxError("derivative of a compound term")
+            if t.name in unknowns:
+                return t
+            if type(t) is Var:
+                return self.nullary_app(t)
+            raise UnknownSymbol(f"unknown stream variable {t.name!r}")
+        return rule
+
+    def nullary_app(self, t):
+        """Var `t` as an application of the nullary definition it names."""
+        d = self.defs.get(t.name)
+        if d is None or d.arity:
+            raise UnknownSymbol(f"unknown stream variable {t.name!r}")
+        return OpApp(t.name, ())
 
     def build_system(self):
         if self.evens or self.odds:
@@ -941,46 +995,10 @@ class _Parser:
         sys = EquationSystem(self.algebra, tuple(variables),
                              {v: heads[v] for v in variables},
                              tail_op=tail_op, rhs=rhs)
+        rule = self.system_rule(orders)
         for var in variables:
-            sys.rhs[var] = self.resolve_system_term(sys.rhs[var], orders)
+            sys.rhs[var] = self.resolve(sys.rhs[var], rule, None)
         return sys
-
-    def resolve_system_term(self, t, orders):
-        cls = type(t)
-        if cls is Var:
-            if t.name in orders or "#" in t.name:
-                return t
-            if t.name in self.defs and self.defs[t.name].arity == 0:
-                return OpApp(t.name, ())
-            raise UnknownSymbol(f"unknown stream variable {t.name!r}")
-        # loops, not comprehensions: one frame per level, not two
-        if cls is OpApp:
-            self.check_arity(t, None)
-            args = []
-            for a in t.args:
-                args.append(self.resolve_system_term(a, orders))
-            for new, old in zip(args, t.args):
-                if new is not old:
-                    return OpApp(t.symbol, tuple(args))
-        elif cls is Sum:
-            parts = []
-            for s, negated in t.summands:
-                parts.append((self.resolve_system_term(s, orders), negated))
-            for (new, _), (old, _) in zip(parts, t.summands):
-                if new is not old:
-                    return Sum(tuple(parts))
-        elif cls is DVar:
-            order = orders.get(t.name)
-            if order is None:
-                raise UnknownSymbol(f"unknown stream variable {t.name!r}")
-            if t.order >= order:
-                raise SpecSyntaxError(
-                    f"derivative {t.name + chr(39) * t.order} on a right-hand side "
-                    "is not allowed (the equation has no unique solution)")
-            return Var(f"{t.name}#{t.order}")
-        elif cls is TermDeriv:
-            raise SpecSyntaxError("derivative of a compound term on a right-hand side")
-        return t
 
     def build_even_odd(self):
         if self.tails:
@@ -1044,36 +1062,8 @@ def parse_term(text, spec):
     kind, text, span = parser.peek()
     if kind != "EOF":
         raise SpecSyntaxError(f"unexpected {text!r} after the term", span)
-    variables = set(spec.system.variables) if spec.system else set()
-
-    def resolve(t):
-        if isinstance(t, Var):
-            if t.name in variables:
-                return t
-            if t.name in parser.defs and parser.defs[t.name].arity == 0:
-                return OpApp(t.name, ())
-            raise UnknownSymbol(f"unknown stream variable {t.name!r}")
-        if isinstance(t, DVar):
-            if t.name not in variables:
-                raise UnknownSymbol(f"unknown stream variable {t.name!r}")
-            return t
-        if isinstance(t, TermDeriv):
-            raise SpecSyntaxError("derivative of a compound term")
-        # loops, not generator expressions: one frame per level, not two
-        if isinstance(t, Sum):
-            parts = []
-            for s, negated in t.summands:
-                parts.append((resolve(s), negated))
-            return Sum(tuple(parts))
-        if isinstance(t, OpApp):
-            parser.check_arity(t, None)
-            args = []
-            for a in t.args:
-                args.append(resolve(a))
-            return OpApp(t.symbol, tuple(args))
-        return t
-
-    return resolve(term)
+    unknowns = set(spec.system.variables) if spec.system else ()
+    return parser.resolve(term, parser.term_rule(unknowns), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,21 +1091,26 @@ def eval_headexpr(expr, heads, alg):
             if alg.neg is None:
                 raise UnsupportedOp(f"{alg.name} has no negation")
             return alg.neg(args[0])
-        if expr.op == "inv":
-            if alg.inv is None:
-                raise UnsupportedOp(f"{alg.name} has no inverses")
-            value = alg.inv(args[0])
-            if value is None:
-                raise HeadNotInvertible(f"{alg.fmt(args[0])} has no inverse")
-            return value
-        if expr.op == "sqrt":
-            if alg.sqrt is None:
-                raise NoExactSqrt(f"{alg.name} has no square roots")
-            value = alg.sqrt(args[0])
-            if value is None:
-                raise NoExactSqrt(f"{alg.fmt(args[0])} has no exact square root")
-            return value
+        if expr.op == "inv" or expr.op == "sqrt":
+            return head_root(expr.op, args[0], alg)
     raise AlgebraMismatch(f"bad head expression {expr!r}")
+
+
+def head_root(op, value, alg):
+    """`inv` or `sqrt` (`op`) of an element, as a head expression takes it."""
+    if op == "inv":
+        if alg.inv is None:
+            raise UnsupportedOp(f"{alg.name} has no inverses")
+        root = alg.inv(value)
+        if root is None:
+            raise HeadNotInvertible(f"{alg.fmt(value)} has no inverse")
+        return root
+    if alg.sqrt is None:
+        raise NoExactSqrt(f"{alg.name} has no square roots")
+    root = alg.sqrt(value)
+    if root is None:
+        raise NoExactSqrt(f"{alg.fmt(value)} has no exact square root")
+    return root
 
 
 # ---------------------------------------------------------------------------

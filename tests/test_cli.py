@@ -420,8 +420,15 @@ class TestOperationNames:
 
 
 class TestEvalOverEveryFormat:
-    """An even-odd or non-standard system's unknowns are the streams
-    `solve` prints, leaves of the evaluated term."""
+    """A system's unknowns, whatever its format, are the streams `solve`
+    prints, leaves of the evaluated term."""
+
+    def test_tail_system(self):
+        # loaded into the eval engine, s ended BudgetExhausted at index 39
+        catalan = corpus("catalan.sde")
+        solved = invoke("solve", f"{catalan}#s", "-n", "60")
+        assert solved[0] == 0 and solved[1].count(", ") == 59
+        assert invoke("eval", "--defs", catalan, "--term", "s", "-n", "60") == solved
 
     def test_even_odd(self):
         path = corpus("thue_morse_evenodd.sde")
@@ -450,6 +457,40 @@ class TestEvalOverEveryFormat:
             assert invoke("eval", "--defs", corpus(spec), "--term", "X - 1",
                           "--algebra", "Nat") == (
                 1, "", "error: UnsupportedOp: Nat has no negation\n"), spec
+
+
+class TestUpToOverPartialOperations:
+    """The up-to closure crosses no operation whose streams the algebra
+    cannot compute, so `equiv` of such a stream against itself ends with
+    the error `solve` gives, where it printed Proved."""
+
+    @pytest.mark.parametrize("up_to", ((), ("--up-to", "+,-,*")))
+    @pytest.mark.parametrize("algebra", ("Nat", "Bool", "Tropical"))
+    def test_without_negation(self, tmp_path, algebra, up_to):
+        inverse = tmp_path / "inv.sde"
+        inverse.write_text("x(0) = 1;\nx' = inv(x);\n")
+        for selector in (corpus("alternating.sde") + "#s", f"{inverse}#x"):
+            solved = invoke("solve", selector, "--algebra", algebra)
+            assert solved == (1, "", f"error: UnsupportedOp: {algebra} has no negation\n")
+            assert invoke("equiv", selector, selector, "--prefix", "0", "--budget", "60",
+                          "--algebra", algebra, *up_to) == solved, selector
+
+    @pytest.mark.parametrize("up_to", ((), ("--up-to", "+,-,*,merge")))
+    @pytest.mark.parametrize("algebra", ("Bool", "Tropical", "F2", "Fp(5)"))
+    def test_without_an_order(self, tmp_path, algebra, up_to):
+        path = tmp_path / "merge.sde"
+        path.write_text("x(0) = 1;\nx' = merge(x, x);\n")
+        solved = invoke("solve", f"{path}#x", "--algebra", algebra)
+        assert solved == (1, "", f"error: UnorderedAlgebra: {algebra} has no order for guards\n")
+        assert invoke("equiv", f"{path}#x", f"{path}#x", "--prefix", "0", "--budget", "60",
+                      "--algebra", algebra, *up_to) == solved
+
+    def test_with_negation_and_an_order(self):
+        alternating = corpus("alternating.sde") + "#s"
+        assert invoke("equiv", alternating, alternating, "--prefix", "0", "--budget", "60",
+                      "--algebra", "Z") == (
+            0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  s  ~  s#b\n"
+            "  s#1  ~  s#1#b\n", "")
 
 
 def test_gsos_violation_at_solve_is_1():
@@ -1543,6 +1584,40 @@ def test_parity_compare_tallies_later_budget_indices(tmp_path, capsys):
         "    1  solve  nth_powers.sde  -n 200 --budget 60",
         "    1  solve  ones.sde  -n 3",
         "2 of 3 recorded runs differ"]
+
+
+def test_parity_compare_tallies_earlier_budget_indices(tmp_path, capsys):
+    cli_parity = _parity_tool()
+    earlier = cli_parity.earlier_budget_index
+    was = {"argv": ["eval"], "code": 2, "out": "",
+           "err": "error: BudgetExhausted: forcing budget exhausted (at index 39)\n"}
+    now = dict(was, err=was["err"].replace("39", "12"))
+    assert earlier(was, now) and not earlier(now, was)
+    assert not earlier(was, dict(now, code=1)) and not earlier(was, dict(now, out="1\n"))
+    assert not earlier(was, {"argv": ["eval"], "code": 0, "out": "1, 2\n", "err": ""})
+    # one probe earlier and another later is neither
+    probes = {"argv": ["check"], "code": 2, "err": "",
+              "out": "probe x: BudgetExhausted at index 2\nprobe y: BudgetExhausted at index 5\n"}
+    mixed = dict(probes, out=probes["out"].replace("2\n", "3\n").replace("5\n", "4\n"))
+    assert not earlier(probes, mixed) and not cli_parity.later_budget_index(probes, mixed)
+    recorded = [cli_parity.run_one(argv) for argv in (
+        ("solve", corpus("nth_powers.sde") + "#p3", "-n", "200", "--budget", "60"),
+        ("solve", corpus("nth_powers.sde") + "#p3", "-n", "200", "--budget", "61"),
+        ("solve", corpus("ones.sde") + "#s", "-n", "3"))]
+    recorded[0]["err"] = re.sub(r"index \d+", "index 1", recorded[0]["err"])
+    recorded[1]["err"] = re.sub(r"index \d+", "index 900", recorded[1]["err"])
+    recorded[2]["out"] += "changed\n"
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(recorded))
+    assert cli_parity.main(["compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-7:] == [
+        "    1  differ only by an earlier BudgetExhausted index",
+        "    1  differ only by a later BudgetExhausted index",
+        "    1  differ in any other way",
+        "    1  solve  nth_powers.sde  -n 200 --budget 60",
+        "    1  solve  nth_powers.sde  -n 200 --budget 61",
+        "    1  solve  ones.sde  -n 3",
+        "3 of 3 recorded runs differ"]
 
 
 def test_parity_compare_runs_each_argv_twice(monkeypatch):

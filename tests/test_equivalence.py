@@ -9,6 +9,7 @@ import pytest
 from conftest import Q, prefix, rand_ratexpr, seeded
 from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
 from streamcalc.algebra import get_algebra, gf
+from streamcalc.errors import UnsupportedOp
 from streamcalc import calculus, equivalence, gsos
 from streamcalc.equivalence import (
     COMMUTATIVE_OPS,
@@ -1028,3 +1029,35 @@ class TestVerifierMemo:
             matches.clear()
             assert verify_up_to_certificate(replace(cert, roots=(tall_left, tall_right))) is held
             assert max(matches.values()) <= 2
+
+
+class TestPartialOperations:
+    """No congruence step crosses an operation whose streams the algebra
+    cannot compute: `-` without negation here."""
+
+    @staticmethod
+    def alternating(name):
+        # s'' = -s, entered twice, the second copy as s#b and s#1#b
+        alg = get_algebra(name)
+        engine = Engine(alg)
+        system = parse("s(0) = 0; s'(0) = 1; s'' = -s;", algebra=alg).system
+        left = load_system(engine, system)
+        right = load_system(engine, system, {"s": "s#b", "s#1": "s#1#b"})
+        pairs = [(left["s"], right["s"]), (left["s#1"], right["s#1"])]
+        return engine, pairs
+
+    def test_the_verifier_refuses_a_step_over_minus_without_negation(self):
+        # the relation closes by crossing - : (-s, -s#b) on the pair (s, s#b)
+        for name, held in (("Z", True), ("Nat", False)):
+            engine, pairs = self.alternating(name)
+            cert = equivalence.UpToCertificate(engine, pairs[0], pairs, None, None)
+            assert verify_up_to_certificate(cert) is held, name
+            assert verify_up_to_certificate(replace(cert, sig_ops=frozenset("+-*"))) is held
+
+    def test_the_search_computes_the_stream_instead(self):
+        engine, pairs = self.alternating("Z")
+        assert isinstance(equiv_up_to(*pairs[0], engine=engine), Proved)
+        engine, pairs = self.alternating("Nat")
+        for sig_ops in (None, frozenset("+-*")):
+            with pytest.raises(UnsupportedOp, match="Nat has no negation"):
+                equiv_up_to(*pairs[0], engine=engine, sig_ops=sig_ops)

@@ -21,10 +21,11 @@ from streamcalc import (
     parse_term,
     validate_gsos,
 )
-from streamcalc.algebra import get_algebra, tropical
+from streamcalc.algebra import get_algebra, registered_algebras, tropical
 from streamcalc.cli import run
 from streamcalc.solvers import context_free_system_of, linear_system_of
 from streamcalc.speclang import (
+    BUILTIN_ARITY,
     MAX_CHAIN,
     MAX_EXPANDED_MONOMIALS,
     MAX_HEIGHT,
@@ -349,9 +350,9 @@ class TestSums:
     def test_resolution_keeps_unchanged_summands(self):
         parser = _Parser("")
         same = Sum(((OpApp("*", (Var("s"), Var("s"))), False), (OpApp("X", ()), True)))
-        assert parser.resolve_system_term(same, {"s": 1}) is same
+        assert parser.resolve(same, parser.system_rule({"s": 1}), None) is same
         derived = Sum(((same, False), (DVar("s", 1), True)))
-        resolved = parser.resolve_system_term(derived, {"s": 2})
+        resolved = parser.resolve(derived, parser.system_rule({"s": 2}), None)
         assert resolved == Sum(((same, False), (Var("s#1"), True)))
         assert resolved.summands[0][0] is same
 
@@ -700,9 +701,9 @@ class TestHeight:
 def test_resolution_keeps_unchanged_subterms():
     parser = _Parser("")
     same = OpApp("+", (OpApp("*", (Var("s"), Var("s"))), OpApp("X", ())))
-    assert parser.resolve_system_term(same, {"s": 1}) is same
+    assert parser.resolve(same, parser.system_rule({"s": 1}), None) is same
     derived = OpApp("+", (same, DVar("s", 1)))
-    resolved = parser.resolve_system_term(derived, {"s": 2})
+    resolved = parser.resolve(derived, parser.system_rule({"s": 2}), None)
     assert resolved == OpApp("+", (same, Var("s#1")))
     assert resolved.args[0] is same
 
@@ -835,3 +836,18 @@ class TestCheckFuzz:
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
         if code == 3:
             assert len(lines) == 1
+
+
+def test_builtin_tables_agree():
+    # each evaluator keeps its own table of the builtins by (symbol, arity)
+    from streamcalc import calculus, equivalence, gsos, series
+
+    declared = {(symbol, arity) for symbol, arities in BUILTIN_ARITY.items()
+                for arity in (arities if isinstance(arities, tuple) else (arities,))}
+    # `operation` makes +, binary and unary - one linear combination
+    by_series = set(series._OPERATIONS) | {("+", 2), ("-", 2), ("-", 1)}
+    for alg in registered_algebras():
+        by_engine = set(gsos._builtins(alg)[0]) | {(s, 1) for s in gsos._NATIVE_ONLY}
+        assert declared == by_series == set(calculus._BUILTINS) == by_engine, alg.name
+    for table in (equivalence.TABLE1_OPS, equivalence.COMMUTATIVE_OPS, equivalence._NEEDS):
+        assert set(table) <= BUILTIN_ARITY.keys()

@@ -29,8 +29,9 @@ exit code, stdout and stderr; an exception that escapes cli.run is
 recorded as its class and message.  `compare` repeats the recorded
 runs, each twice in a row, prints each one whose first answer differs
 from the record or whose second differs from its first, then how many
-of them differ only in that BudgetExhausted comes at a later index and
-how many differ in any other way, the number of them per command, spec
+of them differ only in that BudgetExhausted comes at an earlier index,
+how many only in that it comes at a later one, and how many differ in
+any other way, the number of them per command, spec
 file and flags (the --algebra override aside), and their total, and
 exits 1 if any differs.  cli.run keeps the parsed form of recent spec
 texts and the `series` plan of their systems, so the second answer
@@ -165,6 +166,12 @@ def later_budget_index(old, new):
     return True
 
 
+def earlier_budget_index(old, new):
+    """Whether a run's new answer differs from the recorded one only in
+    that each BudgetExhausted comes at the same or an earlier index."""
+    return later_budget_index(new, old)
+
+
 def group(argv):
     """The command, spec file name and flags of a run's argv, without
     its --algebra override."""
@@ -195,9 +202,11 @@ def main(argv=None):
     diffs = compare(recorded)
     for old, new in diffs:
         print(json.dumps({"was": old, "now": new}))
-    budget = sum(later_budget_index(old, new) for old, new in diffs)
-    print(f"{budget:5d}  differ only by a later BudgetExhausted index")
-    print(f"{len(diffs) - budget:5d}  differ in any other way")
+    earlier = sum(earlier_budget_index(old, new) for old, new in diffs)
+    later = sum(later_budget_index(old, new) for old, new in diffs)
+    print(f"{earlier:5d}  differ only by an earlier BudgetExhausted index")
+    print(f"{later:5d}  differ only by a later BudgetExhausted index")
+    print(f"{len(diffs) - earlier - later:5d}  differ in any other way")
     groups = collections.Counter(group(old["argv"]) for old, _ in diffs)
     for key, count in sorted(groups.items(), key=lambda item: (-item[1], item[0])):
         print(f"{count:5d}  " + "  ".join(filter(None, key)))
