@@ -172,24 +172,24 @@ def _selector(text):
     return match.groups()
 
 
+def _system(spec):
+    if spec.system is None:
+        raise SpecError("the file defines no equation system")
+    return spec.system
+
+
 def _classify(loaded):
     if loaded.kind is None:
-        if loaded.spec.system is None:
-            raise SpecError("the file defines no equation system")
-        loaded.kind = speclang.classify(loaded.spec.system)
+        loaded.kind = speclang.classify(_system(loaded.spec))
     return loaded.kind
 
 
-def _solve_spec(loaded, kind):
-    """Solution streams of a loaded spec's system, routed by its format
-    `kind` (the classification of the system)."""
+def _solve_spec(loaded):
+    """Solution streams of a loaded spec's system, whatever its format; the
+    engine of the file's definitions, which refuses an invalid one, applies them."""
     spec = loaded.spec
-    if kind in (Kind.CONTEXT_FREE, Kind.GENERAL) and spec.defs:
-        # the GSOS engine runs user definitions and validates every one
-        return gsos.solve_system_with_defs(spec.system, spec.defs)
-    # coefficient arrays: every builtin has an index formula and the
-    # other formats are causal, so no term states are built
-    return series.solve_by_coefficients(spec.system, plan_of=loaded.series_plan)
+    return series.solve_by_coefficients(_system(spec), plan_of=loaded.series_plan,
+                                        engine=gsos.Engine(spec.algebra, spec.defs))
 
 
 def _format_prefix(alg, values):
@@ -200,7 +200,7 @@ def _cmd_solve(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
     spec = loaded.spec
-    streams = _solve_spec(loaded, _classify(loaded))
+    streams = _solve_spec(loaded)
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
     values = take(streams[var], args.count, args.budget)
@@ -214,7 +214,7 @@ def _cmd_eval(args, out):
     term = speclang.parse_term(args.term, spec)
     engine = gsos.Engine(spec.algebra, spec.defs)
     # a system's unknowns are the streams `solve` prints, leaves of the term
-    env = _solve_spec(loaded, _classify(loaded)) if spec.system else None
+    env = _solve_spec(loaded) if spec.system else None
     state = engine.from_term(term, env)
     values = take(engine.behaviour(state), args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)
@@ -224,6 +224,7 @@ def _cmd_eval(args, out):
 def _closed_form(spec, kind, var, path):
     """The closed form of unknown `var` alone; the system's own errors
     come before a missing unknown's."""
+    gsos.Engine(spec.algebra, spec.defs)  # refuses an invalid definition
     if kind not in (Kind.SIMPLE, Kind.LINEAR):
         raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
     ls = solvers.linear_system_of(spec.system)
@@ -342,14 +343,13 @@ def _cmd_equiv(args, out):
 def _cmd_kernel(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
-    spec = loaded.spec
-    kind = _classify(loaded)
-    # an even-odd stream's kernel is exact: its members are automaton states
-    aut = automatic.compile_evenodd(spec.system) if kind is Kind.EVEN_ODD else None
-    streams = _solve_spec(loaded, kind) if aut is None else {}
-    if var not in (streams if aut is None else aut.outputs):
+    streams = _solve_spec(loaded)
+    if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
-    result = automatic.kernel2(streams.get(var), budget=min(args.budget, 512),
+    # an even-odd stream's kernel is exact: its members are automaton states
+    sys_ = loaded.spec.system
+    aut = automatic.compile_evenodd(sys_) if sys_.evens else None
+    result = automatic.kernel2(streams[var], budget=min(args.budget, 512),
                                steps=args.budget, automaton=aut, state=var)
     if isinstance(result, automatic.KernelUnknown):
         print("Unknown (kernel did not close within the budget)", file=out)
@@ -366,17 +366,16 @@ def _cmd_at(args, out):
     spec = loaded.spec
     if args.index < 0:
         raise _UsageError("the index must be nonnegative")
-    kind = _classify(loaded)
-    sys_ = spec.system
-    if kind is Kind.EVEN_ODD and var in sys_.variables:
-        aut = automatic.compile_evenodd(sys_)
-        print(spec.algebra.fmt(automatic.value_at(aut, var, args.index)), file=out)
-        return EXIT_OK
-    streams = _solve_spec(loaded, kind)
+    streams = _solve_spec(loaded)
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
-    values = take(streams[var], args.index + 1, args.budget)
-    print(spec.algebra.fmt(values[-1]), file=out)
+    if spec.system.evens:
+        # bbin indexing on the 2-automaton, in time logarithmic in the index
+        aut = automatic.compile_evenodd(spec.system)
+        value = automatic.value_at(aut, var, args.index)
+    else:
+        value = take(streams[var], args.index + 1, args.budget)[-1]
+    print(spec.algebra.fmt(value), file=out)
     return EXIT_OK
 
 
@@ -419,7 +418,7 @@ def _cmd_check(args, out):
             print(f"zero-consistency: violation at {verdict.state}", file=out)
             return max(status, EXIT_REFUTED)
     try:
-        streams = _solve_spec(loaded, kind)
+        streams = _solve_spec(loaded)
     except StreamCalcError as err:
         print(f"solve: failed ({err})", file=out)
         return max(status, EXIT_REFUTED)

@@ -1,4 +1,4 @@
-"""Solving equation systems over builtin operations coefficient by coefficient.
+"""Solving equation systems coefficient by coefficient.
 
 A causal stream differential equation fixes element n+1 of every
 unknown from elements 0..n, so its solution can be computed one
@@ -45,9 +45,10 @@ builds the right-hand side holding it.  There the nodes may print more
 elements than the engine before they stop, with the same error or
 another; the elements that both print are equal.
 
-No term states are built, so a request that exhausted the budget on
-the engine may finish here.  Even-odd systems and 2-automata get one
-node per state (`even_odd_nodes`).
+Term states are built only for an application of a user definition,
+a Leaf over the GSOS engine's stream of it, so a request that exhausted
+the budget on the engine may finish here.  Even-odd systems and
+2-automata get one node per state (`even_odd_nodes`).
 """
 
 from operator import add
@@ -394,13 +395,6 @@ _OPERATIONS = {
 }
 
 
-def _builtin(symbol, arity):
-    kind = _OPERATIONS.get((symbol, arity))
-    if kind is None:
-        raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
-    return kind
-
-
 def operation(alg, symbol, args):
     """The node of builtin `symbol` over the nodes `args`.  `+`, binary
     and unary `-`, and a product with a Constant factor are one
@@ -413,7 +407,9 @@ def operation(alg, symbol, args):
         for c, other in ((args[0], args[1]), (args[1], args[0])):
             if type(c) is Constant:
                 return _Linear(alg, ((c.value, False),), other)
-    return _builtin(symbol, len(args))(alg, *args)
+    kind = _OPERATIONS.get((symbol, len(args)))
+    # with no engine, an operation that is no builtin is refused
+    return kind(alg, *args) if kind else _application(None, symbol, *args)
 
 
 class Plan(NamedTuple):
@@ -421,7 +417,8 @@ class Plan(NamedTuple):
 
     Slots 0..k-1 are the k unknowns, whose heads are `heads`; step i
     makes slot k+i as kind(alg, *payload, *nodes of its child slots),
-    every child slot being an unknown or an earlier step.  `rhs` is the
+    the engine in place of alg for a definition's application, every
+    child slot being an unknown or an earlier step.  `rhs` is the
     slot of each unknown's right-hand side, and `terms` the number of
     distinct subterms, unknowns included, that the steps came from.
     """
@@ -462,7 +459,9 @@ class _Compiler:
             found = self._step(_Linear, (tuple(weights),), tuple(children))
         elif isinstance(term, OpApp):
             children = tuple(map(self.slot, term.args))
-            found = self._step(_builtin(term.symbol, len(children)), (), children)
+            kind = _OPERATIONS.get((term.symbol, len(children)))
+            # not a builtin: a definition's operation, which its step names
+            found = self._step(kind or _application, () if kind else (term.symbol,), children)
         else:
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
         self.slots[term] = found
@@ -501,11 +500,12 @@ class _Compiler:
 
 
 def compile_plan(sys_):
-    """The Plan of a system without definitions, a pure function of it.
+    """The Plan of a system, a pure function of it.
 
-    Refuses an operation that is not a builtin with UnsupportedOp, and a
-    head or constant outside the algebra with its coerce error, in the
-    order of the unknowns' heads and then of their right-hand sides.
+    An operation that is not a builtin is a definition's, and its
+    application is one step that names it.  Refuses a head or constant
+    outside the algebra with its coerce error, in the order of the
+    unknowns' heads and then of their right-hand sides.
     """
     alg = sys_.algebra
     heads = tuple(alg.coerce(sys_.heads[v]) for v in sys_.variables)
@@ -516,13 +516,22 @@ def compile_plan(sys_):
     return Plan(heads, tuple(compiler.steps), tuple(rhs), len(compiler.slots))
 
 
-def _instantiate(plan, alg, successor):
+def _application(engine, symbol, *args):
+    """A Leaf over the engine's stream of definition `symbol` on the nodes `args`."""
+    if engine is None:
+        raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
+    state = engine.app(symbol, [engine.leaf(node_stream(a)) for a in args])
+    return Leaf(engine.behaviour(state))
+
+
+def _instantiate(plan, alg, successor, engine):
     """Fresh nodes of a plan, one per slot: no term is hashed, and no
     coefficient is shared with the nodes of another call."""
     nodes = [_Unknown(alg, head, successor) for head in plan.heads]
     get = nodes.__getitem__
     for kind, payload, children in plan.steps:
-        nodes.append(kind(alg, *payload, *map(get, children)))
+        context = engine if kind is _application else alg
+        nodes.append(kind(context, *payload, *map(get, children)))
     for unknown, slot in zip(nodes, plan.rhs):
         unknown.rhs = nodes[slot]
     return nodes
@@ -554,8 +563,8 @@ def node_stream(node, n=0):
     return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
 
 
-def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None):
-    """Solution streams of a system without definitions, one per unknown.
+def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None, engine=None):
+    """Solution streams of a system, one per unknown.
 
     The system's tail operation gives the successor rule of every
     unknown: x' = r, delta(x) = r, ddx(x) = r, or delta_o(x) = r with
@@ -567,7 +576,8 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None):
     Plan, compile_plan by default; a caller that keeps plans passes its
     own.  It is called after the successor rule is checked, so that
     refusal comes first, and the nodes are made afresh from the plan on
-    every call.
+    every call.  `engine`, a gsos.Engine of the system's definitions,
+    applies them; without one an application is an UnsupportedOp.
     """
     alg = sys_.algebra
     if sys_.evens:
@@ -576,7 +586,7 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None):
         return {v: node_stream(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)
     plan = (plan_of or compile_plan)(sys_)
-    nodes = _instantiate(plan, alg, successor)
+    nodes = _instantiate(plan, alg, successor, engine)
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed
     ensure_recursion_room(4 * (len(plan.heads) + 5 * plan.terms) + 1000)

@@ -50,7 +50,7 @@ GOLDEN = [
      "1, 3, 9, 27, 81\n"),
     (("solve", corpus("catalan.sde") + "#s", "-n", "9"),
      "1, 1, 2, 5, 14, 42, 132, 429, 1430\n"),
-    # the same stream through user definitions, on the GSOS engine
+    # the same stream through user definitions, which the GSOS engine applies
     (("solve", corpus("defs_catalan.sde") + "#s", "-n", "9"),
      "1, 1, 2, 5, 14, 42, 132, 429, 1430\n"),
     (("solve", corpus("schroder.sde") + "#s", "-n", "9"),
@@ -606,6 +606,14 @@ def test_help_is_written_to_out(capsys, argv, usage):
 
 
 class TestSolveRoutes:
+    """Every system is solved coefficient by coefficient (`series`); the
+    engine of the file's definitions applies them and refuses an invalid
+    one, whatever the system's format."""
+
+    INVALID = "def evn(a) { out = a(0); deriv = evn(a''); }"
+    REFUSED = ("error: GsosViolation: 2:5: definition of 'evn' is not in the "
+               "GSOS format: higher derivative of an argument\n")
+
     @pytest.fixture
     def calls(self, monkeypatch):
         from streamcalc import gsos, series
@@ -622,36 +630,61 @@ class TestSolveRoutes:
             monkeypatch.setattr(module, name, spy)
         return seen
 
-    def test_user_definition_keeps_engine(self, tmp_path, calls):
+    def test_user_definition_is_applied_by_the_engine(self, tmp_path, calls):
         path = tmp_path / "twice.sde"
         path.write_text("def twice(a) { out = a(0) + a(0); deriv = twice(a'); }\n"
                         "s(0) = 1; s' = twice(s);\n")
         assert invoke("solve", f"{path}#s", "-n", "5") == (0, "1, 2, 4, 8, 16\n", "")
-        assert calls == ["solve_system_with_defs"]
+        assert calls == ["solve_by_coefficients"]
 
-    def test_file_with_definitions_keeps_engine(self, tmp_path, calls):
-        # the engine refuses an invalid definition even when no equation uses it
+    def test_an_unused_definition_changes_nothing(self, calls):
+        argv = ("-n", "40")
+        code, out, err = invoke("solve", corpus("defs_unused.sde") + "#s", *argv)
+        assert (code, err) == (0, "") and out.count(",") == 39
+        assert invoke("solve", corpus("catalan.sde") + "#s", *argv) == (code, out, err)
+        assert calls == ["solve_by_coefficients"] * 2
+
+    @pytest.mark.parametrize("system", [
+        "s(0) = 1; s' = s*s;",
+        "s(0) = 1; s' = 2*s;",
+        "s(0) = 1; delta(s) = s;",
+        "s(0) = 0; even(s) = s; odd(s) = t;\nt(0) = 1; even(t) = t; odd(t) = s;"],
+        ids=["context-free", "linear", "non-standard", "even-odd"])
+    def test_an_invalid_definition_is_refused_in_every_format(self, tmp_path, calls,
+                                                              system):
         path = tmp_path / "unused.sde"
-        path.write_text("def evn(a) { out = a(0); deriv = evn(a''); }\n"
-                        "s(0) = 1; s' = s*s;\n")
-        code, _, err = invoke("solve", f"{path}#s", "-n", "3")
-        assert code == 1
-        assert err.startswith("error: GsosViolation")
-        assert calls == ["solve_system_with_defs"]
+        path.write_text(f"algebra Z;\n{self.INVALID}\n{system}\n")
+        sel = f"{path}#s"
+        for argv in (("solve", sel), ("at", "5", sel), ("kernel", sel),
+                     ("closed-form", sel), ("equiv", sel, sel),
+                     ("eval", "--defs", path, "--term", "s")):
+            assert invoke(*argv) == (1, "", self.REFUSED), argv
+        code, out, _ = invoke("check", path)
+        assert code == 1 and "def evn: violation" in out
+        assert calls == []
 
     def test_cancelled_nonlinear_part_takes_series(self, tmp_path, calls):
-        # the system's polynomial form is linear, so an unused invalid
-        # definition no longer stops it
         path = tmp_path / "cancelled.sde"
-        path.write_text("def evn(a) { out = a(0); deriv = evn(a''); }\n"
+        path.write_text("def id(a) { out = a(0); deriv = id(a'); }\n"
                         "s(0) = 1; s' = s*s - s*s + s;\n")
         assert invoke("solve", f"{path}#s", "-n", "3") == (0, "1, 1, 1\n", "")
         assert calls == ["solve_by_coefficients"]
 
+    def test_a_nonstd_system_applies_a_definition(self, tmp_path, calls):
+        path = tmp_path / "flip.sde"
+        path.write_text("algebra Z; def flip(a) { out = -a(0); deriv = flip(a'); }\n"
+                        "x(0) = 1; delta(x) = x + flip(x);\n")
+        assert invoke("solve", f"{path}#x", "-n", "5") == (0, "1, 1, 1, 1, 1\n", "")
+        assert invoke("solve", corpus("defs_delta.sde") + "#x", "-n", "5") == (
+            0, "1, 3, 9, 27, 81\n", "")
+        assert calls == ["solve_by_coefficients"] * 2
+
     @pytest.mark.parametrize("name,var", [
         ("catalan.sde", "s"), ("hamming.sde", "g"), ("nth_powers.sde", "p3"),
         ("fib.sde", "s"), ("delta_powers.sde", "x"), ("ddx_exp.sde", "x"),
-        ("ones.sde", "s"), ("fig1.sde", "x0"), ("thue_morse_evenodd.sde", "tm")])
+        ("ones.sde", "s"), ("fig1.sde", "x0"), ("thue_morse_evenodd.sde", "tm"),
+        # and systems that apply definitions
+        ("defs_catalan.sde", "s"), ("defs_signed.sde", "t"), ("defs_delta.sde", "y")])
     def test_builtin_systems_solve_by_coefficients(self, calls, name, var):
         code, _, _ = invoke("solve", corpus(name) + "#" + var, "-n", "5")
         assert code == 0
@@ -660,7 +693,7 @@ class TestSolveRoutes:
     def test_nonstd_ignores_definitions(self, tmp_path, calls):
         path = tmp_path / "unused.sde"
         path.write_text("algebra Z;\n"
-                        "def evn(a) { out = a(0); deriv = evn(a''); }\n"
+                        "def id(a) { out = a(0); deriv = id(a'); }\n"
                         "x(0) = 1; delta(x) = x;\n")
         assert invoke("solve", f"{path}#x", "-n", "4") == (0, "1, 2, 4, 8\n", "")
         assert calls == ["solve_by_coefficients"]
@@ -735,6 +768,51 @@ class TestSolveRoutes:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: BudgetExhausted: forcing budget exhausted "
                             r"\(at index \d+\)\n", err)
+
+
+def _answered(stream, n):
+    """The first elements of a stream, up to n, that observation gives
+    within the default budget before any error."""
+    from streamcalc.stream import BudgetScope
+
+    values = []
+    with BudgetScope(None):
+        try:
+            for _ in range(n):
+                values.append(stream.head)
+                stream = stream.tail
+        except StreamCalcError:
+            pass
+    return values
+
+
+@pytest.mark.parametrize("name", ["defs_catalan.sde", "defs_signed.sde"])
+def test_definitions_agree_with_the_engine_reference(name):
+    """Where both answer, `solve` prints the elements of the engine's own
+    solution of the system (gsos.solve_system_with_defs)."""
+    from streamcalc import cli, gsos, speclang
+    from streamcalc.algebra import get_algebra
+
+    path, compared = corpus(name), 0
+    for algebra in ("Q", "Z", "Nat", "Bool", "Tropical", "F2", "Fp(5)"):
+        try:
+            spec = speclang.parse(pathlib.Path(path).read_text(),
+                                  algebra=get_algebra(algebra))
+        except StreamCalcError:
+            continue
+        reference = gsos.solve_system_with_defs(spec.system, spec.defs)
+        streams = cli._solve_spec(cli._load(path, algebra))
+        for var in spec.system.variables:
+            want = _answered(reference[var], 60)
+            got = _answered(streams[var], 60)
+            common = min(len(want), len(got))
+            assert got[:common] == want[:common], (algebra, var)
+            if common:
+                printed = ", ".join(map(spec.algebra.fmt, want[:common])) + "\n"
+                assert invoke("solve", f"{path}#{var}", "-n", common,
+                              "--algebra", algebra) == (0, printed, ""), (algebra, var)
+                compared += common
+    assert compared >= 100
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -1038,7 +1116,10 @@ def test_each_system_is_classified_once(tmp_path, monkeypatch, argv):
     calls = _count_calls(monkeypatch)
     code, _, err = invoke(*argv)
     assert (code, err) == (0, "")
-    assert len(calls["classify"]) == len({id(s) for s in calls["classify"]}) >= 1
+    classified = calls["classify"]
+    assert len(classified) == len({id(s) for s in classified})
+    # solve, at and kernel solve every format alike and classify nothing
+    assert bool(classified) is (argv[0] in ("check", "closed-form", "equiv"))
     calls["parse"].clear()
     calls["classify"].clear()
     assert invoke(*argv)[::2] == (0, "")
@@ -1084,6 +1165,7 @@ class TestSpecCache:
         for name in ("a.sde", "b.sde"):
             (tmp_path / name).write_text("s(0) = 1; s' = 2*s;\n")
             assert invoke("at", "3", f"{tmp_path / name}#s") == (0, "8\n", "")
+            assert invoke("closed-form", f"{tmp_path / name}#s") == (0, "(1)/(1 - 2*X)\n", "")
         assert len(calls["parse"]) == len(calls["classify"]) == 1
         assert cache.cache_info().currsize == 1
 
@@ -1243,15 +1325,26 @@ class TestSeriesPlan:
         assert len(compiled) == 1
 
     def test_a_build_error_is_not_kept(self, tmp_path, monkeypatch):
+        from streamcalc import series
+        from streamcalc.errors import UnsupportedOp
+
         _empty_spec_cache(monkeypatch)
         compiled = _count_compiles(monkeypatch)
-        path = tmp_path / "user_op.sde"
-        path.write_text("algebra Q; def f(a) { out = a(0); deriv = f(a'); }\n"
-                        "x(0) = 1; delta(x) = x + f(x);\n")
+        counted, failures = series.compile_plan, [UnsupportedOp("no plan")]
+
+        def fail_once(sys_):
+            if failures:
+                raise failures.pop()
+            return counted(sys_)
+
+        monkeypatch.setattr(series, "compile_plan", fail_once)
+        path = tmp_path / "fib.sde"
+        path.write_text(pathlib.Path(corpus("fib.sde")).read_text())
+        argv = ("solve", f"{path}#s", "-n", "5")
+        assert invoke(*argv) == (1, "", "error: UnsupportedOp: no plan\n")
         for _ in range(2):
-            assert invoke("solve", f"{path}#x") == (
-                1, "", "error: UnsupportedOp: 'f' is not a builtin operation\n")
-        assert len(compiled) == 2
+            assert invoke(*argv) == (0, "0, 1, 1, 2, 3\n", "")
+        assert len(compiled) == 1  # compiled after the failure, then kept
 
     def test_the_successor_rule_is_refused_before_the_build(self, tmp_path, monkeypatch):
         # a ddx system over Z that also uses a user operation
