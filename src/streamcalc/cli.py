@@ -11,7 +11,7 @@ import functools
 import re
 import sys
 
-from . import automatic, equivalence, gsos, series, solvers, speclang
+from . import automatic, equivalence, gsos, series, speclang
 from .algebra import format_ratexpr, get_algebra, rationals
 from .errors import (
     AlgebraMismatch,
@@ -20,6 +20,7 @@ from .errors import (
     SpecError,
     StreamCalcError,
     UnsupportedOp,
+    UsageError,
 )
 from .speclang import Kind
 from .stream import take
@@ -30,17 +31,13 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _HelpRequested(Exception):
     """-h or --help, whose text argparse would print to sys.stdout."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
@@ -119,13 +116,13 @@ def _load(path, algebra_name):
         try:
             override = get_algebra(algebra_name)
         except UnsupportedOp as err:
-            raise _UsageError(str(err)) from None
+            raise UsageError(str(err)) from None
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as unreadable:
         # a missing file, a directory, or a file that is not UTF-8 text
-        raise _UsageError(str(unreadable)) from None
+        raise UsageError(str(unreadable)) from None
     return _parsed(text, override)
 
 
@@ -168,7 +165,7 @@ _SELECTOR = re.compile(r"(.*?)#([^\W\d][\w#]*)", re.DOTALL)
 def _selector(text):
     match = _SELECTOR.fullmatch(text)
     if match is None:
-        raise _UsageError(f"selector {text!r} must look like file.sde#var")
+        raise UsageError(f"selector {text!r} must look like file.sde#var")
     return match.groups()
 
 
@@ -184,12 +181,14 @@ def _classify(loaded):
     return loaded.kind
 
 
-def _solve_spec(loaded):
+def _solve_spec(loaded, engine=None):
     """Solution streams of a loaded spec's system, whatever its format; the
-    engine of the file's definitions, which refuses an invalid one, applies them."""
+    engine of the file's definitions, which refuses an invalid one, applies
+    them (a new one unless `engine` is given)."""
     spec = loaded.spec
+    engine = engine or gsos.Engine(spec.algebra, spec.defs)
     return series.solve_by_coefficients(_system(spec), plan_of=loaded.series_plan,
-                                        engine=gsos.Engine(spec.algebra, spec.defs))
+                                        engine=engine)
 
 
 def _format_prefix(alg, values):
@@ -214,53 +213,21 @@ def _cmd_eval(args, out):
     term = speclang.parse_term(args.term, spec)
     engine = gsos.Engine(spec.algebra, spec.defs)
     # a system's unknowns are the streams `solve` prints, leaves of the term
-    env = _solve_spec(loaded) if spec.system else None
+    env = _solve_spec(loaded, engine) if spec.system else None
     state = engine.from_term(term, env)
     values = take(engine.behaviour(state), args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)
     return EXIT_OK
 
 
-def _closed_form(spec, kind, var, path):
-    """The closed form of unknown `var` alone; the system's own errors
-    come before a missing unknown's."""
-    gsos.Engine(spec.algebra, spec.defs)  # refuses an invalid definition
-    if kind not in (Kind.SIMPLE, Kind.LINEAR):
-        raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
-    ls = solvers.linear_system_of(spec.system)
-    if var not in ls.names:
-        solvers.solve_linear_matrix(ls, [])  # the field check
-        raise SpecError(f"no variable {var!r} in {path}")
-    (form,) = solvers.solve_linear_matrix(ls, [var])
-    return form
-
-
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
     loaded = _load(path, args.algebra)
-    form = _closed_form(loaded.spec, _classify(loaded), var, path)
+    form = equivalence.closed_form(loaded.spec, _classify(loaded), var)
+    if form is None:
+        raise SpecError(f"no variable {var!r} in {path}")
     print(format_ratexpr(form), file=out)
     return EXIT_OK
-
-
-def _fresh_names(unknowns, suffix, taken):
-    """Each unknown v named v + suffix, the suffix repeated while the name
-    is in `taken` or given to another unknown."""
-    names, taken = {}, set(taken)
-    for v in unknowns:
-        name = v + suffix
-        while name in taken:
-            name += suffix
-        taken.add(name)
-        names[v] = name
-    return names
-
-
-def _refuted(alg, verdict, out):
-    """Print a Refuted or Differ verdict: its index and the two elements."""
-    print(f"Refuted at index {verdict.index}: {alg.fmt(verdict.left)} != "
-          f"{alg.fmt(verdict.right)}", file=out)
-    return EXIT_REFUTED
 
 
 def _cmd_equiv(args, out):
@@ -268,75 +235,19 @@ def _cmd_equiv(args, out):
     path_b, var_b = _selector(args.right)
     loaded_a = _load(path_a, args.algebra)
     loaded_b = _load(path_b, args.algebra)
-    spec_a, spec_b = loaded_a.spec, loaded_b.spec
-    if spec_a.algebra is not spec_b.algebra:
-        raise UnsupportedOp("the two specifications use different algebras")
-    for sp, var in ((spec_a, var_a), (spec_b, var_b)):
-        if sp.system is None or var not in sp.system.variables:
-            raise SpecError(f"no variable {var!r}")
-
-    kind_a = _classify(loaded_a)
-    kind_b = _classify(loaded_b)
-    linear = (Kind.SIMPLE, Kind.LINEAR)
-    if (kind_a in linear and kind_b in linear
-            and spec_a.algebra.kind == "field" and args.up_to is None):
-        form_a = _closed_form(spec_a, kind_a, var_a, path_a)
-        form_b = _closed_form(spec_b, kind_b, var_b, path_b)
-        result = equivalence.equiv_rational(form_a, form_b)
-        if isinstance(result, equivalence.Proved):
-            print("Proved", file=out)
-            print(f"closed form: {format_ratexpr(form_a)}", file=out)
-            return EXIT_OK
-        return _refuted(spec_a.algebra, result, out)
-
-    defs = dict(spec_a.defs)
-    for name, d in spec_b.defs.items():
-        if name in defs and defs[name] != d:
-            raise SpecError(f"conflicting definitions of {name!r}")
-        defs[name] = d
-    sig_ops = None
-    if args.up_to is not None:
-        sig_ops = frozenset(s.strip() for s in args.up_to.split(",") if s.strip())
-        for name in sorted(sig_ops):
-            if name not in speclang.BUILTIN_ARITY and name not in defs:
-                raise _UsageError(f"--up-to: {name!r} is no operation of the "
-                                  "spec language or of the two files")
-    # a side whose unknowns clash with the other file's unknowns or
-    # definitions enters the engine with its unknowns named apart, by names
-    # free in both files, the right side's ending in #b and the left
-    # side's in #a
-    sys_a, sys_b = spec_a.system, spec_b.system
-    taken = {*sys_a.variables, *sys_b.variables, *defs}
-    names_a = names_b = None
-    if not {*sys_a.variables, *spec_a.defs}.isdisjoint(sys_b.variables):
-        names_b = _fresh_names(sys_b.variables, "#b", taken)
-    if not spec_b.defs.keys().isdisjoint(sys_a.variables):
-        names_a = _fresh_names(sys_a.variables, "#a", taken)
-    engine = gsos.Engine(spec_a.algebra, defs)
-    left = gsos.load_system(engine, sys_a, names_a)[var_a]
-    right = gsos.load_system(engine, sys_b, names_b)[var_b]
-
-    if args.prefix > 0:
-        from .stream import Differ, bounded_eq
-
-        scan = bounded_eq(engine.behaviour(left), engine.behaviour(right),
-                          args.prefix, args.budget)
-        if isinstance(scan, Differ):
-            return _refuted(spec_a.algebra, scan, out)
-
-    result = equivalence.equiv_up_to(left, right, engine=engine,
-                                     sig_ops=sig_ops, budget=args.budget)
-    if isinstance(result, equivalence.Proved):
-        cert = result.certificate
-        print("Proved", file=out)
-        scope = "user signature" if cert.beyond_table1 else "stream calculus"
-        print(f"certificate (bisimulation-up-to, {scope}):", file=out)
-        for line in cert.render():
-            print(f"  {line}", file=out)
+    # a file without a system has no format, and decide refuses its unknown
+    sides = [(ld.spec, var, _classify(ld) if ld.spec.system else None)
+             for ld, var in ((loaded_a, var_a), (loaded_b, var_b))]
+    verdict = equivalence.decide(*sides, args.up_to, args.prefix, args.budget)
+    if isinstance(verdict, equivalence.Proved):
+        print("Proved", *verdict.certificate.render(), sep="\n", file=out)
         return EXIT_OK
-    if isinstance(result, equivalence.Refuted):
-        return _refuted(spec_a.algebra, result, out)
-    print(f"Unknown ({result.reason})", file=out)
+    if isinstance(verdict, equivalence.Refuted):
+        alg = loaded_a.spec.algebra
+        print(f"Refuted at index {verdict.index}: {alg.fmt(verdict.left)} != "
+              f"{alg.fmt(verdict.right)}", file=out)
+        return EXIT_REFUTED
+    print(f"Unknown ({verdict.reason})", file=out)
     return EXIT_UNKNOWN
 
 
@@ -365,7 +276,7 @@ def _cmd_at(args, out):
     loaded = _load(path, args.algebra)
     spec = loaded.spec
     if args.index < 0:
-        raise _UsageError("the index must be nonnegative")
+        raise UsageError("the index must be nonnegative")
     streams = _solve_spec(loaded)
     if var not in streams:
         raise SpecError(f"no variable {var!r} in {path}")
@@ -383,7 +294,7 @@ def _cmd_bbin(args, out):
     try:
         q = rationals().parse(args.rational)
     except AlgebraMismatch:
-        raise _UsageError(f"{args.rational!r} is not a rational number") from None
+        raise UsageError(f"{args.rational!r} is not a rational number") from None
     bits = automatic.binary_encode_rational(q, args.count)
     print(" ".join(str(b) for b in bits), file=out)
     return EXIT_OK
@@ -461,7 +372,7 @@ def run(argv=None, out=None, err=None):
     except _HelpRequested as shown:
         print(shown, file=out, end="")
         return EXIT_OK
-    except _UsageError as use:
+    except UsageError as use:
         print(f"error: usage: {use}", file=err)
         return EXIT_USAGE
     except GsosViolation as violation:

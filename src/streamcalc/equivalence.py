@@ -15,15 +15,21 @@ Three procedures, by decidability:
   every instantiation is covered).
 
 Every Proved result carries a certificate that an independent pass can
-re-check.
+re-check and that renders its own lines.
+
+`decide` is the one entry for two unknowns of parsed spec files: it
+picks the procedure by the class of the two systems.
 """
 
 from dataclasses import dataclass, field
 
-from .algebra import RatExpr, ratexpr_coefficients, same_algebra
-from .errors import UnsupportedOp
-from .gsos import Engine, State, SymbolicStuck, SymHead, sym_equal, term_of_state
-from .stream import ensure_recursion_room
+from .algebra import RatExpr, format_ratexpr, ratexpr_coefficients, same_algebra
+from .errors import SpecError, UnsupportedOp, UsageError
+from .gsos import (Engine, State, SymbolicStuck, SymHead, load_system, sym_equal,
+                   term_of_state)
+from .solvers import linear_system_of, solve_linear_matrix
+from .speclang import BUILTIN_ARITY, Kind
+from .stream import Differ, bounded_eq, ensure_recursion_room
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,9 @@ class RationalCertificate:
     left: RatExpr
     right: RatExpr
     product: object  # the common cross product polynomial
+
+    def render(self):
+        return [f"closed form: {format_ratexpr(self.left)}"]
 
 
 def equiv_rational(r1, r2):
@@ -182,10 +191,9 @@ class UpToCertificate:
         return bool(self.ops_used - TABLE1_OPS)
 
     def render(self):
-        lines = []
-        for u, v in self.pairs:
-            lines.append(f"{term_of_state(u)}  ~  {term_of_state(v)}")
-        return lines
+        scope = "user signature" if self.beyond_table1 else "stream calculus"
+        return [f"certificate (bisimulation-up-to, {scope}):",
+                *(f"  {term_of_state(u)}  ~  {term_of_state(v)}" for u, v in self.pairs)]
 
 
 def _match(engine, pattern, state, theta):
@@ -365,6 +373,11 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
     while True:
         derivation = _closure_membership(engine, current, relation, sig_ops, used)
         if derivation is not None:
+            if not (current[0].has_vars or current[1].has_vars):
+                # the closure crossed inv, sqrt and definitions without their
+                # heads, and a pair whose heads do not exist relates no streams
+                engine.output(current[0])
+                engine.output(current[1])
             cert = UpToCertificate(engine, (s1, s2), relation.pairs, derivation,
                                    sig_ops, frozenset(used))
             return Proved(cert)
@@ -449,3 +462,88 @@ def verify_certificate(result, *roots):
     if isinstance(cert, UpToCertificate):
         return verify_up_to_certificate(cert)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Two unknowns of parsed spec files
+
+
+def closed_form(spec, kind, var):
+    """The closed form of unknown `var` of a spec's linear system alone,
+    None if the system has no such unknown; the system's own errors come
+    first, and the engine of the file's definitions refuses an invalid one."""
+    Engine(spec.algebra, spec.defs)
+    if kind not in (Kind.SIMPLE, Kind.LINEAR):
+        raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
+    ls = linear_system_of(spec.system)
+    if var not in ls.names:
+        solve_linear_matrix(ls, [])  # the field check
+        return None
+    (form,) = solve_linear_matrix(ls, [var])
+    return form
+
+
+def _fresh_names(unknowns, suffix, taken):
+    """Each unknown v named v + suffix, the suffix repeated while the name
+    is in `taken` or given to another unknown."""
+    names, taken = {}, set(taken)
+    for v in unknowns:
+        name = v + suffix
+        while name in taken:
+            name += suffix
+        taken.add(name)
+        names[v] = name
+    return names
+
+
+def decide(left, right, up_to, prefix, budget):
+    """Proved, Refuted or Unknown for the streams of two unknowns.
+
+    Each side is (spec, var, kind), kind the format of the spec's system
+    (None without one).  Two linear systems over a field compare by closed
+    forms unless `up_to` names congruence operations (comma-separated);
+    else one engine takes both files' definitions and systems, compares
+    `prefix` elements and runs the up-to search with `budget`.
+    """
+    (spec_a, var_a, kind_a), (spec_b, var_b, kind_b) = left, right
+    alg = spec_a.algebra
+    if alg is not spec_b.algebra:
+        raise UnsupportedOp("the two specifications use different algebras")
+    for spec, var, _ in (left, right):
+        if spec.system is None or var not in spec.system.variables:
+            raise SpecError(f"no variable {var!r}")
+    linear = (Kind.SIMPLE, Kind.LINEAR)
+    if kind_a in linear and kind_b in linear and alg.kind == "field" and up_to is None:
+        return equiv_rational(closed_form(spec_a, kind_a, var_a),
+                              closed_form(spec_b, kind_b, var_b))
+    defs = dict(spec_a.defs)
+    for name, d in spec_b.defs.items():
+        if name in defs and defs[name] != d:
+            raise SpecError(f"conflicting definitions of {name!r}")
+        defs[name] = d
+    sig_ops = None
+    if up_to is not None:
+        sig_ops = frozenset(s.strip() for s in up_to.split(",") if s.strip())
+        for name in sorted(sig_ops):
+            if name not in BUILTIN_ARITY and name not in defs:
+                raise UsageError(f"--up-to: {name!r} is no operation of the "
+                                 "spec language or of the two files")
+    # a side whose unknowns clash with the other file's unknowns or
+    # definitions enters the engine with its unknowns named apart, by names
+    # free in both files, the right side's ending in #b and the left
+    # side's in #a
+    sys_a, sys_b = spec_a.system, spec_b.system
+    taken = {*sys_a.variables, *sys_b.variables, *defs}
+    names_a = names_b = None
+    if not {*sys_a.variables, *spec_a.defs}.isdisjoint(sys_b.variables):
+        names_b = _fresh_names(sys_b.variables, "#b", taken)
+    if not spec_b.defs.keys().isdisjoint(sys_a.variables):
+        names_a = _fresh_names(sys_a.variables, "#a", taken)
+    engine = Engine(alg, defs)
+    s1 = load_system(engine, sys_a, names_a)[var_a]
+    s2 = load_system(engine, sys_b, names_b)[var_b]
+    if prefix > 0:
+        scan = bounded_eq(engine.behaviour(s1), engine.behaviour(s2), prefix, budget)
+        if isinstance(scan, Differ):
+            return Refuted(scan.index, scan.left, scan.right)
+    return equiv_up_to(s1, s2, engine=engine, sig_ops=sig_ops, budget=budget)

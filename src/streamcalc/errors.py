@@ -5,6 +5,10 @@ class StreamCalcError(Exception):
     """Base class for every error raised by this package."""
 
 
+class UsageError(StreamCalcError):
+    """A request the command line cannot run as given: a bad flag, selector or file."""
+
+
 class AlgebraMismatch(StreamCalcError):
     """Operands belong to different coefficient algebras."""
 

@@ -54,14 +54,9 @@ the budget on the engine may finish here.  Even-odd systems and
 from operator import add
 from typing import NamedTuple
 
-from .errors import (
-    HeadNotInvertible,
-    NonProductive,
-    NoExactSqrt,
-    UnorderedAlgebra,
-    UnsupportedOp,
-)
-from .speclang import Const, HLit, OpApp, Var, require_zero_consistency, summands
+from .errors import NonProductive, UnorderedAlgebra, UnsupportedOp
+from .speclang import (Const, HLit, OpApp, Var, head_root, require_zero_consistency,
+                       summands)
 from .stream import Stream, _charge, ensure_recursion_room
 
 
@@ -312,12 +307,7 @@ class _Inv(_Unary):
     def compute(self, n):
         alg = self.alg
         if n == 0:
-            a0 = self.arg.get(0)
-            if alg.inv is None:
-                raise UnsupportedOp(f"{alg.name} has no inverses")
-            b0 = alg.inv(a0)
-            if b0 is None:
-                raise HeadNotInvertible(f"{alg.fmt(a0)} has no inverse")
+            b0 = head_root("inv", self.arg.get(0), alg)
             if alg.neg is not None:
                 self.neg_b0 = alg.neg(b0)
             return b0
@@ -341,12 +331,7 @@ class _Sqrt(_Unary):
         if n:
             return self.tail.get(n - 1)
         alg = self.alg
-        a0 = self.arg.get(0)
-        if alg.sqrt is None:
-            raise NoExactSqrt(f"{alg.name} has no square roots")
-        r0 = alg.sqrt(a0)
-        if r0 is None:
-            raise NoExactSqrt(f"{alg.fmt(a0)} has no exact square root")
+        r0 = head_root("sqrt", self.arg.get(0), alg)
         denominator = operation(alg, "+", (Constant(alg, r0), self))
         self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0

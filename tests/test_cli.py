@@ -451,6 +451,16 @@ class TestEvalOverEveryFormat:
         assert (code, out) == (1, "") and err.startswith(
             "error: UnsupportedOp: ddx systems need a field of characteristic 0")
 
+    def test_one_engine_for_the_term_and_the_system(self, monkeypatch):
+        from streamcalc import gsos
+
+        built = []
+        monkeypatch.setattr(gsos, "Engine", lambda *a, _engine=gsos.Engine, **k:
+                            built.append(a) or _engine(*a, **k))
+        assert invoke("eval", "--defs", corpus("defs_catalan.sde"), "--term", "s + X",
+                      "-n", "4") == (0, "1, 2, 2, 5\n", "")
+        assert len(built) == 1
+
     def test_the_terms_own_errors(self):
         # as over a tail system
         for spec in ("thue_morse_evenodd.sde", "ones.sde"):
@@ -491,6 +501,26 @@ class TestUpToOverPartialOperations:
                       "--algebra", "Z") == (
             0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  s  ~  s#b\n"
             "  s#1  ~  s#1#b\n", "")
+
+    @pytest.mark.parametrize("spec,flags,error", [
+        ("algebra Z;\nx(0) = 2;\nx' = inv(x);\n", (),
+         "HeadNotInvertible: 2 has no inverse"),
+        ("algebra Q;\nx(0) = 2;\nx' = sqrt(x);\n", (),
+         "NoExactSqrt: 2 has no exact square root"),
+        ("defs_signed.sde", ("--algebra", "Nat"), "UnsupportedOp: Nat has no negation"),
+    ], ids=["inv-Z", "sqrt-Q", "flip-Nat"])
+    def test_the_discharged_pair_has_heads(self, tmp_path, spec, flags, error):
+        # the closure crosses inv, sqrt and a definition without computing a
+        # head, so the pair it discharges must have heads of its own
+        if spec.endswith(".sde"):
+            selector = corpus(spec) + "#t"
+        else:
+            path = tmp_path / "head.sde"
+            path.write_text(spec)
+            selector = f"{path}#x"
+        solved = invoke("solve", selector, *flags)
+        assert solved == (1, "", f"error: {error}\n")
+        assert invoke("equiv", selector, selector, "--prefix", "0", *flags) == solved
 
 
 def test_gsos_violation_at_solve_is_1():
@@ -964,6 +994,74 @@ class TestClosedFormErrorOrder:
             assert (code, err) == (0, "")
             assert invoke("equiv", f"{path}#{var}", f"{path}#{var}") == (
                 0, f"Proved\nclosed form: {out}", "")
+
+
+# Files for the order of `equiv`'s checks: the unknown x of each, over Z
+# unless named q; ev and od are invalid definitions, f1 and f2 define f
+# apart, and delta's system has a non-tail equation
+ORDER_FILES = {
+    "z": "algebra Z;\nx(0) = 1;\nx' = x;\n",
+    "q": "algebra Q;\nx(0) = 1;\nx' = x;\n",
+    "nosys": "algebra Z;\ndef f(a) { out = a(0); deriv = f(a'); }\n",
+    "ev_q": "algebra Q;\ndef ev(a) { out = a(0); deriv = ev(a''); }\nx(0) = 1;\nx' = x;\n",
+    "od_q": "algebra Q;\ndef od(a) { out = a(0); deriv = od(a''); }\nx(0) = 1;\nx' = x;\n",
+    "f1": "algebra Z;\ndef f(a) { out = a(0); deriv = f(a'); }\nx(0) = 1;\nx' = f(x);\n",
+    "f2": "algebra Z;\ndef f(a) { out = a(0) + a(0); deriv = f(a'); }\nx(0) = 1;\n"
+          "x' = f(x);\n",
+    "ev_delta": "algebra Z;\ndef ev(a) { out = a(0); deriv = ev(a''); }\nx(0) = 1;\n"
+                "delta(x) = x;\n",
+    "delta": "algebra Z;\nx(0) = 1;\ndelta(x) = x;\n",
+}
+
+
+def _violation(name):
+    return (1, f"error: GsosViolation: 2:5: definition of {name!r} is not in the GSOS "
+               "format: higher derivative of an argument\n")
+
+
+class TestEquivCheckOrder:
+    """Each row has two faults, and `equiv` reports the one it checks first:
+    selectors, loads, algebras, unknowns, then per route the definitions,
+    the --up-to names, the merged engine and the systems it loads."""
+
+    @pytest.mark.parametrize("left,right,flags,expected", [
+        ("nohash1", "nohash2", (),
+         (3, "error: usage: selector 'nohash1' must look like file.sde#var\n")),
+        ("missing_a#x", "nohash2", (),
+         (3, "error: usage: selector 'nohash2' must look like file.sde#var\n")),
+        ("missing_a#x", "missing_b#x", (),
+         (3, "error: usage: [Errno 2] No such file or directory: '{missing_a}'\n")),
+        ("z#x", "missing_b#x", (),
+         (3, "error: usage: [Errno 2] No such file or directory: '{missing_b}'\n")),
+        ("z#nope", "q#nope", (),
+         (1, "error: UnsupportedOp: the two specifications use different algebras\n")),
+        ("z#nope1", "z#nope2", (), (3, "error: SpecError: no variable 'nope1'\n")),
+        ("nosys#x", "z#x", (), (3, "error: SpecError: no variable 'x'\n")),
+        ("ev_q#nope", "od_q#x", (), (3, "error: SpecError: no variable 'nope'\n")),
+        ("ev_q#x", "od_q#x", (), _violation("ev")),
+        ("q#x", "od_q#x", (), _violation("od")),
+        ("f1#x", "f2#x", ("--up-to", "nosuch"),
+         (3, "error: SpecError: conflicting definitions of 'f'\n")),
+        ("ev_delta#x", "z#x", ("--up-to", "nosuch"),
+         (3, "error: usage: --up-to: 'nosuch' is no operation of the spec language "
+             "or of the two files\n")),
+        ("ev_delta#x", "z#x", (), _violation("ev")),
+        ("delta#x", "z#x", (),
+         (1, "error: UnsupportedOp: only ordinary tail systems run on the engine\n")),
+    ])
+    def test_the_first_fault_is_reported(self, tmp_path, left, right, flags, expected):
+        paths = {name: tmp_path / f"{name}.sde" for name in (*ORDER_FILES, "missing_a",
+                                                            "missing_b")}
+        for name, text in ORDER_FILES.items():
+            paths[name].write_text(text)
+
+        def argument(side):
+            name, hashed, var = side.partition("#")
+            return f"{paths[name]}#{var}" if hashed else side
+
+        code, err = expected
+        err = err.format(**{name: paths[name] for name in ("missing_a", "missing_b")})
+        assert invoke("equiv", argument(left), argument(right), *flags) == (code, "", err)
 
 
 class TestNonPrimeModulus:

@@ -9,17 +9,20 @@ import pytest
 from conftest import Q, prefix, rand_ratexpr, seeded
 from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
 from streamcalc.algebra import get_algebra, gf
-from streamcalc.errors import UnsupportedOp
+from streamcalc.errors import SpecError, UnsupportedOp, UsageError
 from streamcalc import calculus, equivalence, gsos
 from streamcalc.equivalence import (
     COMMUTATIVE_OPS,
     Proved,
+    RationalCertificate,
     Refuted,
     Unknown,
     _closure_membership,
     _match,
     _Relation,
     bisim_finite,
+    closed_form,
+    decide,
     equiv_rational,
     equiv_up_to,
     verify_bisim_certificate,
@@ -34,7 +37,7 @@ from streamcalc.solvers import (
     ratexpr_stream,
     solve_linear_matrix,
 )
-from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Var
+from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Var, classify
 from streamcalc.stream import Differ, Equal
 
 
@@ -1061,3 +1064,70 @@ class TestPartialOperations:
         for sig_ops in (None, frozenset("+-*")):
             with pytest.raises(UnsupportedOp, match="Nat has no negation"):
                 equiv_up_to(*pairs[0], engine=engine, sig_ops=sig_ops)
+
+
+def side(text, var):
+    """A side of `decide`: a parsed spec, one of its unknowns and its format."""
+    spec = parse(text)
+    return spec, var, classify(spec.system) if spec.system else None
+
+
+class TestDecide:
+    """`decide` picks the route by the class of the two systems, and each
+    Proved certificate renders the lines `equiv` prints after Proved."""
+
+    FIG1 = "x0(0) = 0; x0' = x1; x1(0) = 1; x1' = x2; x2(0) = 0; x2' = x1;"
+
+    def test_closed_forms(self):
+        result = decide(side(self.FIG1, "x0"), side(self.FIG1, "x2"), None, 64, 10_000)
+        assert isinstance(result.certificate, RationalCertificate)
+        assert result.certificate.render() == ["closed form: (X)/(1 - X^2)"]
+        assert verify_certificate(result)
+        # a refutation is equiv_rational's, from the same closed forms
+        spec, _, kind = side(self.FIG1, "x0")
+        forms = [closed_form(spec, kind, var) for var in ("x0", "x1")]
+        assert decide(side(self.FIG1, "x0"), side(self.FIG1, "x1"), None, 64,
+                      10_000) == equiv_rational(*forms) == Refuted(0, 0, 1)
+
+    def test_a_scan_refutation_keeps_its_index_and_elements(self):
+        # over Z the route is the engine; its scan finds 1 != 2 at index 1
+        text = "algebra Z; x(0) = 1; x' = x; y(0) = 1; y' = 2*y;"
+        engine = Engine(get_algebra("Z"))
+        states = load_system(engine, parse(text).system)
+        scan = bounded_eq(engine.behaviour(states["x"]), engine.behaviour(states["y"]), 64)
+        assert isinstance(scan, Differ)
+        assert decide(side(text, "x"), side(text, "y"), None, 64, 10_000) == Refuted(
+            scan.index, scan.left, scan.right) == Refuted(1, 1, 2)
+
+    @pytest.mark.parametrize("text,var,header", [
+        ("algebra Z; s(0) = 0; s'(0) = 1; s'' = -s;", "s", "stream calculus"),
+        # the Hamming numbers (corpus/hamming.sde)
+        ("g(0) = 1; g' = merge(2*g, merge(3*g, 5*g));", "g", "user signature"),
+    ])
+    def test_the_up_to_header(self, text, var, header):
+        result = decide(side(text, var), side(text, var), None, 64, 10_000)
+        lines = result.certificate.render()
+        assert lines[0] == f"certificate (bisimulation-up-to, {header}):"
+        assert lines[1] == f"  {var}  ~  {var}#b"
+        assert len(lines) == len(result.certificate.pairs) + 1
+        assert all(line.startswith("  ") and "  ~  " in line for line in lines[1:])
+        assert verify_certificate(result)
+
+    def test_an_unknown_keeps_its_reason(self):
+        # equal streams, but no congruence step may cross an operation
+        left = side("s(0) = 1; s' = s + s;", "s")
+        right = side("x(0) = 1; x' = 2*x;", "x")
+        assert decide(left, right, "", 0, 30) == Unknown(30, "state depth exceeded")
+
+    def test_different_algebras_come_before_a_missing_unknown(self):
+        with pytest.raises(UnsupportedOp, match="different algebras"):
+            decide(side("algebra Z; x(0) = 1; x' = x;", "nope"),
+                   side("algebra Q; x(0) = 1; x' = x;", "nope"), None, 64, 10_000)
+
+    def test_conflicting_definitions_come_before_a_bad_up_to_name(self):
+        text = "algebra Z; def f(a) { out = a(0); deriv = f(a'); } x(0) = 1; x' = f(x);"
+        other = text.replace("out = a(0)", "out = a(0) + a(0)")
+        with pytest.raises(SpecError, match="conflicting definitions of 'f'"):
+            decide(side(text, "x"), side(other, "x"), "nosuch", 64, 10_000)
+        with pytest.raises(UsageError, match="'nosuch' is no operation"):
+            decide(side(text, "x"), side(text, "x"), "nosuch", 64, 10_000)
