@@ -64,6 +64,10 @@ COMMUTATIVE_OPS = frozenset({"+", "*", "shuffle", "hadamard", "merge"})
 # operation whose need is missing: it would relate streams that do not exist.
 _NEEDS = {"-": "neg", "inv": "neg", "sqrt": "neg", "merge": "lt"}
 
+# The operations whose head every algebra computes from their arguments'
+# heads (`-` with negation only): the only ones _match_systems crosses.
+_MATCHED_OPS = frozenset({"+", "-", "*", "X", "shuffle", "hadamard", "zip"})
+
 
 # ---------------------------------------------------------------------------
 # Rational streams
@@ -172,7 +176,8 @@ class UpToCertificate:
     """The relation built by the up-to search, plus its closure steps.
 
     pairs: the relation R (engine states).  discharge: the closure
-    derivation showing the final derivative pair is in R-bar.  ops_used:
+    derivation showing the final derivative pair is in R-bar (for a
+    matched proof, whose R holds the roots, ("hyp", roots)).  ops_used:
     operations exercised by congruence steps; proofs that leave Table 1
     are flagged (the classic theorem covers the stream calculus
     signature; the general-signature soundness rests on the abstract
@@ -335,14 +340,50 @@ def _closure_membership(engine, pair, relation, sig_ops, used):
     return member(*pair)
 
 
+def _match_systems(engine, s1, s2, unknowns, sig_ops):
+    """An up-to certificate for two unknowns of loaded systems whose
+    right-hand sides match, or None.
+
+    A guarded system has one solution, so a relation R of unknowns with
+    equal heads is a bisimulation up to congruence when each pair's
+    derivatives have the same operations of _MATCHED_OPS and sig_ops in
+    the same places, identical literals, and pairs of R at the unknowns.
+    R is no bijection; no arguments are paired crosswise.
+    """
+    ops = _MATCHED_OPS if sig_ops is None else _MATCHED_OPS & sig_ops
+    pairs, seen, used = [(s1, s2)], {(s1, s2)}, set()
+
+    def walk(a, b):
+        if a in unknowns and b in unknowns:
+            if (a, b) not in seen:
+                seen.add((a, b))
+                pairs.append((a, b))
+            return True
+        if a.kind == "lit" or b.kind == "lit":
+            return a is b
+        # a lone unknown's symbol is its name, which is no operation
+        if a.symbol not in ops or a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        used.add(a.symbol)
+        return all(walk(c, d) for c, d in zip(a.args, b.args))
+
+    for u, v in pairs:  # grows as the walks relate new unknowns
+        if not (engine.algebra.eq(engine.output(u), engine.output(v))
+                and walk(engine.derivative(u), engine.derivative(v))):
+            return None
+    return UpToCertificate(engine, (s1, s2), pairs, ("hyp", (s1, s2)), sig_ops,
+                           frozenset(used))
+
+
 def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
-                algebra=None, engine=None):
+                algebra=None, engine=None, unknowns=None):
     """Budgeted bisimulation-up-to between two terms.
 
     Terms may be speclang Terms (variables unbound in env become
     universally quantified stream variables) or prebuilt engine States.
     sig_ops restricts which operations congruence steps may cross;
-    None means the full declared signature.
+    None means the full declared signature.  Given the states of the
+    unknowns of loaded systems, it first tries `_match_systems`.
     """
     if engine is None:
         if algebra is None:
@@ -366,6 +407,10 @@ def equiv_up_to(t1, t2, defs=None, env=None, sig_ops=None, budget=2000,
         sig_ops = frozenset(ops - partial)
     depth_cap = max(64, min(budget, 400))
     ensure_recursion_room(16 * depth_cap + 2000)
+    if unknowns is not None:
+        matched = _match_systems(engine, s1, s2, unknowns, sig_ops)
+        if matched is not None:
+            return Proved(matched)
     relation = _Relation()
     used = set()
     current = (s1, s2)
@@ -503,7 +548,8 @@ def decide(left, right, up_to, prefix, budget):
     (None without one).  Two linear systems over a field compare by closed
     forms unless `up_to` names congruence operations (comma-separated);
     else one engine takes both files' definitions and systems, compares
-    `prefix` elements and runs the up-to search with `budget`.
+    `prefix` elements, then matches the two systems' right-hand sides and
+    runs the up-to search with `budget` if they do not match.
     """
     (spec_a, var_a, kind_a), (spec_b, var_b, kind_b) = left, right
     alg = spec_a.algebra
@@ -540,10 +586,12 @@ def decide(left, right, up_to, prefix, budget):
     if not spec_b.defs.keys().isdisjoint(sys_a.variables):
         names_a = _fresh_names(sys_a.variables, "#a", taken)
     engine = Engine(alg, defs)
-    s1 = load_system(engine, sys_a, names_a)[var_a]
-    s2 = load_system(engine, sys_b, names_b)[var_b]
+    states_a = load_system(engine, sys_a, names_a)
+    states_b = load_system(engine, sys_b, names_b)
+    s1, s2 = states_a[var_a], states_b[var_b]
     if prefix > 0:
         scan = bounded_eq(engine.behaviour(s1), engine.behaviour(s2), prefix, budget)
         if isinstance(scan, Differ):
             return Refuted(scan.index, scan.left, scan.right)
-    return equiv_up_to(s1, s2, engine=engine, sig_ops=sig_ops, budget=budget)
+    return equiv_up_to(s1, s2, engine=engine, sig_ops=sig_ops, budget=budget,
+                       unknowns={*states_a.values(), *states_b.values()})

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from streamcalc import equivalence
 from streamcalc.cli import run
 from streamcalc.errors import StreamCalcError
 from streamcalc.speclang import MAX_CHAIN, MAX_HEIGHT, MAX_NESTING
@@ -280,20 +281,30 @@ PROVED = {
     ("a#y#b", "a#y#b"): "y#b  ~  y#b#b", ("b#y", "a#y#b"): "y  ~  y#b#b",
     ("b#y", "b#y"): "y  ~  y#b", ("d#x", "d#x"): "x  ~  x#b", ("u#c", "u#c"): "c  ~  c#b",
 }
+# the pairs of a's and b's x, which printed Unknown (state depth exceeded)
+# until their right-hand sides were matched: each relation has the pair of
+# x's and the pair of the unknowns that x + y names
+MATCHED = {
+    ("a#x", "a#x"): "y#b  ~  y#b#b", ("a#x", "b#x"): "y#b  ~  y#b#b",
+    ("b#x", "a#x"): "y  ~  y#b#b", ("b#x", "b#x"): "y  ~  y#b",
+}
 
 
 def _clashing_answer(left, right):
     """The answer of `equiv left right --prefix 3` on CLASHING_FILES: a
     refutation at the head where the heads differ; for two streams of
-    ones an unknown verdict where a's or b's x is one side; otherwise a
-    proof."""
+    ones an unknown verdict where a's or b's x is one side against d's x
+    or u's c; otherwise a proof."""
     heads = {"a#x": 1, "a#y#b": 0, "b#x": 1, "b#y": 0, "d#x": 1, "u#c": 1}
     if heads[left] != heads[right]:
         return 1, f"Refuted at index 0: {heads[left]} != {heads[right]}\n", ""
     pair = (left, right)
-    if pair not in PROVED and CLASHED.get(pair) is None:
+    if pair in MATCHED:
+        certificate = f"x  ~  x#b\n  {MATCHED[pair]}"
+    elif pair not in PROVED and CLASHED.get(pair) is None:
         return 2, "Unknown (state depth exceeded)\n", ""
-    certificate = PROVED.get(pair) or CLASHED[pair]
+    else:
+        certificate = PROVED.get(pair) or CLASHED[pair]
     return 0, f"Proved\ncertificate (bisimulation-up-to, stream calculus):\n  {certificate}\n", ""
 
 
@@ -312,9 +323,46 @@ def test_equiv_renames_the_clashing_side(tmp_path):
             # renamed, b with #b and a with #a
             assert invoke("equiv", *argv, "--prefix", "3") == _clashing_answer(left, right), (
                 left, right)
-    # the reverse of each clashed pair answered before and still does
-    assert invoke("equiv", f"{paths['a']}#x", f"{paths['b']}#x") == invoke(
-        "equiv", f"{paths['b']}#x", f"{paths['a']}#x")
+    # the reverse of each clashed pair answers as it does, under the
+    # default scan too; the certificates name the unknowns of each side
+    forward, backward = (invoke("equiv", f"{paths[p]}#x", f"{paths[q]}#x")
+                         for p, q in (("a", "b"), ("b", "a")))
+    assert forward[0] == backward[0] == 0
+    assert forward[1].endswith("  y#b  ~  y#b#b\n") and backward[1].endswith("  y  ~  y#b#b\n")
+
+
+class TestMatchedSystems:
+    """Pairs the up-to search could not prove in minutes, or at all, that
+    the match of the two systems' right-hand sides proves at once; each
+    runs in its own process, so that a regression fails at the timeout."""
+
+    def test_three_unknown_bool_sums_against_a_copy_with_permuted_names(self, tmp_path):
+        # the search alone printed Unknown after 179 s
+        text = ("algebra Bool;\n{0}(0) = 1;\n{0}' = {0} + {1} + {2};\n{1}(0) = 0;\n"
+                "{1}' = {1} + {2};\n{2}(0) = 1;\n{2}' = {0} + {1} + {2};\n")
+        left, right = tmp_path / "a.sde", tmp_path / "b.sde"
+        left.write_text(text.format("a0", "a1", "a2"))
+        right.write_text(text.format("b2", "b0", "b1"))
+        assert invoke_in_a_fresh_process(
+            "equiv", f"{left}#a0", f"{right}#b2", "--prefix", "0", "--budget", "20",
+            timeout=20) == (0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n"
+                            "  a0  ~  b2\n  a1  ~  b0\n  a2  ~  b1\n", "")
+
+    def test_a_z_system_against_itself(self, tmp_path):
+        # the search alone grew its memory without end at default flags
+        path = tmp_path / "ones.sde"
+        path.write_text("algebra Z;\nx(0) = 1;\nx' = 2*x - y;\ny(0) = 1;\ny' = y;\n")
+        assert invoke_in_a_fresh_process("equiv", f"{path}#x", f"{path}#x", timeout=20) == (
+            0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n"
+            "  x  ~  x#b\n  y  ~  y#b\n", "")
+
+    def test_the_match_runs_after_the_prefix_scan(self, monkeypatch):
+        catalan = corpus("catalan.sde") + "#s"
+        assert invoke("equiv", catalan, catalan) == (
+            2, "", "error: BudgetExhausted: forcing budget exhausted (at index 30)\n")
+        monkeypatch.setattr(equivalence, "_closure_membership", None)  # no search
+        assert invoke("equiv", catalan, catalan, "--prefix", "0") == (
+            0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  s  ~  s#b\n", "")
 
 
 def test_equiv_refutations_print_alike(tmp_path):
@@ -1520,14 +1568,15 @@ sys.exit(deeper(int(sys.argv[1])))
 """
 
 
-def invoke_in_a_fresh_process(*argv, frames=0):
+def invoke_in_a_fresh_process(*argv, frames=0, timeout=60):
     """Like invoke, in a new interpreter with the default recursion limit,
-    with cli.run called `frames` frames deeper than `python -m` calls it."""
+    with cli.run called `frames` frames deeper than `python -m` calls it,
+    killed after `timeout` seconds."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH")))))
     command = ["-c", DEEPER, str(frames)] if frames else ["-m", "streamcalc"]
     proc = subprocess.run([sys.executable, *command, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -1769,8 +1818,9 @@ def test_parity_compare_tallies_later_budget_indices(tmp_path, capsys):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(recorded))
     assert cli_parity.main(["compare", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-5:] == [
+    assert capsys.readouterr().out.splitlines()[-6:] == [
         "    1  differ only by a later BudgetExhausted index",
+        "    0  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
         "    1  differ in any other way",
         "    1  solve  nth_powers.sde  -n 200 --budget 60",
         "    1  solve  ones.sde  -n 3",
@@ -1801,12 +1851,47 @@ def test_parity_compare_tallies_earlier_budget_indices(tmp_path, capsys):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(recorded))
     assert cli_parity.main(["compare", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-7:] == [
+    assert capsys.readouterr().out.splitlines()[-8:] == [
         "    1  differ only by an earlier BudgetExhausted index",
         "    1  differ only by a later BudgetExhausted index",
+        "    0  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
         "    1  differ in any other way",
         "    1  solve  nth_powers.sde  -n 200 --budget 60",
         "    1  solve  nth_powers.sde  -n 200 --budget 61",
+        "    1  solve  ones.sde  -n 3",
+        "3 of 3 recorded runs differ"]
+
+
+def test_parity_compare_tallies_verdict_upgrades(tmp_path, capsys):
+    cli_parity = _parity_tool()
+    upgrade = cli_parity.verdict_upgrade
+    proved = {"argv": ["equiv"], "code": 0, "err": "",
+              "out": "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  x  ~  y\n"}
+    unknown = dict(proved, code=2, out="Unknown (budget exceeded)\n")
+    exhausted = dict(proved, code=2, out="",
+                     err="error: BudgetExhausted: forcing budget exhausted (at index 30)\n")
+    refuted = dict(proved, code=1, out="Refuted at index 1: 1 != 2\n")
+    assert upgrade(unknown, proved) and upgrade(exhausted, proved)
+    assert not upgrade(proved, unknown) and not upgrade(refuted, proved)
+    assert not upgrade(unknown, refuted) and not upgrade(proved, proved)
+    assert not upgrade(dict(unknown, argv=["check"]), dict(proved, argv=["check"]))
+    # an equiv that ran out of budget and one that printed Unknown both
+    # prove now; a third run changed in another way
+    argv = ("equiv", corpus("catalan.sde") + "#s", corpus("catalan.sde") + "#s")
+    recorded = [cli_parity.run_one(argv + ("--prefix", "0")) for _ in range(2)]
+    recorded.append(cli_parity.run_one(("solve", corpus("ones.sde") + "#s", "-n", "3")))
+    recorded[0].update(code=2, out="", err=exhausted["err"])
+    recorded[1].update(code=2, out=unknown["out"])
+    recorded[2]["out"] += "changed\n"
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(recorded))
+    assert cli_parity.main(["compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-7:] == [
+        "    0  differ only by an earlier BudgetExhausted index",
+        "    0  differ only by a later BudgetExhausted index",
+        "    2  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
+        "    1  differ in any other way",
+        "    2  equiv  catalan.sde  --prefix 0",
         "    1  solve  ones.sde  -n 3",
         "3 of 3 recorded runs differ"]
 

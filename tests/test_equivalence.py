@@ -9,7 +9,7 @@ import pytest
 from conftest import Q, prefix, rand_ratexpr, seeded
 from streamcalc import Poly, RatExpr, bounded_eq, parse, ratexpr_normalize
 from streamcalc.algebra import get_algebra, gf
-from streamcalc.errors import SpecError, UnsupportedOp, UsageError
+from streamcalc.errors import BudgetExhausted, SpecError, UnsupportedOp, UsageError
 from streamcalc import calculus, equivalence, gsos
 from streamcalc.equivalence import (
     COMMUTATIVE_OPS,
@@ -1131,3 +1131,127 @@ class TestDecide:
             decide(side(text, "x"), side(other, "x"), "nosuch", 64, 10_000)
         with pytest.raises(UsageError, match="'nosuch' is no operation"):
             decide(side(text, "x"), side(text, "x"), "nosuch", 64, 10_000)
+
+
+def matched(result):
+    """Whether a Proved result comes from the match of the two systems'
+    right-hand sides: its discharge is the hypothesis of the roots (the
+    search's is so only where each root is its own derivative)."""
+    cert = result.certificate
+    return isinstance(cert, equivalence.UpToCertificate) and cert.discharge == ("hyp",
+                                                                               cert.roots)
+
+
+def relation(result):
+    return [line.strip() for line in result.certificate.render()[1:]]
+
+
+class TestMatch:
+    """Before the up-to search, `equiv_up_to` matches the right-hand sides of
+    the two systems `decide` loaded, and proves a pair whose unknowns they
+    relate; anything else goes to the search unchanged."""
+
+    CATALAN = "algebra Q; s(0) = 1; s' = s*s;"
+
+    def test_a_relation_that_is_no_bijection(self):
+        # s' = s*s against c' = c*d, d' = d*d: s is related to c and to d
+        other = "algebra Q; c(0) = 1; c' = c*d; d(0) = 1; d' = d*d;"
+        result = decide(side(self.CATALAN, "s"), side(other, "c"), None, 0, 10_000)
+        assert matched(result) and verify_certificate(result)
+        assert relation(result) == ["s  ~  c", "s  ~  d"]
+        assert result.certificate.ops_used == {"*"}
+
+    def test_a_deeper_head_mismatch_refutes_at_the_same_index(self):
+        # the roots' heads agree, the unknowns their right-hand sides name
+        # do not: the match fails there and the scan or the search refutes
+        left = side("algebra Z; x(0) = 0; x' = y; y(0) = 1; y' = y;", "x")
+        right = side("algebra Z; u(0) = 0; u' = v; v(0) = 2; v' = v;", "u")
+        for prefix in (64, 0):
+            assert decide(left, right, None, prefix, 10_000) == Refuted(1, 1, 2)
+
+    def test_minus_outside_up_to_is_not_crossed(self):
+        # the zero stream, renamed; --up-to +,*,X leaves - to no one
+        rhs = "2*{0} + {0} - 1*{0}*{0}"
+        left = side(f"algebra Q; x(0) = 0; x' = {rhs.format('x')};", "x")
+        right = side(f"algebra Q; y(0) = 0; y' = {rhs.format('y')};", "y")
+        assert decide(left, right, "+,*,X", 0, 100) == Unknown(100, "state depth exceeded")
+        result = decide(left, right, None, 0, 100)
+        assert matched(result) and verify_certificate(result)
+        assert result.certificate.ops_used == {"+", "-", "*"}
+
+    def test_minus_without_negation_is_not_crossed(self):
+        # s'' = -s: over Nat the search computes the stream and fails
+        engine, pairs = TestPartialOperations.alternating("Nat")
+        with pytest.raises(UnsupportedOp, match="Nat has no negation"):
+            equiv_up_to(*pairs[0], engine=engine, unknowns={*pairs[0], *pairs[1]})
+        engine, pairs = TestPartialOperations.alternating("Z")
+        result = equiv_up_to(*pairs[0], engine=engine, unknowns={*pairs[0], *pairs[1]})
+        assert matched(result) and verify_certificate(result)
+
+    def test_partial_operations_and_definitions_keep_the_search(self):
+        # sqrt, inv and a user definition are never crossed
+        sqrt = side("algebra Q; x(0) = 0; x' = sqrt(x);", "x")
+        result = decide(sqrt, sqrt, None, 0, 10_000)
+        assert not matched(result) and verify_certificate(result)
+        assert result.certificate.render()[0] == (
+            "certificate (bisimulation-up-to, user signature):")
+        inv = side("algebra Q; x(0) = 1; x' = x + inv(x);", "x")
+        with pytest.raises(BudgetExhausted, match=r"at index 30\)"):
+            decide(inv, inv, None, 64, 10_000)
+        result = decide(inv, inv, None, 0, 10_000)
+        assert not matched(result) and verify_certificate(result)
+        defined = side("algebra Z; def f(a) { out = a(0); deriv = f(a'); } "
+                       "x(0) = 1; x' = f(x);", "x")
+        result = decide(defined, defined, None, 0, 10_000)
+        assert not matched(result) and verify_certificate(result)
+
+    def test_swapped_summands_are_proved_by_the_search(self):
+        left = side("algebra Z; x(0) = 1; x' = x + X;", "x")
+        right = side("algebra Z; u(0) = 1; u' = X + u;", "u")
+        result = decide(left, right, None, 64, 10_000)
+        assert not matched(result) and verify_certificate(result)
+        assert relation(result) == ["x  ~  u"]
+
+    def test_catalan_against_itself_is_matched_after_the_scan(self, monkeypatch):
+        # the default scan still runs out of budget first
+        catalan = side(self.CATALAN, "s")
+        with pytest.raises(BudgetExhausted, match=r"at index 30\)"):
+            decide(catalan, catalan, None, 64, 10_000)
+        monkeypatch.setattr(equivalence, "_closure_membership", None)  # no search
+        result = decide(catalan, catalan, None, 0, 10_000)
+        assert matched(result) and verify_certificate(result)
+        assert relation(result) == ["s  ~  s#b"]
+
+    def test_without_unknowns_only_the_search_runs(self, monkeypatch):
+        # the three-unknown Bool sums against a copy with permuted names
+        text = ("algebra Bool; a0(0) = 1; a0' = a0 + a1 + a2; a1(0) = 0; a1' = a1 + a2;"
+                " a2(0) = 1; a2' = a0 + a1 + a2;")
+        names = {"a0": "b2", "a1": "b0", "a2": "b1"}
+        engine = Engine(get_algebra("Bool"))
+        system = parse(text).system
+        left, right = load_system(engine, system), load_system(engine, system, names)
+        roots = left["a0"], right["a0"]
+        assert_same_search(monkeypatch, engine, *roots, 10, None)
+        assert equiv_up_to(*roots, engine=engine, budget=10) == Unknown(10)
+        result = equiv_up_to(*roots, engine=engine, budget=10,
+                             unknowns={*left.values(), *right.values()})
+        assert matched(result) and verify_certificate(result)
+        assert relation(result) == ["a0  ~  b2", "a1  ~  b0", "a2  ~  b1"]
+
+    @pytest.mark.parametrize("make", [renamed_pair, chain_pair, rewrite_pair, linear_pair])
+    @pytest.mark.parametrize("alg", sorted(UPTO_ALGEBRAS))
+    def test_a_match_relates_equal_streams(self, make, alg):
+        # renamed copies always match, the rewritten and delayed ones never
+        rng = seeded(f"match:{make.__name__}:{alg}")
+        for _ in range(6):
+            (ha, ra, va), (hb, rb, vb) = make(rng, alg)
+            engine = Engine(parse(f"algebra {alg};").algebra)
+            left = load_system(engine, parse(system_text(alg, ha, ra)).system)
+            right = load_system(engine, parse(system_text(alg, hb, rb)).system)
+            roots = left[va], right[vb]
+            cert = equivalence._match_systems(engine, *roots, {*left.values(),
+                                                                *right.values()}, None)
+            assert (cert is not None) is (make in (renamed_pair, linear_pair))
+            if cert is not None:
+                assert verify_certificate(Proved(cert))
+                assert isinstance(bounded_eq(*map(engine.behaviour, roots), 20), Equal)

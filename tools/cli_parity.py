@@ -30,7 +30,9 @@ recorded as its class and message.  `compare` repeats the recorded
 runs, each twice in a row, prints each one whose first answer differs
 from the record or whose second differs from its first, then how many
 of them differ only in that BudgetExhausted comes at an earlier index,
-how many only in that it comes at a later one, and how many differ in
+how many only in that it comes at a later one, how many only in a
+verdict upgrade (an `equiv` that printed Unknown or ended in
+BudgetExhausted now prints Proved), and how many differ in
 any other way, the number of them per command, spec
 file and flags (the --algebra override aside), and their total, and
 exits 1 if any differs.  cli.run keeps the parsed form of recent spec
@@ -172,6 +174,14 @@ def earlier_budget_index(old, new):
     return later_budget_index(new, old)
 
 
+def verdict_upgrade(old, new):
+    """Whether a run's new answer is an `equiv` proof where the recorded
+    one was Unknown or ended in BudgetExhausted."""
+    return (old["argv"][0] == "equiv" and new["code"] == 0
+            and new["out"].startswith("Proved\n")
+            and (old["out"].startswith("Unknown (") or "BudgetExhausted" in old["err"]))
+
+
 def group(argv):
     """The command, spec file name and flags of a run's argv, without
     its --algebra override."""
@@ -204,9 +214,12 @@ def main(argv=None):
         print(json.dumps({"was": old, "now": new}))
     earlier = sum(earlier_budget_index(old, new) for old, new in diffs)
     later = sum(later_budget_index(old, new) for old, new in diffs)
+    upgraded = sum(verdict_upgrade(old, new) for old, new in diffs)
     print(f"{earlier:5d}  differ only by an earlier BudgetExhausted index")
     print(f"{later:5d}  differ only by a later BudgetExhausted index")
-    print(f"{len(diffs) - earlier - later:5d}  differ in any other way")
+    print(f"{upgraded:5d}  differ only by a verdict upgrade (Unknown or "
+          "BudgetExhausted to Proved)")
+    print(f"{len(diffs) - earlier - later - upgraded:5d}  differ in any other way")
     groups = collections.Counter(group(old["argv"]) for old, _ in diffs)
     for key, count in sorted(groups.items(), key=lambda item: (-item[1], item[0])):
         print(f"{count:5d}  " + "  ".join(filter(None, key)))
