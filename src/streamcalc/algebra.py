@@ -239,6 +239,18 @@ def _parse_int(text):
 
 
 def _parse_q(text):
+    # d or d/d in ASCII digits, as a spec writes its literals, is built from
+    # its integers, about three times as fast as by Fraction's regex;
+    # isascii() as well, since '²'.isdigit() is true
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        try:
+            num, den = int(num), int(den) if slash else 1
+        except ValueError:  # beyond the digit limit
+            pass
+        else:
+            if den:
+                return Fraction(num, den)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -263,7 +275,7 @@ _Q = Algebra(
     sqrt=_q_sqrt,
     lt=lambda a, b: a < b,
     coerce=_q_coerce,
-    parse=lambda t: _q_coerce(_parse_q(t)),
+    parse=_parse_q,
     fmt=format_fraction,
     characteristic=0,
     sample=_q_sample,
@@ -358,7 +370,7 @@ def _trop_coerce(x):
 def _trop_parse(text):
     if text == "inf":
         return INF
-    return _q_coerce(_parse_q(text))
+    return _parse_q(text)
 
 
 def _trop_dot(xs, ys, weights=None):

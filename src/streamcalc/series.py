@@ -11,9 +11,13 @@ combination, a sum of terms each maybe negated or with a literal factor
 [c] or -[c], is one node.  A coefficient is computed once, when it is
 first demanded, and charges the observation budget once; a literal
 factor charges nothing of its own.  A coefficient of a convolution
-(`*`, `inv`) or a shuffle is one call of the algebra's fused sum of products,
-alg.dot; the shuffle's binomial weights are plain integers, reduced mod
-p in characteristic p.  `operation` makes the node of one builtin;
+(`*`, `inv`), of a shuffle, or of a linear combination of two or more
+terms one of which has a literal factor is one call of the algebra's
+fused sum of products, alg.dot; the shuffle's binomial weights are
+plain integers, reduced mod p in characteristic p, and the
+combination's are algebra elements that the plan holds.  Other
+combinations, unscaled sums and c*x, add term by term, which is faster
+there.  `operation` makes the node of one builtin;
 the `calculus` operations are such nodes over Leaf nodes, which read
 streams in order.
 
@@ -21,7 +25,8 @@ A system is solved in two steps.  `compile_plan`, a pure function of
 the system, walks the right-hand sides once, gives equal subterms one
 slot, and returns an immutable Plan: the unknowns' heads, then a flat
 tuple of steps, each a node kind, its payload (a constant, or a linear
-combination's scalars and negation flags) and its child slots.
+combination's scalars and negation flags and its alg.dot weights) and
+its child slots.
 `solve_by_coefficients` makes fresh nodes from a plan in one pass that
 hashes no term.  A caller that sees a system again can keep its plan
 (cli keeps one per cached spec text) and pay for the walk once; no
@@ -168,16 +173,23 @@ class _X(_Node):
 
 
 class _Linear(_Node):
-    """The sum of (node, scalar or None, negated) terms: each value is
-    multiplied by the scalar, then negated, then added, in term order."""
+    """The sum of (node, scalar or None, negated) terms.  With `weights`,
+    one algebra element per term, a coefficient is alg.dot of the weights
+    and the nodes' coefficients, demanded in term order; without, each
+    value is multiplied by the scalar, then negated, then added, in term
+    order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "weights", "nodes")
 
-    def __init__(self, alg, weights, *nodes):
+    def __init__(self, alg, terms, weights, *nodes):
         super().__init__(alg)
-        self.terms = tuple((node, c, negated) for node, (c, negated) in zip(nodes, weights))
+        self.weights, self.nodes = weights, nodes
+        self.terms = None if weights is not None else tuple(
+            (node, c, negated) for node, (c, negated) in zip(nodes, terms))
 
     def compute(self, n):
+        if self.weights is not None:
+            return self.alg.dot(self.weights, [node.get(n) for node in self.nodes])
         alg = self.alg
         acc = None
         for node, c, negated in self.terms:
@@ -385,13 +397,13 @@ def operation(alg, symbol, args):
     and unary `-`, and a product with a Constant factor are one
     _Linear node, the Constant's value its scalar."""
     if symbol in ("+", "-") and len(args) == 2:
-        return _Linear(alg, ((None, False), (None, symbol == "-")), *args)
+        return _Linear(alg, ((None, False), (None, symbol == "-")), None, *args)
     if symbol == "-" and len(args) == 1:
-        return _Linear(alg, ((None, True),), *args)
+        return _Linear(alg, ((None, True),), None, *args)
     if symbol == "*" and len(args) == 2:
         for c, other in ((args[0], args[1]), (args[1], args[0])):
             if type(c) is Constant:
-                return _Linear(alg, ((c.value, False),), other)
+                return _Linear(alg, ((c.value, False),), None, other)
     kind = _OPERATIONS.get((symbol, len(args)))
     # with no engine, an operation that is no builtin is refused
     return kind(alg, *args) if kind else _application(None, symbol, *args)
@@ -435,13 +447,14 @@ class _Compiler:
         elif self._literal(term):
             found = self._step(Constant, (self._value(term),))
         elif (parts := summands(term)) is not None or self._split(term, False):
-            weights, children = [], []
+            terms, children = [], []
             for s, negated in parts or ((term, False),):
                 before, t, after, negated = self._split(s, negated) or (None, s, None, negated)
                 c = self._value(before) if before else None  # coerced left to right
                 children.append(self.slot(t))
-                weights.append((self._value(after) if after else c, negated))
-            found = self._step(_Linear, (tuple(weights),), tuple(children))
+                terms.append((self._value(after) if after else c, negated))
+            found = self._step(_Linear, (tuple(terms), self._dot_weights(terms)),
+                               tuple(children))
         elif isinstance(term, OpApp):
             children = tuple(map(self.slot, term.args))
             kind = _OPERATIONS.get((term.symbol, len(children)))
@@ -455,6 +468,23 @@ class _Compiler:
     def _step(self, kind, payload, children=()):
         self.steps.append((kind, payload, children))
         return len(self.unknowns) + len(self.steps) - 1
+
+    def _dot_weights(self, terms):
+        """The alg.dot weights of a combination of two or more terms, one
+        of them with a literal factor: each term's scalar, or one, negated
+        where the term is.  None for any other combination, and where the
+        algebra cannot negate a negated term: the add chain refuses it
+        once it has demanded that term's coefficient."""
+        alg = self.alg
+        if len(terms) < 2 or all(c is None for c, _ in terms):
+            return None
+        if alg.neg is None and any(negated for _, negated in terms):
+            return None
+        weights = []
+        for c, negated in terms:
+            w = alg.one if c is None else c
+            weights.append(alg.neg(w) if negated else w)
+        return tuple(weights)
 
     def _literal(self, term):
         """Whether `term` is a literal: [c], or -[c] over an algebra with

@@ -57,7 +57,7 @@ def automaton_of_simple(sys):
         raise UnsupportedOp("not a simple system")
     successors = {}
     for v in sys.variables:
-        ((successor,),) = speclang.as_polynomial(sys.rhs[v], sys.algebra)
+        ((successor,),) = sys.polynomials[v]
         successors[v] = successor
     return SimpleAutomaton(sys.algebra, dict(sys.heads), successors)
 
@@ -141,7 +141,7 @@ def linear_system_of(sys):
     rows = []
     heads = []
     for v in sys.variables:
-        poly = speclang.as_polynomial(sys.rhs[v], alg)
+        poly = sys.polynomials[v]
         if poly is None or poly is speclang.UNEXPANDED or not all(
                 map(speclang.is_single_unknown, poly)):
             raise UnsupportedOp(f"equation for {v!r} is not linear")
@@ -345,7 +345,7 @@ def context_free_system_of(sys):
     alg = sys.algebra
     d = {}
     for v in sys.variables:
-        poly = speclang.as_polynomial(sys.rhs[v], alg)
+        poly = sys.polynomials[v]
         if poly is None:
             raise UnsupportedOp(f"equation for {v!r} is not context-free")
         if poly is speclang.UNEXPANDED:

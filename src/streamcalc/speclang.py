@@ -26,12 +26,14 @@ strictly higher order (so `c' = c';` is rejected outright).
 
 `classify` reads a system's format from its equations (even-odd,
 non-standard) or else from its right-hand sides, each read once as a
-polynomial in the unknowns and X (`as_polynomial`).
+polynomial in the unknowns and X (`as_polynomial`): the system keeps
+that reading, `EquationSystem.polynomials`, for the readers in solvers.
 """
 
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import get_algebra, rationals
 from .errors import (
@@ -265,6 +267,11 @@ class EquationSystem:
                 and self.rhs == other.rhs
                 and self.evens == other.evens
                 and self.odds == other.odds)
+
+    @cached_property
+    def polynomials(self):
+        """as_polynomial of each right-hand side, by unknown, read on first use."""
+        return {v: as_polynomial(t, self.algebra) for v, t in self.rhs.items()}
 
 
 @dataclass
@@ -1222,7 +1229,7 @@ def classify(sys):
     if sys.tail_op != "tail":
         return Kind.NONSTD
     alg = sys.algebra
-    polys = [as_polynomial(t, alg) for t in sys.rhs.values()]
+    polys = sys.polynomials.values()
     if any(p is None for p in polys):
         return Kind.GENERAL
     if any(p is UNEXPANDED for p in polys) or not all(

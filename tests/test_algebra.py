@@ -1,6 +1,8 @@
 """Coefficient domains, polynomials, rational expressions, elimination."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -332,6 +334,33 @@ def test_exact_values_beyond_the_str_digit_limit():
         Z.parse("1/" + "3" * 5000)
     with pytest.raises(AlgebraMismatch, match="bad rational literal"):
         Q.parse("1/" + "0" * 5000)
+
+
+@pytest.mark.parametrize("alg", [Q, get_algebra("Tropical")], ids=["Q", "Tropical"])
+def test_digit_literals_read_from_their_integers(alg):
+    # d and d/d in ASCII digits are built from their integers, and agree
+    # with Fraction's own reading of the text
+    for text in ("0", "007/010", "0/5", "12345/6789", "3", "4/6"):
+        value = alg.parse(text)
+        assert type(value) is Fraction and value == Fraction(text), text
+    # everything else keeps its value or its error
+    long = "7" * 5000
+    assert alg.parse(long) == int(Decimal(long))
+    assert alg.parse("1/" + long) == Fraction(1, int(Decimal(long)))
+    for text in ("1/0", "\u00b2", "1/\u00b2", "3/", "/3", "", "1/-2"):
+        with pytest.raises(AlgebraMismatch, match=re.escape(f"bad rational literal {text!r}")):
+            alg.parse(text)
+    assert alg.parse("\u0661\u0662/\u0663") == Fraction(4)  # Arabic-Indic digits 12/3
+    assert alg.parse("-2/4") == Fraction(-1, 2) and alg.parse("0.5") == Fraction(1, 2)
+
+
+def test_bbin_arguments_read_as_before():
+    from test_cli import invoke
+
+    assert invoke("bbin", "3/7", "-n", "16") == (0, "1 0 1 0 0 1 0 0 1 0 0 1 0 0 1 0\n", "")
+    assert invoke("bbin", "0.5") == (
+        1, "", "error: EvenDenominator: 1/2 has an even denominator\n")
+    assert invoke("bbin", "1/0") == (3, "", "error: usage: '1/0' is not a rational number\n")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import pytest
 
 from conftest import seeded
 from streamcalc import gsos, parse, series, solvers
-from streamcalc.algebra import get_algebra
+from streamcalc.algebra import INF, get_algebra
 from streamcalc.automatic import value_at
 from streamcalc.errors import (
     BudgetExhausted,
@@ -702,10 +702,12 @@ def test_a_linear_right_hand_side_is_one_step():
         "z(0) = 0; z' = -2/3*x + -y - -(1/2);").system)
     # no Constant step is made for a fused literal
     assert [(kind.__name__, payload, children) for kind, payload, children in plan.steps] == [
-        ("_Linear", (((Fraction(2), False), (Fraction(3), True), (None, False)),), (0, 1, 2)),
-        ("_Linear", (((Fraction(5), False),),), (1,)),
+        ("_Linear", (((Fraction(2), False), (Fraction(3), True), (None, False)),
+                     (Fraction(2), Fraction(-3), Fraction(1))), (0, 1, 2)),
+        ("_Linear", (((Fraction(5), False),), None), (1,)),
         ("Constant", (Fraction(-1, 2),), ()),
-        ("_Linear", (((Fraction(-2, 3), False), (None, True), (None, True)),), (0, 1, 5)),
+        ("_Linear", (((Fraction(-2, 3), False), (None, True), (None, True)),
+                     (Fraction(-2, 3), Fraction(-1), Fraction(-1))), (0, 1, 5)),
     ]
     # -2/3*x is a scalar, not the convolution of -[2/3] and x
     for text in ("x' = -2/3*x;", "x' = x*-2/3;", "x' = -(2/3*x);", "x' = 1 - -2/3*x;"):
@@ -715,6 +717,138 @@ def test_a_linear_right_hand_side_is_one_step():
     # without a negation -[2] stays a negation under a convolution
     steps = series.compile_plan(parse("algebra Nat; x(0) = 1; x' = -2*x;").system).steps
     assert [kind.__name__ for kind, _, _ in steps] == ["Constant", "_Linear", "_Mul"]
+
+
+class _Logged(series._Node):
+    """Given coefficients, each computed one logged as (name, index)."""
+
+    __slots__ = ("name", "values", "log")
+
+    def __init__(self, alg, name, values, log):
+        super().__init__(alg)
+        self.name, self.values, self.log = name, values, log
+
+    def compute(self, n):
+        self.log.append((self.name, n))
+        return self.values[n]
+
+
+class _TermByTerm(series._Node):
+    """The reference of a linear combination of (node, scalar or None,
+    negated) terms: each term's coefficient demanded, multiplied by its
+    scalar, negated and added, one term after the other."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, alg, terms):
+        super().__init__(alg)
+        self.terms = terms
+
+    def compute(self, n):
+        alg, total = self.alg, None
+        for node, c, negated in self.terms:
+            value = node.get(n)
+            if c is not None:
+                value = alg.mul(c, value)
+            if negated:
+                if alg.neg is None:
+                    raise UnsupportedOp(f"{alg.name} has no negation")
+                value = alg.neg(value)
+            total = value if total is None else alg.add(total, value)
+        return total
+
+
+def _random_combination(rng, alg, names):
+    """A Sum of two to five terms c*v, v*c or v, each maybe negated, at
+    least one with a literal factor c, written -[c] for some c over an
+    algebra with negation; and its terms as (name, scalar or None, negated)."""
+    count = rng.randint(2, 5)
+    scaled = {rng.randrange(count)} | {i for i in range(count) if rng.random() < 0.5}
+    summands, terms = [], []
+    for i in range(count):
+        var, negated, c = Var(rng.choice(names)), rng.random() < 0.3, None
+        term = var
+        if i in scaled:
+            c = alg.sample(rng)
+            literal = Const(HLit(c))
+            if alg.neg is not None and rng.random() < 0.3:
+                literal, c = OpApp("-", (literal,)), alg.neg(c)
+            term = OpApp("*", (literal, var) if rng.random() < 0.5 else (var, literal))
+        summands.append((term, negated))
+        terms.append((var.name, c, negated))
+    return Sum(tuple(summands)), terms
+
+
+def _observe_node(node, log, count, budget):
+    try:
+        values = take(series.node_stream(node), count, budget)
+    except BudgetExhausted as err:
+        return ("BudgetExhausted", err.index), log
+    except UnsupportedOp as err:
+        return ("UnsupportedOp", str(err)), log
+    return ("ok", [(type(v), v) for v in values]), log
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_fused_combinations_match_the_term_by_term_sum(alg_name):
+    # a combination of two or more terms with a literal factor is one
+    # alg.dot per coefficient; against the sum written out term by term it
+    # gives the same values of the same types (the True/False singletons,
+    # Tropical's inf), refuses a negated term over an algebra without
+    # negation after the same demands, and stops at the same budget index
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-fused:{alg_name}")
+    names = ("y0", "y1", "y2")
+    count = 12
+    seen = set()
+    for _ in range(60):
+        term, terms = _random_combination(rng, alg, names)
+        values = {v: [alg.sample(rng) for _ in range(count)] for v in names}
+        if alg_name == "Tropical" and rng.random() < 0.3:
+            values["y0"] = [INF] * count
+        budget = rng.choice((None, rng.randrange(1, 3 * count)))
+        compiler = series._Compiler(alg, names)
+        compiler.slot(term)
+        (kind, payload, children), = compiler.steps
+        assert kind is series._Linear
+        fused = payload[1] is not None
+        assert fused == (alg.neg is not None or not any(neg for _, _, neg in terms)), terms
+        log = []
+        leaves = [_Logged(alg, v, values[v], log) for v in names]
+        got = _observe_node(kind(alg, *payload, *(leaves[i] for i in children)), log,
+                            count, budget)
+        log = []
+        leaves = {v: _Logged(alg, v, values[v], log) for v in names}
+        reference = _TermByTerm(alg, tuple((leaves[v], c, neg) for v, c, neg in terms))
+        want = _observe_node(reference, log, count, budget)
+        assert got == want, (term, values, budget)
+        (outcome, detail), _ = got
+        if outcome == "ok":
+            last = detail[-1][1]
+            seen.add(("ok", fused, last is True or last is False, last == INF))
+        else:
+            seen.add((outcome, fused))
+    assert ("BudgetExhausted", True) in seen
+    assert any(s[:2] == ("ok", True) for s in seen)
+    if alg.neg is None:
+        assert ("UnsupportedOp", False) in seen
+    if alg_name == "Bool":
+        assert ("ok", True, True, False) in seen
+    if alg_name == "Tropical":
+        assert ("ok", True, False, True) in seen
+
+
+def test_fused_combinations_over_q_sum_mixed_denominators():
+    sys_ = parse("algebra Q; x(0) = 0; x' = 1/2*a - a*2/3 + -5/7*b + b; "
+                 "a(0) = 1/3; a' = a*3/4; b(0) = 2/5; b' = -1/6*b;").system
+    steps = series.compile_plan(sys_).steps
+    assert steps[0][1][1] == (Fraction(1, 2), Fraction(-2, 3), Fraction(-5, 7), Fraction(1))
+    got = take(series.solve_by_coefficients(sys_)["x"], 8)
+    a = [Fraction(1, 3) * Fraction(3, 4) ** n for n in range(7)]
+    b = [Fraction(2, 5) * Fraction(-1, 6) ** n for n in range(7)]
+    want = [Fraction(0)] + [Fraction(1, 2) * p - Fraction(2, 3) * p - Fraction(5, 7) * q + q
+                            for p, q in zip(a, b)]
+    assert got == want and all(type(v) is Fraction for v in got)
 
 
 def test_coerce_errors_come_left_to_right():
