@@ -126,33 +126,16 @@ def _load(path, algebra_name):
     return _parsed(text, override)
 
 
-class _Loaded:
-    """A parsed spec file and, once a command has asked for them, the
-    format of its system and the `series` plan of its nodes."""
-
-    __slots__ = ("spec", "kind", "plan")
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.kind = None
-        self.plan = None
-
-    def series_plan(self, sys_):
-        # sys_ is spec.system; nothing is kept if compiling raises
-        if self.plan is None:
-            self.plan = series.compile_plan(sys_)
-        return self.plan
-
-
 SPEC_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _parsed(text, override):
-    # parsing, classifying and the series plan are pure functions of the
-    # text and the override, so a text seen again reuses all three;
-    # nothing that raises is kept, and no command changes a parsed spec
-    return _Loaded(speclang.parse(text, algebra=override))
+    # parsing is a pure function of the text and the override, and a
+    # parsed system keeps its format and series plan once read, so a text
+    # seen again reuses all three; nothing that raises is kept, and no
+    # command changes a parsed spec
+    return speclang.parse(text, algebra=override)
 
 
 # file.sde#var: the unknown is the longest suffix after a `#` that is an
@@ -175,20 +158,21 @@ def _system(spec):
     return spec.system
 
 
-def _classify(loaded):
-    if loaded.kind is None:
-        loaded.kind = speclang.classify(_system(loaded.spec))
-    return loaded.kind
-
-
-def _solve_spec(loaded, engine=None):
+def _solve_spec(spec, engine=None):
     """Solution streams of a loaded spec's system, whatever its format; the
     engine of the file's definitions, which refuses an invalid one, applies
     them (a new one unless `engine` is given)."""
-    spec = loaded.spec
     engine = engine or gsos.Engine(spec.algebra, spec.defs)
-    return series.solve_by_coefficients(_system(spec), plan_of=loaded.series_plan,
-                                        engine=engine)
+    return series.solve_by_coefficients(_system(spec), engine=engine)
+
+
+def _stream_of(spec, path, var):
+    """The solution stream of unknown `var` of the system of `spec`, read
+    from the file `path`."""
+    streams = _solve_spec(spec)
+    if var not in streams:
+        raise SpecError(f"no variable {var!r} in {path}")
+    return streams[var]
 
 
 def _format_prefix(alg, values):
@@ -197,23 +181,18 @@ def _format_prefix(alg, values):
 
 def _cmd_solve(args, out):
     path, var = _selector(args.selector)
-    loaded = _load(path, args.algebra)
-    spec = loaded.spec
-    streams = _solve_spec(loaded)
-    if var not in streams:
-        raise SpecError(f"no variable {var!r} in {path}")
-    values = take(streams[var], args.count, args.budget)
+    spec = _load(path, args.algebra)
+    values = take(_stream_of(spec, path, var), args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)
     return EXIT_OK
 
 
 def _cmd_eval(args, out):
-    loaded = _load(args.defs, args.algebra)
-    spec = loaded.spec
+    spec = _load(args.defs, args.algebra)
     term = speclang.parse_term(args.term, spec)
     engine = gsos.Engine(spec.algebra, spec.defs)
     # a system's unknowns are the streams `solve` prints, leaves of the term
-    env = _solve_spec(loaded, engine) if spec.system else None
+    env = _solve_spec(spec, engine) if spec.system else None
     state = engine.from_term(term, env)
     values = take(engine.behaviour(state), args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)
@@ -222,8 +201,9 @@ def _cmd_eval(args, out):
 
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
-    loaded = _load(path, args.algebra)
-    form = equivalence.closed_form(loaded.spec, _classify(loaded), var)
+    spec = _load(path, args.algebra)
+    _system(spec)  # closed_form reads the system's format
+    form = equivalence.closed_form(spec, var)
     if form is None:
         raise SpecError(f"no variable {var!r} in {path}")
     print(format_ratexpr(form), file=out)
@@ -233,17 +213,15 @@ def _cmd_closed_form(args, out):
 def _cmd_equiv(args, out):
     path_a, var_a = _selector(args.left)
     path_b, var_b = _selector(args.right)
-    loaded_a = _load(path_a, args.algebra)
-    loaded_b = _load(path_b, args.algebra)
-    # a file without a system has no format, and decide refuses its unknown
-    sides = [(ld.spec, var, _classify(ld) if ld.spec.system else None)
-             for ld, var in ((loaded_a, var_a), (loaded_b, var_b))]
-    verdict = equivalence.decide(*sides, args.up_to, args.prefix, args.budget)
+    spec_a = _load(path_a, args.algebra)
+    spec_b = _load(path_b, args.algebra)
+    verdict = equivalence.decide((spec_a, var_a, path_a), (spec_b, var_b, path_b),
+                                 args.up_to, args.prefix, args.budget)
     if isinstance(verdict, equivalence.Proved):
         print("Proved", *verdict.certificate.render(), sep="\n", file=out)
         return EXIT_OK
     if isinstance(verdict, equivalence.Refuted):
-        alg = loaded_a.spec.algebra
+        alg = spec_a.algebra
         print(f"Refuted at index {verdict.index}: {alg.fmt(verdict.left)} != "
               f"{alg.fmt(verdict.right)}", file=out)
         return EXIT_REFUTED
@@ -253,14 +231,12 @@ def _cmd_equiv(args, out):
 
 def _cmd_kernel(args, out):
     path, var = _selector(args.selector)
-    loaded = _load(path, args.algebra)
-    streams = _solve_spec(loaded)
-    if var not in streams:
-        raise SpecError(f"no variable {var!r} in {path}")
+    spec = _load(path, args.algebra)
+    stream = _stream_of(spec, path, var)
     # an even-odd stream's kernel is exact: its members are automaton states
-    sys_ = loaded.spec.system
+    sys_ = spec.system
     aut = automatic.compile_evenodd(sys_) if sys_.evens else None
-    result = automatic.kernel2(streams[var], budget=min(args.budget, 512),
+    result = automatic.kernel2(stream, budget=min(args.budget, 512),
                                steps=args.budget, automaton=aut, state=var)
     if isinstance(result, automatic.KernelUnknown):
         print("Unknown (kernel did not close within the budget)", file=out)
@@ -273,19 +249,16 @@ def _cmd_kernel(args, out):
 
 def _cmd_at(args, out):
     path, var = _selector(args.selector)
-    loaded = _load(path, args.algebra)
-    spec = loaded.spec
+    spec = _load(path, args.algebra)
     if args.index < 0:
         raise UsageError("the index must be nonnegative")
-    streams = _solve_spec(loaded)
-    if var not in streams:
-        raise SpecError(f"no variable {var!r} in {path}")
+    stream = _stream_of(spec, path, var)
     if spec.system.evens:
         # bbin indexing on the 2-automaton, in time logarithmic in the index
         aut = automatic.compile_evenodd(spec.system)
         value = automatic.value_at(aut, var, args.index)
     else:
-        value = take(streams[var], args.index + 1, args.budget)[-1]
+        value = take(stream, args.index + 1, args.budget)[-1]
     print(spec.algebra.fmt(value), file=out)
     return EXIT_OK
 
@@ -301,8 +274,7 @@ def _cmd_bbin(args, out):
 
 
 def _cmd_check(args, out):
-    loaded = _load(args.spec, args.algebra)
-    spec = loaded.spec
+    spec = _load(args.spec, args.algebra)
     status = EXIT_OK
     defs = len(spec.defs)
     eqs = len(spec.system.variables) if spec.system else 0
@@ -319,7 +291,7 @@ def _cmd_check(args, out):
     sys_ = spec.system
     if sys_ is None:
         return status
-    kind = _classify(loaded)
+    kind = sys_.kind
     print(f"kind: {kind.value}", file=out)
     if kind is Kind.EVEN_ODD:
         verdict = speclang.check_zero_consistency(sys_)
@@ -329,7 +301,7 @@ def _cmd_check(args, out):
             print(f"zero-consistency: violation at {verdict.state}", file=out)
             return max(status, EXIT_REFUTED)
     try:
-        streams = _solve_spec(loaded)
+        streams = _solve_spec(spec)
     except StreamCalcError as err:
         print(f"solve: failed ({err})", file=out)
         return max(status, EXIT_REFUTED)

@@ -513,10 +513,12 @@ def verify_certificate(result, *roots):
 # Two unknowns of parsed spec files
 
 
-def closed_form(spec, kind, var):
-    """The closed form of unknown `var` of a spec's linear system alone,
-    None if the system has no such unknown; the system's own errors come
-    first, and the engine of the file's definitions refuses an invalid one."""
+def closed_form(spec, var):
+    """The closed form of unknown `var` of the linear system of a spec that
+    has one, None if the system has no such unknown; the system's own
+    errors come first, and the engine of the file's definitions refuses an
+    invalid one."""
+    kind = spec.system.kind
     Engine(spec.algebra, spec.defs)
     if kind not in (Kind.SIMPLE, Kind.LINEAR):
         raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
@@ -544,24 +546,26 @@ def _fresh_names(unknowns, suffix, taken):
 def decide(left, right, up_to, prefix, budget):
     """Proved, Refuted or Unknown for the streams of two unknowns.
 
-    Each side is (spec, var, kind), kind the format of the spec's system
-    (None without one).  Two linear systems over a field compare by closed
-    forms unless `up_to` names congruence operations (comma-separated);
-    else one engine takes both files' definitions and systems, compares
-    `prefix` elements, then matches the two systems' right-hand sides and
-    runs the up-to search with `budget` if they do not match.
+    Each side is (spec, var, path), path naming the spec's file in the
+    error for an unknown its system lacks.  Two linear systems over a
+    field compare by closed forms unless `up_to` names congruence
+    operations (comma-separated); else one engine takes both files'
+    definitions and systems, compares `prefix` elements, then matches the
+    two systems' right-hand sides and runs the up-to search with `budget`
+    if they do not match.
     """
-    (spec_a, var_a, kind_a), (spec_b, var_b, kind_b) = left, right
+    (spec_a, var_a, _), (spec_b, var_b, _) = left, right
     alg = spec_a.algebra
     if alg is not spec_b.algebra:
         raise UnsupportedOp("the two specifications use different algebras")
-    for spec, var, _ in (left, right):
+    for spec, var, path in (left, right):
         if spec.system is None or var not in spec.system.variables:
-            raise SpecError(f"no variable {var!r}")
+            raise SpecError(f"no variable {var!r} in {path}")
+    sys_a, sys_b = spec_a.system, spec_b.system
     linear = (Kind.SIMPLE, Kind.LINEAR)
-    if kind_a in linear and kind_b in linear and alg.kind == "field" and up_to is None:
-        return equiv_rational(closed_form(spec_a, kind_a, var_a),
-                              closed_form(spec_b, kind_b, var_b))
+    if (sys_a.kind in linear and sys_b.kind in linear and alg.kind == "field"
+            and up_to is None):
+        return equiv_rational(closed_form(spec_a, var_a), closed_form(spec_b, var_b))
     defs = dict(spec_a.defs)
     for name, d in spec_b.defs.items():
         if name in defs and defs[name] != d:
@@ -578,7 +582,6 @@ def decide(left, right, up_to, prefix, budget):
     # definitions enters the engine with its unknowns named apart, by names
     # free in both files, the right side's ending in #b and the left
     # side's in #a
-    sys_a, sys_b = spec_a.system, spec_b.system
     taken = {*sys_a.variables, *sys_b.variables, *defs}
     names_a = names_b = None
     if not {*sys_a.variables, *spec_a.defs}.isdisjoint(sys_b.variables):

@@ -28,9 +28,9 @@ tuple of steps, each a node kind, its payload (a constant, or a linear
 combination's scalars and negation flags and its alg.dot weights) and
 its child slots.
 `solve_by_coefficients` makes fresh nodes from a plan in one pass that
-hashes no term.  A caller that sees a system again can keep its plan
-(cli keeps one per cached spec text) and pay for the walk once; no
-coefficient, busy flag or budget charge is shared between two calls.
+hashes no term.  The system keeps its plan (`EquationSystem.plan`), so
+a system solved again pays for the walk once; no coefficient, busy flag
+or budget charge is shared between two calls.
 
 The nodes observe the GSOS engine (gsos.py) wherever it answers:
 
@@ -578,7 +578,7 @@ def node_stream(node, n=0):
     return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
 
 
-def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None, engine=None):
+def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
     """Solution streams of a system, one per unknown.
 
     The system's tail operation gives the successor rule of every
@@ -587,12 +587,11 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None, engine=None)
     an algebra the tail operation cannot run in with UnsupportedOp, then
     the errors of `compile_plan`, and a zero-inconsistent even-odd
     system with NotZeroConsistent; every other error surfaces when the
-    returned streams are observed.  `plan_of(sys_)` gives the system's
-    Plan, compile_plan by default; a caller that keeps plans passes its
-    own.  It is called after the successor rule is checked, so that
-    refusal comes first, and the nodes are made afresh from the plan on
-    every call.  `engine`, a gsos.Engine of the system's definitions,
-    applies them; without one an application is an UnsupportedOp.
+    returned streams are observed.  The system's Plan, `sys_.plan`, is
+    read after the successor rule is checked, so that refusal comes
+    first, and the nodes are made afresh from the plan on every call.
+    `engine`, a gsos.Engine of the system's definitions, applies them;
+    without one an application is an UnsupportedOp.
     """
     alg = sys_.algebra
     if sys_.evens:
@@ -600,7 +599,7 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, plan_of=None, engine=None)
         nodes = even_odd_nodes(alg, sys_.heads, sys_.evens, sys_.odds)
         return {v: node_stream(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)
-    plan = (plan_of or compile_plan)(sys_)
+    plan = sys_.plan
     nodes = _instantiate(plan, alg, successor, engine)
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed

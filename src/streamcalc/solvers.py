@@ -53,7 +53,7 @@ class SimpleAutomaton:
 
 
 def automaton_of_simple(sys):
-    if speclang.classify(sys) is not speclang.Kind.SIMPLE:
+    if sys.kind is not speclang.Kind.SIMPLE:
         raise UnsupportedOp("not a simple system")
     successors = {}
     for v in sys.variables:

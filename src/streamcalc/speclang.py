@@ -26,8 +26,10 @@ strictly higher order (so `c' = c';` is rejected outright).
 
 `classify` reads a system's format from its equations (even-odd,
 non-standard) or else from its right-hand sides, each read once as a
-polynomial in the unknowns and X (`as_polynomial`): the system keeps
-that reading, `EquationSystem.polynomials`, for the readers in solvers.
+polynomial in the unknowns and X (`as_polynomial`).  A parsed system
+keeps each reading of it once made: that polynomial reading
+(`EquationSystem.polynomials`, for the readers in solvers), its format
+(`EquationSystem.kind`) and its `series` plan (`EquationSystem.plan`).
 """
 
 import enum
@@ -272,6 +274,20 @@ class EquationSystem:
     def polynomials(self):
         """as_polynomial of each right-hand side, by unknown, read on first use."""
         return {v: as_polynomial(t, self.algebra) for v, t in self.rhs.items()}
+
+    @cached_property
+    def kind(self):
+        """classify of the system, read on first use."""
+        return classify(self)
+
+    @cached_property
+    def plan(self):
+        """series.compile_plan of the system, compiled on first use and not
+        kept if it raises.  series imports this module, so it is imported
+        here, when a system is first solved."""
+        from . import series
+
+        return series.compile_plan(self)
 
 
 @dataclass
@@ -1092,12 +1108,11 @@ def eval_headexpr(expr, heads, alg):
             return alg.add(*args)
         if expr.op == "*":
             return alg.mul(*args)
-        if expr.op == "-":
-            return alg.sub(*args)
-        if expr.op == "neg":
+        if expr.op == "-" or expr.op == "neg":
+            # the engine's message for either `-` of a definition's out
             if alg.neg is None:
                 raise UnsupportedOp(f"{alg.name} has no negation")
-            return alg.neg(args[0])
+            return alg.neg(args[0]) if expr.op == "neg" else alg.sub(*args)
         if expr.op == "inv" or expr.op == "sqrt":
             return head_root(expr.op, args[0], alg)
     raise AlgebraMismatch(f"bad head expression {expr!r}")

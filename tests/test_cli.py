@@ -1008,6 +1008,21 @@ class TestNumericFlags:
                       "--budget", "1") == (0, "\n", "")
 
 
+@pytest.mark.parametrize("algebra", ["Nat", "Bool", "Tropical"])
+@pytest.mark.parametrize("text", [
+    "x(0) = 1 - 1;\nx' = x;\n",
+    "x(0) = 1;\nx' = [1 - 1]*x;\n",
+    "def f(a) { out = a(0) - a(0); deriv = f(a'); }\nx(0) = 1;\nx' = f(x);\n",
+])
+def test_subtraction_in_a_head_expression_needs_negation(tmp_path, algebra, text):
+    # the parser folds an initial value and a bracket, the engine a
+    # definition's out, and both refuse `-` with one message
+    path = tmp_path / "sub.sde"
+    path.write_text(f"algebra {algebra};\n{text}")
+    assert invoke("solve", f"{path}#x", "-n", "3") == (
+        1, "", f"error: UnsupportedOp: {algebra} has no negation\n")
+
+
 class TestClosedFormErrorOrder:
     """closed-form computes the selected unknown only, yet a missing
     unknown fails as the whole system did: format, then algebra, then name."""
@@ -1031,7 +1046,7 @@ class TestClosedFormErrorOrder:
         assert invoke("closed-form", path + "#nope") == (
             3, "", f"error: SpecError: no variable 'nope' in {path}\n")
         assert invoke("equiv", path + "#s", path + "#nope") == (
-            3, "", "error: SpecError: no variable 'nope'\n")
+            3, "", f"error: SpecError: no variable 'nope' in {path}\n")
 
     def test_every_unknown_alone(self):
         path = corpus("nth_powers.sde")
@@ -1083,9 +1098,9 @@ class TestEquivCheckOrder:
          (3, "error: usage: [Errno 2] No such file or directory: '{missing_b}'\n")),
         ("z#nope", "q#nope", (),
          (1, "error: UnsupportedOp: the two specifications use different algebras\n")),
-        ("z#nope1", "z#nope2", (), (3, "error: SpecError: no variable 'nope1'\n")),
-        ("nosys#x", "z#x", (), (3, "error: SpecError: no variable 'x'\n")),
-        ("ev_q#nope", "od_q#x", (), (3, "error: SpecError: no variable 'nope'\n")),
+        ("z#nope1", "z#nope2", (), (3, "error: SpecError: no variable 'nope1' in {z}\n")),
+        ("nosys#x", "z#x", (), (3, "error: SpecError: no variable 'x' in {nosys}\n")),
+        ("ev_q#nope", "od_q#x", (), (3, "error: SpecError: no variable 'nope' in {ev_q}\n")),
         ("ev_q#x", "od_q#x", (), _violation("ev")),
         ("q#x", "od_q#x", (), _violation("od")),
         ("f1#x", "f2#x", ("--up-to", "nosuch"),
@@ -1108,7 +1123,7 @@ class TestEquivCheckOrder:
             return f"{paths[name]}#{var}" if hashed else side
 
         code, err = expected
-        err = err.format(**{name: paths[name] for name in ("missing_a", "missing_b")})
+        err = err.format(**paths)
         assert invoke("equiv", argument(left), argument(right), *flags) == (code, "", err)
 
 
@@ -1404,9 +1419,9 @@ class TestSpecCache:
                 except StreamCalcError:
                     continue
                 loaded = cli._load(str(path), name)
-                assert loaded.spec == fresh, path.name
+                assert loaded == fresh, path.name
                 if fresh.system is not None:
-                    assert loaded.kind is speclang.classify(fresh.system)
+                    assert loaded.system.kind is speclang.classify(fresh.system)
         assert cache.cache_info().misses == parsed  # every entry was still kept
 
 

@@ -37,7 +37,7 @@ from streamcalc.solvers import (
     ratexpr_stream,
     solve_linear_matrix,
 )
-from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Var, classify
+from streamcalc.speclang import Const, EquationSystem, HLit, OpApp, Var
 from streamcalc.stream import Differ, Equal
 
 
@@ -1067,9 +1067,8 @@ class TestPartialOperations:
 
 
 def side(text, var):
-    """A side of `decide`: a parsed spec, one of its unknowns and its format."""
-    spec = parse(text)
-    return spec, var, classify(spec.system) if spec.system else None
+    """A side of `decide`: a parsed spec, one of its unknowns and a file name."""
+    return parse(text), var, "spec.sde"
 
 
 class TestDecide:
@@ -1084,8 +1083,8 @@ class TestDecide:
         assert result.certificate.render() == ["closed form: (X)/(1 - X^2)"]
         assert verify_certificate(result)
         # a refutation is equiv_rational's, from the same closed forms
-        spec, _, kind = side(self.FIG1, "x0")
-        forms = [closed_form(spec, kind, var) for var in ("x0", "x1")]
+        spec = parse(self.FIG1)
+        forms = [closed_form(spec, var) for var in ("x0", "x1")]
         assert decide(side(self.FIG1, "x0"), side(self.FIG1, "x1"), None, 64,
                       10_000) == equiv_rational(*forms) == Refuted(0, 0, 1)
 
@@ -1118,6 +1117,24 @@ class TestDecide:
         left = side("s(0) = 1; s' = s + s;", "s")
         right = side("x(0) = 1; x' = 2*x;", "x")
         assert decide(left, right, "", 0, 30) == Unknown(30, "state depth exceeded")
+
+    def test_closed_form_reads_the_format_off_the_spec(self):
+        # Catalan is context-free: refused by its format, before its
+        # right-hand sides are read as a linear system
+        with pytest.raises(UnsupportedOp, match="closed forms need a linear system, "
+                                                 "got context-free"):
+            closed_form(parse("algebra Q; s(0) = 1; s' = s*s;"), "s")
+
+    def test_a_missing_unknown_names_its_file(self):
+        text = "algebra Z; x(0) = 1; x' = x;"
+        for left, right, message in (
+                (("x", "a.sde"), ("nope", "b.sde"), "'nope' in b.sde"),
+                (("nope", "a.sde"), ("x", "b.sde"), "'nope' in a.sde")):
+            with pytest.raises(SpecError, match=f"^no variable {message}$"):
+                decide((parse(text), *left), (parse(text), *right), None, 64, 10_000)
+        with pytest.raises(SpecError, match="^no variable 'x' in defs.sde$"):
+            decide((parse("algebra Z; def f(a) { out = a(0); deriv = f(a'); }"), "x",
+                    "defs.sde"), (parse(text), "x", "b.sde"), None, 64, 10_000)
 
     def test_different_algebras_come_before_a_missing_unknown(self):
         with pytest.raises(UnsupportedOp, match="different algebras"):

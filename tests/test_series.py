@@ -696,6 +696,27 @@ def test_negation_without_a_ring_waits_for_demand(alg_name, c, head, rhs):
         [head], ("UnsupportedOp", f"{alg_name} has no negation", 1))
 
 
+def test_a_system_keeps_its_plan(monkeypatch):
+    # compiled once however often the system is solved; a compile that
+    # raises is not kept, and the next solve compiles again
+    compiled, failures = [], [UnsupportedOp("no plan")]
+    original = series.compile_plan
+
+    def compile_once(sys_):
+        if failures:
+            raise failures.pop()
+        compiled.append(sys_)
+        return original(sys_)
+
+    monkeypatch.setattr(series, "compile_plan", compile_once)
+    sys_ = parse("algebra Z; s(0) = 1; s' = 2*s + X;").system
+    with pytest.raises(UnsupportedOp, match="no plan"):
+        series.solve_by_coefficients(sys_)
+    for _ in range(2):
+        assert take(series.solve_by_coefficients(sys_)["s"], 5) == [1, 2, 5, 10, 20]
+    assert compiled == [sys_]
+
+
 def test_a_linear_right_hand_side_is_one_step():
     plan = series.compile_plan(parse(
         "algebra Q; x(0) = 1; x' = 2*x - 3*y + z; y(0) = 2; y' = y*5; "
