@@ -152,18 +152,12 @@ def _selector(text):
     return match.groups()
 
 
-def _system(spec):
-    if spec.system is None:
-        raise SpecError("the file defines no equation system")
-    return spec.system
-
-
 def _solve_spec(spec, engine=None):
     """Solution streams of a loaded spec's system, whatever its format; the
     engine of the file's definitions, which refuses an invalid one, applies
     them (a new one unless `engine` is given)."""
     engine = engine or gsos.Engine(spec.algebra, spec.defs)
-    return series.solve_by_coefficients(_system(spec), engine=engine)
+    return series.solve_by_coefficients(spec.required_system(), engine=engine)
 
 
 def _stream_of(spec, path, var):
@@ -202,7 +196,6 @@ def _cmd_eval(args, out):
 def _cmd_closed_form(args, out):
     path, var = _selector(args.selector)
     spec = _load(path, args.algebra)
-    _system(spec)  # closed_form reads the system's format
     form = equivalence.closed_form(spec, var)
     if form is None:
         raise SpecError(f"no variable {var!r} in {path}")

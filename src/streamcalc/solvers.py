@@ -439,7 +439,7 @@ def solve_context_free(cfs):
 # Non-standard systems
 
 
-def solve_nonstd(sys, delta_op=None, delta_op_inv=None):
+def solve_nonstd(sys, delta_op_inv=None):
     """Solve a delta-, ddx-, or delta_o-system coefficient by coefficient.
 
     Each unknown follows the successor rule of the tail operation
@@ -447,10 +447,10 @@ def solve_nonstd(sys, delta_op=None, delta_op_inv=None):
     x(n+1) = x(n) + r(n) and needs a ring; ddx(x) = r gives
     x(n+1) = r(n)/(n+1) and needs a field of characteristic zero;
     delta_o(x) = r gives x(n+1) = delta_op_inv(x(n), r(n)), the
-    user-supplied inverse of b -> delta_op(a, b).
+    user-supplied inverse of b -> o(a, b) for the system's operation o.
     """
-    if sys.tail_op == "delta_o" and (delta_op is None or delta_op_inv is None):
-        raise UnsupportedOp("delta_o systems need the operation and its inverse")
+    if sys.tail_op == "delta_o" and delta_op_inv is None:
+        raise UnsupportedOp("delta_o systems need the inverse of their operation")
     if sys.tail_op not in ("delta", "ddx", "delta_o"):
         raise UnsupportedOp(f"not a non-standard system: {sys.tail_op!r}")
     return series.solve_by_coefficients(sys, delta_op_inv)

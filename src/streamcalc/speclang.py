@@ -45,6 +45,7 @@ from .errors import (
     MissingInitialValue,
     NoExactSqrt,
     NotZeroConsistent,
+    SpecError,
     SpecSyntaxError,
     UnknownSymbol,
     UnsupportedOp,
@@ -303,6 +304,12 @@ class SpecFile:
                 and self.defs == other.defs
                 and self.system == other.system)
 
+    def required_system(self):
+        """The file's equation system; a SpecError if it defines none."""
+        if self.system is None:
+            raise SpecError("the file defines no equation system")
+        return self.system
+
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -383,18 +390,12 @@ def _lex(source):
 # parsed terms stay within the interpreter's default recursion limit.
 MAX_NESTING = 150
 
-# A term's `*` chain, and a head expression's `+`, `-` and `*` at one
-# nesting level, parse into a left-nested binary tree that the passes
-# after parsing walk one level per operator; a longer chain is refused
-# at the operator past the bound.  (A term's `+`/`-` chain is one Sum.)
-MAX_CHAIN = 400
-
-# Chains stacked through nesting add up: 40-factor products nested 13
-# deep, or a 400-factor product inside 100 `inv(`, make a tree that the
-# passes after parsing walk deeper than the default recursion limit.  So
-# a term, head expression or guard whose parsed tree has a path of more
-# than MAX_HEIGHT nodes below its root is refused too, and so is an
-# equation's `[...]`, which is evaluated inside its term.
+# Operator chains are read in loops into left-nested trees, and chains
+# stacked through nesting add up, so a tree can still be deeper than the
+# passes after parsing can walk within the recursion limit.  A term, head
+# expression or guard whose parsed tree has a path of more than
+# MAX_HEIGHT nodes below its root is refused, and so is a `[...]`, which
+# is hashed, and in an equation evaluated, inside its term.
 MAX_HEIGHT = 450
 
 
@@ -414,7 +415,6 @@ class _Parser:
         self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.depth = 0
-        self.links = 0  # operators in the chain being parsed
         self.algebra = algebra_override or rationals()
         self.algebra_name = self.algebra.name
         self.algebra_override = algebra_override
@@ -486,13 +486,6 @@ class _Parser:
         if self.pos - start > MAX_HEIGHT and _taller_than(node, MAX_HEIGHT):
             raise SpecSyntaxError(f"expression deeper than {MAX_HEIGHT} levels",
                                   self.tokens[start][2])
-
-    def link(self):
-        """Consume the next operator of a chain, counting it."""
-        tok = self.next()
-        self.links += 1
-        if self.links > MAX_CHAIN:
-            raise SpecSyntaxError(f"chain longer than {MAX_CHAIN} operators", tok[2])
 
     # -- entry point
 
@@ -684,21 +677,19 @@ class _Parser:
     # -- head expressions
 
     def headexpr(self, params):
-        outer, self.links = self.links, 0
         start = self.pos
         left = self.headterm(params)
         op = self.tokens[self.pos][1]
         while op == "+" or op == "-":
-            self.link()
+            self.pos += 1
             left = HOp(op, (left, self.headterm(params)))
             op = self.tokens[self.pos][1]
-        self.links = outer
         return self.bounded(left, start)
 
     def headterm(self, params):
         left = self.headfactor(params)
         while self.tokens[self.pos][1] == "*":
-            self.link()
+            self.pos += 1
             left = HOp("*", (left, self.headfactor(params)))
         return left
 
@@ -781,12 +772,10 @@ class _Parser:
         return self.bounded(Sum(tuple(parts)), start)
 
     def product(self, params):
-        outer, self.links = self.links, 0
         left = self.factor(params)
         while self.tokens[self.pos][1] == "*":
-            self.link()
+            self.pos += 1
             left = OpApp("*", (left, self.factor(params)))
-        self.links = outer
         return left
 
     def factor(self, params):
@@ -828,11 +817,12 @@ class _Parser:
             start = self.pos
             expr = self.headexpr(params)
             self.leave("]")
+            # hashed by the enclosing OpApp, and in an equation evaluated,
+            # before the whole term's height is known, above at most 5
+            # parser frames per nesting level
+            self.check_height(expr, start)
+            ensure_recursion_room(5 * self.depth + 2 * MAX_HEIGHT + 1000)
             if params is None:
-                # evaluated here, before the whole term's height is known,
-                # above at most 5 parser frames per nesting level
-                self.check_height(expr, start)
-                ensure_recursion_room(5 * self.depth + 2 * MAX_HEIGHT + 1000)
                 expr = HLit(eval_headexpr(expr, (), self.algebra))
             return Const(expr)
         if kind != "IDENT":

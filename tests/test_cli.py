@@ -18,8 +18,9 @@ import pytest
 from streamcalc import equivalence
 from streamcalc.cli import run
 from streamcalc.errors import StreamCalcError
-from streamcalc.speclang import MAX_CHAIN, MAX_HEIGHT, MAX_NESTING
-from test_speclang import CHAINS, chain_text, stacked_bracket, stacked_products, tall_text
+from streamcalc.speclang import MAX_HEIGHT, MAX_NESTING
+from test_speclang import (
+    CHAINS, OPENERS, chain_text, stacked_bracket, stacked_products, tall, tall_text)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -1361,6 +1362,8 @@ class TestSpecCache:
         for _ in range(2):
             assert invoke("solve", f"{path}#s") == (
                 3, "", "error: SpecError: the file defines no equation system\n")
+        assert invoke("closed-form", corpus("defs_arith.sde") + "#x") == (
+            3, "", "error: SpecError: the file defines no equation system\n")
 
     def test_the_bound_drops_the_least_recently_used(self, tmp_path, monkeypatch):
         from streamcalc import cli
@@ -1605,6 +1608,22 @@ def test_long_product_in_a_fresh_process(tmp_path):
         assert invoke_in_a_fresh_process(*argv) == (0, expected, "")
 
 
+# the first four elements of each CHAINS shape with MAX_HEIGHT operators
+LONGEST_CHAINS = {"bracket": "1, 1, 1, 1", "def": "1, -449, 201601, -90518849",
+                  "head": "451, 451, 451, 451", "product": "1, 1, 451, 304876"}
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_longest_chains_answer_in_a_fresh_process(tmp_path, shape):
+    # a chain of more than 400 operators was refused on its own bound
+    path, elements = tmp_path / "chain.sde", LONGEST_CHAINS[shape]
+    path.write_text(chain_text(shape, MAX_HEIGHT) + "\n")
+    assert invoke_in_a_fresh_process("solve", f"{path}#s", "-n", "4") == (0, elements + "\n", "")
+    code, out, err = invoke_in_a_fresh_process("check", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"probe s: ok ({elements.rsplit(', ', 1)[0]})\n")
+
+
 @pytest.mark.parametrize("links", [1000, 20000])
 @pytest.mark.parametrize("shape", sorted(CHAINS))
 def test_long_chains_are_syntax_errors_in_a_fresh_process(tmp_path, shape, links):
@@ -1614,8 +1633,8 @@ def test_long_chains_are_syntax_errors_in_a_fresh_process(tmp_path, shape, links
     for argv in (("solve", f"{path}#s"), ("check", str(path))):
         code, out, err = invoke_in_a_fresh_process(*argv)
         assert (code, out) == (3, "")
-        assert re.fullmatch(rf"error: SpecSyntaxError: 1:\d+: chain longer than {MAX_CHAIN} "
-                            r"operators\n", err)
+        assert re.fullmatch(rf"error: SpecSyntaxError: 1:\d+: expression deeper than "
+                            rf"{MAX_HEIGHT} levels\n", err)
 
 
 @pytest.mark.parametrize("text", [
@@ -1642,10 +1661,10 @@ def test_tallest_expressions_solve_in_a_fresh_process(tmp_path):
     term, head = tmp_path / "term.sde", tmp_path / "head.sde"
     term.write_text(tall_text("term", MAX_HEIGHT) + "\n")
     head.write_text(tall_text("head", MAX_HEIGHT) + "\n")
-    bracket, parens = tmp_path / "bracket.sde", MAX_NESTING - 1 - (MAX_HEIGHT - MAX_CHAIN)
+    bracket, parens = tmp_path / "bracket.sde", MAX_NESTING - 1 - OPENERS
     bracket.write_text(tall_text("bracket", MAX_HEIGHT).replace("[", "(" * parens + "[")
                        .replace("* s;", "* s" + ")" * parens + ";") + "\n")
-    assert (MAX_HEIGHT - MAX_CHAIN) % 2 == 0  # an even number of negations
+    assert OPENERS % 2 == 0  # an even number of negations
     for argv, expected in ((("solve", f"{term}#s", "-n", "4"), "1, 1, 401, 241001\n"),
                            (("at", "3", f"{term}#s"), "241001\n"),
                            (("solve", f"{head}#s", "-n", "3"), "1, 1, 1\n"),
@@ -1657,10 +1676,6 @@ def test_tallest_expressions_solve_in_a_fresh_process(tmp_path):
 def tall_def_text():
     """A definition whose guard, `out` and `deriv` are each MAX_HEIGHT
     levels tall, the guard's comparison counted."""
-    def tall(opener, closer, first, link, height):
-        openers = height - MAX_CHAIN
-        return opener * openers + first + link * MAX_CHAIN + closer * openers
-
     guard = tall("-", "", "a(0)", "*a(0)", MAX_HEIGHT - 1)
     out = tall("-", "", "a(0)", "*a(0)", MAX_HEIGHT)
     deriv = tall("-(", ")", "a'", "*a'", MAX_HEIGHT)
@@ -1703,8 +1718,7 @@ def test_tallest_terms_answer_from_a_deeper_caller(tmp_path):
     code, out, err = invoke_in_a_fresh_process("check", str(path), frames=200)
     assert (code, err) == (0, "")
     assert out.endswith("kind: context-free\nprobe s: ok (1, 1, 401)\n")
-    term = "X + " + "-(" * (MAX_HEIGHT - MAX_CHAIN) + "X" + "*X" * (MAX_CHAIN - 1) + ")" * (
-        MAX_HEIGHT - MAX_CHAIN)
+    term = "X + " + tall("-(", ")", "X", "*X", MAX_HEIGHT - 1)
     assert invoke_in_a_fresh_process("eval", "--defs", str(defs), "--term", term, "-n", "4",
                                      frames=200) == (0, "0, 1, 0, 0\n", "")
     # renaming the right side's unknowns spent two frames per level of
@@ -1712,6 +1726,42 @@ def test_tallest_terms_answer_from_a_deeper_caller(tmp_path):
     assert invoke_in_a_fresh_process("equiv", f"{path}#s", f"{path}#s", "--prefix", "0",
                                      frames=200) == (
         0, "Proved\ncertificate (bisimulation-up-to, stream calculus):\n  s  ~  s#b\n", "")
+
+
+# a definition whose `deriv` holds a bracket [a(0)*...*a(0)] of 400
+# factors: over three stacked products, or under `(` up to MAX_NESTING
+FACTORS = "*".join(["a(0)"] * 400)
+TALL_DEF_BRACKET = f"def f(a) {{ out = a(0); deriv = f([(({FACTORS})*{FACTORS})*{FACTORS}]); }}"
+
+
+def def_bracket_text(parens):
+    return ("def f(a) { out = a(0); deriv = f(a') + " + "(" * parens + f"X * [{FACTORS}]"
+            + ")" * parens + "; } s(0) = 1; s' = f(s);")
+
+
+def test_a_tall_definition_bracket_is_a_syntax_error_in_a_fresh_process(tmp_path):
+    # hashing the bracket's head expression escaped cli.run with a
+    # RecursionError: only an equation's bracket was bounded
+    path = tmp_path / "bracket.sde"
+    path.write_text(TALL_DEF_BRACKET + "\n")
+    for argv in (("check", str(path)), ("eval", "--defs", str(path), "--term", "f(X)")):
+        assert invoke_in_a_fresh_process(*argv) == (
+            3, "", f"error: SpecSyntaxError: 1:35: expression deeper than {MAX_HEIGHT} levels\n")
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+def test_a_definition_bracket_under_parentheses_answers(tmp_path, frames):
+    # within every bound, but its hash recursed below the parser's frames
+    # and escaped cli.run with a RecursionError from about 50 `(` on
+    path = tmp_path / "bracket.sde"
+    path.write_text(def_bracket_text(MAX_NESTING - 1) + "\n")  # `[` opens the last level
+    assert invoke_in_a_fresh_process("solve", f"{path}#s", "-n", "4", frames=frames) == (
+        0, "1, 1, 1, 2\n", "")
+    code, out, err = invoke_in_a_fresh_process("check", str(path), frames=frames)
+    assert (code, err) == (0, "")
+    assert out.endswith("kind: general\nprobe s: ok (1, 1, 1)\n")
+    assert invoke_in_a_fresh_process("eval", "--defs", str(path), "--term", "f(X)", "-n", "4",
+                                     frames=frames) == (0, "0, 1, 0, 1\n", "")
 
 
 def test_long_mixed_sum(tmp_path):

@@ -1125,6 +1125,11 @@ class TestDecide:
                                                  "got context-free"):
             closed_form(parse("algebra Q; s(0) = 1; s' = s*s;"), "s")
 
+    def test_closed_form_of_a_file_without_a_system_is_a_spec_error(self):
+        # it read the format off a missing system: an AttributeError
+        with pytest.raises(SpecError, match="^the file defines no equation system$"):
+            closed_form(parse("algebra Q; def f(a) { out = a(0); deriv = f(a'); }"), "x")
+
     def test_a_missing_unknown_names_its_file(self):
         text = "algebra Z; x(0) = 1; x' = x;"
         for left, right, message in (

@@ -631,8 +631,7 @@ class TestNonStandard:
 
         sys = EquationSystem(Q, ("x",), {"x": Fraction(1)}, tail_op="delta_o",
                              rhs={"x": Var("x")})
-        sol = solve_nonstd(sys, delta_op=lambda a, b: b - 2 * a,
-                           delta_op_inv=lambda a, t: t + 2 * a)
+        sol = solve_nonstd(sys, delta_op_inv=lambda a, t: t + 2 * a)
         assert prefix(sol["x"], 5) == [1, 3, 9, 27, 81]
         # check the defining equation: delta_o(x) = x
         from streamcalc.calculus import delta_o

@@ -26,7 +26,6 @@ from streamcalc.cli import run
 from streamcalc.solvers import context_free_system_of, linear_system_of
 from streamcalc.speclang import (
     BUILTIN_ARITY,
-    MAX_CHAIN,
     MAX_EXPANDED_MONOMIALS,
     MAX_HEIGHT,
     MAX_NESTING,
@@ -597,40 +596,44 @@ def chain_text(shape, operators):
 class TestChains:
     @pytest.mark.parametrize("shape", sorted(CHAINS))
     def test_limit_parses(self, shape):
-        assert parse(chain_text(shape, MAX_CHAIN)).system.variables == ("s",)
+        assert parse(chain_text(shape, MAX_HEIGHT)).system.variables == ("s",)
 
     @pytest.mark.parametrize("shape", sorted(CHAINS))
-    def test_one_longer_is_refused_at_its_last_operator(self, shape):
-        text = chain_text(shape, MAX_CHAIN + 1)
+    def test_one_longer_is_refused_at_its_first_token(self, shape):
         with pytest.raises(SpecSyntaxError) as info:
-            parse(text)
-        assert str(info.value).endswith(f"chain longer than {MAX_CHAIN} operators")
-        _, first, link = CHAINS[shape]
-        # each link is a blank, the operator, a blank and the operand
-        last = text.index(first + link * (MAX_CHAIN + 1)) + len(first) + MAX_CHAIN * len(link) + 1
-        assert info.value.span == (1, last + 1)
+            parse(chain_text(shape, MAX_HEIGHT + 1))
+        assert str(info.value).endswith(f"expression deeper than {MAX_HEIGHT} levels")
+        before = CHAINS[shape][0].split("{}")[0].replace("{{", "{")
+        assert info.value.span == (1, len(before) + 1)
 
     def test_a_head_expression_counts_every_operator_at_its_level(self):
-        half = MAX_CHAIN // 2
-        assert parse("s(0) = " + "2*3+" * half + "1; s' = s;").system.heads["s"] == 6 * half + 1
-        with pytest.raises(SpecSyntaxError, match="chain longer than"):
-            parse("s(0) = " + "2*3+" * half + "1*1; s' = s;")
+        # a product leading a sum sits below all of the sum's operators
+        stars = MAX_HEIGHT // 2
+        pluses = MAX_HEIGHT - stars
+        assert parse("s(0) = " + "2*" * stars + "3" + "+1" * pluses + "; s' = s;"
+                     ).system.heads["s"] == 2 ** stars * 3 + pluses
+        with pytest.raises(SpecSyntaxError, match="expression deeper than"):
+            parse("s(0) = " + "2*" * stars + "3" + "+1" * (pluses + 1) + "; s' = s;")
 
-    def test_nested_chains_count_apart(self):
-        inner = "s" + "*s" * MAX_CHAIN
+    def test_nested_chains_add_up(self):
+        # each chain sits 3 levels below the root of its term, head or bracket
+        inner = "s" + "*s" * (MAX_HEIGHT - 3)
         assert parse(f"s(0)=1; s' = s*({inner})*s*f({inner});"
                      "def f(a) { out = a(0); deriv = f(a'); }").defs
-        head = "1" + "+1" * MAX_CHAIN
-        spec = parse(f"s(0) = 1+({head})*2; s' = [1+({head})]*s;")
-        assert spec.system.heads["s"] == 1 + 2 * (MAX_CHAIN + 1)
+        head = "1" + "+1" * (MAX_HEIGHT - 3)
+        spec = parse(f"s(0) = 1+2*({head})*2; s' = [1+2*({head})*1]*s;")
+        assert spec.system.heads["s"] == 1 + 4 * (MAX_HEIGHT - 2)
+        for text in (f"s(0)=1; s' = s*({inner}*s)*s*s;", f"s(0) = 1+2*({head}+1)*2; s' = s;",
+                     f"s(0)=1; s' = [1+2*({head}+1)*1]*s;"):
+            with pytest.raises(SpecSyntaxError, match="expression deeper than"):
+                parse(text)
 
     def test_term_sums_are_not_chains(self):
         assert len(parse("s(0)=1; s' = " + "s+" * 5000 + "s;").system.rhs["s"].summands) == 5001
 
 
-
 # a whole term, head expression, guard and definition body made of a
-# longest chain inside one-level openers: the spec around it, the opener
+# chain inside OPENERS one-level openers: the spec around it, the opener
 # and its closer, the chain's first operand and each further operator
 # with its operand, and the levels the spec adds above the expression
 TALL = {
@@ -645,11 +648,20 @@ TALL = {
 }
 
 
+# the one-level openers over the chain of a tall expression
+OPENERS = 50
+
+
+def tall(opener, closer, first, link, height):
+    """OPENERS openers over a chain: an expression `height` levels tall."""
+    chain = height - OPENERS
+    return opener * OPENERS + first + link * chain + closer * OPENERS
+
+
 def tall_text(shape, height):
     """The spec of `shape` whose expression is `height` levels tall."""
     spec, opener, closer, first, link, extra = TALL[shape]
-    openers = height - MAX_CHAIN - extra
-    return spec.format(opener * openers + first + link * MAX_CHAIN + closer * openers)
+    return spec.format(tall(opener, closer, first, link, height - extra))
 
 
 def stacked(levels, width, atom):
@@ -692,8 +704,7 @@ class TestHeight:
 
     def test_a_standalone_term_is_bounded(self):
         spec = parse("s(0) = 1; s' = s;")
-        deep = "-(" * (MAX_HEIGHT - MAX_CHAIN + 1) + "s" + "*s" * MAX_CHAIN + ")" * (
-            MAX_HEIGHT - MAX_CHAIN + 1)
+        deep = tall("-(", ")", "s", "*s", MAX_HEIGHT + 1)
         with pytest.raises(SpecSyntaxError, match="expression deeper than"):
             parse_term(deep, spec)
 
@@ -719,10 +730,11 @@ def _mostly(valid, rare=()):
     return st.sampled_from([*valid, *rare, *valid])
 
 
-# a corpus text, or now and then a chain at or past speclang.MAX_CHAIN
+# a corpus text, or now and then a chain at or past speclang.MAX_HEIGHT
 _CORPUS_OR_CHAIN = _mostly(sorted(_CORPUS_TEXTS.values()), [None]).flatmap(
     lambda text: st.just(text) if text else st.builds(
-        chain_text, st.sampled_from(sorted(CHAINS)), st.sampled_from([300, 400, 401, 3000])))
+        chain_text, st.sampled_from(sorted(CHAINS)),
+        st.sampled_from([300, MAX_HEIGHT, MAX_HEIGHT + 1, 3000])))
 
 
 def _flags(valid, invalid=()):
