@@ -6,10 +6,11 @@ Output is plain deterministic text; diagnostics go to stderr as single
 `error: <Kind>: <message>` lines.
 """
 
-import argparse
 import functools
 import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import automatic, equivalence, gsos, series, speclang
 from .algebra import format_ratexpr, get_algebra, rationals
@@ -31,83 +32,129 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 
-class _HelpRequested(Exception):
-    """-h or --help, whose text argparse would print to sys.stdout."""
+class _Argument(NamedTuple):
+    """A positional or an option of a command: its value goes to `dest`,
+    read as an int of at least `low` when `kind` is int.  An option
+    absent from argv leaves `default`, unless it is `required`; every
+    positional is required."""
 
+    dest: str
+    metavar: str
+    help: str = ""
+    kind: type = str
+    low: int | None = None
+    default: object = None
+    required: bool = False
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
-
-
-def _int_at_least(low):
-    def parse(text):
+    def read(self, text):
+        if self.kind is str:
+            return text
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise UsageError(f"invalid int value: {text!r}") from None
+        if self.low is not None and value < self.low:
+            raise UsageError(f"must be at least {self.low}, got {value}")
         return value
 
-    return parse
+
+class _Command(NamedTuple):
+    """A command: the function that runs it on the parsed arguments and
+    `out`, its one-line help, its positionals in order, and its options
+    by name."""
+
+    run: object
+    help: str
+    positionals: tuple
+    options: dict
+
+    def help_text(self, name):
+        flags = [f"{flag} {o.metavar}" if o.required else f"[{flag} {o.metavar}]"
+                 for flag, o in self.options.items()]
+        usage = " ".join(["usage: streamcalc", name, "[-h]", *flags,
+                          *(p.metavar for p in self.positionals)])
+        rows = [("-h, --help", "show this help message and exit")]
+        for flag, o in self.options.items():
+            default = "" if o.default is None else f" (default {o.default})"
+            rows.append((f"{flag} {o.metavar}", o.help + default))
+        return "\n".join([usage, "", self.help, "", "options:",
+                          *(f"  {left:<20}{right}" for left, right in rows)])
 
 
-def _build_parser():
-    parser = _ArgumentParser(prog="streamcalc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_HELP = ("-h", "--help")
 
-    def common(p, budget=True, count=True, algebra=True):
-        if count:
-            p.add_argument("-n", type=_int_at_least(0), default=20, dest="count")
-        if budget:
-            p.add_argument("--budget", type=_int_at_least(1), default=10_000)
-        if algebra:
-            p.add_argument("--algebra", default=None)
 
-    p = sub.add_parser("solve", help="print a solution prefix")
-    p.add_argument("selector", metavar="SPEC#VAR")
-    common(p)
+def _help(text, out):
+    print(text, file=out)
+    return EXIT_OK
 
-    p = sub.add_parser("eval", help="evaluate a term over a definition file")
-    p.add_argument("--defs", required=True)
-    p.add_argument("--term", required=True)
-    common(p)
 
-    p = sub.add_parser("closed-form", help="rational closed form of a linear system")
-    p.add_argument("selector", metavar="SPEC#VAR")
-    common(p, budget=False, count=False)
+def _top_help():
+    rows = (f"  {name:<14}{command.help}" for name, command in _COMMANDS.items())
+    return "\n".join(["usage: streamcalc [-h] <command> ...", "", __doc__.strip(), "",
+                      "commands:", *rows, "",
+                      "`streamcalc <command> -h` lists the arguments of a command."])
 
-    p = sub.add_parser("equiv", help="decide or semi-decide stream equality")
-    p.add_argument("left", metavar="SPECA#VAR")
-    p.add_argument("right", metavar="SPECB#VAR")
-    p.add_argument("--up-to", dest="up_to", default=None,
-                   help="comma-separated operations for the congruence closure")
-    p.add_argument("--prefix", type=_int_at_least(0), default=64,
-                   help="refutation pre-scan depth")
-    common(p, count=False)
 
-    p = sub.add_parser("kernel", help="2-kernel of a stream")
-    p.add_argument("selector", metavar="SPEC#VAR")
-    common(p, count=False)
+def _parse(argv):
+    """The function that runs the command argv names, and the arguments
+    it takes: a namespace of argv's values read against the command's
+    table entry, or the help text to print.
 
-    p = sub.add_parser("at", help="single element by bbin indexing")
-    p.add_argument("index", type=int)
-    p.add_argument("selector", metavar="SPEC#VAR")
-    common(p, count=False)
-
-    p = sub.add_parser("bbin", help="binary expansion of a rational")
-    p.add_argument("rational")
-    common(p, budget=False, algebra=False)
-
-    p = sub.add_parser("check", help="parse, classify, validate, probe")
-    p.add_argument("spec")
-    common(p, count=False)
-    return parser
+    An option's value is the rest of its token after `=`, or else the
+    next token, whatever it is; the last occurrence wins.  A token is an
+    option if it starts with `-`, unless it is `-` alone or `-` and a
+    digit, and comes before `--`.  -h or --help anywhere among the
+    options asks for help, even after a value that is not valid."""
+    tokens = iter(argv)
+    name = next(tokens, None)
+    if name is None:
+        raise UsageError("the following arguments are required: command")
+    if name in _HELP:
+        return _help, _top_help()
+    command = _COMMANDS.get(name)
+    if command is None:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {name!r} "
+                         f"(choose from {choices})")
+    values = {o.dest: o.default for o in command.options.values()}
+    positionals = iter(command.positionals)
+    extra, problem, options_ended = [], None, False
+    for token in tokens:
+        if options_ended or token[:1] != "-" or token == "-" or "0" <= token[1] <= "9":
+            argument, flag, value = next(positionals, None), None, token
+            if argument is None:
+                extra.append(token)
+                continue
+        elif token == "--":
+            options_ended = True
+            continue
+        elif token in _HELP:
+            return _help, command.help_text(name)
+        else:
+            flag, eq, value = token.partition("=")
+            argument = command.options.get(flag)
+            if argument is None:
+                extra.append(token)
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    problem = problem or f"argument {flag}: expected one argument"
+                    continue
+        try:
+            values[argument.dest] = argument.read(value)
+        except UsageError as bad:
+            problem = problem or f"argument {flag or argument.metavar}: {bad}"
+    if problem:
+        raise UsageError(problem)
+    missing = [p.metavar for p in positionals] + [
+        flag for flag, o in command.options.items() if o.required and values[o.dest] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return command.run, SimpleNamespace(**values)
 
 
 def _load(path, algebra_name):
@@ -311,19 +358,37 @@ def _cmd_check(args, out):
     return status
 
 
+_SPEC_VAR = _Argument("selector", "SPEC#VAR")
+_COUNT = {"-n": _Argument("count", "N", "elements to print", int, 0, 20)}
+_BUDGET = {"--budget": _Argument("budget", "N", "evaluation step budget", int, 1, 10_000)}
+_ALGEBRA = {"--algebra": _Argument("algebra", "NAME",
+                                   "algebra in place of the one the file names")}
+
+# every command: the function that runs it, its positionals, its options
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "eval": _cmd_eval,
-    "closed-form": _cmd_closed_form,
-    "equiv": _cmd_equiv,
-    "kernel": _cmd_kernel,
-    "at": _cmd_at,
-    "bbin": _cmd_bbin,
-    "check": _cmd_check,
+    "solve": _Command(_cmd_solve, "print a solution prefix", (_SPEC_VAR,),
+                      {**_COUNT, **_BUDGET, **_ALGEBRA}),
+    "eval": _Command(_cmd_eval, "evaluate a term over a definition file", (), {
+        "--defs": _Argument("defs", "FILE", "the definition file", required=True),
+        "--term": _Argument("term", "TERM", "the term to evaluate", required=True),
+        **_COUNT, **_BUDGET, **_ALGEBRA}),
+    "closed-form": _Command(_cmd_closed_form, "rational closed form of a linear system",
+                            (_SPEC_VAR,), _ALGEBRA),
+    "equiv": _Command(_cmd_equiv, "decide or semi-decide stream equality", (
+        _Argument("left", "SPECA#VAR"), _Argument("right", "SPECB#VAR")), {
+        "--up-to": _Argument("up_to", "OPS",
+                             "comma-separated operations for the congruence closure"),
+        "--prefix": _Argument("prefix", "N", "refutation pre-scan depth", int, 0, 64),
+        **_BUDGET, **_ALGEBRA}),
+    "kernel": _Command(_cmd_kernel, "2-kernel of a stream", (_SPEC_VAR,),
+                       {**_BUDGET, **_ALGEBRA}),
+    "at": _Command(_cmd_at, "single element by bbin indexing",
+                   (_Argument("index", "index", kind=int), _SPEC_VAR), {**_BUDGET, **_ALGEBRA}),
+    "bbin": _Command(_cmd_bbin, "binary expansion of a rational",
+                     (_Argument("rational", "rational"),), _COUNT),
+    "check": _Command(_cmd_check, "parse, classify, validate, probe",
+                      (_Argument("spec", "spec"),), {**_BUDGET, **_ALGEBRA}),
 }
-
-
-_PARSER = _build_parser()
 
 
 def run(argv=None, out=None, err=None):
@@ -332,11 +397,8 @@ def run(argv=None, out=None, err=None):
     # put back what deep inputs raised, so no request depends on earlier ones
     limit = sys.getrecursionlimit()
     try:
-        args = _PARSER.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
-    except _HelpRequested as shown:
-        print(shown, file=out, end="")
-        return EXIT_OK
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        return command(args, out)
     except UsageError as use:
         print(f"error: usage: {use}", file=err)
         return EXIT_USAGE

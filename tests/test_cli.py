@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from streamcalc import equivalence
+from streamcalc import automatic, cli, equivalence
 from streamcalc.cli import run
 from streamcalc.errors import StreamCalcError
 from streamcalc.speclang import MAX_HEIGHT, MAX_NESTING
@@ -161,6 +161,19 @@ class TestExitCodes:
         code, _, err = invoke("solve", "no-separator")
         assert code == 3
         assert err.startswith("error: usage:")
+        fib = corpus("fib.sde") + "#s"
+        for argv, message in [
+                ((), "the following arguments are required: command"),
+                (("frob",), "argument command: invalid choice: 'frob' (choose from "
+                 "'solve', 'eval', 'closed-form', 'equiv', 'kernel', 'at', 'bbin', "
+                 "'check')"),
+                (("solve",), "the following arguments are required: SPEC#VAR"),
+                (("eval",), "the following arguments are required: --defs, --term"),
+                (("check", "a", "b"), "unrecognized arguments: b"),
+                (("solve", fib, "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+                # option names are not abbreviated
+                (("solve", fib, "--bud", "5"), "unrecognized arguments: --bud 5")]:
+            assert invoke(*argv) == (3, "", f"error: usage: {message}\n")
         # a directory, and a file that is not UTF-8 text
         binary = tmp_path / "binary.sde"
         binary.write_bytes(b"s(0) = 1;\xff\xfe s' = s;\n")
@@ -676,12 +689,47 @@ def test_bad_eq53_keeps_engine_output():
 @pytest.mark.parametrize("argv,usage", [
     (["--help"], "usage: streamcalc [-h]"), (["-h"], "usage: streamcalc [-h]"),
     (["solve", "--help"], "usage: streamcalc solve"),
-    (["kernel", "missing.sde#s", "-h"], "usage: streamcalc kernel")])
+    (["kernel", "missing.sde#s", "-h"], "usage: streamcalc kernel"),
+    # help wins over an earlier value that is not valid
+    (["solve", "missing.sde#s", "-n", "x", "--help"], "usage: streamcalc solve")])
 def test_help_is_written_to_out(capsys, argv, usage):
     code, out, err = invoke(*argv)
     assert (code, err) == (0, "")
     assert out.startswith(usage) and out.endswith("\n")
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_names_the_options_of_the_table(command):
+    code, out, err = invoke(command, "-h")
+    assert (code, err) == (0, "")
+    named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+    assert named == {"-h", "--help", *cli._COMMANDS[command].options}
+
+
+class TestOptionValues:
+    """An option takes the next token as its value, whatever it starts
+    with, as it takes the rest of its own token after `=`; a token of `-`
+    and a digit is a positional."""
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("equiv", corpus("fib.sde") + "#s", corpus("fib.sde") + "#s", "--prefix", "0"),
+         "--up-to", "-,+"),
+        (("eval", "--defs", corpus("defs_arith.sde"), "-n", "3"), "--term", "-X"),
+    ])
+    def test_a_value_that_starts_with_a_minus(self, argv, flag, value):
+        separate = invoke(*argv, flag, value)
+        assert separate[0] == 0
+        assert separate == invoke(*argv, f"{flag}={value}")
+
+    def test_negative_rational(self):
+        expected = " ".join(map(str, automatic.binary_encode_rational(Fraction(-2, 5), 6)))
+        assert invoke("bbin", "-2/5", "-n", "6") == (0, expected + "\n", "")
+        assert invoke("bbin", "-n", "6", "--", "-2/5") == (0, expected + "\n", "")
+
+    def test_negative_index(self):
+        assert invoke("at", "-1", corpus("fib.sde") + "#s") == (
+            3, "", "error: usage: the index must be nonnegative\n")
 
 
 class TestSolveRoutes:
@@ -992,8 +1040,18 @@ class TestNumericFlags:
         assert err.startswith(f"error: usage: argument {flag}: must be at least")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (("solve", corpus("fib.sde") + "#s", "-n"), "argument -n: expected one argument"),
+        (("solve", corpus("fib.sde") + "#s", "-n", "x"),
+         "argument -n: invalid int value: 'x'"),
+        (("at", "x", corpus("fib.sde") + "#s"), "argument index: invalid int value: 'x'"),
+    ])
+    def test_malformed_value_is_usage_error(self, argv, message):
+        assert invoke(*argv) == (3, "", f"error: usage: {message}\n")
+
     def test_defaults_do_not_leak_between_calls(self):
-        # the argument parser is built once and shared by every call
+        # the command table is shared by every call, and each call starts
+        # from the defaults it holds
         assert invoke("solve", corpus("ones.sde") + "#s", "-n", "5") == (
             0, "1, 1, 1, 1, 1\n", "")
         assert invoke("solve", corpus("ones.sde") + "#s") == (
@@ -1808,6 +1866,10 @@ def test_parity_harness_records_and_compares(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert cli_parity.main(["record", str(out), *specs]) == 0
     runs = json.loads(out.read_text())
+    # the front-end runs come last
+    front_end = len(cli_parity.FRONT_END)
+    assert [r["argv"] for r in runs[-front_end:]] == list(map(list, cli_parity.FRONT_END))
+    runs = runs[:-front_end]
     # per spec: check and 5 eval runs (the last over the first unknown) under
     # 8 algebra settings, 9 commands per unknown under each, and solve -n 900
     # per unknown (1 in ones, 2 in alt)
@@ -1844,20 +1906,21 @@ def test_parity_compare_counts_differences_by_group(tmp_path, capsys):
                              "--algebra", "F2"]) == ("eval", "alt.sde", "--term X -n 12")
     runs = cli_parity.record([corpus("ones.sde")])
     for run in runs:
-        if run["argv"][0] == "kernel" or "--budget" in run["argv"]:
+        if run["argv"][:1] == ["kernel"] or "--budget" in run["argv"]:
             run["out"] += "changed\n"
     runs[0]["code"] = 9
     out = tmp_path / "parity.json"
     out.write_text(json.dumps(runs))
     assert cli_parity.main(["compare", str(out)]) == 1
-    assert capsys.readouterr().out.splitlines()[-7:] == [
+    assert capsys.readouterr().out.splitlines()[-8:] == [
         "    8  equiv  ones.sde  --prefix 0 --budget 60",
         "    8  equiv  ones.sde  --prefix 0 --budget 60 --up-to +,*",
         "    8  equiv  ones.sde  --prefix 0 --budget 60 --up-to +,-,*",
         "    8  kernel  ones.sde",
         "    8  solve  ones.sde  -n 200 --budget 60",
         "    1  check  ones.sde",
-        "41 of 121 recorded runs differ"]
+        f"    1  front end  at 7 {corpus('fib.sde')}#s --budget -1",
+        "42 of 144 recorded runs differ"]
 
 
 def test_parity_compare_tallies_later_budget_indices(tmp_path, capsys):

@@ -786,7 +786,7 @@ def _argv(draw):
         return argv if command in ("bbin", "none") else argv + draw(algebra)
 
     def help_argv():
-        # a help flag ends the parse where it stands: help, or an earlier error
+        # a help flag after a command asks for help, whatever came before it
         argv = draw(st.sampled_from([(), ("solve",), None]))
         if argv is None:
             argv = command_argv(draw(st.sampled_from(commands)))

@@ -18,7 +18,10 @@ congruence steps cross only those two operations, and with `--up-to
 algebra override and under each of the seven `--algebra` values.  Then
 `solve -n 900` on every unknown without an override.  The unknowns and
 definitions are those of the spec parsed without override; a spec that
-does not parse gets its `check` and `eval` runs only.
+does not parse gets its `check` and `eval` runs only.  `record` follows
+the specs' runs with the fixed argvs of FRONT_END, which exercise how the command
+line is read: usage errors, `--opt=value`, `--`, negative numbers and
+option values that start with `-`.
 
 Every run goes in-process through streamcalc.cli.run, with the package
 that is importable, so recording under one PYTHONPATH and comparing
@@ -77,6 +80,35 @@ DEFS_TERMS = ("plus(X, 1)", "times(1 + X, plus(X, times(X, 2)))")
 # over the first unknown u of a spec's system: u' + u * X
 UNKNOWN_TERM = "{u}' + {u} * X"
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+_FIB, _DEFS = str(CORPUS / "fib.sde"), str(CORPUS / "defs_arith.sde")
+# how argv is read, on two corpus files; no -h, whose text is not pinned
+FRONT_END = (
+    (),
+    ("frob",),
+    ("solve",),
+    ("eval",),
+    ("solve", f"{_FIB}#s", "-n"),
+    ("solve", f"{_FIB}#s", "-n", "x"),
+    ("at", "x", f"{_FIB}#s"),
+    ("check", "a", "b"),
+    ("solve", f"{_FIB}#s", "--bogus", "1"),
+    ("solve", f"{_FIB}#s", "--budget=50", "-n=4"),
+    ("solve", f"{_FIB}#s", "-n", "2", "-n", "3"),
+    ("equiv", f"{_FIB}#s", f"{_FIB}#s", "--prefix=0", "--up-to=-,+"),
+    ("eval", f"--defs={_DEFS}", "--term=-X", "-n", "3"),
+    ("bbin", "-n", "6", "--", "-2/5"),
+    ("solve", "-n", "3", "--", f"{_FIB}#s"),
+    ("solve", "--", f"{_FIB}#s", "-n", "2"),
+    ("at", "-1", f"{_FIB}#s"),
+    ("at", "7", f"{_FIB}#s", "--budget", "-1"),
+    ("solve", f"{_FIB}#s", "-n", "-1"),
+    ("bbin", "-1", "-n", "4"),
+    # answered only since options take the next token whatever it is, and a
+    # token of `-` and a digit is a positional
+    ("equiv", f"{_FIB}#s", f"{_FIB}#s", "--prefix", "0", "--up-to", "-,+"),
+    ("eval", "--defs", _DEFS, "--term", "-X", "-n", "3"),
+    ("bbin", "-2/5", "-n", "6"),
+)
 # the index in `error: BudgetExhausted: ... (at index N)` and in a
 # `check` probe's `BudgetExhausted at index N`
 BUDGET_INDEX = re.compile(r"(BudgetExhausted\b.*?\bindex )(\d+)")
@@ -138,7 +170,7 @@ def run_one(argv):
 
 
 def record(specs):
-    return [run_one(argv) for argv in shape(specs)]
+    return [run_one(argv) for argv in (*shape(specs), *FRONT_END)]
 
 
 def compare(recorded):
@@ -184,7 +216,9 @@ def verdict_upgrade(old, new):
 
 def group(argv):
     """The command, spec file name and flags of a run's argv, without
-    its --algebra override."""
+    its --algebra override; the argv itself for a FRONT_END run."""
+    if tuple(argv) in FRONT_END:
+        return "front end", "", " ".join(argv)
     command, *rest = argv
     if command == "eval":
         del rest[rest.index("--defs")]
