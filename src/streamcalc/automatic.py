@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import series, speclang
 from .algebra import gf
 from .errors import EvenDenominator, NotZeroConsistent, UnsupportedOp
-from .stream import BudgetExhausted, BudgetScope, Equal, bounded_eq, take, unfold
+from .stream import BudgetExhausted, BudgetScope, Equal, at, bounded_eq, take, unfold
 from .calculus import even, odd
 
 
@@ -75,7 +75,7 @@ def stream_of(aut, q0):
     if not aut.zero_consistent:
         raise NotZeroConsistent(q0, "automaton is not zero-consistent")
     nodes = series.even_odd_nodes(aut.algebra, aut.outputs, aut.d0, aut.d1)
-    return series.node_stream(nodes[q0])
+    return at(nodes[q0])
 
 
 @dataclass
@@ -97,7 +97,7 @@ def kernel2(stream, budget=64, prefix=64, steps=None, automaton=None, state=None
     from `state`); otherwise states are identified by prefix comparison
     and a Finite answer is heuristic.  Unknown is returned once more
     than `budget` states appear, or when the comparisons together run
-    out of the `steps` forcing steps (default DEFAULT_BUDGET).
+    out of the `steps` budget steps (default DEFAULT_BUDGET).
     """
     if automaton is not None:
         reachable = [state]
@@ -152,7 +152,7 @@ def binary_rational_stream(q):
 
     o(x) = numerator(x) mod 2 and d(x) = (x - o(x)) / 2; the state orbit
     is finite for every rational with odd denominator, so eventual
-    periodicity is decidable on the origin states.
+    periodicity is decidable on the unfold node's states.
     """
     q = Fraction(q)
     if q.denominator % 2 == 0:

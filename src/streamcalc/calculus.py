@@ -3,16 +3,16 @@
 The source streams (zeros, constants, X, ones, the naturals and their
 inverses), delta_o and the polynomial streams are built here.  Every
 builtin operation of the DSL is the `series` node the equation solver
-uses for it, over leaves that read the argument streams in order, so
-the library, the GSOS engine's native even/odd/delta/ddx and the
-even-odd automata all run on one evaluator.  Each operation checks its
-algebra when it is built and forces nothing until observed.
+uses for it, over its argument streams' nodes, so the library, the GSOS
+engine's native even/odd/delta/ddx and the even-odd automata all run on
+one evaluator.  Each operation checks its algebra when it is built and
+computes nothing until observed.
 """
 
 from . import series
 from .algebra import same_algebra
 from .errors import NoExactSqrt, UnorderedAlgebra, UnsupportedOp
-from .stream import Stream, cons
+from .stream import Stream, at, cons, unfold
 
 _ZEROS = {}
 
@@ -45,29 +45,20 @@ def ones(alg):
 
 def nats(alg):
     """(1, 2, 3, ...) by n-fold addition; defined over any semiring."""
-
-    def from_(a):
-        return Stream(alg, lambda: (a, from_(alg.add(a, alg.one))))
-
-    return from_(alg.one)
+    return unfold(alg, alg.one, lambda a: (a, alg.add(a, alg.one)))
 
 
 def nats_inv(alg):
     """(1, 1/2, 1/3, ...); needs a field of characteristic zero."""
     if alg.kind != "field" or alg.characteristic != 0:
         raise UnsupportedOp("nats_inv needs a characteristic-zero field")
-
-    def from_(a):
-        return Stream(alg, lambda: (alg.inv(a), from_(alg.add(a, alg.one))))
-
-    return from_(alg.one)
+    return unfold(alg, alg.one, lambda a: (alg.inv(a), alg.add(a, alg.one)))
 
 
 def _lift(alg, symbol, *args):
-    """The stream of the series node of builtin `symbol` over `args`,
-    each a node or a Stream, which a Leaf reads in order."""
-    nodes = [series.Leaf(a) if isinstance(a, Stream) else a for a in args]
-    return series.node_stream(series.operation(alg, symbol, nodes))
+    """The stream of the series node of builtin `symbol` over the nodes
+    of the streams `args`."""
+    return at(series.operation(alg, symbol, [series.node_of(a) for a in args]))
 
 
 def _need_ring(alg, what):
@@ -91,7 +82,8 @@ def sub(s, t):
 
 def scalar(a, s):
     alg = s.algebra
-    return _lift(alg, "*", series.Constant(alg, alg.coerce(a)), s)
+    return at(series.operation(alg, "*", (series.Constant(alg, alg.coerce(a)),
+                                          series.node_of(s))))
 
 
 def conv_mul(s, t):
@@ -159,18 +151,24 @@ def ddx(s):
     return _lift(s.algebra, "ddx", s)
 
 
+class _DeltaO(series._Unary):
+    __slots__ = ("op",)
+
+    def __init__(self, alg, arg, op):
+        super().__init__(alg, arg)
+        self.op = op
+
+    def compute(self, n):
+        return self.op(self.arg.get(n), self.arg.get(n + 1))
+
+
 def delta_o(op, s):
     """(op(s0,s1), op(s1,s2), ...) for a user binary operation.
 
     For this to carry a final-automaton structure the user must ensure
     b -> op(a, b) is invertible for every a; the engine does not check.
     """
-    alg = s.algebra
-
-    def cell():
-        return op(s.head, s.tail.head), delta_o(op, Stream.delay(alg, lambda: s.tail))
-
-    return Stream(alg, cell)
+    return at(_DeltaO(s.algebra, series.node_of(s), op))
 
 
 def stream_of_poly(p):

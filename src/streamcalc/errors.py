@@ -50,7 +50,7 @@ class NotZeroConsistent(StreamCalcError):
 
 
 class BudgetExhausted(StreamCalcError):
-    """An observation ran out of permitted cell forcings.
+    """An observation ran out of permitted steps.
 
     ``index`` is the prefix position at which progress stalled, once the
     failing observation (take / bounded_eq) has annotated it.
@@ -68,7 +68,7 @@ class BudgetExhausted(StreamCalcError):
 
 
 class NonProductive(BudgetExhausted):
-    """A head demand re-entered a cell that is currently being forced.
+    """A demand re-entered a coefficient that is currently being computed.
 
     Such a demand can never be satisfied, so it is trapped immediately
     instead of burning the whole budget.

@@ -15,7 +15,8 @@ are the same operation.  Builtins in the GSOS shape (+, -, *, inv, X,
 shuffle, hadamard, sqrt, zip, merge) get generated definitions and run
 syntactically; the non-causal builtins (even, odd, delta, ddx) fall
 back to the calculus operations, series nodes over the argument
-behaviour streams, under the re-entrancy trap and the global budget.
+behaviour streams' nodes, under the re-entrancy trap and the global
+budget.  A stream is a leaf state per position (node, index).
 
 For equivalence proofs, leaves may also be *stream variables*.  Their
 heads are opaque indeterminates; head arithmetic then happens in the
@@ -169,7 +170,7 @@ class State:
 
     __slots__ = ("engine", "sid", "kind", "stream", "value", "symbol", "args",
                  "name", "order", "has_vars", "depth", "_out", "_next",
-                 "_clause", "_beh", "_forcing")
+                 "_clause", "_beh", "_busy")
 
     def __init__(self, engine, sid, kind, stream=None, value=None,
                  symbol=None, args=(), name=None, order=0, has_vars=False):
@@ -193,7 +194,7 @@ class State:
         self._next = None
         self._clause = None
         self._beh = None
-        self._forcing = False
+        self._busy = False
 
     def __repr__(self):
         return f"<state {term_of_state(self)}>"
@@ -561,7 +562,7 @@ class Engine:
         return state
 
     def leaf(self, stream, name=None):
-        key = ("leaf", id(stream))
+        key = ("leaf", stream.node, stream.index)
         return self._intern(key, lambda sid: State(
             self, sid, "leaf", stream=stream,
             name=name or f"s{sid}"))
@@ -625,18 +626,18 @@ class Engine:
     def output(self, state):
         out = state._out
         if out is state:
-            if state._forcing:
+            if state._busy:
                 raise NonProductive()
             _charge()
             if state.depth > 64:
                 # output/derivative recurse along the term spine; deep
                 # states (long derivative chains) need more frames
                 ensure_recursion_room(10 * state.depth + 1000)
-            state._forcing = True
+            state._busy = True
             try:
                 out = self._compute_output(state)
             finally:
-                state._forcing = False
+                state._busy = False
             state._out = out
         return out
 

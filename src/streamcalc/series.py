@@ -6,11 +6,12 @@ coefficient at a time by the index formulas of the operations, as for
 lazy power series (McIlroy, *Power Series, Power Serious*, 1999) and
 relaxed multiplication (van der Hoeven, *Relax, but Don't Be Too Lazy*,
 2002).  Every unknown and every distinct subterm of the right-hand sides
-becomes a node holding the coefficients computed so far; a linear
+becomes a stream.Node holding the coefficients computed so far; a linear
 combination, a sum of terms each maybe negated or with a literal factor
 [c] or -[c], is one node.  A coefficient is computed once, when it is
 first demanded, and charges the observation budget once; a literal
-factor charges nothing of its own.  A coefficient of a convolution
+factor charges nothing of its own, and nor do the solution streams,
+positions on the unknowns' nodes.  A coefficient of a convolution
 (`*`, `inv`), of a shuffle, or of a linear combination of two or more
 terms one of which has a literal factor is one call of the algebra's
 fused sum of products, alg.dot; the shuffle's binomial weights are
@@ -18,8 +19,8 @@ plain integers, reduced mod p in characteristic p, and the
 combination's are algebra elements that the plan holds.  Other
 combinations, unscaled sums and c*x, add term by term, which is faster
 there.  `operation` makes the node of one builtin;
-the `calculus` operations are such nodes over Leaf nodes, which read
-streams in order.
+the `calculus` operations are such nodes over their argument streams'
+nodes (`node_of`).
 
 A system is solved in two steps.  `compile_plan`, a pure function of
 the system, walks the right-hand sides once, gives equal subterms one
@@ -51,7 +52,7 @@ elements than the engine before they stop, with the same error or
 another; the elements that both print are equal.
 
 Term states are built only for an application of a user definition,
-a Leaf over the GSOS engine's stream of it, so a request that exhausted
+the node of the GSOS engine's stream of it, so a request that exhausted
 the budget on the engine may finish here.  Even-odd systems and
 2-automata get one node per state (`even_odd_nodes`).
 """
@@ -62,42 +63,14 @@ from typing import NamedTuple
 from .errors import NonProductive, UnorderedAlgebra, UnsupportedOp
 from .speclang import (Const, HLit, OpApp, Var, head_root, require_zero_consistency,
                        summands)
-from .stream import Stream, _charge, ensure_recursion_room
+from .stream import Node, at, ensure_recursion_room
 
 
 def _no_negation(alg):
     return UnsupportedOp(f"{alg.name} has no negation")
 
 
-class _Node:
-    """A stream as the growing list of its computed coefficients."""
-
-    __slots__ = ("alg", "coeffs", "_busy")
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.coeffs = []
-        self._busy = False
-
-    def get(self, n):
-        coeffs = self.coeffs
-        while len(coeffs) <= n:
-            if self._busy:
-                raise NonProductive()
-            _charge()
-            self._busy = True
-            try:
-                value = self.compute(len(coeffs))
-            finally:
-                self._busy = False
-            coeffs.append(value)
-        return coeffs[n]
-
-    def compute(self, n):
-        raise NotImplementedError
-
-
-class _Unknown(_Node):
+class _Unknown(Node):
     """x(0) = head, x(n+1) = successor(n, x(n), rhs(n))."""
 
     __slots__ = ("head", "successor", "rhs")
@@ -114,7 +87,7 @@ class _Unknown(_Node):
         return self.successor(n - 1, self.coeffs[n - 1], self.rhs.get(n - 1))
 
 
-class _EvenOdd(_Node):
+class _EvenOdd(Node):
     """x(0) = head, x(2k) = even(x)(k) for k >= 1, x(2k+1) = odd(x)(k)."""
 
     __slots__ = ("head", "even", "odd")
@@ -135,26 +108,7 @@ def even_odd_nodes(alg, heads, evens, odds):
     return nodes
 
 
-class Leaf(_Node):
-    """A Stream read in order as coefficients.  The stream charges the
-    budget and traps re-entrant demands, so the leaf does neither."""
-
-    __slots__ = ("rest",)
-
-    def __init__(self, stream):
-        super().__init__(stream.algebra)
-        self.rest = stream
-
-    def get(self, n):
-        coeffs = self.coeffs
-        while len(coeffs) <= n:
-            rest = self.rest
-            coeffs.append(rest.head)
-            self.rest = rest.tail
-        return coeffs[n]
-
-
-class Constant(_Node):
+class Constant(Node):
     __slots__ = ("value",)
 
     def __init__(self, alg, value):
@@ -165,14 +119,14 @@ class Constant(_Node):
         return self.alg.zero if n else self.value
 
 
-class _X(_Node):
+class _X(Node):
     __slots__ = ()
 
     def compute(self, n):
         return self.alg.one if n == 1 else self.alg.zero
 
 
-class _Linear(_Node):
+class _Linear(Node):
     """The sum of (node, scalar or None, negated) terms.  With `weights`,
     one algebra element per term, a coefficient is alg.dot of the weights
     and the nodes' coefficients, demanded in term order; without, each
@@ -204,7 +158,7 @@ class _Linear(_Node):
         return acc
 
 
-class _Unary(_Node):
+class _Unary(Node):
     __slots__ = ("arg",)
 
     def __init__(self, alg, arg):
@@ -213,15 +167,19 @@ class _Unary(_Node):
 
 
 class _Shift(_Unary):
-    """The derivative a': a'(n) = a(n+1)."""
+    """The k-th derivative of a: a(n+k), by default a'."""
 
-    __slots__ = ()
+    __slots__ = ("k",)
+
+    def __init__(self, alg, arg, k=1):
+        super().__init__(alg, arg)
+        self.k = k
 
     def compute(self, n):
-        return self.arg.get(n + 1)
+        return self.arg.get(n + self.k)
 
 
-class _Binary(_Node):
+class _Binary(Node):
     __slots__ = ("a", "b")
 
     def __init__(self, alg, a, b):
@@ -333,19 +291,19 @@ class _Inv(_Unary):
 class _Sqrt(_Unary):
     """r(0) = sqrt(a(0)), r' = a' * inv([r(0)] + r), from the same nodes."""
 
-    __slots__ = ("tail",)
+    __slots__ = ("derivative",)
 
     def __init__(self, alg, arg):
         super().__init__(alg, arg)
-        self.tail = None
+        self.derivative = None
 
     def compute(self, n):
         if n:
-            return self.tail.get(n - 1)
+            return self.derivative.get(n - 1)
         alg = self.alg
         r0 = head_root("sqrt", self.arg.get(0), alg)
         denominator = operation(alg, "+", (Constant(alg, r0), self))
-        self.tail = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
+        self.derivative = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0
 
 
@@ -531,12 +489,18 @@ def compile_plan(sys_):
     return Plan(heads, tuple(compiler.steps), tuple(rhs), len(compiler.slots))
 
 
+def node_of(stream):
+    """The node whose coefficient n is element n of `stream`."""
+    node, k = stream.node, stream.index
+    return _Shift(node.alg, node, k) if k else node
+
+
 def _application(engine, symbol, *args):
-    """A Leaf over the engine's stream of definition `symbol` on the nodes `args`."""
+    """The node of the engine's stream of definition `symbol` on the nodes `args`."""
     if engine is None:
         raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
-    state = engine.app(symbol, [engine.leaf(node_stream(a)) for a in args])
-    return Leaf(engine.behaviour(state))
+    state = engine.app(symbol, [engine.leaf(at(a)) for a in args])
+    return node_of(engine.behaviour(state))
 
 
 def _instantiate(plan, alg, successor, engine):
@@ -573,11 +537,6 @@ def _successor(sys_, delta_o_inverse):
     raise UnsupportedOp(f"no successor rule for {op!r} systems")
 
 
-def node_stream(node, n=0):
-    """The stream of a node's coefficients from the n-th on."""
-    return Stream(node.alg, lambda: (node.get(n), node_stream(node, n + 1)))
-
-
 def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
     """Solution streams of a system, one per unknown.
 
@@ -597,11 +556,11 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
     if sys_.evens:
         require_zero_consistency(sys_)
         nodes = even_odd_nodes(alg, sys_.heads, sys_.evens, sys_.odds)
-        return {v: node_stream(nodes[v]) for v in sys_.variables}
+        return {v: at(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)
     plan = sys_.plan
     nodes = _instantiate(plan, alg, successor, engine)
     # a coefficient demand recurses through at most every node once; a
     # sqrt adds four nodes when its head is computed
     ensure_recursion_room(4 * (len(plan.heads) + 5 * plan.terms) + 1000)
-    return {v: node_stream(node) for v, node in zip(sys_.variables, nodes)}
+    return {v: at(node) for v, node in zip(sys_.variables, nodes)}

@@ -32,7 +32,7 @@ from .algebra import (
     rationals,
 )
 from .errors import UnsupportedOp
-from .stream import Stream, UnfoldOrigin, unfold
+from .stream import Stream, Unfold, unfold
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +93,18 @@ def detect_eventually_periodic(obj, bound=4096):
     """Decide eventual periodicity by walking decidable state spaces.
 
     Accepts a canonical RatExpr (states: canonical derivatives) or a
-    Stream carrying an unfold origin (states: automaton states).  For
-    anything else the question is not decidable from a prefix and
-    PeriodicityUnknown is returned.
+    Stream on an unfold node (states: automaton states, from the stream's
+    index on).  For anything else the question is not decidable from a
+    prefix and PeriodicityUnknown is returned.
     """
     if isinstance(obj, RatExpr):
         step = lambda r: (None, ratexpr_derivative(r))
         state = obj
-    elif isinstance(obj, Stream) and isinstance(obj.origin, UnfoldOrigin):
-        origin = obj.origin
-        step = origin.step
-        state = origin.state
+    elif isinstance(obj, Stream) and type(obj.node) is Unfold:
+        step = obj.node.step
+        state = obj.node.start
+        for _ in range(obj.index):
+            state = step(state)[1]
     else:
         return PeriodicityUnknown()
     seen = {}
@@ -429,10 +430,8 @@ def solve_context_free(cfs):
                     acc[u] = s
         return acc
 
-    def go(p):
-        return Stream(alg, lambda: (poly_out(p), go(poly_deriv(p))))
-
-    return {v: go({(v,): alg.one}) for v in cfs.names}
+    step = lambda p: (poly_out(p), poly_deriv(p))
+    return {v: unfold(alg, {(v,): alg.one}, step) for v in cfs.names}
 
 
 # ---------------------------------------------------------------------------

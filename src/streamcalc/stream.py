@@ -1,15 +1,17 @@
 """Lazy, memoizing infinite streams with budgeted observation.
 
-A Stream is driven by a *cell*: a thunk producing the pair
-(head, tail).  Forcing a cell is idempotent (the result is cached and
-the thunk dropped), and a re-entrant demand on a cell that is currently
-being forced is trapped immediately as NonProductive -- such a demand
-can never be satisfied, so there is no point burning budget on it.
+A Stream is a read position (node, index) on a Node, the growing list
+of the coefficients computed so far: its head is node.get(index).  A
+coefficient is computed once, when first demanded, and charges the
+budget once; a demand on a coefficient that its own node is still
+computing can never be satisfied and is trapped as NonProductive.  A
+cell (Stream(alg, cell), cons), an unfolded automaton and each `series`
+operation are node kinds.
 
-Constructing a stream never forces anything; only head/tail do.
-Streams are single-observer: observation mutates the memo cell, so a
-stream must not be observed concurrently.  Materialised prefixes
-returned by take() are plain lists and freely shareable.
+Constructing a stream never computes anything; only head/tail do.
+Streams are single-observer: observation mutates the node, so a stream
+must not be observed concurrently.  Materialised prefixes returned by
+take() are plain lists and freely shareable.
 """
 
 import sys
@@ -22,7 +24,8 @@ DEFAULT_BUDGET = 10_000
 
 @dataclass(frozen=True)
 class StepBudget:
-    """Number of cell forcings permitted during one observation."""
+    """Number of coefficients that one observation may compute: each
+    node coefficient, and each GSOS engine output, charges one step."""
 
     max_force_steps: int = DEFAULT_BUDGET
 
@@ -47,7 +50,7 @@ class Differ:
     right: object
 
 
-# Stack of mutable forcing counters; the innermost observation pays.
+# Stack of mutable step counters; the innermost observation pays.
 _BUDGETS = []
 
 
@@ -66,7 +69,7 @@ def ensure_recursion_room(frames):
 
 
 class BudgetScope:
-    """A forcing counter that the observations made inside it charge.
+    """A step counter that the observations made inside it charge.
 
     A scope made from another scope shares its counter, so several
     observations can draw on one budget.
@@ -91,72 +94,130 @@ class BudgetScope:
         return False
 
 
+class Node:
+    """A stream as the growing list of its computed coefficients."""
+
+    __slots__ = ("alg", "coeffs", "_busy")
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.coeffs = []
+        self._busy = False
+
+    def get(self, n):
+        coeffs = self.coeffs
+        while len(coeffs) <= n:
+            if self._busy:
+                raise NonProductive()
+            _charge()
+            self._busy = True
+            try:
+                value = self.compute(len(coeffs))
+            finally:
+                self._busy = False
+            coeffs.append(value)
+        return coeffs[n]
+
+    def compute(self, n):
+        raise NotImplementedError
+
+    def tail(self, index):
+        return at(self, index + 1)
+
+
+def at(node, index=0):
+    """The stream of a node's coefficients from the index-th on."""
+    s = object.__new__(Stream)
+    s.node, s.index = node, index
+    return s
+
+
+class _Cells(Node):
+    """The stream of a cell, a thunk returning (head, tail): the tail is
+    the stream the cell returned, so a chain of cells is read in a loop.
+    Later coefficients, which a series node reads, are the tail's, read
+    from it in order, which charged them."""
+
+    __slots__ = ("cell", "rest", "cursor")
+
+    def __init__(self, alg, cell):
+        super().__init__(alg)
+        self.cell = cell
+
+    def compute(self, n):
+        if self.cell is None:
+            raise RuntimeError("observed an unresolved stream")
+        head, self.rest = self.cell()
+        self.cursor, self.cell = self.rest, None
+        return head
+
+    def get(self, n):
+        coeffs = self.coeffs
+        if not coeffs:
+            Node.get(self, 0)
+        while len(coeffs) <= n:
+            cursor = self.cursor
+            coeffs.append(cursor.head)
+            self.cursor = cursor.tail
+        return coeffs[n]
+
+    def tail(self, index):
+        self.get(0)
+        return self.rest.drop(index)
+
+
+class Unfold(Node):
+    """The outputs of an automaton run from `start`, where
+    step(state) -> (output, next_state).  States are compared with ==,
+    so periodicity detection is exact whenever state equality is."""
+
+    __slots__ = ("step", "start", "state")
+
+    def __init__(self, alg, start, step):
+        super().__init__(alg)
+        self.step, self.start, self.state = step, start, start
+
+    def compute(self, n):
+        out, self.state = self.step(self.state)
+        return self.alg.coerce(out)
+
+
 class Stream:
-    """An infinite sequence over an Algebra, evaluated lazily.
+    """An infinite sequence over an Algebra, evaluated lazily: element
+    `index` onwards of `node`."""
 
-    `origin`, when present, is bookkeeping attached by a solver (e.g.
-    the automaton state a stream was unfolded from); it never affects
-    the observed values.
-    """
+    __slots__ = ("node", "index")
 
-    __slots__ = ("algebra", "_cell", "_memo", "_forcing", "origin")
+    def __init__(self, algebra, cell=None):
+        self.node = _Cells(algebra, cell)
+        self.index = 0
 
-    def __init__(self, algebra, cell=None, origin=None):
-        self.algebra = algebra
-        self._cell = cell
-        self._memo = None
-        self._forcing = False
-        self.origin = origin
+    @property
+    def algebra(self):
+        return self.node.alg
 
     @classmethod
-    def defer(cls, algebra, origin=None):
+    def defer(cls, algebra):
         """A stream whose cell is supplied later via resolve().
 
         This is the late-bound indirection slot that lets equation
         systems refer to their own unknowns.
         """
-        return cls(algebra, None, origin)
+        return cls(algebra)
 
     def resolve(self, cell):
-        if self._cell is not None or self._memo is not None:
+        node = self.node
+        if type(node) is not _Cells or node.cell is not None or node.coeffs:
             raise RuntimeError("stream already resolved")
-        self._cell = cell
-
-    @classmethod
-    def delay(cls, algebra, thunk):
-        """Stream equal to thunk()'s result, without building it yet."""
-
-        def cell():
-            inner = thunk()
-            return inner.head, inner.tail
-
-        return cls(algebra, cell)
-
-    def _force(self):
-        memo = self._memo
-        if memo is None:
-            if self._forcing:
-                raise NonProductive()
-            cell = self._cell
-            if cell is None:
-                raise RuntimeError("observed an unresolved stream")
-            _charge()
-            self._forcing = True
-            try:
-                memo = cell()
-            finally:
-                self._forcing = False
-            self._memo = memo
-            self._cell = None
-        return memo
+        node.cell = cell
 
     @property
     def head(self):
-        return self._force()[0]
+        return self.node.get(self.index)
 
     @property
     def tail(self):
-        return self._force()[1]
+        return self.node.tail(self.index)
 
     def drop(self, n):
         s = self
@@ -165,13 +226,8 @@ class Stream:
         return s
 
     def __repr__(self):
-        forced = []
-        s = self
-        while s is not None and s._memo is not None and len(forced) < 8:
-            forced.append(self.algebra.fmt(s._memo[0]))
-            s = s._memo[1]
-        shown = ", ".join(forced)
-        return f"<Stream {self.algebra.name} [{shown}{', ...' if forced else '?'}]>"
+        shown = [self.algebra.fmt(c) for c in self.node.coeffs[self.index:self.index + 8]]
+        return f"<Stream {self.algebra.name} [{', '.join(shown)}{', ...' if shown else '?'}]>"
 
 
 def cons(a, s):
@@ -180,31 +236,12 @@ def cons(a, s):
     return Stream(s.algebra, lambda: (a, s))
 
 
-@dataclass(frozen=True)
-class UnfoldOrigin:
-    """Provenance of a stream unfolded from an automaton state.
-
-    step(state) -> (output, next_state).  States are compared with ==,
-    so periodicity detection is exact whenever state equality is.
-    """
-
-    step: object
-    state: object
-
-
 def unfold(algebra, state, step):
-    def make(st):
-        def cell():
-            out, nxt = step(st)
-            return algebra.coerce(out), make(nxt)
-
-        return Stream(algebra, cell, origin=UnfoldOrigin(step, st))
-
-    return make(state)
+    return at(Unfold(algebra, state, step))
 
 
 def take(stream, n, budget=None):
-    """First n elements as a list; total forcings bounded by the budget.
+    """First n elements as a list; total steps bounded by the budget.
 
     BudgetExhausted/NonProductive escaping from the evaluation are
     annotated with the prefix index at which progress stalled.

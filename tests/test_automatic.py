@@ -237,12 +237,10 @@ class TestBinaryRational:
         assert binary_encode_rational(Fraction(0), 8) == [0] * 8
 
     def test_orbit_passes_through_minus_three_fifths(self):
-        stream = binary_rational_stream(Fraction(17, 5))
-        s = stream
-        states = []
-        for _ in range(6):
-            states.append(s.origin.state)
-            s = s.tail
+        node = binary_rational_stream(Fraction(17, 5)).node
+        states = [node.start]
+        for _ in range(5):
+            states.append(node.step(states[-1])[1])
         assert states[4] == Fraction(-3, 5)
 
     def test_even_denominator_rejected(self):

@@ -69,6 +69,26 @@ class TestSyntacticAutomaton:
         assert o_d(leaf) == 2
         assert d_d(leaf) is engine.leaf(sigma.tail)
 
+    def test_leaves_are_interned_on_positions(self):
+        # a leaf is one state per (node, index), so the derivative of a
+        # leaf is the leaf of the tail, built afresh, on every kind of stream
+        from streamcalc import cons, series
+
+        spec = parse("algebra Q; s(0) = 1; s' = s*s;")
+        engine = Engine(Q)
+        behaviour = engine.behaviour(engine.app("+", [engine.lit(1), engine.leaf(
+            calculus.ones(Q))]))
+        streams = (series.solve_by_coefficients(spec.system)["s"],
+                   cons(3, calculus.ones(Q)), behaviour)
+        for s in streams:
+            leaf = engine.leaf(s)
+            assert engine.derivative(leaf) is engine.leaf(s.tail)
+            assert engine.derivative(engine.derivative(leaf)) is engine.leaf(s.tail.tail)
+            assert engine.leaf(s.tail) is not leaf
+        assert take(streams[0], 5) == [1, 1, 2, 5, 14]
+        assert take(streams[1], 3) == [3, 1, 1]
+        assert take(behaviour, 3) == [2, 1, 1]
+
     def test_product_of_sum_transition(self):
         # sigma x (tau + delta) --4--> (sigma' x (tau+delta)) + ([2] x (tau'+delta'))
         engine, sigma, tau, delta = ex84_setup()

@@ -43,7 +43,7 @@ from streamcalc.speclang import (
 )
 from test_automatic import _random_automaton
 from test_cli import NAMING_SPECS, invoke
-from streamcalc.stream import take
+from streamcalc.stream import Node, at, take
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -332,12 +332,13 @@ def test_errors_wait_for_demand():
 
 def test_budget_counts_coefficients():
     # s and s*s compute one coefficient per element, except s*s for the
-    # head; the returned stream pays one step per element read
+    # head; the returned stream is a position on s's node and pays nothing
+    # of its own
     sys_ = parse("algebra Nat; s(0) = 1; s' = s*s;").system
     n = 30
-    assert len(take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 1)) == n
+    assert len(take(series.solve_by_coefficients(sys_)["s"], n, 2 * n - 1)) == n
     with pytest.raises(BudgetExhausted):
-        take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 2)
+        take(series.solve_by_coefficients(sys_)["s"], n, 2 * n - 2)
 
 
 @pytest.mark.parametrize("alg_name", ALGEBRAS)
@@ -397,13 +398,13 @@ def test_even_odd_matches_bbin_indexing():
 def test_even_odd_budget_counts_coefficients():
     # element m of tm reads odd or even target at m >> 1: tm computes
     # 2k coefficients and n k for the first 2k elements, and the
-    # returned stream pays one step per element read
+    # returned stream, a position on tm's node, pays nothing of its own
     sys_ = parse((CORPUS / "thue_morse_evenodd.sde").read_text()).system
     k = 16
     tm = series.solve_by_coefficients(sys_)["tm"]
-    assert len(take(tm, 2 * k, 5 * k)) == 2 * k
+    assert len(take(tm, 2 * k, 3 * k)) == 2 * k
     with pytest.raises(BudgetExhausted):
-        take(series.solve_by_coefficients(sys_)["tm"], 2 * k, 5 * k - 1)
+        take(series.solve_by_coefficients(sys_)["tm"], 2 * k, 3 * k - 1)
 
 
 def test_zero_inconsistent_even_odd_is_refused():
@@ -740,7 +741,7 @@ def test_a_linear_right_hand_side_is_one_step():
     assert [kind.__name__ for kind, _, _ in steps] == ["Constant", "_Linear", "_Mul"]
 
 
-class _Logged(series._Node):
+class _Logged(Node):
     """Given coefficients, each computed one logged as (name, index)."""
 
     __slots__ = ("name", "values", "log")
@@ -754,7 +755,7 @@ class _Logged(series._Node):
         return self.values[n]
 
 
-class _TermByTerm(series._Node):
+class _TermByTerm(Node):
     """The reference of a linear combination of (node, scalar or None,
     negated) terms: each term's coefficient demanded, multiplied by its
     scalar, negated and added, one term after the other."""
@@ -802,7 +803,7 @@ def _random_combination(rng, alg, names):
 
 def _observe_node(node, log, count, budget):
     try:
-        values = take(series.node_stream(node), count, budget)
+        values = take(at(node), count, budget)
     except BudgetExhausted as err:
         return ("BudgetExhausted", err.index), log
     except UnsupportedOp as err:
@@ -888,9 +889,9 @@ def test_a_literal_factor_charges_nothing():
     # negations and -[2/3] add none
     sys_ = parse("algebra Q; s(0) = 1; s' = -2/3*s + 5*s - s*4 + -s;").system
     n = 30
-    assert len(take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 1)) == n
+    assert len(take(series.solve_by_coefficients(sys_)["s"], n, 2 * n - 1)) == n
     with pytest.raises(BudgetExhausted):
-        take(series.solve_by_coefficients(sys_)["s"], n, 3 * n - 2)
+        take(series.solve_by_coefficients(sys_)["s"], n, 2 * n - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from streamcalc.solvers import (
 )
 from streamcalc.series import solve_by_coefficients
 from streamcalc.speclang import EquationSystem, Kind, classify
-from streamcalc.stream import Equal
+from streamcalc.stream import Equal, take, unfold
 from streamcalc.stream import bounded_eq
 
 
@@ -136,6 +136,23 @@ class TestPeriodicity:
     def test_rational_periodic(self):
         r = ratexpr_normalize(P(1), P(1, 0, -1))  # 1/(1-X^2) = (1,0,1,0,...)
         assert detect_eventually_periodic(r) == Periodic(0, 2)
+
+    def test_unfold_positions_are_periodic(self):
+        # an unfold stream reads its node's start state and step, a later
+        # position stepping the start state to its index
+        stream = unfold(Q, 0, lambda q: (q, q + 1 if q < 3 else 1))  # 0 1 2 3 1 2 3
+        assert detect_eventually_periodic(stream) == Periodic(1, 4)
+        assert detect_eventually_periodic(stream.tail) == Periodic(0, 3)
+        assert detect_eventually_periodic(stream.drop(3)) == Periodic(0, 3)
+        take(stream, 10)  # reading the stream leaves the start state as it was
+        assert detect_eventually_periodic(stream) == Periodic(1, 4)
+
+    def test_binary_rational_positions_are_periodic(self):
+        from streamcalc.automatic import binary_rational_stream
+
+        stream = binary_rational_stream(Fraction(17, 5))
+        assert detect_eventually_periodic(stream.drop(3)) == Periodic(0, 4)
+        assert detect_eventually_periodic(stream.drop(5)) == Periodic(0, 4)
 
     def test_plain_stream_unknown(self):
         from streamcalc.calculus import ones

@@ -154,8 +154,12 @@ class TestUnfold:
         assert prefix(s, 6) == [1, 0, 1, 0, 1, 0]
 
     def test_origin_recorded(self):
-        s = unfold(Q, 5, lambda n: (n, n + 1))
-        assert s.origin.state == 5
+        # the unfold node keeps its start state and step; a later
+        # position reads the same node
+        step = lambda n: (n, n + 1)
+        s = unfold(Q, 5, step)
+        assert (s.node.start, s.node.step) == (5, step)
+        assert s.tail.tail.node is s.node and s.tail.tail.index == 2
 
 
 def test_drop():

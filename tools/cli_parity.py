@@ -35,7 +35,9 @@ from the record or whose second differs from its first, then how many
 of them differ only in that BudgetExhausted comes at an earlier index,
 how many only in that it comes at a later one, how many only in a
 verdict upgrade (an `equiv` that printed Unknown or ended in
-BudgetExhausted now prints Proved), and how many differ in
+BudgetExhausted now prints Proved), how many ran out of budget and now
+answer (a run that ended in BudgetExhausted, or a `kernel` that did not
+close within the budget, now exits 0), and how many differ in
 any other way, the number of them per command, spec
 file and flags (the --algebra override aside), and their total, and
 exits 1 if any differs.  cli.run keeps the parsed form of recent spec
@@ -112,6 +114,8 @@ FRONT_END = (
 # the index in `error: BudgetExhausted: ... (at index N)` and in a
 # `check` probe's `BudgetExhausted at index N`
 BUDGET_INDEX = re.compile(r"(BudgetExhausted\b.*?\bindex )(\d+)")
+# what `kernel` prints when its closure runs out of budget
+KERNEL_UNKNOWN = "Unknown (kernel did not close within the budget)"
 RECURSION_LIMIT = sys.getrecursionlimit()
 
 
@@ -214,6 +218,15 @@ def verdict_upgrade(old, new):
             and (old["out"].startswith("Unknown (") or "BudgetExhausted" in old["err"]))
 
 
+def answers_within_budget(old, new):
+    """Whether a run that ran out of budget now answers: the recorded
+    one ended in BudgetExhausted or in a kernel that did not close
+    within the budget, and the new one exits 0.  A verdict upgrade is
+    counted there and not here."""
+    ran_out = "BudgetExhausted" in old["err"] or old["out"].startswith(KERNEL_UNKNOWN)
+    return ran_out and new["code"] == 0 and not verdict_upgrade(old, new)
+
+
 def group(argv):
     """The command, spec file name and flags of a run's argv, without
     its --algebra override; the argv itself for a FRONT_END run."""
@@ -249,11 +262,14 @@ def main(argv=None):
     earlier = sum(earlier_budget_index(old, new) for old, new in diffs)
     later = sum(later_budget_index(old, new) for old, new in diffs)
     upgraded = sum(verdict_upgrade(old, new) for old, new in diffs)
+    answered = sum(answers_within_budget(old, new) for old, new in diffs)
     print(f"{earlier:5d}  differ only by an earlier BudgetExhausted index")
     print(f"{later:5d}  differ only by a later BudgetExhausted index")
     print(f"{upgraded:5d}  differ only by a verdict upgrade (Unknown or "
           "BudgetExhausted to Proved)")
-    print(f"{len(diffs) - earlier - later - upgraded:5d}  differ in any other way")
+    print(f"{answered:5d}  ran out of budget and now answer")
+    print(f"{len(diffs) - earlier - later - upgraded - answered:5d}  "
+          "differ in any other way")
     groups = collections.Counter(group(old["argv"]) for old, _ in diffs)
     for key, count in sorted(groups.items(), key=lambda item: (-item[1], item[0])):
         print(f"{count:5d}  " + "  ".join(filter(None, key)))
