@@ -6,6 +6,10 @@ the min-plus (tropical) semiring over exact rationals extended with
 +infinity.  No floating point is used anywhere except the two infinity
 markers (``math.inf`` for tropical, ``-inf`` as the degree of the zero
 polynomial), which are exact values.
+
+Q holds an integral value as an ``int`` and any other as a ``Fraction``:
+every operation of Q returns that form, so integral coefficients, the
+common case, stay in machine-word-fast ints.  Tropical keeps Fractions.
 """
 
 import math
@@ -160,24 +164,42 @@ def _q_sqrt(a):
     return None
 
 
+def _rational(x):
+    """The form Q holds the rational x in: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _rational_add(a, b):
+    c = a + b
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _rational_mul(a, b):
+    c = a * b
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
 def _q_dot(xs, ys, weights=None):
-    """Sum over the lcm of the products' denominators, normalised once."""
+    """A plain integer sum when every factor is an int; else a sum over
+    the lcm of the products' denominators, normalised once."""
+    if {*map(type, xs), *map(type, ys)} == {int}:
+        return _int_dot(xs, ys, weights)
     dens = list(map(_mul, map(_denominator, xs), map(_denominator, ys)))
     nums = map(_mul, map(_numerator, xs), map(_numerator, ys))
     if weights is not None:
         nums = map(_mul, weights, nums)
     common = math.lcm(*dens)
     if common == 1:
-        return Fraction(sum(nums))
-    return Fraction(sum(map(_mul, nums, map(common.__floordiv__, dens))), common)
+        return sum(nums)
+    return _rational(Fraction(sum(map(_mul, nums, map(common.__floordiv__, dens))), common))
 
 
 def _q_sample(rng):
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return _rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
 def _int_coerce(x):
@@ -267,15 +289,15 @@ def _parse_q(text):
 
 _Q = Algebra(
     name="Q", kind="field",
-    zero=Fraction(0), one=Fraction(1),
-    add=lambda a, b: a + b, mul=lambda a, b: a * b,
+    zero=0, one=1,
+    add=_rational_add, mul=_rational_mul,
     eq=lambda a, b: a == b,
     neg=lambda a: -a,
-    inv=lambda a: None if a == 0 else 1 / Fraction(a),
-    sqrt=_q_sqrt,
+    inv=lambda a: None if a == 0 else _rational(1 / Fraction(a)),
+    sqrt=lambda a: None if (r := _q_sqrt(a)) is None else _rational(r),
     lt=lambda a, b: a < b,
-    coerce=_q_coerce,
-    parse=_parse_q,
+    coerce=lambda x: x if type(x) is int else _rational(_q_coerce(x)),
+    parse=lambda t: _rational(_parse_q(t)),
     fmt=format_fraction,
     characteristic=0,
     sample=_q_sample,
@@ -465,6 +487,10 @@ def gf(p):
             return x.numerator * pow(x.denominator, -1, p) % p
         raise AlgebraMismatch(f"{x!r} is not in F_{p}")
 
+    def dot(xs, ys, weights=None):
+        terms = map(_mul, xs, ys)
+        return sum(terms if weights is None else map(_mul, weights, terms)) % p
+
     alg = Algebra(
         name="F2" if p == 2 else f"Fp({p})", kind="field",
         zero=0, one=1 % p,
@@ -478,7 +504,7 @@ def gf(p):
         fmt=str,
         characteristic=p,
         sample=lambda rng: rng.randrange(p),
-        dot=lambda xs, ys, weights=None: _int_dot(xs, ys, weights) % p,
+        dot=dot,
     )
     _GF_CACHE[p] = alg
     return alg

@@ -8,38 +8,66 @@ relaxed multiplication (van der Hoeven, *Relax, but Don't Be Too Lazy*,
 2002).  Every unknown and every distinct subterm of the right-hand sides
 becomes a stream.Node holding the coefficients computed so far; a linear
 combination, a sum of terms each maybe negated or with a literal factor
-[c] or -[c], is one node.  A coefficient is computed once, when it is
-first demanded, and charges the observation budget once; a literal
-factor charges nothing of its own, and nor do the solution streams,
-positions on the unknowns' nodes.  A coefficient of a convolution
-(`*`, `inv`), of a shuffle, or of a linear combination of two or more
-terms one of which has a literal factor is one call of the algebra's
-fused sum of products, alg.dot; the shuffle's binomial weights are
-plain integers, reduced mod p in characteristic p, and the
-combination's are algebra elements that the plan holds.  Other
-combinations, unscaled sums and c*x, add term by term, which is faster
-there.  `operation` makes the node of one builtin;
-the `calculus` operations are such nodes over their argument streams'
-nodes (`node_of`).
+[c] or -[c], is one node.  A coefficient is computed once and charges
+the observation budget once; a literal factor charges nothing of its
+own, and nor do the solution streams, positions on the unknowns' nodes.
+`operation` makes the node of one builtin; the `calculus` operations
+are such nodes over their argument streams' nodes (`node_of`).
 
 A system is solved in two steps.  `compile_plan`, a pure function of
 the system, walks the right-hand sides once, gives equal subterms one
 slot, and returns an immutable Plan: the unknowns' heads, then a flat
-tuple of steps, each a node kind, its payload (a constant, or a linear
-combination's scalars and negation flags and its alg.dot weights) and
-its child slots.
+tuple of steps, each a node kind, its payload and its child slots.
 `solve_by_coefficients` makes fresh nodes from a plan in one pass that
 hashes no term.  The system keeps its plan (`EquationSystem.plan`), so
-a system solved again pays for the walk once; no coefficient, busy flag
-or budget charge is shared between two calls.
+a system solved again pays for the walk once; no coefficient or budget
+charge is shared between two calls.
 
-The nodes observe the GSOS engine (gsos.py) wherever it answers:
+Valuations and degrees.  The plan gives every slot a valuation v, an
+index below which each coefficient is zero (1 for X, the sum of the
+factors' for a product), and a degree bound d, an index above which
+each is zero (0 for a literal).  Coefficient n of a product a*b or of
+shuffle(a, b) sums only over i in [max(v(a), n - d(b)), min(d(a), n -
+v(b))], and demands a and b only up to the ends of that range, so X*a
+reads the single coefficient a(n-1), as McIlroy's X*s = 0 : s.  A
+square, a*a or shuffle(a, a), adds each symmetric pair of products once
+and doubles it with one `add`, then adds the middle term.  The sums are
+one call of the algebra's fused alg.dot, the shuffle's binomial weights
+plain integers reduced mod p in characteristic p; a linear combination
+with a literal factor and three or more terms, or two over Q with a
+scalar that is not an integer, is alg.dot too (`_Compiler._dot_weights`).
 
-* prefixes are identical;
-* a demand on a coefficient that its own node is still computing raises
-  NonProductive, the trap of Stream and Engine;
-* a convolution demands every factor a(i) and b(n-i), zero or not, so a
-  definition the engine finds non-productive stays non-productive.
+The schedule.  In a plan of constants, X, linear combinations, `*`,
+`shuffle`, `hadamard` and `inv`, every node reads its children at
+indices no greater than its own, and an unknown reads its right-hand
+side one index lower, so no coefficient can demand itself.  Such a plan
+is scheduled.  A node kind of it says which coefficients its coefficient
+n reads (`reads`) and computes it once they are there (`kernel`); demand
+(`compute`) reads them with get and calls the same kernel.  Demand on an
+unknown's element n asks each slot for its coefficients up to an index
+that, along each chain of reads, bends where a product's range starts
+or reaches a degree bound, and is n - lag from then on, lag being the
+least read offset from the unknown along chains that no degree bound
+caps.  Past every bend (the unknown's settle), element n computes each
+such slot's coefficient n - lag, in the post-order in which demand
+first reaches the slots, and charges each slot where demand enters it:
+one loop per unknown, a pure function of the Plan (`_schedule`), kept
+for the plans solved last.  The
+elements before settle are demanded by `_demand`, which follows
+Node.get's recursion with a stack of its own.  Either way the
+coefficients computed, every budget charge and the first error are
+those of demand, and no recursion limit is raised.  A plan holding
+even, odd, delta, ddx, sqrt, merge, zip or a definition, or that
+negates over an algebra without negation, keeps demand-driven nodes,
+whose recursion can reach a coefficient still being computed: that is
+NonProductive, the trap of Stream and Engine.
+
+The nodes observe the GSOS engine (gsos.py) wherever it answers: the
+prefixes are identical, and so are the errors, except where a product
+has a factor of positive valuation, whose partner's coefficients the
+engine's expansion reads and the product does not.  There a request
+that ran out of budget or was non-productive on the engine may answer
+here, or meet another error at the same element.
 
 An algebra-capability error follows one rule, that of lazy power
 series: it is raised when the coefficient that needs it is demanded,
@@ -57,13 +85,17 @@ the budget on the engine may finish here.  Even-odd systems and
 2-automata get one node per state (`even_odd_nodes`).
 """
 
+from fractions import Fraction
+from functools import lru_cache
+from heapq import heappop, heappush
+from math import inf
 from operator import add
 from typing import NamedTuple
 
-from .errors import NonProductive, UnorderedAlgebra, UnsupportedOp
+from .errors import UnorderedAlgebra, UnsupportedOp
 from .speclang import (Const, HLit, OpApp, Var, head_root, require_zero_consistency,
                        summands)
-from .stream import Node, at, ensure_recursion_room
+from .stream import Node, _charge, _reserve, at, ensure_recursion_room
 
 
 def _no_negation(alg):
@@ -71,7 +103,13 @@ def _no_negation(alg):
 
 
 class _Unknown(Node):
-    """x(0) = head, x(n+1) = successor(n, x(n), rhs(n))."""
+    """x(0) = head, x(n+1) = successor(n, x(n), rhs(n)), or rhs(n)
+    without a successor.
+
+    Like every node kind of a scheduled plan, it lists the (node, index)
+    coefficients that its coefficient n reads, in the order demand reads
+    them (`reads`), and computes it by `kernel` once those are there.
+    """
 
     __slots__ = ("head", "successor", "rhs")
 
@@ -81,10 +119,98 @@ class _Unknown(Node):
         self.successor = successor
         self.rhs = None
 
-    def compute(self, n):
+    def reads(self, n):
+        return ((self.rhs, n - 1),) if n else ()
+
+    def kernel(self, n):
         if not n:
             return self.head
-        return self.successor(n - 1, self.coeffs[n - 1], self.rhs.get(n - 1))
+        if self.successor is None:
+            return self.rhs.coeffs[n - 1]
+        return self.successor(n - 1, self.coeffs[n - 1], self.rhs.coeffs[n - 1])
+
+    def compute(self, n):
+        if n:
+            self.rhs.get(n - 1)
+        return self.kernel(n)
+
+
+class _Scheduled(_Unknown):
+    """An unknown of a scheduled plan.  Before its element settle a
+    demand on it computes each element it lacks by `_demand`, and from
+    there on by its schedule, which computes what demand would where
+    every slot of it lacks just the coefficient it computes: so while
+    this unknown alone has computed the nodes, every element to its end.
+    `owner`, shared by the unknowns of one set of nodes, says whether it
+    has; once another unknown or an error has been there, every element
+    is demanded."""
+
+    __slots__ = ("plan", "slot", "nodes", "owner", "steady")
+
+    def __init__(self, alg, head, successor, plan, slot, nodes, owner):
+        super().__init__(alg, head, successor)
+        self.plan, self.slot, self.nodes, self.owner = plan, slot, nodes, owner
+        self.steady = None
+
+    def get(self, n):
+        coeffs, owner = self.coeffs, self.owner
+        while len(coeffs) <= n:
+            k = len(coeffs)
+            if owner[0] is not self and owner[0] is not _NOBODY:
+                owner[0] = None
+                _demand(self, k)
+                continue
+            owner[0] = None
+            settle, steps = self.steady or self._bind()
+            if k < settle:
+                _demand(self, k)
+            elif _reserve(len(steps)):  # the budget covers the element
+                for kept, kernel, lag, _ in steps:
+                    kept.append(kernel(k - lag))
+            else:
+                for kept, kernel, lag, charges in steps:
+                    if charges:
+                        _charge(charges)
+                    kept.append(kernel(k - lag))
+            owner[0] = self
+        return coeffs[n]
+
+    def _bind(self):
+        """This unknown's schedule on these nodes: settle, and per step
+        its node's coefficient list and kernel, its lag and its charges."""
+        settle, steps = _schedule(self.plan, self.slot)
+        nodes = self.nodes
+        self.steady = settle, [(nodes[slot].coeffs, nodes[slot].kernel, lag, charges)
+                               for slot, lag, charges in steps]
+        return self.steady
+
+
+_NOBODY = object()  # the owner of a set of nodes that no unknown has computed
+
+
+def _demand(top, n):
+    """top.get(n) on the nodes of a scheduled plan, with a stack in place
+    of recursion: the same coefficients, computed in the same order, with
+    the same budget charges.  No coefficient of such a plan can demand
+    itself, so no node is ever busy."""
+    stack, node, target, unread = [], top, n, None
+    while True:
+        if unread is None:
+            if len(node.coeffs) > target:
+                if not stack:
+                    return
+                node, target, unread = stack.pop()
+                continue
+            _charge()
+            unread = iter(node.reads(len(node.coeffs)))
+        for child, index in unread:
+            if len(child.coeffs) <= index:
+                stack.append((node, target, unread))
+                node, target, unread = child, index, None
+                break
+        else:
+            node.coeffs.append(node.kernel(len(node.coeffs)))
+            unread = None
 
 
 class _EvenOdd(Node):
@@ -115,44 +241,63 @@ class Constant(Node):
         super().__init__(alg)
         self.value = value
 
-    def compute(self, n):
+    def reads(self, n):
+        return ()
+
+    def kernel(self, n):
         return self.alg.zero if n else self.value
+
+    compute = kernel
 
 
 class _X(Node):
     __slots__ = ()
 
-    def compute(self, n):
+    def reads(self, n):
+        return ()
+
+    def kernel(self, n):
         return self.alg.one if n == 1 else self.alg.zero
+
+    compute = kernel
 
 
 class _Linear(Node):
-    """The sum of (node, scalar or None, negated) terms.  With `weights`,
-    one algebra element per term, a coefficient is alg.dot of the weights
-    and the nodes' coefficients, demanded in term order; without, each
-    value is multiplied by the scalar, then negated, then added, in term
-    order."""
+    """The sum of terms, each a node with a (scalar or None, negated)
+    term of `terms`.  With `weights`, one algebra element per term, a
+    coefficient is alg.dot of the weights and the nodes' coefficients;
+    without, each value is multiplied by the scalar, then negated, then
+    added, in term order.  Where the algebra cannot negate, demand
+    refuses the first negated term once it has read its coefficient,
+    before the later terms' reads."""
 
-    __slots__ = ("terms", "weights", "nodes")
+    __slots__ = ("terms", "weights", "nodes", "refuses")
 
     def __init__(self, alg, terms, weights, *nodes):
         super().__init__(alg)
-        self.weights, self.nodes = weights, nodes
-        self.terms = None if weights is not None else tuple(
-            (node, c, negated) for node, (c, negated) in zip(nodes, terms))
+        self.terms, self.weights, self.nodes = terms, weights, nodes
+        self.refuses = alg.neg is None and any(negated for _, negated in terms)
+
+    def reads(self, n):
+        return [(node, n) for node in self.nodes]
 
     def compute(self, n):
-        if self.weights is not None:
-            return self.alg.dot(self.weights, [node.get(n) for node in self.nodes])
+        for node, (_, negated) in zip(self.nodes, self.terms):
+            node.get(n)
+            if negated and self.refuses:
+                raise _no_negation(self.alg)
+        return self.kernel(n)
+
+    def kernel(self, n):
         alg = self.alg
+        if self.weights is not None:
+            return alg.dot(self.weights, [node.coeffs[n] for node in self.nodes])
         acc = None
-        for node, c, negated in self.terms:
-            value = node.get(n)
+        for node, (c, negated) in zip(self.nodes, self.terms):
+            value = node.coeffs[n]
             if c is not None:
                 value = alg.mul(c, value)
             if negated:
-                if alg.neg is None:
-                    raise _no_negation(alg)
                 value = alg.neg(value)
             acc = value if acc is None else alg.add(acc, value)
         return acc
@@ -187,47 +332,114 @@ class _Binary(Node):
         self.a, self.b = a, b
 
 
-class _Mul(_Binary):
-    """Convolution: sum of a(i) * b(n-i) over i = 0..n."""
+# the bounds of a product whose factors' valuations and degrees are unknown
+_UNBOUNDED = (0, inf, 0, inf)
 
-    __slots__ = ()
+
+class _Product(_Binary):
+    """Coefficient n is the sum of w(n, i) * a(i) * b(n-i) over i in
+    [lo, hi] = [max(va, n - db), min(da, n - vb)], the indices where both
+    factors may be nonzero, va and da being a's valuation and degree
+    bound and vb and db b's; it reads a up to hi and b up to n - lo,
+    and is zero where the range is empty.  A square, a*a, sums the pairs
+    i < n - i once and doubles them with one add."""
+
+    __slots__ = ("va", "da", "vb", "db")
+
+    def __init__(self, alg, va, da, vb, db, a, b):
+        super().__init__(alg, a, b)
+        self.va, self.da, self.vb, self.db = va, da, vb, db
+
+    def _range(self, n):
+        lo, hi = n - self.db, n - self.vb
+        return self.va if lo < self.va else lo, self.da if hi > self.da else hi
+
+    def reads(self, n):
+        lo, hi = self._range(n)
+        return ((self.a, hi), (self.b, n - lo)) if lo <= hi else ()
 
     def compute(self, n):
-        # a(0..n-1) and b(0..n-1) were demanded for earlier coefficients;
-        # a(n) comes first and b(n) last, as in the engine's expansion
-        self.a.get(n)
-        self.b.get(n)
-        return self.alg.dot(self.a.coeffs[:n + 1], self.b.coeffs[n::-1])
+        lo, hi = self._range(n)
+        if lo > hi:
+            return self.alg.zero
+        self.a.get(hi)
+        self.b.get(n - lo)
+        return self.kernel(n)
+
+    def kernel(self, n):
+        alg = self.alg
+        lo, hi = self._range(n)
+        if lo > hi:
+            return alg.zero
+        weights = self.binomials(n) if self.weighted else None
+        xs = self.a.coeffs
+        if self.a is not self.b:
+            if lo == hi and weights is None:
+                return alg.mul(xs[lo], self.b.coeffs[n - lo])
+            stop = n - hi - 1
+            ys = self.b.coeffs[n - lo:stop:-1] if stop >= 0 else self.b.coeffs[n - lo::-1]
+            return alg.dot(xs[lo:hi + 1], ys, weights and weights[lo:hi + 1])
+        # a square's range is symmetric about n/2: lo + hi = n; the pairs
+        # i < n - i, each added twice, vanish in characteristic 2
+        top, total = (n - 1) >> 1, None
+        if top > hi:
+            top = hi
+        if top >= lo and alg.characteristic != 2:
+            half = alg.dot(xs[lo:top + 1], xs[n - lo:n - top - 1:-1],
+                           weights and weights[lo:top + 1])
+            total = alg.add(half, half)
+        if not n & 1:
+            m = n >> 1
+            middle = (alg.mul(xs[m], xs[m]) if weights is None
+                      else alg.dot((xs[m],), (xs[m],), (weights[m],)))
+            total = middle if total is None else alg.add(total, middle)
+        return alg.zero if total is None else total
 
 
-class _Shuffle(_Binary):
-    """Shuffle product: sum of C(n, i) * a(i) * b(n-i) over i = 0..n.
+class _Mul(_Product):
+    """Convolution: the sum of a(i) * b(n-i)."""
+
+    __slots__ = ()
+    weighted = False
+
+
+class _Shuffle(_Product):
+    """Shuffle product: the sum of C(n, i) * a(i) * b(n-i).
 
     The binomials C(n, i) are plain integers, the weights of alg.dot,
     which takes each as its image in the algebra.  They are kept as the
-    current row of Pascal's triangle, one integer addition per entry,
-    and reduced mod p over a field of characteristic p.
+    last row of Pascal's triangle that a coefficient needed, each next
+    row one integer addition per entry, and reduced mod p over a field
+    of characteristic p.
     """
 
     __slots__ = ("row",)
+    weighted = True
 
-    def __init__(self, alg, a, b):
-        super().__init__(alg, a, b)
-        self.row = ()
+    def __init__(self, alg, va, da, vb, db, a, b):
+        super().__init__(alg, va, da, vb, db, a, b)
+        self.row = []
 
-    def compute(self, n):
-        self.a.get(n)
-        self.b.get(n)
-        last, p = self.row, self.alg.characteristic
-        inner = map(add, last, last[1:])
-        if p:
-            inner = (c % p for c in inner)
-        self.row = row = [1, *inner, 1] if n else [1]
-        return self.alg.dot(self.a.coeffs[:n + 1], self.b.coeffs[n::-1], row)
+    def binomials(self, n):
+        """Row n of Pascal's triangle."""
+        row, p = self.row, self.alg.characteristic
+        while len(row) <= n:
+            inner = map(add, row, row[1:])
+            if p:
+                inner = (c % p for c in inner)
+            row = [1, *inner, 1] if row else [1]
+        self.row = row
+        return row
 
 
 class _Hadamard(_Binary):
     __slots__ = ()
+
+    def reads(self, n):
+        return ((self.a, n), (self.b, n))
+
+    def kernel(self, n):
+        return self.alg.mul(self.a.coeffs[n], self.b.coeffs[n])
 
     def compute(self, n):
         return self.alg.mul(self.a.get(n), self.b.get(n))
@@ -266,7 +478,9 @@ class _Merge(_Binary):
 
 
 class _Inv(_Unary):
-    """b(0) = a(0)^-1, b(n) = -b(0) * sum of a(i) * b(n-i) over i = 1..n."""
+    """b(0) = a(0)^-1, b(n) = -b(0) * sum of a(i) * b(n-i) over i = 1..n.
+    Over an algebra without negation demand refuses b(n), n >= 1, before
+    it reads a(n)."""
 
     __slots__ = ("neg_b0",)
 
@@ -274,16 +488,24 @@ class _Inv(_Unary):
         super().__init__(alg, arg)
         self.neg_b0 = None
 
+    def reads(self, n):
+        return ((self.arg, n),)
+
     def compute(self, n):
+        if n and self.alg.neg is None:
+            raise _no_negation(self.alg)
+        self.arg.get(n)
+        return self.kernel(n)
+
+    def kernel(self, n):
         alg = self.alg
         if n == 0:
-            b0 = head_root("inv", self.arg.get(0), alg)
+            b0 = head_root("inv", self.arg.coeffs[0], alg)
             if alg.neg is not None:
                 self.neg_b0 = alg.neg(b0)
             return b0
         if alg.neg is None:
             raise _no_negation(alg)
-        self.arg.get(n)
         total = alg.dot(self.arg.coeffs[1:n + 1], self.coeffs[n - 1::-1])
         return alg.mul(self.neg_b0, total)
 
@@ -303,7 +525,7 @@ class _Sqrt(_Unary):
         alg = self.alg
         r0 = head_root("sqrt", self.arg.get(0), alg)
         denominator = operation(alg, "+", (Constant(alg, r0), self))
-        self.derivative = _Mul(alg, _Shift(alg, self.arg), _Inv(alg, denominator))
+        self.derivative = _Mul(alg, *_UNBOUNDED, _Shift(alg, self.arg), _Inv(alg, denominator))
         return r0
 
 
@@ -349,6 +571,9 @@ _OPERATIONS = {
     ("hadamard", 2): _Hadamard, ("zip", 2): _Zip, ("merge", 2): _Merge,
 }
 
+# the node kinds of a scheduled plan, besides the unknowns
+_SCHEDULED = frozenset((Constant, _X, _Linear, _Mul, _Shuffle, _Hadamard, _Inv))
+
 
 def operation(alg, symbol, args):
     """The node of builtin `symbol` over the nodes `args`.  `+`, binary
@@ -363,8 +588,12 @@ def operation(alg, symbol, args):
             if type(c) is Constant:
                 return _Linear(alg, ((c.value, False),), None, other)
     kind = _OPERATIONS.get((symbol, len(args)))
-    # with no engine, an operation that is no builtin is refused
-    return kind(alg, *args) if kind else _application(None, symbol, *args)
+    if kind is None:
+        # with no engine, an operation that is no builtin is refused
+        return _application(None, symbol, *args)
+    if issubclass(kind, _Product):
+        return kind(alg, *_UNBOUNDED, *args)
+    return kind(alg, *args)
 
 
 class Plan(NamedTuple):
@@ -376,22 +605,30 @@ class Plan(NamedTuple):
     child slot being an unknown or an earlier step.  `rhs` is the
     slot of each unknown's right-hand side, and `terms` the number of
     distinct subterms, unknowns included, that the steps came from.
+    `scheduled` says whether the plan is scheduled.
     """
 
     heads: tuple
     steps: tuple
     rhs: tuple
     terms: int
+    scheduled: bool
+
+
+_ZERO = (inf, -inf)  # the valuation and degree bound of the zero stream
 
 
 class _Compiler:
-    """Plan steps of right-hand-side terms; equal subterms share one slot."""
+    """Plan steps of right-hand-side terms; equal subterms share one slot.
+    Each slot has a valuation v and a degree bound d, in `bounds`: its
+    coefficients below v and above d are zero."""
 
     def __init__(self, alg, variables):
         self.alg = alg
         self.unknowns = {v: i for i, v in enumerate(variables)}
         self.slots = {}
         self.steps = []
+        self.bounds = [(0, inf)] * len(variables)
 
     def slot(self, term):
         """The slot of `term`, its new subterms' slots made first.  One
@@ -403,7 +640,9 @@ class _Compiler:
         if isinstance(term, Var):
             found = self.unknowns[term.name]
         elif self._literal(term):
-            found = self._step(Constant, (self._value(term),))
+            value = self._value(term)
+            found = self._step(Constant, (value,), (),
+                               _ZERO if self.alg.eq(value, self.alg.zero) else (0, 0))
         elif (parts := summands(term)) is not None or self._split(term, False):
             terms, children = [], []
             for s, negated in parts or ((term, False),):
@@ -412,29 +651,72 @@ class _Compiler:
                 children.append(self.slot(t))
                 terms.append((self._value(after) if after else c, negated))
             found = self._step(_Linear, (tuple(terms), self._dot_weights(terms)),
-                               tuple(children))
+                               tuple(children), self._sum_bounds(children, terms))
         elif isinstance(term, OpApp):
             children = tuple(map(self.slot, term.args))
             kind = _OPERATIONS.get((term.symbol, len(children)))
-            # not a builtin: a definition's operation, which its step names
-            found = self._step(kind or _application, () if kind else (term.symbol,), children)
+            if kind is None:
+                # not a builtin: a definition's operation, which its step names
+                found = self._step(_application, (term.symbol,), children, (0, inf))
+            else:
+                payload, bounds = self._bounds(kind, children)
+                found = self._step(kind, payload, children, bounds)
         else:
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
         self.slots[term] = found
         return found
 
-    def _step(self, kind, payload, children=()):
+    def _sum_bounds(self, children, terms):
+        """The bounds of a linear combination: from its terms whose scalar
+        is not zero, the least valuation and the largest degree bound."""
+        v, d = _ZERO
+        eq, zero = self.alg.eq, self.alg.zero
+        for child, (c, _) in zip(children, terms):
+            if c is None or not eq(c, zero):
+                cv, cd = self.bounds[child]
+                if cv < v:
+                    v = cv
+                if cd > d:
+                    d = cd
+        return v, d
+
+    def _bounds(self, kind, children):
+        """The payload and the bounds of a builtin's step: a product's
+        payload is its factors' bounds."""
+        if kind is _Mul or kind is _Shuffle:
+            (va, da), (vb, db) = self.bounds[children[0]], self.bounds[children[1]]
+            if va > da or vb > db:
+                return (va, da, vb, db), _ZERO
+            return (va, da, vb, db), (va + vb, da + db)
+        if kind is _X:
+            return (), (1, 1)
+        if kind is _Hadamard:
+            (va, da), (vb, db) = self.bounds[children[0]], self.bounds[children[1]]
+            v, d = max(va, vb), min(da, db)
+            return (), (v, d) if v <= d else _ZERO
+        return (), (0, inf)
+
+    def _step(self, kind, payload, children, bounds):
         self.steps.append((kind, payload, children))
+        self.bounds.append(bounds)
         return len(self.unknowns) + len(self.steps) - 1
 
     def _dot_weights(self, terms):
-        """The alg.dot weights of a combination of two or more terms, one
-        of them with a literal factor: each term's scalar, or one, negated
-        where the term is.  None for any other combination, and where the
-        algebra cannot negate a negated term: the add chain refuses it
-        once it has demanded that term's coefficient."""
+        """The alg.dot weights of a combination with a literal factor and
+        three or more terms, or two over Q with a scalar that is not an
+        integer: each term's scalar, or one, negated where the term is.
+        Below that the add chain is faster, one call of add and mul a
+        term against the setup of one call of dot, unless the terms'
+        arithmetic is in Fractions, which Q's dot sums over one common
+        denominator (Tropical's values are Fractions too, but its dot is
+        a min of sums, with no denominator to share).
+        None for any other combination, and where the algebra cannot
+        negate a negated term: the add chain refuses it once it has read
+        that term's coefficient."""
         alg = self.alg
-        if len(terms) < 2 or all(c is None for c, _ in terms):
+        over_q = alg.kind == "field" and alg.characteristic == 0
+        if all(c is None for c, _ in terms) or len(terms) < (
+                2 if over_q and any(type(c) is Fraction for c, _ in terms) else 3):
             return None
         if alg.neg is None and any(negated for _, negated in terms):
             return None
@@ -472,6 +754,22 @@ class _Compiler:
         return None
 
 
+def _schedulable(sys_, steps):
+    """Whether a plan is scheduled: every step is of a scheduled kind,
+    the tail operation is tail, delta or ddx, and no negation can be
+    refused, since demand refuses one before its later reads."""
+    if sys_.tail_op not in ("tail", "delta", "ddx"):
+        return False
+    negates = sys_.algebra.neg is not None
+    for kind, payload, _ in steps:
+        if kind not in _SCHEDULED:
+            return False
+        if not negates and (kind is _Inv or (
+                kind is _Linear and any(neg for _, neg in payload[0]))):
+            return False
+    return True
+
+
 def compile_plan(sys_):
     """The Plan of a system, a pure function of it.
 
@@ -486,7 +784,105 @@ def compile_plan(sys_):
     rhs = []
     for v in sys_.variables:
         rhs.append(compiler.slot(sys_.rhs[v]))
-    return Plan(heads, tuple(compiler.steps), tuple(rhs), len(compiler.slots))
+    steps = tuple(compiler.steps)
+    return Plan(heads, steps, tuple(rhs), len(compiler.slots), _schedulable(sys_, steps))
+
+
+@lru_cache(maxsize=64)
+def _schedule(plan, unknown):
+    """(settle, steps) of the unknown in slot `unknown`: from element
+    settle on, element n is the steps (slot, lag, charges), each slot
+    computing its coefficient n - lag after `charges` budget steps.
+
+    Reading its coefficient t, a product reads its factor a up to
+    min(da, t - vb), once t - vb >= va, and b likewise; an unknown reads
+    its right-hand side at t - 1, and every other node its children at
+    t.  So a read is (child, offset o, cap c, floor f), and along a
+    chain of reads from the unknown the index that demand on element n
+    asks of a slot is min(C, n - L), from n - L >= T on: a read takes
+    (C, L, T) to (min(c, C - o), L + o, max(T - o, f)), where C - o >= f.
+    A slot computes what its chains ask most, so it is enough to keep
+    the chains that no other asks at least as much of at every n.  Past
+    the bends of those, each slot with an uncapped chain computes one
+    coefficient per element, at n - lag, lag being the least L of those
+    chains, and every other slot none.
+
+    Demand enters each such slot through the first read, in read order,
+    that asks for that coefficient, and charges it on entering.  Once a
+    capped read asks less than n - lag, which every capped chain, kept
+    or not, does past lag plus the largest cap, and once the reads of
+    the search below have started, that is the first uncapped read
+    whose offset makes the slot's lag: the steps are that search's
+    post-order, and a step's charges are the slots entered since the
+    step before.  Element settle is past all of these bends.
+
+    A pure function of the plan's steps and the unknown, kept for the
+    plans solved last, so that a system solved again compiles it once.
+    """
+    edges, largest = [((rhs, 1, inf, 0),) for rhs in plan.rhs], 0
+    for kind, payload, children in plan.steps:
+        if kind is _Mul or kind is _Shuffle:
+            (va, da, vb, db), (a, b) = payload, children
+            if va <= da and vb <= db:
+                edges.append(((a, vb, da, va), (b, va, db, vb)))
+                largest = max(largest, da if da != inf else 0, db if db != inf else 0)
+            else:
+                edges.append(())
+        else:
+            edges.append([(child, 0, inf, 0) for child in children])
+    chains = {unknown: [(inf, 0, 0)]}
+    pending = [(0, unknown, inf, 0)]
+    while pending:
+        lag, slot, c, floor = heappop(pending)
+        if (c, lag, floor) not in chains[slot]:
+            continue  # outdone since
+        for child, offset, cap, least in edges[slot]:
+            room = c - offset
+            if room < least:
+                continue
+            new = (cap if cap < room else room, lag + offset,
+                   floor - offset if floor - offset > least else least)
+            c2, l2, t2 = new
+            kept = chains.get(child)
+            if kept is None:
+                chains[child] = [new]
+            elif any(c1 >= c2 and l1 <= l2 and l1 + t1 <= l2 + t2 for c1, l1, t1 in kept):
+                continue
+            else:
+                kept[:] = [(c1, l1, t1) for c1, l1, t1 in kept
+                           if not (c2 >= c1 and l2 <= l1 and l2 + t2 <= l1 + t1)]
+                kept.append(new)
+            heappush(pending, (l2, child, c2, t2))
+    lags, bend = {}, 0
+    for slot, kept in chains.items():
+        least = inf
+        for c, lag, floor in kept:
+            if c == inf:
+                if lag < least:
+                    least = lag
+                c = 0
+            bend = max(bend, lag + floor, lag + c)
+        if least != inf:
+            lags[slot] = least
+            # a capped chain, outdone or not, asks at most the largest cap
+            bend = max(bend, least + largest)
+    steps, entered = [], 1
+    seen, stack = {unknown}, [(unknown, iter(edges[unknown]))]
+    while stack:
+        slot, unread = stack[-1]
+        for child, offset, cap, least in unread:
+            if (cap == inf and child not in seen
+                    and lags[slot] + offset == lags.get(child)):
+                bend = max(bend, lags[child] + least)  # the read starts then
+                seen.add(child)
+                entered += 1
+                stack.append((child, iter(edges[child])))
+                break
+        else:
+            stack.pop()
+            steps.append((slot, lags[slot], entered))
+            entered = 0
+    return bend + 1, tuple(steps)
 
 
 def node_of(stream):
@@ -503,10 +899,17 @@ def _application(engine, symbol, *args):
     return node_of(engine.behaviour(state))
 
 
+
 def _instantiate(plan, alg, successor, engine):
     """Fresh nodes of a plan, one per slot: no term is hashed, and no
     coefficient is shared with the nodes of another call."""
-    nodes = [_Unknown(alg, head, successor) for head in plan.heads]
+    nodes = []
+    if not plan.scheduled:
+        nodes += (_Unknown(alg, head, successor) for head in plan.heads)
+    else:
+        owner = [_NOBODY]
+        nodes += (_Scheduled(alg, head, successor, plan, slot, nodes, owner)
+                  for slot, head in enumerate(plan.heads))
     get = nodes.__getitem__
     for kind, payload, children in plan.steps:
         context = engine if kind is _application else alg
@@ -518,11 +921,11 @@ def _instantiate(plan, alg, successor, engine):
 
 def _successor(sys_, delta_o_inverse):
     """The rule x(n+1) = f(n, x(n), r(n)) of the system's tail operation,
-    r being the right-hand side."""
+    r being the right-hand side; None for x' = r, x(n+1) = r(n)."""
     alg = sys_.algebra
     op = sys_.tail_op
     if op == "tail":
-        return lambda n, x, r: r
+        return None
     if op == "delta":
         if alg.neg is None:
             raise UnsupportedOp("delta systems need a ring")
@@ -560,7 +963,8 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
     successor = _successor(sys_, delta_o_inverse)
     plan = sys_.plan
     nodes = _instantiate(plan, alg, successor, engine)
-    # a coefficient demand recurses through at most every node once; a
-    # sqrt adds four nodes when its head is computed
-    ensure_recursion_room(4 * (len(plan.heads) + 5 * plan.terms) + 1000)
+    if not plan.scheduled:
+        # a coefficient demand recurses through at most every node once;
+        # a sqrt adds four nodes when its head is computed
+        ensure_recursion_room(4 * (len(plan.heads) + 5 * plan.terms) + 1000)
     return {v: at(node) for v, node in zip(sys_.variables, nodes)}

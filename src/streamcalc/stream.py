@@ -54,12 +54,23 @@ class Differ:
 _BUDGETS = []
 
 
-def _charge():
+def _charge(steps=1):
     if _BUDGETS:
         frame = _BUDGETS[-1]
-        frame[0] -= 1
+        frame[0] -= steps
         if frame[0] < 0:
             raise BudgetExhausted()
+
+
+def _reserve(steps):
+    """Charge `steps` steps at once if the budget covers them all, and
+    say whether it did; else charge nothing."""
+    if _BUDGETS:
+        frame = _BUDGETS[-1]
+        if frame[0] < steps:
+            return False
+        frame[0] -= steps
+    return True
 
 
 def ensure_recursion_room(frames):

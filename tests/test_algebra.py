@@ -29,6 +29,7 @@ from streamcalc import (
 )
 from streamcalc.algebra import (
     CERTIFICATE_PRIME,
+    INF,
     Algebra,
     _coprime_mod_q,
     _is_prime,
@@ -339,10 +340,13 @@ def test_exact_values_beyond_the_str_digit_limit():
 @pytest.mark.parametrize("alg", [Q, get_algebra("Tropical")], ids=["Q", "Tropical"])
 def test_digit_literals_read_from_their_integers(alg):
     # d and d/d in ASCII digits are built from their integers, and agree
-    # with Fraction's own reading of the text
+    # with Fraction's own reading of the text; Q holds an integral value
+    # as an int, Tropical every value as a Fraction
     for text in ("0", "007/010", "0/5", "12345/6789", "3", "4/6"):
         value = alg.parse(text)
-        assert type(value) is Fraction and value == Fraction(text), text
+        integral = Fraction(text).denominator == 1
+        held = int if alg is Q and integral else Fraction
+        assert type(value) is held and value == Fraction(text), text
     # everything else keeps its value or its error
     long = "7" * 5000
     assert alg.parse(long) == int(Decimal(long))
@@ -437,6 +441,35 @@ def test_dot_equals_the_fold(alg, generic):
             assert got == want and type(got) is type(want), (xs, ys, weights)
             if alg.name == "Bool":
                 assert got is want
+
+
+@pytest.mark.parametrize("alg", registered_algebras(), ids=lambda a: a.name)
+def test_no_operation_returns_a_float(alg):
+    # exact values only, Tropical's inf aside; Q holds a value as an int
+    # exactly when it is integral, a Fraction otherwise
+    rng = seeded(f"no-float:{alg.name}")
+    values = [alg.zero, alg.one, *(alg.sample(rng) for _ in range(30))]
+    if alg.name == "Q":
+        values += map(alg.coerce, (Fraction(6, 3), Fraction(1, 2), Fraction(9, 4), -4))
+    results = []
+    for _ in range(120):
+        a, b = rng.choice(values), rng.choice(values)
+        results += [alg.add(a, b), alg.mul(a, b), alg.nat_mul(rng.randint(0, 5), a),
+                    alg.dot([a, b], [b, a]), alg.dot([a], [b], [rng.randint(0, 3)]),
+                    alg.coerce(rng.randint(0, 1)), alg.parse(alg.fmt(a))]
+        if alg.neg is not None:
+            results += [alg.neg(a), alg.sub(a, b)]
+        for partial in (alg.inv, alg.sqrt):
+            if partial is not None and (r := partial(a)) is not None:
+                results.append(r)
+    if alg.name == "Q":
+        results += [alg.coerce(Fraction(8, 4)), alg.coerce(Fraction(2, 3)), alg.parse("10/5"),
+                    alg.parse("7/2"), alg.inv(Fraction(1, 3)), alg.sqrt(Fraction(4, 9))]
+    for r in results:
+        assert type(r) is not float or (alg.name == "Tropical" and r == INF), r
+        if alg.name == "Q":
+            assert type(r) is (int if Fraction(r).denominator == 1 else Fraction), r
+    assert alg.name != "Q" or {type(r) for r in results} == {int, Fraction}
 
 
 def test_q_dot_sums_over_the_lcm():

@@ -631,10 +631,11 @@ FAILING_SPECS = [
      (1, '', 'error: HeadNotInvertible: 0 has no inverse\n'),
      (1, 'parse: ok (algebra F2, 1 unknown(s), 0 definition(s))\nkind: general\n',
       'error: HeadNotInvertible: 0 has no inverse\n')),
+    # X(0) = 0: (X*even(s))(n) reads s(2n-2), and s(4) first demands itself
     ("x_even_q", "algebra Q;\ns(0) = 1;\ns' = X*even(s) + s*s;\n",
-     (2, '', 'error: NonProductive: non-productive definition (at index 2)\n'),
-     (2, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n'
-      'probe s: NonProductive at index 2\n', '')),
+     (2, '', 'error: NonProductive: non-productive definition (at index 4)\n'),
+     (0, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n'
+      'probe s: ok (1, 1, 3)\n', '')),
     ("delta_q", "algebra Q;\nx(0) = 1;\nx' = delta(x);\n",
      (2, '', 'error: NonProductive: non-productive definition (at index 1)\n'),
      (2, 'parse: ok (algebra Q, 1 unknown(s), 0 definition(s))\nkind: general\n'

@@ -19,9 +19,12 @@ systems of every format are checked against the references of the
 format speclang.classify gives them.
 """
 
+import copy
+import inspect
 import math
 import pathlib
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -43,7 +46,7 @@ from streamcalc.speclang import (
 )
 from test_automatic import _random_automaton
 from test_cli import NAMING_SPECS, invoke
-from streamcalc.stream import Node, at, take
+from streamcalc.stream import BudgetScope, Node, at, take
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -138,6 +141,38 @@ def by_coefficients(sys_, var, n):
     return observe(series.solve_by_coefficients(sys_), var, n)
 
 
+def unbounded(sys_):
+    """A copy of the system whose plan bounds no product: coefficient n
+    of a product reads both factors up to n, as the engine's expansion
+    does, so series answers exactly as the engine."""
+    plan = sys_.plan
+    steps = tuple((kind, series._UNBOUNDED if issubclass(kind, series._Product) else payload,
+                   children) for kind, payload, children in plan.steps)
+    copied = copy.copy(sys_)
+    copied.plan = plan._replace(steps=steps)
+    return copied
+
+
+def extends(got, base):
+    """Whether `got`, an observe_each of a system's own plan, can be
+    `base`, that of its unbounded plan.  With the bounds a product reads
+    a subset of the coefficients it reads without them, each by the
+    same formula, so it prints base's elements, and maybe more; where it
+    stops at the same element, the first error it meets may be another,
+    one in a coefficient that the unbounded product did not reach."""
+    if got == base:
+        return True
+    n = len(base[0])
+    return (base[1] is not None and got[0][:n] == base[0]
+            and (len(got[0]) > n or got[1] is not None))
+
+
+def bounded_extends(sys_, var, n):
+    """extends() of the system's own plan over its unbounded plan."""
+    base = observe_each(series.solve_by_coefficients(unbounded(sys_))[var], n)
+    return extends(observe_each(series.solve_by_coefficients(sys_)[var], n), base)
+
+
 @pytest.mark.parametrize("alg_name", ALGEBRAS)
 def test_random_systems_match_engine(alg_name):
     alg = get_algebra(alg_name)
@@ -150,7 +185,8 @@ def test_random_systems_match_engine(alg_name):
         used |= case.used
         want = by_engine(case.system, case.target, DEPTH)
         assert want[0] != "budget"
-        assert by_coefficients(case.system, case.target, DEPTH) == want, case.system
+        assert by_coefficients(unbounded(case.system), case.target, DEPTH) == want, case.system
+        assert bounded_extends(case.system, case.target, DEPTH), case.system
         answered += want[0] == "ok"
     assert used == allowed_ops(alg)
     assert answered >= SYSTEMS_PER_ALGEBRA // 2
@@ -174,7 +210,8 @@ def test_random_semiring_systems_extend_the_engine(alg_name):
         case = _RandomSystem(rng, alg, sorted(ops)[i % len(ops)], ops)
         used |= case.used
         want = observe_each(gsos.solve_system_with_defs(case.system)[case.target], DEPTH)
-        got = observe_each(series.solve_by_coefficients(case.system)[case.target], DEPTH)
+        got = observe_each(series.solve_by_coefficients(unbounded(case.system))[case.target],
+                           DEPTH)
         assert got[0][:len(want[0])] == want[0], case.system
         if got == want:
             outcome = "same"
@@ -185,6 +222,7 @@ def test_random_semiring_systems_extend_the_engine(alg_name):
             # failed before the coefficient met another error
             outcome = "other error"
             assert want[1][1] in derivative_errors, case.system
+        assert bounded_extends(case.system, case.target, DEPTH), case.system
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
     assert used == ops
     assert outcomes["same"] >= 50 and outcomes["further"] >= 20
@@ -289,10 +327,12 @@ def test_shuffle_row_is_pascals_in_integers(alg_name):
     assert node.coeffs == [alg.zero, alg.one] + [alg.zero] * 38
 
 
-def test_zero_factors_are_demanded():
-    # X(0) = 0, but X * even(s) still demands even(s)(1) = s(2)
+def test_a_zero_factor_skips_its_partners_top_coefficient():
+    # X(0) = 0, so (X * even(s))(n) reads even(s)(n-1) = s(2n-2), not
+    # even(s)(n): s(4) is the first coefficient that demands itself
     sys_ = parse("s(0) = 1; s' = X*even(s) + s*s;").system
-    assert by_coefficients(sys_, "s", 5) == ("NonProductive", 2)
+    assert by_coefficients(sys_, "s", 4) == ("ok", [1, 1, 3, 10])
+    assert by_coefficients(sys_, "s", 5) == ("NonProductive", 4)
 
 
 # Over an algebra without negation, inv's derivative and delta's
@@ -669,10 +709,11 @@ def test_linear_combinations_match_engine(alg_name):
                for v in names}
         sys_ = EquationSystem(alg, names, heads, rhs=rhs)
         engine = gsos.solve_system_with_defs(sys_)
-        nodes = series.solve_by_coefficients(sys_)
+        nodes = series.solve_by_coefficients(unbounded(sys_))
         for v in names:
             want = observe_each(engine[v], 60)
             assert observe_each(nodes[v], 60) == want, sys_
+            assert bounded_extends(sys_, v, 60), sys_
             if want[1] is None:
                 answered += 1
             else:
@@ -823,18 +864,33 @@ def test_fused_combinations_match_the_term_by_term_sum(alg_name):
     names = ("y0", "y1", "y2")
     count = 12
     seen = set()
-    for _ in range(60):
-        term, terms = _random_combination(rng, alg, names)
-        values = {v: [alg.sample(rng) for _ in range(count)] for v in names}
-        if alg_name == "Tropical" and rng.random() < 0.3:
-            values["y0"] = [INF] * count
-        budget = rng.choice((None, rng.randrange(1, 3 * count)))
+
+    def cases():
+        for _ in range(60):
+            term, terms = _random_combination(rng, alg, names)
+            values = {v: [alg.sample(rng) for _ in range(count)] for v in names}
+            if alg_name == "Tropical" and rng.random() < 0.3:
+                values["y0"] = [INF] * count
+            yield term, terms, values, rng.choice((None, rng.randrange(1, 3 * count)))
+        if alg_name == "Tropical":
+            # [2]*y0 + y1 + y2 over inf: a fused sum that is inf
+            two = Const(HLit(alg.coerce(2)))
+            term = Sum(((OpApp("*", (two, Var("y0"))), False), (Var("y1"), False),
+                        (Var("y2"), False)))
+            terms = [("y0", alg.coerce(2), False), ("y1", None, False), ("y2", None, False)]
+            yield term, terms, {v: [INF] * count for v in names}, None
+
+    for term, terms, values, budget in cases():
         compiler = series._Compiler(alg, names)
         compiler.slot(term)
         (kind, payload, children), = compiler.steps
         assert kind is series._Linear
         fused = payload[1] is not None
-        assert fused == (alg.neg is not None or not any(neg for _, _, neg in terms)), terms
+        # from two terms only over Q with a scalar that is no integer
+        fusable = len(terms) >= (
+            2 if alg_name == "Q" and any(type(c) is Fraction for _, c, _ in terms) else 3)
+        assert fused == (fusable and (alg.neg is not None
+                                      or not any(neg for _, _, neg in terms))), terms
         log = []
         leaves = [_Logged(alg, v, values[v], log) for v in names]
         got = _observe_node(kind(alg, *payload, *(leaves[i] for i in children)), log,
@@ -870,7 +926,9 @@ def test_fused_combinations_over_q_sum_mixed_denominators():
     b = [Fraction(2, 5) * Fraction(-1, 6) ** n for n in range(7)]
     want = [Fraction(0)] + [Fraction(1, 2) * p - Fraction(2, 3) * p - Fraction(5, 7) * q + q
                             for p, q in zip(a, b)]
-    assert got == want and all(type(v) is Fraction for v in got)
+    # Q holds an integral value as an int and any other as a Fraction
+    assert got == want and all(type(v) is (int if v.denominator == 1 else Fraction)
+                               for v in got)
 
 
 def test_coerce_errors_come_left_to_right():
@@ -977,3 +1035,166 @@ def test_formats_match_their_references(alg_name):
         for streams in references:
             assert {v: take(streams[v], FORMAT_DEPTH) for v in names} == got, sys_
     assert set(seen) == {Kind.SIMPLE, Kind.LINEAR, Kind.CONTEXT_FREE, Kind.GENERAL}, seen
+
+
+# ---------------------------------------------------------------------------
+# Products bounded by valuation and degree, and the schedule
+
+
+def test_a_zero_factor_lets_a_difference_answer():
+    # (X*s)(n+1) = s(n), so delta(X*s)(n) = s(n) - s(n-1) and
+    # ddx(X*X*s)(n) = (n+1) * s(n-1) read no coefficient of s past n
+    n = 12
+    s = [1]
+    for k in range(n - 1):
+        s.append((k == 1) + s[k] - (s[k - 1] if k else 0))
+    assert s[:8] == [1, 1, 1, 0, -1, -1, 0, 1]
+    t = [1]
+    for k in range(n - 1):
+        t.append((k == 1) + (k + 1) * (t[k - 1] if k else 0))
+    for rhs, want in (("X + delta(X*s)", s), ("X + ddx(X*X*s)", t)):
+        text = f"algebra Q; s(0) = 1; s' = {rhs};"
+        sys_ = parse(text).system
+        assert not sys_.plan.scheduled
+        assert take(series.solve_by_coefficients(sys_)["s"], n) == want, rhs
+
+
+def test_valuations_and_degree_bounds():
+    plan = series.compile_plan(parse(
+        "algebra Z; s(0) = 1; s' = X*s + s*X + X*X*s + (1 + X)*s + s*s + shuffle(X, X)"
+        " + hadamard(X*X, s) + 0*s*s;").system)
+    products = [(kind.__name__, payload) for kind, payload, _ in plan.steps
+                if issubclass(kind, series._Product)]
+    inf = math.inf
+    assert products == [
+        ("_Mul", (1, 1, 0, inf)), ("_Mul", (0, inf, 1, 1)), ("_Mul", (1, 1, 1, 1)),
+        ("_Mul", (2, 2, 0, inf)), ("_Mul", (0, 1, 0, inf)), ("_Mul", (0, inf, 0, inf)),
+        ("_Shuffle", (1, 1, 1, 1)), ("_Mul", (inf, -inf, 0, inf))]
+    s = take(series.solve_by_coefficients(parse(
+        "algebra Z; s(0) = 1; s' = X*s;").system)["s"], 6)
+    assert s == [1, 0, 1, 0, 1, 0]
+
+
+def _scheduled_term(rng, alg, names, depth):
+    """A term of unknowns, X and literals under literal factors, X
+    factors, squares, products, shuffles, hadamard, sums and, over an
+    algebra with negation, differences and inv([c] + X*t)."""
+    if depth == 0 or rng.random() < 0.25:
+        pick = rng.random()
+        if pick < 0.6:
+            return Var(rng.choice(names))
+        return OpApp("X", ()) if pick < 0.8 else Const(HLit(alg.sample(rng)))
+
+    def sub():
+        return _scheduled_term(rng, alg, names, depth - 1)
+
+    shapes = ["scaled", "x", "square", "*", "shuffle", "shuffle square", "hadamard", "+"]
+    if alg.neg is not None:
+        shapes += ["-", "inv"]
+    shape = rng.choice(shapes)
+    if shape == "scaled":
+        c, t = Const(HLit(alg.sample(rng))), sub()
+        return OpApp("*", (c, t) if rng.random() < 0.5 else (t, c))
+    if shape == "x":
+        x, t = OpApp("X", ()), sub()
+        return OpApp("*", (x, t) if rng.random() < 0.5 else (t, x))
+    if shape in ("square", "shuffle square"):
+        t = sub()
+        return OpApp("*" if shape == "square" else "shuffle", (t, t))
+    if shape == "inv":
+        # [c] + X*t has head c: mostly a unit, now and then zero
+        c = rng.choice([alg.one] * 6 + [alg.zero, alg.sample(rng)])
+        shifted = OpApp("*", (OpApp("X", ()), sub()))
+        return OpApp("inv", (OpApp("+", (Const(HLit(c)), shifted)),))
+    return OpApp(shape, (sub(), sub()))
+
+
+def _scheduled_system(rng, alg):
+    names = tuple(f"x{j}" for j in range(rng.randint(1, 3)))
+    heads = {v: alg.sample(rng) for v in names}
+    rhs = {v: _scheduled_term(rng, alg, names, rng.randint(1, 3)) for v in names}
+    sys_ = EquationSystem(alg, names, heads, rhs=rhs)
+    assert sys_.plan.scheduled, sys_
+    return sys_
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_scheduled_plans_match_engine(alg_name):
+    # the engine is the reference of every scheduled plan: with its
+    # products unbounded, the same elements and the same error class,
+    # message and index; with the plan's bounds, those or more elements
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-scheduled:{alg_name}")
+    outcomes, same = set(), 0
+    for _ in range(30):
+        sys_ = _scheduled_system(rng, alg)
+        engine = gsos.solve_system_with_defs(sys_)
+        base = series.solve_by_coefficients(unbounded(sys_))
+        nodes = series.solve_by_coefficients(sys_)
+        for v in sys_.variables:
+            want = observe_each(engine[v], 14)
+            assert observe_each(base[v], 14) == want, sys_
+            got = observe_each(nodes[v], 14)
+            assert extends(got, want), sys_
+            same += got == want
+            outcomes.add(want[1] and want[1][0])
+    assert None in outcomes and same >= 40
+    if alg.neg is not None:
+        assert "HeadNotInvertible" in outcomes
+
+
+def _observations(sys_, plan, order, budgets):
+    """Each observation's outcome, and after each element every node's
+    number of coefficients and the budget left."""
+    nodes = series._instantiate(plan, sys_.algebra, series._successor(sys_, None), None)
+    seen = []
+    for (var, n), budget in zip(order, budgets):
+        node = nodes[sys_.variables.index(var)]
+        with BudgetScope(budget) as scope:
+            try:
+                for i in range(n):
+                    node.get(i)
+                    seen.append(([len(x.coeffs) for x in nodes], scope.frame[0]))
+            except StreamCalcError as err:
+                seen.append((type(err).__name__, str(err)))
+        seen.append([x.coeffs[:] for x in nodes])
+    return seen
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_the_schedule_computes_what_demand_does(alg_name):
+    # a scheduled plan against the same plan demand-driven, over three
+    # observations of its unknowns in turn with budgets that run out:
+    # the same coefficients after every element, the same budget left
+    # and the same errors
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-schedule:{alg_name}")
+    # integers and rationals grow fast under products
+    length = 12 if alg_name in ("Z", "Q", "Nat", "Tropical") else 50
+    for _ in range(60):
+        sys_ = _scheduled_system(rng, alg)
+        order = [(rng.choice(sys_.variables), rng.randint(1, length)) for _ in range(3)]
+        budgets = [rng.choice((None, None, rng.randrange(1, 20 * length))) for _ in order]
+        plan = sys_.plan
+        assert (_observations(sys_, plan, order, budgets)
+                == _observations(sys_, plan._replace(scheduled=False), order, budgets)), sys_
+
+
+def test_a_scheduled_plan_takes_no_frame_per_node():
+    # s' = s*s*...*s nests 399 products: demand-driven, an element would
+    # recurse through every one of them; scheduled, it is read below a
+    # limit that leaves 200 frames, and the limit is not raised
+    sys_ = parse("algebra Fp(3); s(0) = 1; s' = " + "*".join(["s"] * 400) + ";").system
+    assert sys_.plan.scheduled  # compiled at the default limit
+    nodes = series._instantiate(sys_.plan._replace(scheduled=False), sys_.algebra, None, None)
+    before = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    try:
+        sys.setrecursionlimit(depth + 2000)
+        want = take(at(nodes[0]), 30, 10**6)
+        assert len(set(want)) > 1
+        sys.setrecursionlimit(depth + 200)
+        assert take(series.solve_by_coefficients(sys_)["s"], 30, 10**6) == want
+        assert sys.getrecursionlimit() == depth + 200
+    finally:
+        sys.setrecursionlimit(before)
