@@ -45,22 +45,23 @@ is scheduled.  A node kind of it says which coefficients its coefficient
 n reads (`reads`) and computes it once they are there (`kernel`); demand
 (`compute`) reads them with get and calls the same kernel.  Demand on an
 unknown's element n asks each slot for its coefficients up to an index
-that, along each chain of reads, bends where a product's range starts
-or reaches a degree bound, and is n - lag from then on, lag being the
-least read offset from the unknown along chains that no degree bound
-caps.  Past every bend (the unknown's settle), element n computes each
-such slot's coefficient n - lag, in the post-order in which demand
-first reaches the slots, and charges each slot where demand enters it:
-one loop per unknown, a pure function of the Plan (`_schedule`), kept
-for the plans solved last.  The
-elements before settle are demanded by `_demand`, which follows
-Node.get's recursion with a stack of its own.  Either way the
-coefficients computed, every budget charge and the first error are
-those of demand, and no recursion limit is raised.  A plan holding
-even, odd, delta, ddx, sqrt, merge, zip or a definition, or that
-negates over an algebra without negation, keeps demand-driven nodes,
-whose recursion can reach a coefficient still being computed: that is
-NonProductive, the trap of Stream and Engine.
+that, along each chain of reads, bends where a product's range starts or
+reaches a degree bound, and is n - lag from then on, lag being the least
+read offset from the unknown along chains that no degree bound caps.
+Past every bend (the unknown's settle), element n is each such slot's
+coefficient n - lag, largest lag first: one loop per unknown, a pure
+function of the Plan (`_schedule`), kept for the plans solved last.
+Every slot's coefficient 0, the one where an `inv` can fail, comes
+before settle, and no negation is refused, so such an element cannot
+raise; where the budget covers it whole, it is charged all at once.
+Every other element is demanded by `_demand`, which follows Node.get's
+recursion with a stack of its own.  Either way the coefficients
+computed, the budget left after each element and the first error are
+those of demand, and no recursion limit is raised.  A plan holding even,
+odd, delta, ddx, sqrt, merge, zip or a definition, or that negates over
+an algebra without negation, keeps demand-driven nodes, whose recursion
+can reach a coefficient still being computed: that is NonProductive, the
+trap of Stream and Engine.
 
 The nodes observe the GSOS engine (gsos.py) wherever it answers: the
 prefixes are identical, and so are the errors, except where a product
@@ -136,14 +137,14 @@ class _Unknown(Node):
 
 
 class _Scheduled(_Unknown):
-    """An unknown of a scheduled plan.  Before its element settle a
-    demand on it computes each element it lacks by `_demand`, and from
-    there on by its schedule, which computes what demand would where
-    every slot of it lacks just the coefficient it computes: so while
-    this unknown alone has computed the nodes, every element to its end.
-    `owner`, shared by the unknowns of one set of nodes, says whether it
-    has; once another unknown or an error has been there, every element
-    is demanded."""
+    """An unknown of a scheduled plan.  From its element settle on, an
+    element that the budget covers whole is computed by its schedule,
+    which computes what demand would where every slot of it lacks just
+    the coefficient it computes: so while this unknown alone has
+    computed the nodes, every element to its end.  Every other element
+    is demanded (`_demand`).  `owner`, shared by the unknowns of one set
+    of nodes, says whether this unknown alone has; once another unknown
+    or an error has been there, every element is demanded."""
 
     __slots__ = ("plan", "slot", "nodes", "owner", "steady")
 
@@ -162,26 +163,21 @@ class _Scheduled(_Unknown):
                 continue
             owner[0] = None
             settle, steps = self.steady or self._bind()
-            if k < settle:
-                _demand(self, k)
-            elif _reserve(len(steps)):  # the budget covers the element
-                for kept, kernel, lag, _ in steps:
+            if k >= settle and _reserve(len(steps)):  # the budget covers it
+                for kept, kernel, lag in steps:
                     kept.append(kernel(k - lag))
             else:
-                for kept, kernel, lag, charges in steps:
-                    if charges:
-                        _charge(charges)
-                    kept.append(kernel(k - lag))
+                _demand(self, k)
             owner[0] = self
         return coeffs[n]
 
     def _bind(self):
         """This unknown's schedule on these nodes: settle, and per step
-        its node's coefficient list and kernel, its lag and its charges."""
+        its node's coefficient list and kernel, and its lag."""
         settle, steps = _schedule(self.plan, self.slot)
         nodes = self.nodes
-        self.steady = settle, [(nodes[slot].coeffs, nodes[slot].kernel, lag, charges)
-                               for slot, lag, charges in steps]
+        self.steady = settle, [(nodes[slot].coeffs, nodes[slot].kernel, lag)
+                               for slot, lag in steps]
         return self.steady
 
 
@@ -791,8 +787,8 @@ def compile_plan(sys_):
 @lru_cache(maxsize=64)
 def _schedule(plan, unknown):
     """(settle, steps) of the unknown in slot `unknown`: from element
-    settle on, element n is the steps (slot, lag, charges), each slot
-    computing its coefficient n - lag after `charges` budget steps.
+    settle on, element n is the steps (slot, lag) in turn, each slot
+    computing its coefficient n - lag.
 
     Reading its coefficient t, a product reads its factor a up to
     min(da, t - vb), once t - vb >= va, and b likewise; an unknown reads
@@ -805,16 +801,15 @@ def _schedule(plan, unknown):
     the chains that no other asks at least as much of at every n.  Past
     the bends of those, each slot with an uncapped chain computes one
     coefficient per element, at n - lag, lag being the least L of those
-    chains, and every other slot none.
+    chains, and every other slot none; a capped chain, kept or not,
+    asks less than n - lag past lag plus the largest cap.  Element
+    settle is past all of these bends.
 
-    Demand enters each such slot through the first read, in read order,
-    that asks for that coefficient, and charges it on entering.  Once a
-    capped read asks less than n - lag, which every capped chain, kept
-    or not, does past lag plus the largest cap, and once the reads of
-    the search below have started, that is the first uncapped read
-    whose offset makes the slot's lag: the steps are that search's
-    post-order, and a step's charges are the slots entered since the
-    step before.  Element settle is past all of these bends.
+    The steps run in (-lag, slot) order, each after what it reads in
+    its own element: a read at offset o by a step of lag L that the
+    element must answer is of a slot of lag L + o, a larger lag or, at
+    offset 0, a lower slot, as a step's children are unknowns or earlier
+    steps and an unknown reads its right-hand side at offset 1.
 
     A pure function of the plan's steps and the unknown, kept for the
     plans solved last, so that a system solved again compiles it once.
@@ -866,23 +861,7 @@ def _schedule(plan, unknown):
             lags[slot] = least
             # a capped chain, outdone or not, asks at most the largest cap
             bend = max(bend, least + largest)
-    steps, entered = [], 1
-    seen, stack = {unknown}, [(unknown, iter(edges[unknown]))]
-    while stack:
-        slot, unread = stack[-1]
-        for child, offset, cap, least in unread:
-            if (cap == inf and child not in seen
-                    and lags[slot] + offset == lags.get(child)):
-                bend = max(bend, lags[child] + least)  # the read starts then
-                seen.add(child)
-                entered += 1
-                stack.append((child, iter(edges[child])))
-                break
-        else:
-            stack.pop()
-            steps.append((slot, lags[slot], entered))
-            entered = 0
-    return bend + 1, tuple(steps)
+    return bend + 1, tuple(sorted(lags.items(), key=lambda step: (-step[1], step[0])))
 
 
 def node_of(stream):
@@ -897,7 +876,6 @@ def _application(engine, symbol, *args):
         raise UnsupportedOp(f"{symbol!r} is not a builtin operation")
     state = engine.app(symbol, [engine.leaf(at(a)) for a in args])
     return node_of(engine.behaviour(state))
-
 
 
 def _instantiate(plan, alg, successor, engine):

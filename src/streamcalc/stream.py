@@ -54,10 +54,10 @@ class Differ:
 _BUDGETS = []
 
 
-def _charge(steps=1):
+def _charge():
     if _BUDGETS:
         frame = _BUDGETS[-1]
-        frame[0] -= steps
+        frame[0] -= 1
         if frame[0] < 0:
             raise BudgetExhausted()
 

@@ -1966,10 +1966,11 @@ def test_parity_compare_tallies_later_budget_indices(tmp_path, capsys):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(recorded))
     assert cli_parity.main(["compare", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-7:] == [
+    assert capsys.readouterr().out.splitlines()[-8:] == [
         "    1  differ only by a later BudgetExhausted index",
         "    0  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
         "    0  ran out of budget and now answer",
+        "    0  were NonProductive and now answer or run out of budget later",
         "    1  differ in any other way",
         "    1  solve  nth_powers.sde  -n 200 --budget 60",
         "    1  solve  ones.sde  -n 3",
@@ -2000,11 +2001,12 @@ def test_parity_compare_tallies_earlier_budget_indices(tmp_path, capsys):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(recorded))
     assert cli_parity.main(["compare", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-9:] == [
+    assert capsys.readouterr().out.splitlines()[-10:] == [
         "    1  differ only by an earlier BudgetExhausted index",
         "    1  differ only by a later BudgetExhausted index",
         "    0  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
         "    0  ran out of budget and now answer",
+        "    0  were NonProductive and now answer or run out of budget later",
         "    1  differ in any other way",
         "    1  solve  nth_powers.sde  -n 200 --budget 60",
         "    1  solve  nth_powers.sde  -n 200 --budget 61",
@@ -2036,11 +2038,12 @@ def test_parity_compare_tallies_verdict_upgrades(tmp_path, capsys):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(recorded))
     assert cli_parity.main(["compare", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-8:] == [
+    assert capsys.readouterr().out.splitlines()[-9:] == [
         "    0  differ only by an earlier BudgetExhausted index",
         "    0  differ only by a later BudgetExhausted index",
         "    2  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
         "    0  ran out of budget and now answer",
+        "    0  were NonProductive and now answer or run out of budget later",
         "    1  differ in any other way",
         "    2  equiv  catalan.sde  --prefix 0",
         "    1  solve  ones.sde  -n 3",
@@ -2076,15 +2079,57 @@ def test_parity_compare_tallies_runs_that_now_answer(tmp_path, capsys):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(recorded))
     assert cli_parity.main(["compare", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-9:] == [
+    assert capsys.readouterr().out.splitlines()[-10:] == [
         "    0  differ only by an earlier BudgetExhausted index",
         "    0  differ only by a later BudgetExhausted index",
         "    0  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
         "    2  ran out of budget and now answer",
+        "    0  were NonProductive and now answer or run out of budget later",
         "    1  differ in any other way",
         "    1  kernel  thue_morse_cf.sde",
         "    1  solve  ones.sde  -n 3",
         "    1  solve  thue_morse_cf.sde  -n 900",
+        "3 of 3 recorded runs differ"]
+
+
+def test_parity_compare_tallies_runs_that_are_productive_now(tmp_path, capsys):
+    cli_parity = _parity_tool()
+    productive = cli_parity.productive_now
+    stuck = {"argv": ["solve"], "code": 2, "out": "",
+             "err": "error: NonProductive: non-productive definition (at index 4)\n"}
+    exhausted = dict(stuck, err="error: BudgetExhausted: forcing budget exhausted (at index 4)\n")
+    answered = {"argv": ["solve"], "code": 0, "out": "1, 2\n", "err": ""}
+    assert productive(stuck, answered) and productive(stuck, exhausted)
+    assert not productive(stuck, dict(exhausted, err=exhausted["err"].replace("4", "3")))
+    assert not productive(stuck, dict(stuck, err=stuck["err"].replace("4", "5")))
+    assert not productive(exhausted, answered) and not productive(stuck, dict(answered, code=1))
+    probes = {"argv": ["check"], "code": 2, "err": "",
+              "out": "probe x: NonProductive at index 2\nprobe y: BudgetExhausted at index 5\n"}
+    ran_out = probes["out"].replace("NonProductive", "BudgetExhausted")
+    assert productive(probes, dict(probes, out=ran_out))
+    assert not productive(probes, dict(probes, out=probes["out"].replace("5", "4")))
+    # a solve that was NonProductive now answers, and another now runs
+    # out of budget at a later index; a third run changed in another way
+    recorded = [cli_parity.run_one(argv) for argv in (
+        ("solve", corpus("ones.sde") + "#s", "-n", "3"),
+        ("solve", corpus("nth_powers.sde") + "#p3", "-n", "200", "--budget", "60"),
+        ("solve", corpus("ones.sde") + "#s", "-n", "4"))]
+    recorded[0].update(code=2, out="", err=stuck["err"])
+    recorded[1]["err"] = stuck["err"].replace("4", "1")
+    recorded[2]["out"] += "changed\n"
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(recorded))
+    assert cli_parity.main(["compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-10:] == [
+        "    0  differ only by an earlier BudgetExhausted index",
+        "    0  differ only by a later BudgetExhausted index",
+        "    0  differ only by a verdict upgrade (Unknown or BudgetExhausted to Proved)",
+        "    0  ran out of budget and now answer",
+        "    2  were NonProductive and now answer or run out of budget later",
+        "    1  differ in any other way",
+        "    1  solve  nth_powers.sde  -n 200 --budget 60",
+        "    1  solve  ones.sde  -n 3",
+        "    1  solve  ones.sde  -n 4",
         "3 of 3 recorded runs differ"]
 
 

@@ -1171,10 +1171,19 @@ def test_the_schedule_computes_what_demand_does(alg_name):
     rng = seeded(f"series-schedule:{alg_name}")
     # integers and rationals grow fast under products
     length = 12 if alg_name in ("Z", "Q", "Nat", "Tropical") else 50
+    inputs = []
     for _ in range(60):
         sys_ = _scheduled_system(rng, alg)
         order = [(rng.choice(sys_.variables), rng.randint(1, length)) for _ in range(3)]
         budgets = [rng.choice((None, None, rng.randrange(1, 20 * length))) for _ in order]
+        inputs.append((sys_, order, budgets))
+    # and x of one system up to element 7 under each budget up to the 50
+    # steps that takes: x's settle is 4, so many run out inside an element
+    # that the schedule computes where the budget covers it whole
+    fixed = parse(f"algebra {alg_name}; x(0) = 1; x' = x * y + X * x; "
+                  "y(0) = 1; y' = y * y + x;").system
+    inputs += [(fixed, [("x", 8)], [budget]) for budget in range(1, 51)]
+    for sys_, order, budgets in inputs:
         plan = sys_.plan
         assert (_observations(sys_, plan, order, budgets)
                 == _observations(sys_, plan._replace(scheduled=False), order, budgets)), sys_

@@ -37,10 +37,11 @@ how many only in that it comes at a later one, how many only in a
 verdict upgrade (an `equiv` that printed Unknown or ended in
 BudgetExhausted now prints Proved), how many ran out of budget and now
 answer (a run that ended in BudgetExhausted, or a `kernel` that did not
-close within the budget, now exits 0), and how many differ in
-any other way, the number of them per command, spec
-file and flags (the --algebra override aside), and their total, and
-exits 1 if any differs.  cli.run keeps the parsed form of recent spec
+close within the budget, now exits 0), how many were NonProductive and
+now exit 0 or run out of budget where they were NonProductive, at the
+same or a later index, and how many differ in any other way, the
+number of them per command, spec file and flags (the --algebra override
+aside), and their total, and exits 1 if any differs.  cli.run keeps the parsed form of recent spec
 texts and the `series` plan of their systems, so the second answer
 comes from that cache and reuses the cached plan, and so do first
 answers whose spec an earlier run has loaded.  (A second pass over the
@@ -116,6 +117,11 @@ FRONT_END = (
 BUDGET_INDEX = re.compile(r"(BudgetExhausted\b.*?\bindex )(\d+)")
 # what `kernel` prints when its closure runs out of budget
 KERNEL_UNKNOWN = "Unknown (kernel did not close within the budget)"
+# a NonProductive error, and a `check` probe's, each with what it says
+# where the budget runs out
+NON_PRODUCTIVE = ("NonProductive: non-productive definition",
+                  "BudgetExhausted: forcing budget exhausted")
+NON_PRODUCTIVE_PROBE = ("NonProductive at", "BudgetExhausted at")
 RECURSION_LIMIT = sys.getrecursionlimit()
 
 
@@ -227,6 +233,16 @@ def answers_within_budget(old, new):
     return ran_out and new["code"] == 0 and not verdict_upgrade(old, new)
 
 
+def productive_now(old, new):
+    """Whether a run that was NonProductive now exits 0, or runs out of
+    budget where it was NonProductive, at the same or a later index."""
+    if "NonProductive" not in old["out"] + old["err"]:
+        return False
+    ran_out = {key: old[key].replace(*NON_PRODUCTIVE).replace(*NON_PRODUCTIVE_PROBE)
+               for key in ("out", "err")}
+    return new["code"] == 0 or later_budget_index(dict(old, **ran_out), new)
+
+
 def group(argv):
     """The command, spec file name and flags of a run's argv, without
     its --algebra override; the argv itself for a FRONT_END run."""
@@ -263,12 +279,15 @@ def main(argv=None):
     later = sum(later_budget_index(old, new) for old, new in diffs)
     upgraded = sum(verdict_upgrade(old, new) for old, new in diffs)
     answered = sum(answers_within_budget(old, new) for old, new in diffs)
+    productive = sum(productive_now(old, new) for old, new in diffs)
     print(f"{earlier:5d}  differ only by an earlier BudgetExhausted index")
     print(f"{later:5d}  differ only by a later BudgetExhausted index")
     print(f"{upgraded:5d}  differ only by a verdict upgrade (Unknown or "
           "BudgetExhausted to Proved)")
     print(f"{answered:5d}  ran out of budget and now answer")
-    print(f"{len(diffs) - earlier - later - upgraded - answered:5d}  "
+    print(f"{productive:5d}  were NonProductive and now answer or run out of "
+          "budget later")
+    print(f"{len(diffs) - earlier - later - upgraded - answered - productive:5d}  "
           "differ in any other way")
     groups = collections.Counter(group(old["argv"]) for old, _ in diffs)
     for key, count in sorted(groups.items(), key=lambda item: (-item[1], item[0])):
