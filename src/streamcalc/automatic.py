@@ -166,5 +166,16 @@ def binary_rational_stream(q):
 
 
 def binary_encode_rational(q, n):
-    """First n bits of the binary representation B(q)."""
-    return take(binary_rational_stream(q), n)
+    """First n bits of the binary representation B(q), in integers: with
+    q = a/b, b odd, the bit is a mod 2 and the rest (q - bit) / 2 is
+    ((a - bit*b) / 2) / b, so b stays and a is halved exactly."""
+    q = Fraction(q)
+    if q.denominator % 2 == 0:
+        raise EvenDenominator(f"{q} has an even denominator")
+    a, b = q.numerator, q.denominator
+    bits = []
+    for _ in range(n):
+        bit = a & 1
+        bits.append(bit)
+        a = (a - bit * b) >> 1
+    return bits

@@ -63,6 +63,23 @@ an algebra without negation, keeps demand-driven nodes, whose recursion
 can reach a coefficient still being computed: that is NonProductive, the
 trap of Stream and Engine.
 
+Linear systems.  A scheduled plan whose every step is a linear
+combination (a simple system has no steps at all) is a linear system,
+whose solution is the vector recurrence v(n+1) = M v(n) (Rutten,
+*Rational streams coalgebraically*, 2008), with M + I for delta, and
+v(n+1) divided by n+1 for ddx (`Plan.linear`).  Its rows, sparse, come
+from the system's polynomial reading (`EquationSystem.recurrence`,
+solvers.Recurrence, which the closed forms iterate too), and each solve
+computes one fresh sequence of vectors, index n of every unknown at once
+with one dot per row; each unknown's node reads its own entry.  Over Q
+the vectors are integers, v(n) times a denominator whose common content
+with them is divided out whenever its size has doubled, and a
+coefficient is read as Q's normal form of the quotient.  Budget: index n
+costs one step per unknown, charged when the first unknown reaches it,
+index 0 included, and a vector that the budget does not cover whole is
+not computed: BudgetExhausted, and nothing charged for it.  Nothing else
+can fail there.
+
 The nodes observe the GSOS engine (gsos.py) wherever it answers: the
 prefixes are identical, and so are the errors, except where a product
 has a factor of positive valuation, whose partner's coefficients the
@@ -89,11 +106,11 @@ the budget on the engine may finish here.  Even-odd systems and
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import inf
-from operator import add
+from math import gcd, inf
+from operator import add, itemgetter
 from typing import NamedTuple
 
-from .errors import UnorderedAlgebra, UnsupportedOp
+from .errors import BudgetExhausted, UnorderedAlgebra, UnsupportedOp
 from .speclang import (Const, HLit, OpApp, Var, head_root, require_zero_consistency,
                        summands)
 from .stream import Node, _charge, _reserve, at, ensure_recursion_room
@@ -207,6 +224,125 @@ def _demand(top, n):
         else:
             node.coeffs.append(node.kernel(len(node.coeffs)))
             unread = None
+
+
+class _Vectors:
+    """The vectors v(0), v(1), ... of one solve of a linear system, v(0)
+    its heads and v(n+1) the recurrence's step from v(n); entry i of v(n)
+    is element n of unknown i.  Index n costs one budget step per
+    unknown, all charged when the first unknown reaches it; a vector the
+    budget does not cover whole is not computed, and nothing is charged
+    for it."""
+
+    __slots__ = ("step", "heads", "vectors")
+
+    def __init__(self, recurrence, heads):
+        self.step, self.heads, self.vectors = recurrence.step, heads, []
+
+    def extend(self, n):
+        """Compute the vectors up to v(n), charged at once where the
+        budget covers them all."""
+        vectors, cost = self.vectors, len(self.heads)
+        missing = n + 1 - len(vectors)
+        whole = missing > 0 and _reserve(missing * cost)
+        while len(vectors) <= n:
+            if not whole and not _reserve(cost):
+                raise BudgetExhausted()
+            vectors.append(self._next())
+
+    def _next(self):
+        vectors = self.vectors
+        return self.step(vectors[-1]) if vectors else self.heads
+
+
+class _RationalVectors(_Vectors):
+    """Over Q, v(n) = u(n) / dens[n] with u(n) an integer vector: u(0) is
+    E times the heads and dens[0] = E, E the lcm of their denominators;
+    each step multiplies u by the integer rows D*M and the denominator by
+    D, and by n+1 in a ddx system.  Whenever the denominator's size has
+    doubled since the last time, the common content of u and the
+    denominator is divided out, so that a system whose values stay small
+    keeps small integers."""
+
+    __slots__ = ("d", "ddx", "dens", "size")
+
+    def __init__(self, recurrence, heads, e, ddx):
+        super().__init__(recurrence, heads)
+        self.d, self.ddx, self.dens, self.size = recurrence.d, ddx, [e], e.bit_length()
+
+    def _next(self):
+        vectors, dens = self.vectors, self.dens
+        n = len(vectors)
+        if not n:
+            return self.heads
+        u, den = self.step(vectors[-1]), dens[-1] * self.d
+        if self.ddx:
+            den *= n
+        if den.bit_length() >= 2 * self.size:
+            g = gcd(den, *u)
+            if g > 1:
+                den //= g
+                u = [x // g for x in u]
+            self.size = den.bit_length()
+        dens.append(den)
+        return u
+
+
+def _quotient(a, den):
+    """Q's form of a / den, den > 0: an int where it is integral."""
+    if den == 1:
+        return a
+    q, r = divmod(a, den)
+    return Fraction(a, den) if r else q
+
+
+class _Entry(Node):
+    """Unknown i of a linear system: coefficient n is entry i of v(n),
+    read when this unknown first reaches n."""
+
+    __slots__ = ("vectors", "entry")
+
+    def __init__(self, alg, vectors, i):
+        super().__init__(alg)
+        self.vectors, self.entry = vectors, itemgetter(i)
+
+    def get(self, n):
+        coeffs = self.coeffs
+        if len(coeffs) <= n:
+            try:
+                self.vectors.extend(n)
+            finally:
+                coeffs += self._read(len(coeffs))
+        return coeffs[n]
+
+    def _read(self, k):
+        return map(self.entry, self.vectors.vectors[k:])
+
+
+class _RationalEntry(_Entry):
+    """Unknown i of a linear system over Q: coefficient n is entry i of
+    u(n) over dens[n], in Q's form."""
+
+    __slots__ = ()
+
+    def _read(self, k):
+        vectors = self.vectors
+        return map(_quotient, map(self.entry, vectors.vectors[k:]), vectors.dens[k:])
+
+
+def _linear_nodes(sys_, plan):
+    """One node per unknown of a linear plan, over one fresh _Vectors of
+    the system's Recurrence.  Over Q the vectors are integers, and where
+    neither the rows nor the heads have a denominator, nor the system
+    divides by n + 1 (ddx), they are the values."""
+    alg, recurrence = sys_.algebra, sys_.recurrence
+    heads, e = recurrence.scale(plan.heads)
+    ddx = sys_.tail_op == "ddx"
+    if e == 1 and recurrence.d == 1 and not ddx:
+        vectors, kind = _Vectors(recurrence, heads), _Entry
+    else:
+        vectors, kind = _RationalVectors(recurrence, heads, e, ddx), _RationalEntry
+    return [kind(alg, vectors, i) for i in range(len(heads))]
 
 
 class _EvenOdd(Node):
@@ -601,7 +737,9 @@ class Plan(NamedTuple):
     child slot being an unknown or an earlier step.  `rhs` is the
     slot of each unknown's right-hand side, and `terms` the number of
     distinct subterms, unknowns included, that the steps came from.
-    `scheduled` says whether the plan is scheduled.
+    `scheduled` says whether the plan is scheduled, and `linear` whether
+    it is scheduled and each step a linear combination, so that the
+    system is one vector recurrence.
     """
 
     heads: tuple
@@ -609,6 +747,7 @@ class Plan(NamedTuple):
     rhs: tuple
     terms: int
     scheduled: bool
+    linear: bool
 
 
 _ZERO = (inf, -inf)  # the valuation and degree bound of the zero stream
@@ -781,7 +920,9 @@ def compile_plan(sys_):
     for v in sys_.variables:
         rhs.append(compiler.slot(sys_.rhs[v]))
     steps = tuple(compiler.steps)
-    return Plan(heads, steps, tuple(rhs), len(compiler.slots), _schedulable(sys_, steps))
+    scheduled = _schedulable(sys_, steps)
+    return Plan(heads, steps, tuple(rhs), len(compiler.slots), scheduled,
+                scheduled and all(kind is _Linear for kind, _, _ in steps))
 
 
 @lru_cache(maxsize=64)
@@ -940,6 +1081,9 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
         return {v: at(nodes[v]) for v in sys_.variables}
     successor = _successor(sys_, delta_o_inverse)
     plan = sys_.plan
+    if plan.linear:
+        nodes = _linear_nodes(sys_, plan)
+        return {v: at(node) for v, node in zip(sys_.variables, nodes)}
     nodes = _instantiate(plan, alg, successor, engine)
     if not plan.scheduled:
         # a coefficient demand recurses through at most every node once;

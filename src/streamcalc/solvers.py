@@ -18,12 +18,14 @@ context-free systems over polynomials in words of unknowns.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import series, speclang
 from .algebra import (
     Poly,
     RatExpr,
+    integers,
+    naturals,
     prime_modulus,
     ratexpr_coefficients,
     ratexpr_derivative,
@@ -180,7 +182,7 @@ def solve_linear_matrix(ls, names=None):
     if p is None:
         raise UnsupportedOp("the matrix method needs a field algebra")
     rows = range(ls.n) if names is None else [ls.names.index(v) for v in names]
-    seqs, d, e = _power_sequences(ls, rows, p)
+    seqs, d, e = _power_sequences(ls, rows)
     forms = []
     for seq in seqs:
         c, length = _berlekamp_massey(seq, p)
@@ -196,33 +198,87 @@ def solve_linear_matrix(ls, names=None):
     return forms
 
 
-def _power_sequences(ls, rows, p):
+def _power_sequences(ls, rows):
     """Integer sequences t of the coefficients (M^k o)_i, k < 2n, of each
     unknown i in `rows`, with the scales D and E: (M^k o)_i = t_k / (E * D^k).
 
-    Over Q (p = 0), D is the lcm of M's denominators and E that of o's,
-    and u_k = (D*M)^k (E*o) has integer entries, t_k = u_k[i].  The
-    series of t is then T(X) = E * S(D*X) for the unknown's series S, so
+    Over Q, D is the lcm of M's denominators and E that of o's, and
+    u_k = (D*M)^k (E*o) has integer entries, t_k = u_k[i].  The series of
+    t is then T(X) = E * S(D*X) for the unknown's series S, so
     S(X) = T(X/D) / E.  Over gf(p), u_k = M^k o is iterated mod p and
-    D = E = 1.
+    D = E = 1.  The vectors are those of the system's Recurrence.
     """
-    terms = 2 * ls.n
-    if p:
-        d = e = 1
-        matrix, u = ls.M, ls.o
-    else:
-        d = lcm(*(c.denominator for row in ls.M for c in row))
-        e = lcm(*(c.denominator for c in ls.o))
-        matrix = [[c.numerator * (d // c.denominator) for c in row] for row in ls.M]
-        u = [c.numerator * (e // c.denominator) for c in ls.o]
+    recurrence = Recurrence(ls)
+    u, e = recurrence.scale(ls.o)
     seqs = [[u[i]] for i in rows]
-    for _ in range(terms - 1):
-        u = [sum(map(mul, row, u)) for row in matrix]
-        if p:
-            u = [x % p for x in u]
+    for _ in range(2 * ls.n - 1):
+        u = recurrence.step(u)
         for seq, i in zip(seqs, rows):
             seq.append(u[i])
-    return seqs, d, e
+    return seqs, recurrence.d, e
+
+
+class Recurrence:
+    """The rows of v(n+1) = M v(n) of a linear system, or of
+    v(n+1) = (M + I) v(n) with `identity` (a delta system), sparse: a row
+    with one nonzero entry is (its index, the entry), one with more
+    (a getter of their indices, the entries), and a row of zeros reads
+    entry 0 with the weight zero.
+
+    Over Q the entries are the integers D*M (D*(M + I)), D the lcm of the
+    matrix's denominators, so that u(n) = D^n * E * v(n) is an integer
+    vector for u(0) = E * v(0) (`scale`); over gf(p) they are ints and a
+    step reduces mod p; over Z and Nat ints; over any other algebra its
+    elements, and a row is one alg.dot.  The closed forms
+    (`_power_sequences`) and `series`, solving a linear system, iterate
+    the same rows.
+    """
+
+    __slots__ = ("algebra", "rows", "d", "p", "integral")
+
+    def __init__(self, ls, identity=False):
+        alg = ls.algebra
+        over_q = alg is rationals()
+        self.algebra, self.p = alg, prime_modulus(alg) or 0
+        self.integral = over_q or self.p or alg in (integers(), naturals())
+        matrix = ls.M
+        if identity:
+            matrix = [[alg.add(c, alg.one) if i == j else c for j, c in enumerate(row)]
+                      for i, row in enumerate(matrix)]
+        self.d = lcm(*(c.denominator for row in matrix for c in row)) if over_q else 1
+        rows = []
+        for row in matrix:
+            entries = [(j, c) for j, c in enumerate(row) if not alg.eq(c, alg.zero)]
+            if over_q:
+                entries = [(j, c.numerator * (self.d // c.denominator)) for j, c in entries]
+            if len(entries) > 1:
+                indices, weights = zip(*entries)
+                rows.append((itemgetter(*indices), weights))
+            else:
+                rows.append(entries[0] if entries else (0, alg.zero))
+        self.rows = tuple(rows)
+
+    def scale(self, values):
+        """u(0) of the start vector `values`, and E: over Q, E is the lcm
+        of their denominators and u(0) = E * values in integers; else 1
+        and the values."""
+        if self.algebra is not rationals():
+            return list(values), 1
+        e = lcm(*(c.denominator for c in values))
+        return [c.numerator * (e // c.denominator) for c in values], e
+
+    def step(self, u):
+        """The vector after u."""
+        if not self.integral:
+            dot, times = self.algebra.dot, self.algebra.mul
+            return [times(w, u[get]) if type(get) is int else dot(w, get(u))
+                    for get, w in self.rows]
+        u = [w * u[get] if type(get) is int else sum(map(mul, w, get(u)))
+             for get, w in self.rows]
+        if self.p:
+            p = self.p
+            return [x % p for x in u]
+        return u
 
 
 def _berlekamp_massey(seq, p):

@@ -29,7 +29,8 @@ non-standard) or else from its right-hand sides, each read once as a
 polynomial in the unknowns and X (`as_polynomial`).  A parsed system
 keeps each reading of it once made: that polynomial reading
 (`EquationSystem.polynomials`, for the readers in solvers), its format
-(`EquationSystem.kind`) and its `series` plan (`EquationSystem.plan`).
+(`EquationSystem.kind`), its `series` plan (`EquationSystem.plan`) and,
+where the plan is linear, its rows (`EquationSystem.recurrence`).
 """
 
 import enum
@@ -289,6 +290,19 @@ class EquationSystem:
         from . import series
 
         return series.compile_plan(self)
+
+    @cached_property
+    def recurrence(self):
+        """The solvers.Recurrence of a system linear in its unknowns, from
+        its polynomial reading (solvers.linear_system_of), by which
+        `series` solves a linear plan: a delta system adds the identity,
+        and series divides a ddx system's index n+1 by n+1 itself.  Built
+        on first use and not kept if it raises; solvers imports this
+        module, so it is imported here."""
+        from . import solvers
+
+        return solvers.Recurrence(solvers.linear_system_of(self),
+                                  identity=self.tail_op == "delta")
 
 
 @dataclass

@@ -254,23 +254,24 @@ def unfold(algebra, state, step):
 def take(stream, n, budget=None):
     """First n elements as a list; total steps bounded by the budget.
 
+    Reads the stream's node once, up to its last element.
     BudgetExhausted/NonProductive escaping from the evaluation are
-    annotated with the prefix index at which progress stalled.
+    annotated with the prefix index at which progress stalled: the
+    number of the node's coefficients from the stream's index on that
+    were computed.
     """
     if n < 0:
         raise ValueError("take needs n >= 0")
-    out = []
-    s = stream
+    node, index = stream.node, stream.index
     with BudgetScope(budget):
-        for i in range(n):
+        if n:
             try:
-                out.append(s.head)
-                s = s.tail
+                node.get(index + n - 1)
             except BudgetExhausted as err:
                 if err.index is None:
-                    err.index = i
+                    err.index = max(len(node.coeffs) - index, 0)
                 raise
-    return out
+    return node.coeffs[index:index + n]
 
 
 def bounded_eq(left, right, n, budget=None):

@@ -244,8 +244,22 @@ class TestBinaryRational:
         assert states[4] == Fraction(-3, 5)
 
     def test_even_denominator_rejected(self):
-        with pytest.raises(EvenDenominator):
+        with pytest.raises(EvenDenominator, match="^1/2 has an even denominator$"):
             binary_encode_rational(Fraction(1, 2), 4)
+
+    def test_integer_bits_are_the_unfolded_stream(self):
+        # the integer loop against the rational-state unfold it replaced
+        rng = seeded("bbin-integers")
+        cases = [(Fraction(0), 200), (Fraction(-1), 200), (Fraction(1), 200)]
+        for _ in range(60):
+            num = rng.choice((-1, 1)) * rng.choice((rng.randint(0, 9), rng.randint(0, 10**12)))
+            cases.append((Fraction(num, rng.choice((1, 3, 5, 7, 9, 11, 13, 15, 21, 1023))),
+                          rng.randint(0, 200)))
+        assert any(q < 0 for q, _ in cases) and any(q > 0 for q, _ in cases)
+        for q, n in cases:
+            bits = binary_encode_rational(q, n)
+            assert bits == prefix(binary_rational_stream(q), n, 10**6), (q, n)
+            assert all(type(b) is int for b in bits)
 
     def test_orbit_is_finite(self):
         rng = random.Random(33)

@@ -827,9 +827,9 @@ class TestSolveRoutes:
         assert calls == ["solve_by_coefficients"]
 
     def test_linear_and_nonstd_corpus_reach_900(self):
-        # one budget step per node coefficient: every corpus simple,
-        # linear, non-standard and even-odd unknown still gives 900
-        # elements by default
+        # one budget step per node coefficient, or per unknown and index
+        # of a linear system: every corpus simple, linear, non-standard
+        # and even-odd unknown gives 900 elements by default
         from streamcalc import parse
         from streamcalc.speclang import Kind, classify
 
@@ -843,17 +843,14 @@ class TestSolveRoutes:
                     Kind.SIMPLE, Kind.LINEAR, Kind.NONSTD, Kind.EVEN_ODD):
                 continue
             for var in sys_.variables:
-                budget = ()
                 if path.name == "linear_q_dense.sde":
-                    # seven dense unknowns: about 12 node coefficients an
-                    # element, one per unknown and one per right-hand side,
-                    # so the default budget ends before 900
-                    index = 771 if var == "g" else 835
-                    assert invoke("solve", f"{path}#{var}", "-n", "900") == (
+                    # seven unknowns: 900 indices cost 7 * 900 steps
+                    argv = ("solve", f"{path}#{var}", "-n", "900", "--budget")
+                    assert invoke(*argv, str(7 * 900 - 1)) == (
                         2, "", "error: BudgetExhausted: forcing budget exhausted "
-                        f"(at index {index})\n"), var
-                    budget = ("--budget", "30000")
-                code, out, err = invoke("solve", f"{path}#{var}", "-n", "900", *budget)
+                        "(at index 899)\n"), var
+                    assert invoke(*argv, str(7 * 900))[0] == 0, var
+                code, out, err = invoke("solve", f"{path}#{var}", "-n", "900")
                 assert (code, err) == (0, ""), (path.name, var)
                 assert out.count(",") == 899
                 checked += 1
@@ -870,15 +867,20 @@ class TestSolveRoutes:
                 1, "", "error: NotZeroConsistent: zero-consistency fails at 'x'\n")
 
     def test_budget_counts_node_coefficients(self):
+        # four unknowns: each index costs four steps, so 60 steps give 15
+        assert invoke("solve", corpus("nth_powers.sde") + "#p3", "-n", "15",
+                      "--budget", "60") == (0, "1, 8, 27, 64, 125, 216, 343, 512, 729, "
+                                               "1000, 1331, 1728, 2197, 2744, 3375\n", "")
         assert invoke("solve", corpus("nth_powers.sde") + "#p3", "-n", "200",
-                      "--budget", "60") == (
-            2, "", "error: BudgetExhausted: forcing budget exhausted (at index 9)\n")
+                      "--budget", "59") == (
+            2, "", "error: BudgetExhausted: forcing budget exhausted (at index 14)\n")
 
     @pytest.mark.parametrize("argv, budget", [
-        # one step per series coefficient: s of ones.sde is one node, so
-        # ten elements cost ten steps
+        # one step per unknown and index of a linear system: ones.sde has
+        # one unknown, so ten elements cost ten steps, and fib.sde two
         (("solve", "ones.sde#s", "-n", "10"), 10),
-        (("solve", "fib.sde#s", "-n", "20"), 57),
+        (("solve", "fib.sde#s", "-n", "20"), 40),
+        # and one per series coefficient of any other system
         (("solve", "catalan.sde#s", "-n", "10"), 19),
         # the engine charges each behaviour element and each state's output
         (("eval", "--defs", "defs_arith.sde", "--term", "times(plus(X, [1]), X)",
@@ -1524,11 +1526,16 @@ class TestSeriesPlan:
 
     def test_a_budget_runs_out_at_the_same_index_each_time(self, monkeypatch):
         _empty_spec_cache(monkeypatch)
-        argv = ("solve", corpus("fib.sde") + "#s", "-n", "200", "--budget", "60")
-        first = invoke(*argv)
+        argv = ("solve", corpus("fib.sde") + "#s", "-n", "200", "--budget")
+        first = invoke(*argv, "59")
         assert first == (2, "", "error: BudgetExhausted: forcing budget exhausted "
-                                "(at index 21)\n")
-        assert invoke(*argv) == first
+                                "(at index 29)\n")
+        assert invoke(*argv, "59") == first
+        # two unknowns: 60 steps give the 30 elements before index 30
+        first = invoke(*argv, "60")
+        assert first == (2, "", "error: BudgetExhausted: forcing budget exhausted "
+                                "(at index 30)\n")
+        assert invoke(*argv, "60") == first
 
     def test_a_non_productive_system_is_refused_each_time(self, tmp_path, monkeypatch):
         _empty_spec_cache(monkeypatch)
@@ -1857,15 +1864,17 @@ def test_long_mixed_sum(tmp_path):
 
 
 def test_check_probes_follow_the_budget(tmp_path):
-    # a dense 200-unknown Z system: its probes need more than the 1000
-    # steps that once capped every probe, whatever --budget said
-    path = _dense_z_spec(tmp_path, "x", 200)
-    code, out, err = invoke("check", path, "--budget", "100000")
+    # a dense 340-unknown Z system: its probes need more than the 1000
+    # steps that once capped every probe, whatever --budget said.  The
+    # first probe computes three vectors of 340 entries, one step each,
+    # and the later probes read them
+    path = _dense_z_spec(tmp_path, "x", 340)
+    code, out, err = invoke("check", path, "--budget", "1020")
     assert (code, err) == (0, "")
     probes = out.splitlines()[2:]
-    assert len(probes) == 200
+    assert len(probes) == 340
     assert all(re.fullmatch(r"probe x\d+: ok \(.*\)", line) for line in probes)
-    code, out, err = invoke("check", path, "--budget", "500")
+    code, out, err = invoke("check", path, "--budget", "1019")
     assert (code, err) == (2, "")
     assert "probe x0: BudgetExhausted at index 2\n" in out
 

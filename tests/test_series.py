@@ -16,7 +16,9 @@ their index formulas, computed here from the definitions, and a Q
 system with fractional coefficients under *, shuffle and inv against
 the definitions of those operations, at 300 elements.  Seeded
 systems of every format are checked against the references of the
-format speclang.classify gives them.
+format speclang.classify gives them.  Linear plans, solved as one vector
+recurrence, are checked against the engine at 200 elements, delta and
+ddx systems through tail systems with the same solutions.
 """
 
 import copy
@@ -942,14 +944,13 @@ def test_coerce_errors_come_left_to_right():
 
 
 def test_a_literal_factor_charges_nothing():
-    # as in test_budget_counts_coefficients: s and its right-hand side
-    # compute one coefficient per element, and the scalars, the
-    # negations and -[2/3] add none
+    # a linear system of one unknown costs one step per element, and the
+    # scalars, the negations and -[2/3] add none
     sys_ = parse("algebra Q; s(0) = 1; s' = -2/3*s + 5*s - s*4 + -s;").system
     n = 30
-    assert len(take(series.solve_by_coefficients(sys_)["s"], n, 2 * n - 1)) == n
+    assert len(take(series.solve_by_coefficients(sys_)["s"], n, n)) == n
     with pytest.raises(BudgetExhausted):
-        take(series.solve_by_coefficients(sys_)["s"], n, 2 * n - 2)
+        take(series.solve_by_coefficients(sys_)["s"], n, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,3 +1208,130 @@ def test_a_scheduled_plan_takes_no_frame_per_node():
         assert sys.getrecursionlimit() == depth + 200
     finally:
         sys.setrecursionlimit(before)
+
+
+# ---------------------------------------------------------------------------
+# Linear plans as one vector recurrence, against the GSOS engine
+
+LINEAR_ROUTE_DEPTH = 200
+
+
+def _vector_term(rng, alg, names, depth):
+    """A linear combination of unknowns: sums, literal factors on either
+    side and nested combinations such as 2*(x + y) - y, and over an
+    algebra with negation differences, negations and negated literals."""
+    if depth == 0 or rng.random() < 0.3:
+        return Var(rng.choice(names))
+
+    def sub():
+        return _vector_term(rng, alg, names, depth - 1)
+
+    def literal():
+        c = Const(HLit(alg.sample(rng)))
+        return _minus(c) if alg.neg is not None and rng.random() < 0.3 else c
+
+    shapes = ["+", "scaled", "nested"]
+    if alg.neg is not None:
+        shapes += ["-", "neg"]
+    shape = rng.choice(shapes)
+    if shape == "scaled":
+        c, t = literal(), sub()
+        return OpApp("*", (c, t) if rng.random() < 0.5 else (t, c))
+    if shape == "nested":
+        inner = OpApp("*", (literal(), OpApp("+", (sub(), sub()))))
+        return OpApp("-" if alg.neg is not None else "+", (inner, sub()))
+    if shape == "neg":
+        return _minus(sub())
+    return OpApp(shape, (sub(), sub()))
+
+
+def _vector_system(rng, alg, tail_op="tail"):
+    """A seeded linear system, two of whose unknowns, where it has two,
+    share one right-hand side."""
+    names = tuple(f"x{j}" for j in range(rng.randint(1, 4)))
+    heads = {v: alg.sample(rng) for v in names}
+    rhs = {v: _vector_term(rng, alg, names, rng.randint(1, 3)) for v in names}
+    if len(names) > 1:
+        rhs[names[1]] = rhs[names[0]]
+    return EquationSystem(alg, names, heads, tail_op=tail_op, rhs=rhs)
+
+
+def _engine_reference(sys_, n):
+    """Each unknown's first n elements by the GSOS engine: a delta system
+    as x' = x + r, and a ddx system as the tail system y' = r, whose
+    solution is y(k) = k! * x(k)."""
+    alg = sys_.algebra
+    rhs = sys_.rhs
+    if sys_.tail_op == "delta":
+        rhs = {v: OpApp("+", (Var(v), t)) for v, t in rhs.items()}
+    tail = EquationSystem(alg, sys_.variables, sys_.heads, rhs=rhs)
+    engine = gsos.solve_system_with_defs(tail)
+    want = {v: take(engine[v], n, 10**7) for v in sys_.variables}
+    if sys_.tail_op == "ddx":
+        want = {v: [alg.mul(y, alg.inv(alg.coerce(math.factorial(k))))
+                    for k, y in enumerate(ys)] for v, ys in want.items()}
+    return want
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_linear_plans_match_engine(alg_name):
+    # 200 elements of every unknown of seeded linear systems solved as one
+    # vector recurrence: the engine's values, and over Q its types too,
+    # an int exactly where a value is integral; delta systems over every
+    # ring, ddx systems over Q, and second-order equations
+    alg = get_algebra(alg_name)
+    rng = seeded(f"series-vectors:{alg_name}")
+    systems = [_vector_system(rng, alg) for _ in range(6)]
+    if alg.neg is not None:
+        systems += [_vector_system(rng, alg, "delta") for _ in range(3)]
+    if alg_name == "Q":
+        systems += [_vector_system(rng, alg, "ddx") for _ in range(3)]
+    two, three = ("1", "1") if alg_name == "Bool" else ("2", "3")
+    minus = f"- {two}*t" if alg.neg is not None else f"+ t*{two}"
+    systems.append(parse(f"algebra {alg_name}; s(0) = 1; s'(0) = 0; "
+                         f"s'' = {two}*(s' + t) {minus} + s; "
+                         f"t(0) = 1; t' = {three}*s + t;").system)
+    for sys_ in systems:
+        assert sys_.plan.linear, sys_
+        want = _engine_reference(sys_, LINEAR_ROUTE_DEPTH)
+        got = series.solve_by_coefficients(sys_)
+        for v in sys_.variables:
+            values = take(got[v], LINEAR_ROUTE_DEPTH, 10**7)
+            assert _typed(values) == _typed(want[v]), (sys_, v)
+
+
+def test_a_vector_is_computed_whole_or_not_at_all():
+    # fib has two unknowns: each index costs two steps, charged when the
+    # first unknown reaches it; five steps cover two vectors, and the
+    # third is neither computed nor charged
+    sys_ = parse((CORPUS / "fib.sde").read_text()).system
+    assert sys_.plan.linear and len(sys_.variables) == 2
+    streams = series.solve_by_coefficients(sys_)
+    scope = BudgetScope(5)
+    with pytest.raises(BudgetExhausted) as caught:
+        take(streams["s"], 3, scope)
+    assert caught.value.index == 2 and scope.frame[0] == 1
+    assert len(streams["s"].node.vectors.vectors) == 2
+    # the other unknown reads the vectors computed, for nothing
+    assert take(streams[sys_.variables[1]], 2, scope) == [1, 1] and scope.frame[0] == 1
+    scope = BudgetScope(2)
+    assert take(streams["s"], 3, scope) == [0, 1, 1] and scope.frame[0] == 0
+    assert take(streams[sys_.variables[1]], 1, scope) == [1] and scope.frame[0] == 0
+
+
+def test_rational_vectors_keep_their_integers_small(tmp_path):
+    # x = y = 1 while each step doubles the denominator: the common
+    # content is divided out whenever the denominator's size has doubled
+    text = ("algebra Q; x(0) = 1; x' = 1/2*x + 1/2*y; "
+            "y(0) = 1; y' = 1/2*x + 1/2*y;")
+    x = series.solve_by_coefficients(parse(text).system)["x"]
+    assert take(x, 2000, 10**6) == [1] * 2000
+    vectors = x.node.vectors
+    assert max(vectors.dens) <= 2 and max(map(abs, vectors.vectors[-1])) <= 2
+    path = tmp_path / "halves.sde"
+    path.write_text(text + "\n")
+    assert invoke("at", "20000", f"{path}#x", "--budget", "100000000") == (0, "1\n", "")

@@ -331,7 +331,7 @@ class TestLinearMatrixAgainstElimination:
                 vectors.append(tuple(sum(a * b for a, b in zip(row, vectors[-1]))
                                      for row in ls.M))
             rows = range(n)
-            seqs, d, e = _power_sequences(ls, rows, 0)
+            seqs, d, e = _power_sequences(ls, rows)
             assert all(type(t) is int for seq in seqs for t in seq)
             assert [[Fraction(t, e * d ** k) for k, t in enumerate(seq)] for seq in seqs] \
                 == [[v[i] for v in vectors] for i in rows]
@@ -351,7 +351,7 @@ class TestLinearMatrixAgainstElimination:
                 continue
             assert_matches_oracle(linear_system_of(spec.system))
             checked += 1
-        assert checked == 12
+        assert checked == 13
 
 
 def field_berlekamp_massey(alg, seq):
