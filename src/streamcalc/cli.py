@@ -199,12 +199,29 @@ def _selector(text):
     return match.groups()
 
 
-def _solve_spec(spec, engine=None):
-    """Solution streams of a loaded spec's system, whatever its format; the
-    engine of the file's definitions, which refuses an invalid one, applies
-    them (a new one unless `engine` is given)."""
-    engine = engine or gsos.Engine(spec.algebra, spec.defs)
-    return series.solve_by_coefficients(spec.required_system(), engine=engine)
+def _engine(spec):
+    """A function that makes the engine of a spec's definitions on its
+    first call, and returns that engine on every call: one per request,
+    and none where no definition runs on it; None for a spec without
+    definitions.  The caller has refused an invalid definition
+    (SpecFile.require_gsos)."""
+    if not spec.defs:
+        return None
+    made = []
+
+    def engine():
+        if not made:
+            made.append(gsos.Engine(spec.algebra, spec.defs, validated=True))
+        return made[0]
+    return engine
+
+
+def _solve_spec(spec):
+    """Solution streams of a loaded spec's system, whatever its format,
+    once every definition of the file is found valid; a definition that
+    is no builtin runs on the engine of the file's definitions."""
+    spec.require_gsos()
+    return series.solve_by_coefficients(spec.required_system(), engine=_engine(spec))
 
 
 def _stream_of(spec, path, var):
@@ -231,11 +248,10 @@ def _cmd_solve(args, out):
 def _cmd_eval(args, out):
     spec = _load(args.defs, args.algebra)
     term = speclang.parse_term(args.term, spec)
-    engine = gsos.Engine(spec.algebra, spec.defs)
+    spec.require_gsos()
     # a system's unknowns are the streams `solve` prints, leaves of the term
-    env = _solve_spec(spec, engine) if spec.system else None
-    state = engine.from_term(term, env)
-    values = take(engine.behaviour(state), args.count, args.budget)
+    stream = series.evaluate(term, spec.algebra, spec.system, spec.builtins, _engine(spec))
+    values = take(stream, args.count, args.budget)
     print(_format_prefix(spec.algebra, values), file=out)
     return EXIT_OK
 
@@ -320,8 +336,7 @@ def _cmd_check(args, out):
     eqs = len(spec.system.variables) if spec.system else 0
     print(f"parse: ok (algebra {spec.algebra.name}, {eqs} unknown(s), "
           f"{defs} definition(s))", file=out)
-    for name, d in spec.defs.items():
-        verdict = speclang.validate_gsos(d)
+    for name, verdict in spec.verdicts.items():
         if isinstance(verdict, speclang.Ok):
             shape = "sos" if verdict.sos else "gsos"
             print(f"def {name}: ok ({shape})", file=out)

@@ -516,10 +516,10 @@ def verify_certificate(result, *roots):
 def closed_form(spec, var):
     """The closed form of unknown `var` of the linear system of a spec, None
     if the system has no such unknown; a spec without a system is refused
-    first, then the system's own errors come, and the engine of the file's
-    definitions refuses an invalid one."""
+    first, then the system's own errors come, and then an invalid
+    definition of the file."""
     kind = spec.required_system().kind
-    Engine(spec.algebra, spec.defs)
+    spec.require_gsos()
     if kind not in (Kind.SIMPLE, Kind.LINEAR):
         raise UnsupportedOp(f"closed forms need a linear system, got {kind.value}")
     ls = linear_system_of(spec.system)

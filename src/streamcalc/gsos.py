@@ -17,6 +17,9 @@ syntactically; the non-causal builtins (even, odd, delta, ddx) fall
 back to the calculus operations, series nodes over the argument
 behaviour streams' nodes, under the re-entrancy trap and the global
 budget.  A stream is a leaf state per position (node, index).
+`builtin_names` finds the definitions whose clauses are a builtin's up
+to renaming; `series` runs their applications as those builtins, and
+the engine only those of the other definitions.
 
 For equivalence proofs, leaves may also be *stream variables*.  Their
 heads are opaque indeterminates; head arithmetic then happens in the
@@ -28,7 +31,6 @@ non-constant, an order comparison) raises SymbolicStuck.
 from . import calculus, speclang
 from .errors import (
     AlgebraMismatch,
-    GsosViolation,
     NonProductive,
     SpecError,
     UnknownSymbol,
@@ -300,6 +302,75 @@ def _builtins(alg):
 
 
 # ---------------------------------------------------------------------------
+# Definitions that are builtins
+#
+# A GSOS specification has one solution (Turi and Plotkin, 1997), so a
+# definition whose clauses are a builtin's, with the parameters renamed by
+# position and the user operations its clauses apply renamed to builtins
+# that they in turn are, is that builtin.
+
+
+def builtin_names(defs, alg):
+    """The builtin that each definition of `defs` is, as {name: builtin
+    symbol}, for those that are one.
+
+    A definition is builtin b if its clauses equal b's in `_builtins(alg)`
+    one by one, guards, head expressions and literals included, the i-th
+    parameter standing for b's i-th, a chain of + and - for the binary
+    operations nested to the left, and every user operation applied in
+    place of a builtin being that builtin: the greatest such relation
+    between definitions and builtins of one arity, found by dropping the
+    pairs that fail until none does.  No two builtins have equal clauses
+    up to that renaming, so a definition is at most one of them."""
+    builtin_defs = _builtins(alg)[0]
+    related = [(name, key) for name, d in defs.items() for key, b in builtin_defs.items()
+               if b.arity == d.arity and len(b.clauses) == len(d.clauses)]
+    kept = set(related)
+    dropped = True
+    while dropped:
+        dropped = False
+        for name, key in related:
+            if (name, key) in kept and not _same_clauses(defs[name], builtin_defs[key], kept):
+                kept.discard((name, key))
+                dropped = True
+    return {name: key[0] for name, key in related if (name, key) in kept}
+
+
+def _same_clauses(d, b, related):
+    for c, rule in zip(d.clauses, b.clauses):
+        if (c.guard != rule.guard or c.out != rule.out
+                or not _same_term(c.deriv, rule.deriv, d.params, b.params, related)):
+            return False
+    return True
+
+
+def _same_term(t, u, params, rule_params, related):
+    """Whether the derivative term t over `params` is the builtin's term u
+    over `rule_params`.  The recursion goes as deep as u, which is shallow."""
+    if type(t) is Sum:
+        (first, _), *rest = t.summands
+        for s, negated in rest:
+            first = OpApp("-" if negated else "+", (first, s))
+        t = first
+    cls = type(t)
+    if cls is not type(u):
+        return False
+    if cls is Var or cls is DVar:
+        return (t.name in params and (cls is Var or t.order == u.order)
+                and params.index(t.name) == rule_params.index(u.name))
+    if cls is Const:
+        return t.value == u.value
+    if cls is not OpApp or len(t.args) != len(u.args):
+        return False
+    if t.symbol != u.symbol and (t.symbol, (u.symbol, len(u.args))) not in related:
+        return False
+    for a, b in zip(t.args, u.args):
+        if not _same_term(a, b, params, rule_params, related):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Clause bodies compiled into closures
 #
 # Each part of a clause -- its guard, `out` head expression and `deriv`
@@ -519,7 +590,7 @@ class Engine:
     engine; like streams, an engine is a single-observer object.
     """
 
-    def __init__(self, algebra, defs=None):
+    def __init__(self, algebra, defs=None, validated=False):
         self.algebra = algebra
         builtin_defs, builtin_rules = _builtins(algebra)
         # (symbol, arity) -> its definition, and its clauses by _compile_def
@@ -531,13 +602,15 @@ class Engine:
         self._zero_lit = None
         self.stats = {"x_subst": 0}
         for d in (defs or {}).values():
-            self.add_def(d)
+            self.add_def(d, validated)
 
-    def add_def(self, d):
-        verdict = validate_gsos(d)
-        if isinstance(verdict, Violation):
-            raise GsosViolation(f"definition of {d.symbol!r} is not in the "
-                                f"GSOS format: {verdict.reason}", verdict.span)
+    def add_def(self, d, validated=False):
+        """Add a definition, refusing one outside the GSOS format unless the
+        caller has `validated` it."""
+        if not validated:
+            verdict = validate_gsos(d)
+            if isinstance(verdict, Violation):
+                raise verdict.refusal(d.symbol)
         self._rules[d.symbol, d.arity] = _compile_def(d, self.algebra)
         self.defs[d.symbol, d.arity] = d
 

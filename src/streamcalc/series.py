@@ -58,10 +58,10 @@ Every other element is demanded by `_demand`, which follows Node.get's
 recursion with a stack of its own.  Either way the coefficients
 computed, the budget left after each element and the first error are
 those of demand, and no recursion limit is raised.  A plan holding even,
-odd, delta, ddx, sqrt, merge, zip or a definition, or that negates over
-an algebra without negation, keeps demand-driven nodes, whose recursion
-can reach a coefficient still being computed: that is NonProductive, the
-trap of Stream and Engine.
+odd, delta, ddx, sqrt, merge, zip or a definition that is no builtin, or
+that negates over an algebra without negation, keeps demand-driven
+nodes, whose recursion can reach a coefficient still being computed:
+that is NonProductive, the trap of Stream and Engine.
 
 Linear systems.  A scheduled plan whose every step is a linear
 combination (a simple system has no steps at all) is a linear system,
@@ -97,10 +97,20 @@ builds the right-hand side holding it.  There the nodes may print more
 elements than the engine before they stop, with the same error or
 another; the elements that both print are equal.
 
-Term states are built only for an application of a user definition,
-the node of the GSOS engine's stream of it, so a request that exhausted
-the budget on the engine may finish here.  Even-odd systems and
-2-automata get one node per state (`even_odd_nodes`).
+Definitions.  A definition whose clauses are a builtin's up to the
+names of operations and parameters (gsos.builtin_names, which the parsed
+file and its system keep as `builtins`) is that builtin, as a GSOS
+specification has one solution, and its application is the builtin's
+node; a system that applies one may be scheduled, but is never linear,
+as its rows come from a polynomial reading that knows no definition.
+Term states are built only for an application of any other definition,
+the node of the GSOS engine's stream of it, and the engine only where a
+plan holds one, so a request that exhausted the budget on the engine
+may finish here.  `evaluate` compiles `eval`'s standalone term the same
+way, over the solution nodes of the file's system: u' is a shift, and
+an application of a definition that is no builtin is the engine's
+stream of it whole, its arguments included, as before.  Even-odd
+systems and 2-automata get one node per state (`even_odd_nodes`).
 """
 
 from fractions import Fraction
@@ -111,8 +121,8 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExhausted, UnorderedAlgebra, UnsupportedOp
-from .speclang import (Const, HLit, OpApp, Var, head_root, require_zero_consistency,
-                       summands)
+from .speclang import (Const, DVar, HLit, OpApp, Var, head_root,
+                       require_zero_consistency, summands)
 from .stream import Node, _charge, _reserve, at, ensure_recursion_room
 
 
@@ -756,11 +766,18 @@ _ZERO = (inf, -inf)  # the valuation and degree bound of the zero stream
 class _Compiler:
     """Plan steps of right-hand-side terms; equal subterms share one slot.
     Each slot has a valuation v and a degree bound d, in `bounds`: its
-    coefficients below v and above d are zero."""
+    coefficients below v and above d are zero.  An application of a
+    definition that `builtins` names a builtin is compiled as that
+    builtin's (`renamed` says whether one was); of any other definition,
+    it is a step over its arguments' slots, or with `whole` a step of
+    the application as one engine term over the unknowns."""
 
-    def __init__(self, alg, variables):
+    def __init__(self, alg, variables, builtins=None, whole=False):
         self.alg = alg
         self.unknowns = {v: i for i, v in enumerate(variables)}
+        self.builtins = builtins or {}
+        self.whole = whole
+        self.renamed = False
         self.slots = {}
         self.steps = []
         self.bounds = [(0, inf)] * len(variables)
@@ -772,8 +789,20 @@ class _Compiler:
         found = self.slots.get(term)
         if found is not None:
             return found
+        key = term
+        if type(term) is OpApp and term.symbol in self.builtins:
+            self.renamed = True
+            term = OpApp(self.builtins[term.symbol], term.args)
+            found = self.slots.get(term)
+            if found is not None:
+                self.slots[key] = found
+                return found
         if isinstance(term, Var):
             found = self.unknowns[term.name]
+        elif isinstance(term, DVar):
+            # a standalone term's u', u'', ... of an unknown u
+            found = self._step(_derivative, (term.order,), (self.unknowns[term.name],),
+                               (0, inf))
         elif self._literal(term):
             value = self._value(term)
             found = self._step(Constant, (value,), (),
@@ -788,17 +817,23 @@ class _Compiler:
             found = self._step(_Linear, (tuple(terms), self._dot_weights(terms)),
                                tuple(children), self._sum_bounds(children, terms))
         elif isinstance(term, OpApp):
-            children = tuple(map(self.slot, term.args))
-            kind = _OPERATIONS.get((term.symbol, len(children)))
-            if kind is None:
+            kind = _OPERATIONS.get((term.symbol, len(term.args)))
+            if kind is None and self.whole:
+                # a standalone term's application of a definition: the
+                # engine's state of it, arguments included, over the unknowns
+                found = self._step(_engine_term, (term, tuple(self.unknowns)),
+                                   tuple(self.unknowns.values()), (0, inf))
+            elif kind is None:
                 # not a builtin: a definition's operation, which its step names
+                children = tuple(map(self.slot, term.args))
                 found = self._step(_application, (term.symbol,), children, (0, inf))
             else:
+                children = tuple(map(self.slot, term.args))
                 payload, bounds = self._bounds(kind, children)
                 found = self._step(kind, payload, children, bounds)
         else:
             raise UnsupportedOp(f"cannot evaluate term {term!r}")
-        self.slots[term] = found
+        self.slots[term] = self.slots[key] = found
         return found
 
     def _sum_bounds(self, children, terms):
@@ -908,21 +943,26 @@ def _schedulable(sys_, steps):
 def compile_plan(sys_):
     """The Plan of a system, a pure function of it.
 
-    An operation that is not a builtin is a definition's, and its
-    application is one step that names it.  Refuses a head or constant
-    outside the algebra with its coerce error, in the order of the
-    unknowns' heads and then of their right-hand sides.
+    An application of a definition that is a builtin (`sys_.builtins`)
+    is that builtin's; any other operation that is not a builtin is a
+    definition's, and its application is one step that names it.  A
+    system that applies definitions is not linear, whatever its plan,
+    as its rows come from the polynomial reading, which knows none.
+    Refuses a head or constant outside the algebra with its coerce
+    error, in the order of the unknowns' heads and then of their
+    right-hand sides.
     """
     alg = sys_.algebra
     heads = tuple(alg.coerce(sys_.heads[v]) for v in sys_.variables)
-    compiler = _Compiler(alg, sys_.variables)
+    compiler = _Compiler(alg, sys_.variables, sys_.builtins)
     rhs = []
     for v in sys_.variables:
         rhs.append(compiler.slot(sys_.rhs[v]))
     steps = tuple(compiler.steps)
     scheduled = _schedulable(sys_, steps)
     return Plan(heads, steps, tuple(rhs), len(compiler.slots), scheduled,
-                scheduled and all(kind is _Linear for kind, _, _ in steps))
+                scheduled and not compiler.renamed
+                and all(kind is _Linear for kind, _, _ in steps))
 
 
 @lru_cache(maxsize=64)
@@ -1019,6 +1059,30 @@ def _application(engine, symbol, *args):
     return node_of(engine.behaviour(state))
 
 
+def _engine_term(engine, term, names, *unknowns):
+    """The node of the engine's stream of a term, the names of the term
+    being the streams of the nodes `unknowns`."""
+    if engine is None:
+        raise UnsupportedOp(f"{term.symbol!r} is not a builtin operation")
+    state = engine.from_term(term, {name: at(node) for name, node in zip(names, unknowns)})
+    return node_of(engine.behaviour(state))
+
+
+def _derivative(alg, order, arg):
+    """The order-th derivative of the node `arg`, a shift."""
+    return _Shift(alg, arg, order)
+
+
+def _build(nodes, steps, alg, engine):
+    """Append to `nodes` one fresh node per step, a definition's
+    application over engine(), the one engine of the definitions, and
+    every other step over the algebra."""
+    get = nodes.__getitem__
+    for kind, payload, children in steps:
+        context = engine and engine() if kind is _application or kind is _engine_term else alg
+        nodes.append(kind(context, *payload, *map(get, children)))
+
+
 def _instantiate(plan, alg, successor, engine):
     """Fresh nodes of a plan, one per slot: no term is hashed, and no
     coefficient is shared with the nodes of another call."""
@@ -1029,13 +1093,16 @@ def _instantiate(plan, alg, successor, engine):
         owner = [_NOBODY]
         nodes += (_Scheduled(alg, head, successor, plan, slot, nodes, owner)
                   for slot, head in enumerate(plan.heads))
-    get = nodes.__getitem__
-    for kind, payload, children in plan.steps:
-        context = engine if kind is _application else alg
-        nodes.append(kind(context, *payload, *map(get, children)))
+    _build(nodes, plan.steps, alg, engine)
     for unknown, slot in zip(nodes, plan.rhs):
         unknown.rhs = nodes[slot]
     return nodes
+
+
+def _recursion_room(unknowns, terms):
+    """Frames enough for a coefficient demand that recurses through at
+    most every node once; a sqrt adds four nodes when its head is computed."""
+    return 4 * (unknowns + 5 * terms) + 1000
 
 
 def _successor(sys_, delta_o_inverse):
@@ -1071,8 +1138,10 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
     returned streams are observed.  The system's Plan, `sys_.plan`, is
     read after the successor rule is checked, so that refusal comes
     first, and the nodes are made afresh from the plan on every call.
-    `engine`, a gsos.Engine of the system's definitions, applies them;
-    without one an application is an UnsupportedOp.
+    `engine`, a function that returns the one gsos.Engine of the
+    system's definitions, is called only where the plan applies a
+    definition that is not a builtin, and that engine applies it;
+    without one such an application is an UnsupportedOp.
     """
     alg = sys_.algebra
     if sys_.evens:
@@ -1086,7 +1155,35 @@ def solve_by_coefficients(sys_, delta_o_inverse=None, engine=None):
         return {v: at(node) for v, node in zip(sys_.variables, nodes)}
     nodes = _instantiate(plan, alg, successor, engine)
     if not plan.scheduled:
-        # a coefficient demand recurses through at most every node once;
-        # a sqrt adds four nodes when its head is computed
-        ensure_recursion_room(4 * (len(plan.heads) + 5 * plan.terms) + 1000)
+        ensure_recursion_room(_recursion_room(len(plan.heads), plan.terms))
     return {v: at(node) for v, node in zip(sys_.variables, nodes)}
+
+
+def evaluate(term, alg, sys_=None, builtins=None, engine=None):
+    """The stream of a standalone term over the solution of the system
+    `sys_`, if any: a name u of the term is the solution stream of
+    unknown u that solve_by_coefficients(sys_, engine=engine) gives, and
+    u', u'', ... are its shifts.
+
+    The term is compiled as a right-hand side is, equal subterms sharing
+    one node and an application of a definition that is a builtin
+    (`builtins`) being that builtin's.  An application of any other
+    definition runs on the engine whole, its arguments included, as
+    gsos.Engine.from_term makes it a state over the unknowns' streams;
+    `engine` is as for solve_by_coefficients, and the system and the
+    term share its one engine.  The term's nodes are demand-driven and
+    made afresh on every call; a demand may pass through every one of
+    them, then through every node of a system that is not scheduled.
+    After the system's errors, refuses a literal outside the algebra
+    with its coerce error.
+    """
+    streams = solve_by_coefficients(sys_, engine=engine) if sys_ is not None else {}
+    compiler = _Compiler(alg, tuple(streams), builtins, whole=True)
+    root = compiler.slot(term)
+    nodes = [node_of(stream) for stream in streams.values()]
+    _build(nodes, compiler.steps, alg, engine)
+    terms = len(compiler.slots)
+    if sys_ is not None and not sys_.evens and not sys_.plan.scheduled:
+        terms += sys_.plan.terms
+    ensure_recursion_room(_recursion_room(len(streams), terms))
+    return at(nodes[root])

@@ -42,6 +42,7 @@ from .algebra import get_algebra, rationals
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
+    GsosViolation,
     HeadNotInvertible,
     MissingInitialValue,
     NoExactSqrt,
@@ -252,6 +253,9 @@ class EquationSystem:
 
     tail_op is 'tail' for ordinary derivatives, or 'delta'/'ddx' for the
     non-standard ones; even-odd systems use evens/odds instead of rhs.
+    `builtins` names the builtin that each definition the right-hand
+    sides may apply is, where it is one (SpecFile.builtins); the plan
+    runs those applications as the builtins.
     """
 
     algebra: object
@@ -261,6 +265,7 @@ class EquationSystem:
     rhs: dict = field(default_factory=dict)
     evens: dict = field(default_factory=dict)
     odds: dict = field(default_factory=dict)
+    builtins: dict = field(default_factory=dict, compare=False)
 
     def __eq__(self, other):
         return (isinstance(other, EquationSystem)
@@ -307,16 +312,33 @@ class EquationSystem:
 
 @dataclass
 class SpecFile:
+    """A parsed file.  `builtins` is gsos.builtin_names of its definitions,
+    {name: builtin symbol} for each definition that is a builtin, found
+    once when the file is parsed; `verdicts` holds validate_gsos of each
+    definition, read on first use."""
+
     algebra: object
     algebra_name: str
     defs: dict
     system: object  # EquationSystem or None
+    builtins: dict = field(default_factory=dict)
 
     def __eq__(self, other):
         return (isinstance(other, SpecFile)
                 and self.algebra is other.algebra
                 and self.defs == other.defs
                 and self.system == other.system)
+
+    @cached_property
+    def verdicts(self):
+        return {name: validate_gsos(d) for name, d in self.defs.items()}
+
+    def require_gsos(self):
+        """Refuse the first definition outside the GSOS format, as the
+        engine of the definitions would."""
+        for name, verdict in self.verdicts.items():
+            if isinstance(verdict, Violation):
+                raise verdict.refusal(name)
 
     def required_system(self):
         """The file's equation system; a SpecError if it defines none."""
@@ -875,7 +897,15 @@ class _Parser:
             for clause in d.clauses:
                 self.resolve(clause.deriv, rule, d.span)
         system = self.build_system() if (self.inits or self.tails or self.evens) else None
-        return SpecFile(self.algebra, self.algebra_name, self.defs, system)
+        builtins = {}
+        if self.defs:
+            # gsos imports this module, so it is imported here
+            from . import gsos
+
+            builtins = gsos.builtin_names(self.defs, self.algebra)
+            if system is not None:
+                system.builtins = builtins
+        return SpecFile(self.algebra, self.algebra_name, self.defs, system, builtins)
 
     def resolve(self, t, rule, span):
         """`t` with each Var and DVar replaced by rule(leaf), where rule
@@ -1272,6 +1302,11 @@ class Ok:
 class Violation:
     reason: str
     span: tuple = field(default=None, compare=False)
+
+    def refusal(self, symbol):
+        """The error that refuses definition `symbol` for this violation."""
+        return GsosViolation(f"definition of {symbol!r} is not in the GSOS format: "
+                             f"{self.reason}", self.span)
 
 
 def validate_gsos(d):

@@ -514,6 +514,9 @@ class TestEvalOverEveryFormat:
             "error: UnsupportedOp: ddx systems need a field of characteristic 0")
 
     def test_one_engine_for_the_term_and_the_system(self, monkeypatch):
+        # never more than one engine per request: none where every
+        # definition is a builtin (`plus` and `times` are + and *), and one
+        # for both the term and the system where they apply `twice`
         from streamcalc import gsos
 
         built = []
@@ -521,6 +524,9 @@ class TestEvalOverEveryFormat:
                             built.append(a) or _engine(*a, **k))
         assert invoke("eval", "--defs", corpus("defs_catalan.sde"), "--term", "s + X",
                       "-n", "4") == (0, "1, 2, 2, 5\n", "")
+        assert built == []
+        assert invoke("eval", "--defs", corpus("defs_delta.sde"), "--term", "twice(x) + x",
+                      "-n", "4") == (0, "3, 9, 27, 81\n", "")
         assert len(built) == 1
 
     def test_the_terms_own_errors(self):
@@ -882,10 +888,12 @@ class TestSolveRoutes:
         (("solve", "fib.sde#s", "-n", "20"), 40),
         # and one per series coefficient of any other system
         (("solve", "catalan.sde#s", "-n", "10"), 19),
-        # the engine charges each behaviour element and each state's output
+        # `plus` and `times` are + and *: one step per series coefficient
         (("eval", "--defs", "defs_arith.sde", "--term", "times(plus(X, [1]), X)",
-          "-n", "10"), 75),
+          "-n", "10"), 16),
         (("equiv", "fib.sde#s", "fib.sde#s", "--algebra", "Z", "--prefix", "20"), 80),
+        # the engine charges each behaviour element and each state's output
+        (("eval", "--defs", "defs_delta.sde", "--term", "twice(X + 1)", "-n", "10"), 12),
     ])
     def test_a_request_needs_exactly_its_budget(self, argv, budget):
         argv = [corpus(a) if ".sde" in a else a for a in argv]
@@ -894,6 +902,15 @@ class TestSolveRoutes:
         code, out, err = invoke(*argv, "--budget", str(budget - 1))
         assert (code, out) == (2, "")
         assert err.startswith("error: BudgetExhausted: forcing budget exhausted")
+
+    def test_defs_catalan_80_within_default_budget(self):
+        # `plus` and `times` are + and *, so s' = times(s, s) is Catalan's
+        # s' = s*s on series: the engine ran out of the default budget at
+        # index 38
+        code, out, err = invoke("solve", corpus("defs_catalan.sde") + "#s", "-n", "80")
+        assert (code, err) == (0, "")
+        assert out == ", ".join(str(math.comb(2 * n, n) // (n + 1))
+                                for n in range(80)) + "\n"
 
     def test_catalan_44_within_default_budget(self):
         import math
@@ -1401,6 +1418,30 @@ class TestSpecCache:
         path.write_text("s(0) = 1; s' = 2*s;\n")
         assert invoke("solve", f"{path}#s", "-n", "4") == (0, "1, 2, 4, 8\n", "")
 
+    def test_a_cached_spec_validates_its_definitions_once(self, monkeypatch):
+        from streamcalc import gsos, speclang
+
+        _empty_spec_cache(monkeypatch)
+        validated, built = [], []
+        original = speclang.validate_gsos
+        monkeypatch.setattr(speclang, "validate_gsos",
+                            lambda d: validated.append(d.symbol) or original(d))
+        monkeypatch.setattr(gsos, "Engine", lambda *a, _engine=gsos.Engine, **k:
+                            built.append(a) or _engine(*a, **k))
+        path = corpus("defs_delta.sde")
+        for argv in (("check", path), ("solve", f"{path}#x", "-n", "4"),
+                     ("at", "3", f"{path}#y"), ("eval", "--defs", path, "--term", "twice(x)"),
+                     ("check", path)):
+            assert invoke(*argv)[0] == 0, argv
+        assert validated == ["twice", "flip"]
+        # the system applies `twice`, which is no builtin: one engine a request
+        assert len(built) == 5
+        # `flip` is unary minus: no engine for a system that applies only it
+        path = corpus("defs_signed.sde")
+        for argv in (("check", path), ("solve", f"{path}#t", "-n", "4"), ("check", path)):
+            assert invoke(*argv)[0] == 0, argv
+        assert validated == ["twice", "flip", "flip"] and len(built) == 5
+
     def test_one_text_under_two_paths_is_one_entry(self, tmp_path, monkeypatch):
         cache = _empty_spec_cache(monkeypatch)
         calls = _count_calls(monkeypatch)
@@ -1788,6 +1829,28 @@ def test_tallest_definition_answers_from_a_deeper_caller(tmp_path):
     assert invoke_in_a_fresh_process("equiv", f"{path}#s", f"{path}#s", "--prefix", "3",
                                      frames=200) == (
         0, "Proved\ncertificate (bisimulation-up-to, user signature):\n  s  ~  s#b\n", "")
+
+
+def test_tallest_eval_terms_answer_from_a_deeper_caller():
+    # an eval term runs on demand-driven series nodes: a coefficient of a
+    # product of (1 + X) factors reads down the whole chain, at MAX_HEIGHT
+    # and 500 frames deeper than `python -m`; `plus` and `times` are the
+    # builtins + and *, over no system and over Catalan's s
+    chain = tall("-(", ")", "X", "*plus(1, X)", MAX_HEIGHT - 3)
+    for defs, term, elements in (
+            ("defs_arith.sde", f"times(plus(X, [1]), {chain})", "0, 1, 398, 79003"),
+            ("defs_catalan.sde", f"times(s, {chain})", "0, 1, 398, 79005")):
+        assert invoke_in_a_fresh_process("eval", "--defs", corpus(defs), "--term", term,
+                                         "-n", "4", frames=500) == (0, elements + "\n", "")
+    # and cli.run puts the recursion limit back
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert invoke("eval", "--defs", corpus("defs_arith.sde"), "--term",
+                      f"times(plus(X, [1]), {chain})", "-n", "4") == (0, "0, 1, 398, 79003\n", "")
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_tallest_terms_answer_from_a_deeper_caller(tmp_path):

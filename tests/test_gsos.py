@@ -719,3 +719,72 @@ class TestOneCompiler:
         # a constant head runs on the engine's own head operations
         with pytest.raises(UnsupportedOp, match="Nat has no negation"):
             Engine(get_algebra("Nat")).from_term(Const(HOp("-", (HLit(2), HLit(1)))))
+
+
+class TestBuiltinNames:
+    """A definition whose clauses are a builtin's, up to renaming, is that
+    builtin (gsos.builtin_names, kept as SpecFile.builtins); one that
+    differs in any part stays on the engine."""
+
+    PLUS = "def plus(a, b) { out = a(0) + b(0); deriv = plus(a', b'); }\n"
+    TIMES = ("def times(a, b) { out = a(0) * b(0); "
+             "deriv = plus(times(a', b), times([a(0)], b')); }\n")
+
+    @staticmethod
+    def names(text, alg="Q"):
+        return parse(f"algebra {alg};\n{text}").builtins
+
+    def test_plus_and_times_are_builtins(self):
+        assert self.names(self.PLUS + self.TIMES) == {"plus": "+", "times": "*"}
+        # a builtin applied in the clause, and a sum for `+`
+        assert self.names("def p(x, y) { out = x(0) + y(0); deriv = x' + y'; }") == {"p": "+"}
+        assert self.names("def s(x, y) { out = x(0) * y(0); "
+                          "deriv = s(x', y) + s(x, y'); }") == {"s": "shuffle"}
+        # flip of corpus/defs_signed.sde is unary minus
+        assert self.names("def flip(a) { out = -a(0); deriv = flip(a'); }",
+                          "Z") == {"flip": "-"}
+
+    @pytest.mark.parametrize("text", [
+        # swapped arguments
+        "def times(a, b) { out = a(0) * b(0); deriv = plus(times(b', a), times([a(0)], b')); }",
+        # a guard
+        "def times(a, b) { when a(0) = 0 => { out = a(0) * b(0); deriv = plus(times(a', b), "
+        "times([a(0)], b')); } otherwise => { out = a(0) * b(0); "
+        "deriv = plus(times(a', b), times([a(0)], b')); } }",
+        # another literal
+        "def times(a, b) { out = a(0) * b(0); deriv = plus(times(a', b), times([2], b')); }",
+        # another builtin's clause: +'s output under *'s derivative
+        "def times(a, b) { out = a(0) + b(0); deriv = plus(times(a', b), times([a(0)], b')); }",
+        # parameters used out of order
+        "def times(a, b) { out = b(0) * a(0); deriv = plus(times(a', b), times([a(0)], b')); }",
+    ], ids=["swapped", "guard", "literal", "other builtin", "parameter order"])
+    def test_near_misses_stay_on_the_engine(self, text):
+        spec = parse(f"algebra Q;\n{self.PLUS}{text.replace('times', 'tms')}\n"
+                     "s(0) = 1;\ns' = tms(s, s);\n")
+        assert spec.builtins == {"plus": "+"}
+        from streamcalc import series
+
+        assert [kind for kind, _, _ in spec.system.plan.steps] == [series._application]
+
+    def test_near_misses_of_nullary_and_unary_builtins(self):
+        assert self.names("def one() { out = 0; deriv = 2; }") == {}
+        assert self.names("def ex() { out = 0; deriv = 1; }") == {"ex": "X"}
+        # Tropical's zero is inf, not 0
+        assert self.names("def ex() { out = 0; deriv = 1; }", "Tropical") == {}
+        assert self.names("def id(a) { out = a(0); deriv = id(a'); }") == {}
+        assert self.names("def twice(a) { out = a(0) + a(0); deriv = twice(a'); }") == {}
+        # hadamard's derivative under *'s output is hadamard
+        assert self.names("def h(a, b) { out = a(0) * b(0); deriv = h(a', b'); }") == {
+            "h": "hadamard"}
+
+    def test_the_greatest_fixpoint(self):
+        # times is * only because plus is +: with a plus that is not, it is not
+        bad_plus = "def plus(a, b) { out = a(0) + b(0); deriv = plus(b', a'); }\n"
+        assert self.names(bad_plus + self.TIMES) == {}
+        # and two definitions that are + through each other are both +
+        assert self.names("def p(a, b) { out = a(0) + b(0); deriv = q(a', b'); }\n"
+                          "def q(a, b) { out = a(0) + b(0); deriv = p(a', b'); }") == {
+            "p": "+", "q": "+"}
+        # where one of them is not, neither is
+        assert self.names("def p(a, b) { out = a(0) + b(0); deriv = q(a', b'); }\n"
+                          "def q(a, b) { out = a(0) + b(0); deriv = p(b', a'); }") == {}

@@ -1335,3 +1335,83 @@ def test_rational_vectors_keep_their_integers_small(tmp_path):
     path = tmp_path / "halves.sde"
     path.write_text(text + "\n")
     assert invoke("at", "20000", f"{path}#x", "--budget", "100000000") == (0, "1\n", "")
+
+
+# ---------------------------------------------------------------------------
+# Definitions that are builtins run as the builtins, against the engine
+# running their clauses
+
+# every builtin rule a definition can spell out (a head expression has no
+# sqrt), under other operation and parameter names
+BUILTIN_RULES = """
+def add(p, q) { out = p(0) + q(0); deriv = add(p', q'); }
+def sub(p, q) { out = p(0) - q(0); deriv = sub(p', q'); }
+def opp(p) { out = -p(0); deriv = opp(p'); }
+def mul(p, q) { out = p(0) * q(0); deriv = add(mul(p', q), mul([p(0)], q')); }
+def rec(p) { out = inv(p(0)); deriv = mul([-inv(p(0))], mul(p', rec(p))); }
+def ex() { out = 0; deriv = 1; }
+def shuf(p, q) { out = p(0) * q(0); deriv = shuf(p', q) + shuf(p, q'); }
+def had(p, q) { out = p(0) * q(0); deriv = had(p', q'); }
+def zp(p, q) { out = p(0); deriv = zp(q, p'); }
+def mrg(p, q) {
+  when p(0) < q(0) => { out = p(0); deriv = mrg(p', q); }
+  when p(0) = q(0) => { out = p(0); deriv = mrg(p', q'); }
+  when p(0) > q(0) => { out = q(0); deriv = mrg(p, q'); }
+}
+"""
+RULE_NAMES = {"add": "+", "sub": "-", "opp": "-", "mul": "*", "rec": "inv", "ex": "X",
+              "shuf": "shuffle", "had": "hadamard", "zp": "zip", "mrg": "merge"}
+# each definition applied in a system, and in a standalone term over its
+# unknowns u and v, in shapes whose 200 elements the engine computes in
+# well under a second
+RULES_SYSTEM = """
+u(0) = 1; u' = add(u, ex);
+v(0) = 1; v' = zp(v, ex);
+b(0) = 0; b' = sub(b, opp(v));
+a(0) = 1; a' = mul(a, add([1], ex));
+c(0) = 1; c' = rec(add([1], ex));
+d(0) = 1; d' = shuf(d, ex);
+e(0) = 1; e' = had(e, u);
+m(0) = 1; m' = mrg(add(ex, u), mul(ex, m));
+"""
+RULES_TERMS = ("add(u, v)", "sub(u, v)", "opp(v)", "mul(add(ex, [1]), u)", "rec(opp(v'))",
+               "ex", "shuf(u, add(ex, [1]))", "had(u, v)", "zp(u, v)", "mrg(u, v)")
+
+
+@pytest.mark.parametrize("alg_name", ALGEBRAS)
+def test_builtin_definitions_match_the_engine(alg_name):
+    """200 elements of every unknown and term, or the same error, as the
+    engine gives running the definitions' own clauses."""
+    from streamcalc.speclang import parse_term
+
+    alg = get_algebra(alg_name)
+    spec = parse(BUILTIN_RULES + RULES_SYSTEM, algebra=alg)
+    # over Tropical, 0 is no zero of the algebra, and `ex` no X
+    assert spec.builtins == {name: symbol for name, symbol in RULE_NAMES.items()
+                             if name != "ex" or alg_name != "Tropical"}
+    engines = []
+
+    def engine():
+        engines.append(gsos.Engine(alg, spec.defs))
+        return engines[-1]
+
+    reference = gsos.solve_system_with_defs(spec.system, spec.defs)
+    streams = series.solve_by_coefficients(spec.system, engine=engine)
+    answered = 0
+    for var in spec.system.variables:
+        want = observe(reference, var, 200, 10**7)
+        assert observe(streams, var, 200, 10**7) == want, var
+        answered += want[0] == "ok"
+    env = {v: reference[v] for v in ("u", "v")}
+    for text in RULES_TERMS:
+        term = parse_term(text, spec)
+        want = observe({"t": gsos.eval_term(term, env, spec.defs, alg)}, "t", 200, 10**7)
+        got = series.evaluate(term, alg, spec.system, spec.builtins, engine)
+        assert observe({"t": got}, "t", 200, 10**7) == want, text
+        answered += want[0] == "ok"
+    # the engine runs only `ex` over Tropical
+    assert bool(engines) == (alg_name == "Tropical")
+    # the rest stop at the same element with the same error: no negation
+    # over the semirings, no order over F2 and Fp(5)
+    assert answered == {"Nat": 13, "Bool": 11, "Tropical": 11, "F2": 16, "Fp(5)": 16,
+                        "Z": 18, "Q": 18}[alg_name]

@@ -8,7 +8,8 @@ The specs default to corpus/*.sde.  For each spec the runs are `check`;
 which together apply every GSOS builtin on the engine, and of
 DEFS_TERMS too where the spec defines `plus` and `times`; where the spec
 has a system, `eval` of UNKNOWN_TERM over its first unknown, so that a
-system unknown and its derivative are resolved as free names of a term;
+system unknown and its derivative are resolved as free names of a term,
+and of DEFS_UNKNOWN_TERM too where it defines `plus` and `times`;
 and on every unknown `solve`, `solve -n 200 --budget 60`, `at 30`, `kernel`,
 `closed-form`, `equiv` against the spec's first unknown, and `equiv
 --prefix 0 --budget 60` against it, so that the up-to search answers and
@@ -80,8 +81,10 @@ EVAL_TERMS = (
 )
 # and over the `plus` and `times` of corpus/defs_*.sde
 DEFS_TERMS = ("plus(X, 1)", "times(1 + X, plus(X, times(X, 2)))")
-# over the first unknown u of a spec's system: u' + u * X
+# over the first unknown u of a spec's system: u' + u * X, and where the
+# spec defines them, times(u, plus(u', X))
 UNKNOWN_TERM = "{u}' + {u} * X"
+DEFS_UNKNOWN_TERM = "times({u}, plus({u}', X))"
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 _FIB, _DEFS = str(CORPUS / "fib.sde"), str(CORPUS / "defs_arith.sde")
 # how argv is read, on two corpus files; no -h, whose text is not pinned
@@ -146,6 +149,8 @@ def shape(specs):
         terms = EVAL_TERMS + (DEFS_TERMS if arithmetic else ())
         if unknowns:
             terms += (UNKNOWN_TERM.format(u=unknowns[0]),)
+            if arithmetic:
+                terms += (DEFS_UNKNOWN_TERM.format(u=unknowns[0]),)
         for algebra in ALGEBRAS:
             override = ("--algebra", algebra) if algebra else ()
             runs.append(("check", path) + override)
